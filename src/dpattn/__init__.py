@@ -10,15 +10,12 @@ utility scaling, and the (eps, delta) privacy tail of the loss variable.
 
 from .attention import (
     Activation,
-    AttentionError,
     ChainReport,
     ChainStage,
-    apply_activation,
     attention_error,
     attention_matrix,
     entrywise_activation,
     perturbation_chain_check,
-    row_normalizer,
     theoretical_error_bound,
 )
 from .dataset import (
@@ -45,12 +42,10 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
-    MatrixNorms,
     SpectralDecomposition,
     SymMatrix,
     is_psd,
     loewner_within,
-    norms,
     psd_inv_sqrt,
     psd_project,
     psd_sqrt,

@@ -14,7 +14,6 @@ max-absolute value.  ``eps`` and ``r`` are accepted on ``(0, 0.1]``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,16 +30,6 @@ class Activation(Enum):
     COSH = "cosh"
 
 
-def apply_activation(z: float, kind: Activation) -> float:
-    """Evaluate ``exp(z)`` or ``cosh(z)`` for a finite scalar."""
-    if not math.isfinite(z):
-        raise ParamRange(f"activation input must be finite, got {z}")
-    try:
-        return math.exp(z) if kind is Activation.EXP else math.cosh(z)
-    except OverflowError:
-        raise Overflow(f"{kind.value}({z}) exceeds double range")
-
-
 def entrywise_activation(m, kind: Activation) -> SymMatrix:
     """Apply the activation to every entry; symmetry is preserved exactly."""
     vals = as_sym(m).values
@@ -49,11 +38,6 @@ def entrywise_activation(m, kind: Activation) -> SymMatrix:
     if not np.isfinite(out).all():
         raise Overflow(f"entrywise {kind.value} exceeds double range")
     return SymMatrix(out)
-
-
-def row_normalizer(m, kind: Activation) -> np.ndarray:
-    """Row sums of the activated matrix; strictly positive."""
-    return entrywise_activation(m, kind).values.sum(axis=1)
 
 
 def attention_matrix(m, kind: Activation) -> np.ndarray:
@@ -81,32 +65,6 @@ def theoretical_error_bound(eps: float, r: float) -> float:
     _check_ratio("eps", eps)
     _check_ratio("r", r)
     return 4.0 * (1.0 + eps + 2.0 * r) * r
-
-
-@dataclass(frozen=True)
-class AttentionError:
-    """A measured attention deviation paired with its guaranteed bound."""
-
-    measured_inf_norm: float
-    bound: float
-    eps: float
-    r: float
-
-    def __post_init__(self):
-        if self.measured_inf_norm < 0:
-            raise ParamRange(f"measured norm must be non-negative, got {self.measured_inf_norm}")
-        expected = theoretical_error_bound(self.eps, self.r)
-        if abs(self.bound - expected) > 1e-12 * expected:
-            raise ParamRange(f"bound {self.bound} does not match 4*(1+eps+2r)*r = {expected}")
-
-    @classmethod
-    def measure(cls, a, b, kind: Activation, eps: float, r: float) -> "AttentionError":
-        return cls(
-            measured_inf_norm=attention_error(a, b, kind),
-            bound=theoretical_error_bound(eps, r),
-            eps=eps,
-            r=r,
-        )
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ formatting, so write/read cycles are bit-exact.  Reports are JSON with a
 top-level ``schema_version``.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
-2 input or parse error.  ``DPATTN_THREADS`` caps internal parallelism and
-never changes any output byte.
+2 input or parse error.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError
 from .linalg import SymMatrix
 from .mechanism import gaussian_sampling_mechanism
-from .parallel import trial_map
 from .pipeline import DpAttentionReport, DpParams, NeighborPrivacyReport, dp_attention, \
     verify_neighbor_privacy
 
@@ -323,9 +321,7 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
         optional={"neighbor", "perturbed_csv", "beta", "index", "report"},
     )
     data = _load_dataset(cfg, config_dir)
-    trials = _as_int(cfg, "trials", minimum=1)
-    if trials < 1000:
-        raise ConfigError(f"trials must be at least 1000, got {trials}")
+    trials = _as_int(cfg, "trials", minimum=1000)
     has_inline = "neighbor" in cfg
     has_file = "perturbed_csv" in cfg
     if has_inline == has_file:
@@ -352,17 +348,14 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
             beta=_positive(cfg, "beta"),
             index=_as_int(cfg, "index", minimum=0),
         )
-    params = DpParams(
-        eps=_in_open_closed(cfg, "eps", 0.1),
-        delta=_in_open_closed(cfg, "delta", 0.1),
-        gamma=0.5,  # unused by the privacy side; DpParams requires a value
+    report = verify_neighbor_privacy(
+        pair,
+        eps=_in_open_open(cfg, "eps", 1.0),
+        delta=_in_open_open(cfg, "delta", 1.0),
         k=_as_int(cfg, "k", minimum=1),
-        r=0.1,
-        kind=Activation.EXP,
-        utility_const=1.0,
+        trials=trials,
         seed=_as_int(cfg, "seed", minimum=0),
     )
-    report = verify_neighbor_privacy(pair, params, trials)
     name = _as_str(cfg, "report") if "report" in cfg else "privacy_report"
     write_json(out_dir / f"{name}.json", _privacy_report_doc(report))
     samples_path = out_dir / f"{name}_samples.csv"
@@ -410,10 +403,10 @@ def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
 
     lines = ["n,k,trial,rel_frob_error"]
     for ki, k in enumerate(ks):
-        errors = trial_map(
-            lambda t: gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error,
-            trials,
-        )
+        errors = [
+            gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error
+            for t in range(trials)
+        ]
         lines.extend(
             f"{n},{k},{t},{_format_float(err)}" for t, err in enumerate(errors)
         )

@@ -10,7 +10,6 @@ tolerances default to a cutoff relative to the spectral scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,10 +78,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def sym_eigendecompose(m) -> SpectralDecomposition:
@@ -162,27 +157,6 @@ def psd_project(m) -> SymMatrix:
     w = np.clip(dec.eigenvalues, 0.0, None)
     v = dec.eigenvectors
     return SymMatrix((v * w) @ v.T)
-
-
-class MatrixNorms(NamedTuple):
-    frobenius: float
-    spectral: float
-    entrywise_max: float
-
-
-def norms(m) -> MatrixNorms:
-    """Frobenius, spectral, and entrywise max-absolute norms.
-
-    For symmetric matrices these satisfy ``spectral <= frobenius`` and
-    ``frobenius <= sqrt(n) * spectral``.
-    """
-    vals = as_sym(m).values
-    w = np.linalg.eigvalsh(vals)
-    return MatrixNorms(
-        frobenius=float(np.linalg.norm(vals)),
-        spectral=float(np.abs(w).max()),
-        entrywise_max=float(np.abs(vals).max()),
-    )
 
 
 def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:

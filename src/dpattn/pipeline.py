@@ -10,7 +10,8 @@ numerically and recorded in the report.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus a Monte-Carlo estimate of the
-privacy-loss exceedance rate.
+privacy-loss exceedance rate.  It takes only the privacy parameters ``eps``,
+``delta``, ``k`` and a seed; :class:`DpParams` belongs to :func:`dp_attention`.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ from .dataset import Dataset, NeighborPair, gram
 from .errors import ParamRange, SingularMatrix
 from .linalg import SymMatrix, loewner_within, psd_project
 from .mechanism import gaussian_sampling_mechanism, utility_radius
-from .privacy import (
-    CertificateReport,
-    dp_certificate,
-    privacy_loss_samples,
-    sensitivity_budget,
-    wilson_upper,
-)
+from .privacy import CertificateReport, dp_certificate, mc_privacy_verify, sensitivity_budget
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     base = gram(data)
     n, d = data.n, data.d
     budget = sensitivity_budget(params.eps, params.delta, params.k)
-    budget_used = min(budget.loose, budget.strict)
+    budget_used = budget.strict
     sens_frob = 2.0 * data.alpha * beta * math.sqrt(n) / data.eta
     rho = utility_radius(n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
@@ -221,27 +216,23 @@ class NeighborPrivacyReport:
     samples: np.ndarray
 
 
-def verify_neighbor_privacy(pair: NeighborPair, params: DpParams,
-                            trials: int) -> NeighborPrivacyReport:
+def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int,
+                            trials: int, seed: int) -> NeighborPrivacyReport:
     """Certificate and empirical exceedance rate for one neighbor pair.
 
-    Both covariances are the Gram matrices of the pair.  The Monte-Carlo side
-    redraws the privacy loss ``trials`` times from per-trial substreams of
-    ``params.seed``; at least 1000 trials are required.
+    Both covariances are the Gram matrices of the pair.  ``eps`` and ``delta``
+    lie in ``(0, 1)``.  The Monte-Carlo side redraws the privacy loss
+    ``trials`` times from per-trial substreams of ``seed``; at least 1000
+    trials are required.
     """
-    if trials < 1000:
-        raise ParamRange(f"trials must be at least 1000, got {trials}")
     sigma1 = gram(pair.base)
     sigma2 = gram(pair.perturbed)
-    certificate = dp_certificate(sigma1, sigma2, params.eps, params.delta, params.k)
-    # Same stream mc_privacy_verify would use, so the retained samples are
-    # exactly the ones behind the reported rate.
-    losses = privacy_loss_samples(sigma1, sigma2, params.k, trials, params.seed)
-    exceed = int((losses > params.eps).sum())
+    certificate = dp_certificate(sigma1, sigma2, eps, delta, k)
+    mc = mc_privacy_verify(sigma1, sigma2, k, eps, trials, seed)
     return NeighborPrivacyReport(
         certificate=certificate,
-        empirical_rate=exceed / trials,
-        wilson_upper=wilson_upper(exceed, trials),
+        empirical_rate=mc.empirical_rate,
+        wilson_upper=mc.wilson_upper,
         trials=trials,
-        samples=losses,
+        samples=mc.samples,
     )

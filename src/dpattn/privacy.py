@@ -20,9 +20,9 @@ where ``F = ||comparison - I||_F``, giving the Bernstein-type tail
 
 ``(eps, delta)``-differential privacy follows whenever ``Pr[Z > eps] <= delta``;
 :func:`dp_certificate` checks the sufficient conditions (``F`` within the
-sensitivity budget, ``E[Z] <= eps/2``, tail at ``eps/2`` below ``delta``) and
-:func:`mc_privacy_verify` estimates the exceedance probability directly by
-Monte Carlo.  All logarithms are natural.
+strict sensitivity budget, ``E[Z] <= eps/2``, tail at ``eps/2`` below
+``delta``) and :func:`mc_privacy_verify` estimates the exceedance probability
+directly by Monte Carlo.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import numpy as np
 from . import rng
 from .errors import DimMismatch, DpAttnError, ParamRange, SingularMatrix
 from .linalg import as_sym, psd_inv_sqrt, psd_sqrt
-from .parallel import trial_map
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
 _Z99 = statistics.NormalDist().inv_cdf(0.99)
@@ -50,7 +49,7 @@ class SensitivityBudget(NamedTuple):
     ``1/sqrt(8k log(1/delta))`` and ``1/(8 log(1/delta))`` branches, ``strict``
     the 0.1-scaled variants the end-to-end pipeline quotes.  ``strict <=
     loose`` holds term by term and is asserted at construction; certificates
-    use the per-instance minimum.
+    use ``strict`` and report ``loose`` alongside it.
     """
 
     loose: float
@@ -178,8 +177,7 @@ def privacy_loss_sample(sigma1, sigma2, k: int, seed) -> float:
 def privacy_loss_samples(sigma1, sigma2, k: int, trials: int, seed) -> np.ndarray:
     """Independent privacy-loss draws; trial ``t`` uses substream ``(seed, t)``.
 
-    The per-trial substreams make the result independent of evaluation order,
-    so parallel execution (see ``DPATTN_THREADS``) cannot change it.
+    The per-trial substreams make the result independent of evaluation order.
     """
     if trials < 0:
         raise ParamRange(f"trials must be non-negative, got {trials}")
@@ -188,8 +186,8 @@ def privacy_loss_samples(sigma1, sigma2, k: int, trials: int, seed) -> np.ndarra
     spectrum = privacy_spectrum(sigma1, sigma2)
     lam = spectrum.eigenvalues
     base = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
-    values = trial_map(lambda t: _loss_from_spectrum(lam, k, (*base, t)), trials)
-    return np.asarray(values, dtype=float)
+    return np.array([_loss_from_spectrum(lam, k, (*base, t)) for t in range(trials)],
+                    dtype=float)
 
 
 @dataclass(frozen=True)
@@ -259,12 +257,12 @@ class CertificateReport:
 def dp_certificate(sigma1, sigma2, eps: float, delta: float, k: int) -> CertificateReport:
     """Check the sufficient conditions for ``(eps, delta)``-privacy of one release.
 
-    Grants iff the whitened deviation is within the (stricter of the two)
-    sensitivity budgets, the closed-form mean satisfies ``E[Z] <= eps/2``, and
+    Grants iff the whitened deviation is within the strict sensitivity
+    budget, the closed-form mean satisfies ``E[Z] <= eps/2``, and
     the sub-exponential tail at ``eps/2`` is at most ``delta``.
     """
     budget = sensitivity_budget(eps, delta, k)
-    budget_used = min(budget.loose, budget.strict)
+    budget_used = budget.strict
     spectrum = privacy_spectrum(sigma1, sigma2)
     params = sub_exp_params(spectrum, k)
     tail = tail_bound(params, eps / 2.0)
@@ -300,6 +298,7 @@ def dp_certificate(sigma1, sigma2, eps: float, delta: float, k: int) -> Certific
 class McTail(NamedTuple):
     empirical_rate: float
     wilson_upper: float
+    samples: np.ndarray
 
 
 def wilson_upper(successes: int, trials: int, z: float = _Z99) -> float:
@@ -318,8 +317,8 @@ def wilson_upper(successes: int, trials: int, z: float = _Z99) -> float:
 def mc_privacy_verify(sigma1, sigma2, k: int, eps: float, trials: int, seed) -> McTail:
     """Monte-Carlo estimate of ``Pr[Z > eps]`` with a 99% Wilson upper bound.
 
-    Requires at least 1000 trials.  Reproducible for a fixed seed regardless
-    of any trial-level parallelism.
+    Requires at least 1000 trials.  The returned samples are the draws behind
+    the rate, trial ``t`` from substream ``(seed, t)``.
     """
     if trials < 1000:
         raise ParamRange(f"trials must be at least 1000, got {trials}")
@@ -328,4 +327,5 @@ def mc_privacy_verify(sigma1, sigma2, k: int, eps: float, trials: int, seed) -> 
     return McTail(
         empirical_rate=exceed / trials,
         wilson_upper=wilson_upper(exceed, trials),
+        samples=losses,
     )

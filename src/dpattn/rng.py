@@ -22,7 +22,7 @@ running the same numpy build:
 The domain tags below keep unrelated operations on disjoint streams even when
 they share a user-facing seed.  Trial-level substreams append the trial index
 to the entropy tuple, which makes batch results independent of execution
-order and of any thread-level parallelism.
+order.
 """
 
 from __future__ import annotations

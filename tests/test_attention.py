@@ -5,41 +5,18 @@ import pytest
 
 from dpattn import (
     Activation,
-    AttentionError,
     DimMismatch,
     Overflow,
     ParamRange,
     PreconditionFailed,
     SymMatrix,
-    apply_activation,
     attention_error,
     attention_matrix,
     entrywise_activation,
     perturbation_chain_check,
-    row_normalizer,
     theoretical_error_bound,
 )
 from helpers import chain_pair, rand_psd
-
-
-class TestApplyActivation:
-    def test_zero(self):
-        assert apply_activation(0.0, Activation.EXP) == 1.0
-        assert apply_activation(0.0, Activation.COSH) == 1.0
-
-    def test_cosh_oracle(self):
-        expected = (math.exp(0.1) + math.exp(-0.1)) / 2.0
-        assert apply_activation(0.1, Activation.COSH) == pytest.approx(expected, rel=1e-15)
-
-    def test_overflow(self):
-        with pytest.raises(Overflow):
-            apply_activation(1000.0, Activation.EXP)
-        with pytest.raises(Overflow):
-            apply_activation(-1000.0, Activation.COSH)
-
-    def test_non_finite_input(self):
-        with pytest.raises(ParamRange):
-            apply_activation(float("nan"), Activation.EXP)
 
 
 class TestEntrywiseActivation:
@@ -61,16 +38,6 @@ class TestEntrywiseActivation:
     def test_overflow(self):
         with pytest.raises(Overflow):
             entrywise_activation(SymMatrix(np.full((2, 2), 1000.0)), Activation.EXP)
-
-
-class TestRowNormalizer:
-    @pytest.mark.parametrize("kind", list(Activation))
-    def test_zero_matrix(self, kind):
-        assert np.allclose(row_normalizer(SymMatrix.zeros(3), kind), [3.0, 3.0, 3.0])
-
-    def test_closed_form(self):
-        m = SymMatrix([[0.0, math.log(2.0)], [math.log(2.0), 0.0]])
-        assert np.allclose(row_normalizer(m, Activation.EXP), [3.0, 3.0])
 
 
 class TestAttentionMatrix:
@@ -146,15 +113,6 @@ class TestSeriesInequalities:
         x = gen.uniform(-0.1, 0.1, 10_000)
         assert np.all(np.abs(np.exp(x) - 1.0) <= np.abs(x) + x * x)
         assert np.all(np.abs(np.cosh(x) - 1.0) <= x * x)
-
-
-class TestAttentionErrorRecord:
-    def test_measure_bundles_bound(self):
-        gen = np.random.default_rng(8)
-        a = SymMatrix(rand_psd(gen, 3) * 0.02)
-        rec = AttentionError.measure(a, a, Activation.EXP, eps=0.05, r=0.05)
-        assert rec.measured_inf_norm == 0.0
-        assert rec.bound == theoretical_error_bound(0.05, 0.05)
 
 
 class TestPerturbationChain:

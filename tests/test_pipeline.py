@@ -143,7 +143,7 @@ class TestVerifyNeighborPrivacy:
     def test_identical_pair_trivially_certified(self):
         data = fast_dataset()
         pair = NeighborPair(base=data, perturbed=data.x.copy(), beta=0.001, index=0)
-        report = verify_neighbor_privacy(pair, fast_params(k=50), trials=1000)
+        report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
         assert report.certificate.granted
         assert report.empirical_rate == 0.0
         assert report.samples.shape == (1000,)
@@ -151,9 +151,7 @@ class TestVerifyNeighborPrivacy:
     def test_oversized_perturbation_denied(self):
         data = generate_good_dataset(2, 4, eta=1.0, alpha=2.0, seed=3)
         pair = make_neighbor(data, beta=0.5, index=1, seed=4)
-        params = DpParams(eps=0.05, delta=0.01, gamma=0.3, k=50, r=0.05,
-                          kind=Activation.EXP, utility_const=1.0, seed=0)
-        report = verify_neighbor_privacy(pair, params, trials=1000)
+        report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
         assert not report.certificate.granted
         assert "SensitivityExceeded" in report.certificate.denial_reasons
 
@@ -161,4 +159,4 @@ class TestVerifyNeighborPrivacy:
         data = fast_dataset()
         pair = NeighborPair(base=data, perturbed=data.x.copy(), beta=0.001, index=0)
         with pytest.raises(ParamRange):
-            verify_neighbor_privacy(pair, fast_params(k=50), trials=999)
+            verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=999, seed=0)

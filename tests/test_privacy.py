@@ -264,14 +264,6 @@ class TestMcPrivacyVerify:
         with pytest.raises(ParamRange):
             mc_privacy_verify(SymMatrix.identity(2), SymMatrix.identity(2), 10, 0.1, 999, 0)
 
-    def test_parallelism_does_not_change_samples(self, monkeypatch):
-        s1 = SymMatrix.diagonal([1.15, 0.9])
-        s2 = SymMatrix.identity(2)
-        serial = privacy_loss_samples(s1, s2, 25, trials=2000, seed=4)
-        monkeypatch.setenv("DPATTN_THREADS", "4")
-        threaded = privacy_loss_samples(s1, s2, 25, trials=2000, seed=4)
-        assert np.array_equal(serial, threaded)
-
 
 class TestWilsonUpper:
     def test_zero_successes_large_n(self):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dpattn import ParamRange
-from dpattn.parallel import thread_cap, trial_map
 from dpattn.rng import normalize_entropy, standard_normals
 
 
@@ -44,27 +43,3 @@ class TestStandardNormals:
     def test_normalize_entropy_accepts_plain_int(self):
         assert normalize_entropy(5) == (5,)
         assert normalize_entropy((1, 2)) == (1, 2)
-
-
-class TestTrialMap:
-    def test_sequential(self, monkeypatch):
-        monkeypatch.delenv("DPATTN_THREADS", raising=False)
-        assert trial_map(lambda t: t * t, 5) == [0, 1, 4, 9, 16]
-
-    def test_threaded_matches_sequential(self, monkeypatch):
-        fn = lambda t: float(standard_normals(10, (1, t)).sum())
-        monkeypatch.setenv("DPATTN_THREADS", "1")
-        serial = trial_map(fn, 50)
-        monkeypatch.setenv("DPATTN_THREADS", "8")
-        threaded = trial_map(fn, 50)
-        assert serial == threaded
-
-    def test_cap_validation(self, monkeypatch):
-        monkeypatch.setenv("DPATTN_THREADS", "zero")
-        with pytest.raises(ParamRange):
-            thread_cap()
-        monkeypatch.setenv("DPATTN_THREADS", "0")
-        with pytest.raises(ParamRange):
-            thread_cap()
-        monkeypatch.setenv("DPATTN_THREADS", "3")
-        assert thread_cap() == 3
