@@ -76,7 +76,6 @@ from .privacy import (
     dp_certificate,
     expected_privacy_loss,
     mc_privacy_verify,
-    privacy_loss_sample,
     privacy_loss_samples,
     privacy_spectrum,
     sensitivity_budget,

@@ -315,18 +315,15 @@ def cmd_dp_attention(cfg: dict, out_dir: Path, config_dir: Path) -> int:
 
 
 def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
-    _check_keys(
-        cfg,
-        {"dataset", "eps", "delta", "k", "trials", "seed"},
-        optional={"neighbor", "perturbed_csv", "beta", "index", "report"},
-    )
+    # The pair comes either from an inline "neighbor" recipe, which carries
+    # its own beta and index, or from "perturbed_csv" with top-level ones.
+    inline = "neighbor" in cfg
+    pair_keys = {"neighbor"} if inline else {"perturbed_csv", "beta", "index"}
+    _check_keys(cfg, {"dataset", "eps", "delta", "k", "trials", "seed"} | pair_keys,
+                optional={"report"})
     data = _load_dataset(cfg, config_dir)
     trials = _as_int(cfg, "trials", minimum=1000)
-    has_inline = "neighbor" in cfg
-    has_file = "perturbed_csv" in cfg
-    if has_inline == has_file:
-        raise ConfigError("provide exactly one of 'neighbor' or 'perturbed_csv'")
-    if has_inline:
+    if inline:
         neighbor_cfg = cfg["neighbor"]
         if not isinstance(neighbor_cfg, dict):
             raise ConfigError("neighbor must be an object")
@@ -338,9 +335,6 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
             seed=_as_int(neighbor_cfg, "seed", minimum=0),
         )
     else:
-        for key in ("beta", "index"):
-            if key not in cfg:
-                raise ConfigError(f"perturbed_csv requires '{key}'")
         perturbed = read_matrix_csv(config_dir / _as_str(cfg, "perturbed_csv"))
         pair = NeighborPair(
             base=data,

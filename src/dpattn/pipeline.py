@@ -10,8 +10,9 @@ numerically and recorded in the report.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus a Monte-Carlo estimate of the
-privacy-loss exceedance rate.  It takes only the privacy parameters ``eps``,
-``delta``, ``k`` and a seed; :class:`DpParams` belongs to :func:`dp_attention`.
+privacy-loss exceedance rate, both from one :class:`PrivacySpectrum`.  It
+takes only the privacy parameters ``eps``, ``delta``, ``k`` and a seed;
+:class:`DpParams` belongs to :func:`dp_attention`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .dataset import Dataset, NeighborPair, gram
 from .errors import ParamRange, SingularMatrix
 from .linalg import SymMatrix, loewner_within, psd_project
 from .mechanism import gaussian_sampling_mechanism, utility_radius
-from .privacy import CertificateReport, dp_certificate, mc_privacy_verify, sensitivity_budget
+from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, privacy_spectrum,
+                      sensitivity_budget)
 
 
 @dataclass(frozen=True)
@@ -220,15 +222,14 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
                             trials: int, seed: int) -> NeighborPrivacyReport:
     """Certificate and empirical exceedance rate for one neighbor pair.
 
-    Both covariances are the Gram matrices of the pair.  ``eps`` and ``delta``
-    lie in ``(0, 1)``.  The Monte-Carlo side redraws the privacy loss
-    ``trials`` times from per-trial substreams of ``seed``; at least 1000
-    trials are required.
+    Both covariances are the Gram matrices of the pair; their spectrum is
+    computed once and feeds both sides.  ``eps`` and ``delta`` lie in
+    ``(0, 1)``.  The Monte-Carlo side draws the privacy loss ``trials`` times
+    from the privacy stream of ``seed``; at least 1000 trials are required.
     """
-    sigma1 = gram(pair.base)
-    sigma2 = gram(pair.perturbed)
-    certificate = dp_certificate(sigma1, sigma2, eps, delta, k)
-    mc = mc_privacy_verify(sigma1, sigma2, k, eps, trials, seed)
+    spectrum = privacy_spectrum(gram(pair.base), gram(pair.perturbed))
+    certificate = dp_certificate(spectrum, eps, delta, k)
+    mc = mc_privacy_verify(spectrum, k, eps, trials, seed)
     return NeighborPrivacyReport(
         certificate=certificate,
         empirical_rate=mc.empirical_rate,

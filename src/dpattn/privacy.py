@@ -11,6 +11,7 @@ Writing ``lam_j`` for the eigenvalues of the whitened comparison matrix
 chi-squared sum
 
     Z = (1/2) * sum_i sum_j ( (lam_j - 1) h_ij^2 - ln(lam_j) ),   h_ij iid N(0,1)
+      = (1/2) * sum_j ( (lam_j - 1) chi_j - k ln(lam_j) ),        chi_j iid chi-square(k)
 
 with closed-form mean ``E[Z] = (k/2) * sum_j (lam_j - 1 - ln(lam_j))``.  Z is
 sub-exponential with parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``
@@ -152,42 +153,23 @@ def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
     return 0.5 * k * float((lam - 1.0 - np.log(lam)).sum())
 
 
-def _loss_from_spectrum(lam: np.ndarray, k: int, entropy) -> float:
-    if k == 0:
-        return 0.0
-    h = rng.standard_normals(k * lam.size, entropy).reshape(k, lam.size)
-    chi = (h * h).sum(axis=0)
-    return 0.5 * (float(((lam - 1.0) * chi).sum()) - k * float(np.log(lam).sum()))
+def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -> np.ndarray:
+    """``trials`` independent draws of the privacy-loss variable Z.
 
-
-def privacy_loss_sample(sigma1, sigma2, k: int, seed) -> float:
-    """One draw of the privacy-loss variable Z from the seeded stream.
-
-    Uses the weighted chi-squared form: ``k * n`` standard normals ``h_ij``
-    are drawn and ``(1/2) sum ((lam_j - 1) h_ij^2 - ln lam_j)`` is returned.
-    Exactly zero when the two covariances coincide.
-    """
-    if k < 0:
-        raise ParamRange(f"k must be non-negative, got {k}")
-    spectrum = privacy_spectrum(sigma1, sigma2)
-    entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
-    return _loss_from_spectrum(spectrum.eigenvalues, k, entropy)
-
-
-def privacy_loss_samples(sigma1, sigma2, k: int, trials: int, seed) -> np.ndarray:
-    """Independent privacy-loss draws; trial ``t`` uses substream ``(seed, t)``.
-
-    The per-trial substreams make the result independent of evaluation order.
+    One ``(trials, n)`` block of chi-square(k) variates from the privacy
+    stream of ``seed``; row ``t`` gives trial ``t``, so a longer run extends a
+    shorter one.  Exactly zero when the spectrum is all ones or ``k == 0``.
     """
     if trials < 0:
         raise ParamRange(f"trials must be non-negative, got {trials}")
     if k < 0:
         raise ParamRange(f"k must be non-negative, got {k}")
-    spectrum = privacy_spectrum(sigma1, sigma2)
     lam = spectrum.eigenvalues
-    base = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
-    return np.array([_loss_from_spectrum(lam, k, (*base, t)) for t in range(trials)],
-                    dtype=float)
+    entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
+    chi = rng.chi_squares(k, (trials, lam.size), entropy)
+    # A row sum, not ``chi @ (lam - 1)``: BLAS may round a row differently
+    # depending on how many rows there are, which would break the prefix.
+    return 0.5 * ((chi * (lam - 1.0)).sum(axis=1) - k * float(np.log(lam).sum()))
 
 
 @dataclass(frozen=True)
@@ -254,7 +236,8 @@ class CertificateReport:
     denial_reasons: tuple[str, ...]
 
 
-def dp_certificate(sigma1, sigma2, eps: float, delta: float, k: int) -> CertificateReport:
+def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
+                   k: int) -> CertificateReport:
     """Check the sufficient conditions for ``(eps, delta)``-privacy of one release.
 
     Grants iff the whitened deviation is within the strict sensitivity
@@ -263,7 +246,6 @@ def dp_certificate(sigma1, sigma2, eps: float, delta: float, k: int) -> Certific
     """
     budget = sensitivity_budget(eps, delta, k)
     budget_used = budget.strict
-    spectrum = privacy_spectrum(sigma1, sigma2)
     params = sub_exp_params(spectrum, k)
     tail = tail_bound(params, eps / 2.0)
     sensitivity_ok = spectrum.deviation_frob <= budget_used
@@ -314,15 +296,16 @@ def wilson_upper(successes: int, trials: int, z: float = _Z99) -> float:
     return (center + half) / (1.0 + z2 / trials)
 
 
-def mc_privacy_verify(sigma1, sigma2, k: int, eps: float, trials: int, seed) -> McTail:
+def mc_privacy_verify(spectrum: PrivacySpectrum, k: int, eps: float, trials: int,
+                      seed) -> McTail:
     """Monte-Carlo estimate of ``Pr[Z > eps]`` with a 99% Wilson upper bound.
 
     Requires at least 1000 trials.  The returned samples are the draws behind
-    the rate, trial ``t`` from substream ``(seed, t)``.
+    the rate, from :func:`privacy_loss_samples`.
     """
     if trials < 1000:
         raise ParamRange(f"trials must be at least 1000, got {trials}")
-    losses = privacy_loss_samples(sigma1, sigma2, k, trials, seed)
+    losses = privacy_loss_samples(spectrum, k, trials, seed)
     exceed = int((losses > eps).sum())
     return McTail(
         empirical_rate=exceed / trials,

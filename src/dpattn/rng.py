@@ -1,4 +1,4 @@
-"""Deterministic random stream: ``philox-boxmuller-v1``.
+"""Deterministic random stream: ``philox-boxmuller-v2``.
 
 Every random draw in the library flows through one named stream so that any
 result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
@@ -17,7 +17,14 @@ running the same numpy build:
       z1 = radius * cos(2 * pi * u2)
       z2 = radius * sin(2 * pi * u2)
 
-  consumed in order; for an odd request the surplus value is dropped.
+  consumed in order; for an odd request the surplus value is dropped;
+* chi-square variates: ``2 * Generator.standard_gamma(df / 2)``, bit-equal to
+  ``Generator.chisquare(df)`` and exactly zero at ``df == 0``.  The privacy
+  stream ``(TAG_PRIVACY, seed)`` holds one row-major ``(trials, n)`` block of
+  chi-square(k) values, row ``t`` for trial ``t``, so a longer run extends a
+  shorter one.  numpy does not promise to keep its gamma sampler stable
+  across versions, so these values are reproducible only on the same numpy
+  build.
 
 The domain tags below keep unrelated operations on disjoint streams even when
 they share a user-facing seed.  Trial-level substreams append the trial index
@@ -33,7 +40,7 @@ import numpy as np
 
 from .errors import ParamRange
 
-STREAM_VERSION = "philox-boxmuller-v1"
+STREAM_VERSION = "philox-boxmuller-v2"
 
 TAG_DATASET = 1
 TAG_NEIGHBOR = 2
@@ -82,3 +89,14 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
     z[0::2] = radius * np.cos(theta)
     z[1::2] = radius * np.sin(theta)
     return z[:count]
+
+
+def chi_squares(df: int, shape, entropy: Sequence[int]) -> np.ndarray:
+    """Array of i.i.d. chi-square(``df``) variates from the named stream.
+
+    Drawn in row-major order, so the leading rows of a larger ``shape`` equal
+    a smaller request with the same trailing dimensions.
+    """
+    if df < 0:
+        raise ParamRange(f"df must be non-negative, got {df}")
+    return 2.0 * generator(entropy).standard_gamma(df / 2.0, size=shape)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from dpattn import rng
+
 
 def rand_orthogonal(gen, n):
     q, _ = np.linalg.qr(gen.standard_normal((n, n)))
@@ -49,3 +51,20 @@ def chain_pair(gen, n, eps, r):
     base = (base + base.T) / 2.0
     scale = r / np.abs(base).max()
     return base * scale, perturbed * scale
+
+
+def direct_loss_samples(lam, k, trials, seed):
+    """Reference privacy-loss sampler: ``k * n`` standard normals per trial.
+
+    Draws ``h_ij ~ N(0, 1)`` for every sample ``i`` and eigenvalue ``j`` on
+    the per-trial substream ``(TAG_PRIVACY, seed, t)`` and returns
+    ``(1/2) sum_ij ((lam_j - 1) h_ij^2 - ln lam_j)``, the privacy loss written
+    out term by term.
+    """
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(trials)
+    for t in range(trials):
+        h = rng.standard_normals(k * lam.size, (rng.TAG_PRIVACY, seed, t)).reshape(k, lam.size)
+        chi = (h * h).sum(axis=0)
+        out[t] = 0.5 * (float(((lam - 1.0) * chi).sum()) - k * float(np.log(lam).sum()))
+    return out

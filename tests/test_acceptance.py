@@ -119,10 +119,9 @@ def test_criterion_3_privacy_tail():
     budget = sensitivity_budget(eps, delta, k)
     budget_used = min(budget.loose, budget.strict)
     lam = 1.0 + (1.0 - 1e-9) * budget_used / math.sqrt(n)
-    sigma1 = SymMatrix.diagonal([lam] * n)
-    sigma2 = SymMatrix.identity(n)
-    cert = dp_certificate(sigma1, sigma2, eps, delta, k)
-    mc = mc_privacy_verify(sigma1, sigma2, k, eps, trials=100_000, seed=7)
+    spectrum = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
+    cert = dp_certificate(spectrum, eps, delta, k)
+    mc = mc_privacy_verify(spectrum, k, eps, trials=100_000, seed=7)
     elapsed = time.perf_counter() - start
     ok = (
         cert.granted
@@ -170,10 +169,9 @@ def test_criterion_4_closed_form_mean():
         n = int(gen.integers(2, 7))
         k = int(gen.integers(5, 51))
         lam = gen.uniform(0.85, 1.2, n)
-        sigma1 = SymMatrix.diagonal(lam)
-        sigma2 = SymMatrix.identity(n)
-        samples = privacy_loss_samples(sigma1, sigma2, k, trials=100_000, seed=i)
-        mean = expected_privacy_loss(privacy_spectrum(sigma1, sigma2), k)
+        spectrum = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
+        samples = privacy_loss_samples(spectrum, k, trials=100_000, seed=i)
+        mean = expected_privacy_loss(spectrum, k)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         pull = abs(samples.mean() - mean) / se
         worst_pull = max(worst_pull, pull)

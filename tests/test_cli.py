@@ -206,6 +206,16 @@ class TestVerifyPrivacy:
         )
         assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 2
 
+    def test_top_level_pair_keys_rejected_with_inline_neighbor(self, tmp_path, gen_config,
+                                                               capsys):
+        # The inline neighbor carries its own beta and index; top-level ones
+        # would be silently ignored.
+        sidecar = make_dataset(tmp_path, gen_config)
+        for extra in ({"beta": 0.9}, {"index": 99}):
+            cfg = self.privacy_config(tmp_path, sidecar, **extra)
+            assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 2
+            assert next(iter(extra)) in capsys.readouterr().err
+
     def test_oversized_neighbor_denied_exit_one(self, tmp_path):
         gen_cfg = write_config(
             tmp_path / "gen2.json",

@@ -9,6 +9,8 @@ from dpattn import (
     dp_attention,
     generate_good_dataset,
     make_neighbor,
+    pipeline,
+    privacy_spectrum,
     required_samples,
     utility_radius,
     verify_neighbor_privacy,
@@ -154,6 +156,19 @@ class TestVerifyNeighborPrivacy:
         report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
         assert not report.certificate.granted
         assert "SensitivityExceeded" in report.certificate.denial_reasons
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return privacy_spectrum(*args)
+
+        monkeypatch.setattr(pipeline, "privacy_spectrum", counted)
+        data = fast_dataset()
+        pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
+        verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
+        assert len(calls) == 1
 
     def test_minimum_trials(self):
         data = fast_dataset()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dpattn import (
     DimMismatch,
@@ -12,7 +13,6 @@ from dpattn import (
     dp_certificate,
     expected_privacy_loss,
     mc_privacy_verify,
-    privacy_loss_sample,
     privacy_loss_samples,
     privacy_spectrum,
     sensitivity_budget,
@@ -20,7 +20,7 @@ from dpattn import (
     tail_bound,
     wilson_upper,
 )
-from helpers import rand_pd
+from helpers import direct_loss_samples, rand_pd
 
 
 class TestSensitivityBudget:
@@ -139,38 +139,59 @@ class TestExpectedPrivacyLoss:
             assert expected_privacy_loss(spec, int(gen.integers(1, 100))) >= 0.0
 
 
+def diagonal_spectrum(lam):
+    return privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(len(lam)))
+
+
 class TestPrivacyLossSample:
     def test_identity_pair_is_exactly_zero(self):
+        spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
         for seed in (0, 1, 77):
-            z = privacy_loss_sample(SymMatrix.identity(3), SymMatrix.identity(3), 10, seed)
-            assert z == 0.0
+            assert np.all(privacy_loss_samples(spec, 10, 100, seed) == 0.0)
 
     def test_general_equal_pair_is_negligible(self):
         gen = np.random.default_rng(47)
         sigma = SymMatrix(rand_pd(gen, 3))
-        assert abs(privacy_loss_sample(sigma, sigma, 20, seed=5)) <= 1e-9
+        spec = privacy_spectrum(sigma, sigma)
+        assert np.abs(privacy_loss_samples(spec, 20, 100, seed=5)).max() <= 1e-9
 
     def test_zero_draws(self):
-        assert privacy_loss_sample(SymMatrix.diagonal([1.3, 1.0]), SymMatrix.identity(2), 0, 0) == 0.0
+        spec = diagonal_spectrum([1.3, 1.0])
+        assert np.all(privacy_loss_samples(spec, 0, 100, 0) == 0.0)
 
     def test_reproducible(self):
-        s1 = SymMatrix.diagonal([1.2, 0.9])
-        s2 = SymMatrix.identity(2)
-        assert privacy_loss_sample(s1, s2, 30, 11) == privacy_loss_sample(s1, s2, 30, 11)
+        spec = diagonal_spectrum([1.2, 0.9])
+        assert np.array_equal(privacy_loss_samples(spec, 30, 100, 11),
+                              privacy_loss_samples(spec, 30, 100, 11))
+
+    def test_longer_run_extends_shorter(self):
+        spec = diagonal_spectrum([1.2, 0.9, 1.05])
+        for m in (0, 1, 7, 500):
+            assert np.array_equal(privacy_loss_samples(spec, 30, 1000, 11)[:m],
+                                  privacy_loss_samples(spec, 30, m, 11))
 
     def test_monte_carlo_mean_matches_closed_form(self):
         gen = np.random.default_rng(53)
-        for trial in range(3):
+        ks = [int(gen.integers(5, 50)) for _ in range(3)] + [1_196_713]
+        for trial, k in enumerate(ks):
             n = int(gen.integers(2, 6))
-            k = int(gen.integers(5, 50))
-            lam = gen.uniform(0.85, 1.2, n)
-            s1 = SymMatrix.diagonal(lam)
-            s2 = SymMatrix.identity(n)
-            samples = privacy_loss_samples(s1, s2, k, trials=20_000, seed=trial)
-            spec = privacy_spectrum(s1, s2)
+            spec = diagonal_spectrum(gen.uniform(0.85, 1.2, n))
+            samples = privacy_loss_samples(spec, k, trials=20_000, seed=trial)
             mean = expected_privacy_loss(spec, k)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
             assert abs(samples.mean() - mean) <= 4.0 * se
+
+    def test_matches_direct_normal_sampler(self):
+        # Same distribution as drawing k*n normals per trial, and the
+        # closed-form variance (k/2) * sum (lam - 1)^2 = nu^2 / 2.
+        for seed, k, lam in ((1, 5, [1.3, 0.8]), (2, 20, [1.1, 0.9, 1.15, 0.95]),
+                             (3, 50, [0.85, 1.2, 1.02])):
+            spec = diagonal_spectrum(lam)
+            fast = privacy_loss_samples(spec, k, 20_000, seed)
+            direct = direct_loss_samples(spec.eigenvalues, k, 20_000, seed)
+            assert stats.ks_2samp(fast, direct).pvalue > 1e-3
+            variance = 0.5 * sub_exp_params(spec, k).nu ** 2
+            assert fast.var(ddof=1) / variance == pytest.approx(1.0, abs=0.03)
 
 
 class TestSubExpParams:
@@ -220,7 +241,8 @@ class TestTailBound:
 
 class TestDpCertificate:
     def test_equal_pair_granted(self):
-        cert = dp_certificate(SymMatrix.identity(3), SymMatrix.identity(3), 0.5, 0.05, 50)
+        spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
+        cert = dp_certificate(spec, 0.5, 0.05, 50)
         assert cert.granted
         assert cert.denial_reasons == ()
 
@@ -229,9 +251,7 @@ class TestDpCertificate:
         budget = sensitivity_budget(eps, delta, k)
         delta_used = min(budget.loose, budget.strict)
         lam = 1.0 + 1.01 * delta_used / math.sqrt(n)
-        cert = dp_certificate(
-            SymMatrix.diagonal([lam] * n), SymMatrix.identity(n), eps, delta, k
-        )
+        cert = dp_certificate(diagonal_spectrum([lam] * n), eps, delta, k)
         assert not cert.granted
         assert "SensitivityExceeded" in cert.denial_reasons
 
@@ -240,29 +260,27 @@ class TestDpCertificate:
         budget = sensitivity_budget(eps, delta, k)
         delta_used = min(budget.loose, budget.strict)
         lam = 1.0 + 0.999 * delta_used / math.sqrt(n)
-        s1 = SymMatrix.diagonal([lam] * n)
-        s2 = SymMatrix.identity(n)
-        cert = dp_certificate(s1, s2, eps, delta, k)
+        spec = diagonal_spectrum([lam] * n)
+        cert = dp_certificate(spec, eps, delta, k)
         assert cert.granted
-        mc = mc_privacy_verify(s1, s2, k, eps, trials=2000, seed=0)
+        mc = mc_privacy_verify(spec, k, eps, trials=2000, seed=0)
         assert mc.empirical_rate <= delta
 
 
 class TestMcPrivacyVerify:
     def test_equal_pair_rate_zero(self):
-        mc = mc_privacy_verify(SymMatrix.identity(2), SymMatrix.identity(2), 20, 0.1, 1000, 0)
+        spec = privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(2))
+        mc = mc_privacy_verify(spec, 20, 0.1, 1000, 0)
         assert mc.empirical_rate == 0.0
         assert mc.wilson_upper < 0.01
 
     def test_large_separation_rate_one(self):
-        mc = mc_privacy_verify(
-            SymMatrix.diagonal([4.0, 4.0]), SymMatrix.identity(2), 50, 0.1, 1000, 0
-        )
+        mc = mc_privacy_verify(diagonal_spectrum([4.0, 4.0]), 50, 0.1, 1000, 0)
         assert mc.empirical_rate == 1.0
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ParamRange):
-            mc_privacy_verify(SymMatrix.identity(2), SymMatrix.identity(2), 10, 0.1, 999, 0)
+            mc_privacy_verify(diagonal_spectrum([1.0, 1.0]), 10, 0.1, 999, 0)
 
 
 class TestWilsonUpper:
@@ -324,11 +342,9 @@ class TestEmpiricalTailDomination:
         budget = sensitivity_budget(eps, delta, k)
         delta_used = min(budget.loose, budget.strict)
         lam = _boundary_spectrum(gen, n, delta_used)
-        s1 = SymMatrix.diagonal(lam)
-        s2 = SymMatrix.identity(n)
-        spec = privacy_spectrum(s1, s2)
+        spec = diagonal_spectrum(lam)
         params = sub_exp_params(spec, k)
-        samples = privacy_loss_samples(s1, s2, k, trials=5000, seed=3)
+        samples = privacy_loss_samples(spec, k, trials=5000, seed=3)
         centered = samples - params.mean
         for t in np.linspace(0.2, 3.0, 12) * params.nu:
             survival = float((centered > t).mean())

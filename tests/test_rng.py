@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpattn import ParamRange
-from dpattn.rng import normalize_entropy, standard_normals
+from dpattn.rng import chi_squares, generator, normalize_entropy, standard_normals
 
 
 class TestStandardNormals:
@@ -43,3 +43,17 @@ class TestStandardNormals:
     def test_normalize_entropy_accepts_plain_int(self):
         assert normalize_entropy(5) == (5,)
         assert normalize_entropy((1, 2)) == (1, 2)
+
+
+class TestChiSquares:
+    def test_equals_numpy_chisquare(self):
+        for df in (1, 7, 50, 1_196_713):
+            expected = generator((4, 2)).chisquare(df, size=(6, 3))
+            assert np.array_equal(chi_squares(df, (6, 3), (4, 2)), expected)
+
+    def test_zero_df_gives_zeros(self):
+        assert np.all(chi_squares(0, (5, 2), (4, 2)) == 0.0)
+
+    def test_negative_df_rejected(self):
+        with pytest.raises(ParamRange):
+            chi_squares(-1, (2,), (1,))
