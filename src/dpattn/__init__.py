@@ -48,9 +48,9 @@ from .linalg import (
     loewner_within,
     psd_inv_sqrt,
     psd_project,
-    psd_sqrt,
     relative_frobenius_distance,
     sym_eigendecompose,
+    whitened_eigenvalues,
 )
 from .mechanism import (
     MechanismOutput,

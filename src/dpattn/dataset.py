@@ -18,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .errors import Infeasible, ParamRange
-from .linalg import SymMatrix, psd_inv_sqrt
+from .linalg import SymMatrix, whitened_eigenvalues
 
 GOODNESS_TOL = 1e-9
 
@@ -192,13 +192,10 @@ def sensitivity_measured(pair: NeighborPair) -> SensitivityMeasurement:
     ``Xt`` the perturbed matrix.  Raises :class:`SingularMatrix` when the base
     Gram matrix is not positive definite.
     """
-    white = psd_inv_sqrt(gram(pair.base)).values
-    dev = white @ gram(pair.perturbed).values @ white - np.eye(pair.base.n)
-    dev = (dev + dev.T) / 2.0
-    eigs = np.linalg.eigvalsh(dev)
+    dev = whitened_eigenvalues(gram(pair.perturbed), gram(pair.base)) - 1.0
     return SensitivityMeasurement(
-        spectral=float(np.abs(eigs).max()),
-        frobenius=float(np.linalg.norm(dev)),
+        spectral=float(np.abs(dev).max()),
+        frobenius=float(np.sqrt((dev * dev).sum())),
     )
 
 

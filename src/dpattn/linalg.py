@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NotPsd, ParamRange, SingularMatrix
+from .errors import DimMismatch, InvalidMatrix, ParamRange, SingularMatrix
 
 
-def _relative_tol(eigenvalues: np.ndarray) -> float:
+def relative_tol(eigenvalues: np.ndarray) -> float:
     """Default eigenvalue cutoff: 1e-9 relative to the spectral norm."""
     return 1e-9 * max(1.0, float(np.abs(eigenvalues).max()))
 
@@ -110,28 +110,10 @@ def is_psd(m, tol: float | None = None) -> bool:
     """
     w = np.linalg.eigvalsh(as_sym(m).values)
     if tol is None:
-        tol = _relative_tol(w)
+        tol = relative_tol(w)
     elif tol < 0:
         raise ParamRange(f"tol must be non-negative, got {tol}")
     return bool(w.min() >= -tol)
-
-
-def psd_sqrt(m, tol: float | None = None) -> SymMatrix:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalues in ``[-tol, 0)`` are treated as round-off and clipped to zero;
-    anything below ``-tol`` raises :class:`NotPsd`.
-    """
-    dec = sym_eigendecompose(m)
-    w, v = dec.eigenvalues, dec.eigenvectors
-    if tol is None:
-        tol = _relative_tol(w)
-    elif tol < 0:
-        raise ParamRange(f"tol must be non-negative, got {tol}")
-    if w.min() < -tol:
-        raise NotPsd(f"minimum eigenvalue {w.min():.3e} is below -tol = {-tol:.3e}")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return SymMatrix((v * root) @ v.T)
 
 
 def psd_inv_sqrt(m, rank_tol: float | None = None) -> SymMatrix:
@@ -143,7 +125,7 @@ def psd_inv_sqrt(m, rank_tol: float | None = None) -> SymMatrix:
     dec = sym_eigendecompose(m)
     w, v = dec.eigenvalues, dec.eigenvectors
     if rank_tol is None:
-        rank_tol = _relative_tol(w)
+        rank_tol = relative_tol(w)
     if w.min() <= rank_tol:
         raise SingularMatrix(
             f"minimum eigenvalue {w.min():.3e} is at most rank_tol = {rank_tol:.3e}"
@@ -159,6 +141,28 @@ def psd_project(m) -> SymMatrix:
     return SymMatrix((v * w) @ v.T)
 
 
+def _whitened(a, b, rank_tol: float | None = None) -> np.ndarray:
+    """``b^{-1/2} a b^{-1/2}``, the one whitening step behind every comparison."""
+    a = as_sym(a)
+    b = as_sym(b)
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    white = psd_inv_sqrt(b, rank_tol).values
+    return white @ a.values @ white
+
+
+def whitened_eigenvalues(a, b, rank_tol: float | None = None) -> np.ndarray:
+    """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
+
+    These are also the eigenvalues of ``a^{1/2} b^{-1} a^{1/2}``; swapping the
+    arguments gives their reciprocals.  Raises :class:`SingularMatrix` when
+    ``b`` is not positive definite at ``rank_tol`` (default: 1e-9 relative to
+    its spectral norm) and :class:`DimMismatch` when the shapes differ.
+    """
+    m = _whitened(a, b, rank_tol)
+    return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
+
+
 def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:
     """Check the two-sided spectral sandwich ``(1-eps) b <= a <= (1+eps) b``.
 
@@ -169,12 +173,7 @@ def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:
     """
     if eps < 0:
         raise ParamRange(f"eps must be non-negative, got {eps}")
-    a = as_sym(a)
-    b = as_sym(b)
-    if a.dim != b.dim:
-        raise ParamRange(f"dimension mismatch: {a.dim} vs {b.dim}")
-    white = psd_inv_sqrt(b, rank_tol=tol).values
-    w = np.linalg.eigvalsh(_symmetrized(white @ a.values @ white))
+    w = whitened_eigenvalues(a, b, rank_tol=tol)
     return bool(w.min() >= 1.0 - eps - tol and w.max() <= 1.0 + eps + tol)
 
 
@@ -182,16 +181,8 @@ def relative_frobenius_distance(sigma, sigma_hat) -> float:
     """Frobenius norm of the whitened deviation from identity.
 
     Returns ``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F``; zero exactly
-    when the two matrices agree.
+    when the two matrices agree.  Raises :class:`SingularMatrix` when
+    ``sigma`` is singular and :class:`DimMismatch` when the shapes differ.
     """
-    sigma = as_sym(sigma)
-    sigma_hat = as_sym(sigma_hat)
-    if sigma.dim != sigma_hat.dim:
-        raise ParamRange(f"dimension mismatch: {sigma.dim} vs {sigma_hat.dim}")
-    white = psd_inv_sqrt(sigma).values
-    dev = white @ sigma_hat.values @ white - np.eye(sigma.dim)
-    return float(np.linalg.norm(dev))
-
-
-def _symmetrized(arr: np.ndarray) -> np.ndarray:
-    return (arr + arr.T) / 2.0
+    m = _whitened(sigma_hat, sigma)
+    return float(np.linalg.norm(m - np.eye(len(m))))

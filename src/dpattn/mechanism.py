@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, ParamRange
-from .linalg import SymMatrix, as_sym, is_psd, relative_frobenius_distance, sym_eigendecompose
+from .errors import NotPsd, ParamRange, SingularMatrix
+from .linalg import (SymMatrix, as_sym, relative_frobenius_distance, relative_tol,
+                     sym_eigendecompose)
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 
@@ -33,9 +34,9 @@ def sample_gaussian(sigma, k: int, seed) -> np.ndarray:
     sigma = as_sym(sigma)
     if k < 0:
         raise ParamRange(f"k must be non-negative, got {k}")
-    if not is_psd(sigma):
-        raise NotPsd("covariance must be PSD")
     dec = sym_eigendecompose(sigma)
+    if dec.eigenvalues.min() < -relative_tol(dec.eigenvalues):
+        raise NotPsd("covariance must be PSD")
     factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
     n = sigma.dim
     z = rng.standard_normals(k * n, (rng.TAG_MECHANISM, *rng.normalize_entropy(seed)))
@@ -67,10 +68,9 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     samples = sample_gaussian(sigma, k, seed)
     sigma_hat = SymMatrix(samples.T @ samples / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    eigs = np.linalg.eigvalsh(sigma.values)
-    if float(eigs.min()) > 1e-9 * max(1.0, float(np.abs(eigs).max())):
+    try:
         rel = relative_frobenius_distance(sigma, sigma_hat)
-    else:
+    except SingularMatrix:
         rel = float("nan")
     return MechanismOutput(
         sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel, warnings=warnings

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from dpattn import (
+    DimMismatch,
     InvalidMatrix,
-    NotPsd,
     ParamRange,
     SingularMatrix,
     SymMatrix,
@@ -11,9 +12,9 @@ from dpattn import (
     loewner_within,
     psd_inv_sqrt,
     psd_project,
-    psd_sqrt,
     relative_frobenius_distance,
     sym_eigendecompose,
+    whitened_eigenvalues,
 )
 from helpers import rand_pd, rand_psd, rand_symmetric
 
@@ -99,42 +100,6 @@ class TestIsPsd:
         assert is_psd(SymMatrix.diagonal([1.0, -1e-12]), tol=1e-9)
 
 
-class TestPsdSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_sqrt(SymMatrix.identity(3)).values, np.eye(3))
-
-    def test_diagonal(self):
-        root = psd_sqrt(SymMatrix.diagonal([4.0, 9.0]))
-        assert np.allclose(root.values, np.diag([2.0, 3.0]))
-
-    def test_two_by_two_square_back(self):
-        m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-        root = psd_sqrt(m)
-        assert np.linalg.norm(root.values @ root.values - m.values) <= 1e-7
-        # eigenvalues of the root are sqrt(3) and 1 (roots of the hand oracle)
-        eigs = np.linalg.eigvalsh(root.values)
-        assert np.allclose(sorted(eigs), [1.0, np.sqrt(3.0)], atol=1e-12)
-        # the root shares the original eigenvectors
-        assert np.allclose(
-            sym_eigendecompose(root).eigenvectors,
-            sym_eigendecompose(m).eigenvectors,
-            atol=1e-10,
-        )
-
-    def test_not_psd(self):
-        with pytest.raises(NotPsd):
-            psd_sqrt(SymMatrix.diagonal([1.0, -1.0]))
-
-    def test_random_psd_roundtrip(self):
-        gen = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(gen.integers(2, 8))
-            m = SymMatrix(rand_psd(gen, n))
-            root = psd_sqrt(m).values
-            frob = np.linalg.norm(m.values)
-            assert np.linalg.norm(root @ root - m.values) <= 1e-7 * max(1.0, frob)
-
-
 class TestPsdInvSqrt:
     def test_identity(self):
         assert np.allclose(psd_inv_sqrt(SymMatrix.identity(4)).values, np.eye(4))
@@ -154,6 +119,32 @@ class TestPsdInvSqrt:
             m = SymMatrix(rand_pd(gen, n))
             r = psd_inv_sqrt(m).values
             assert np.linalg.norm(r @ m.values @ r - np.eye(n)) <= 1e-7 * n
+
+
+class TestWhitenedEigenvalues:
+    def test_matches_scipy_generalized_eigenvalues(self):
+        gen = np.random.default_rng(13)
+        for _ in range(20):
+            n = int(gen.integers(2, 7))
+            a, b = rand_pd(gen, n), rand_pd(gen, n)
+            got = whitened_eigenvalues(a, b)
+            want = sla.eigh(a, b, eigvals_only=True)[::-1]
+            assert np.all(np.diff(got) <= 0)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_diagonal_hand_oracle(self):
+        # b^{-1/2} a b^{-1/2} = diag(2/4, 9/1, 3/2), sorted descending
+        got = whitened_eigenvalues(SymMatrix.diagonal([2.0, 9.0, 3.0]),
+                                   SymMatrix.diagonal([4.0, 1.0, 2.0]))
+        assert np.allclose(got, [9.0, 1.5, 0.5], rtol=1e-14, atol=0.0)
+
+    def test_singular_reference(self):
+        with pytest.raises(SingularMatrix):
+            whitened_eigenvalues(SymMatrix.identity(2), SymMatrix.diagonal([1.0, 0.0]))
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            whitened_eigenvalues(SymMatrix.identity(2), SymMatrix.identity(3))
 
 
 class TestLoewnerWithin:
@@ -180,6 +171,10 @@ class TestLoewnerWithin:
     def test_negative_eps_rejected(self):
         with pytest.raises(ParamRange):
             loewner_within(SymMatrix.identity(2), SymMatrix.identity(2), -0.1)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            loewner_within(SymMatrix.identity(2), SymMatrix.identity(3), 0.1)
 
     def test_scale_consistency(self):
         gen = np.random.default_rng(23)
@@ -212,6 +207,10 @@ class TestRelativeFrobeniusDistance:
     def test_singular(self):
         with pytest.raises(SingularMatrix):
             relative_frobenius_distance(SymMatrix.diagonal([1.0, 0.0]), SymMatrix.identity(2))
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            relative_frobenius_distance(SymMatrix.identity(2), SymMatrix.identity(3))
 
 
 class TestPsdProject:

@@ -108,6 +108,11 @@ class TestPrivacySpectrum:
         with pytest.raises(SingularMatrix):
             privacy_spectrum(SymMatrix.identity(2), SymMatrix.diagonal([1.0, 0.0]))
 
+    def test_near_singular_first_input(self):
+        # sigma1's smallest eigenvalue lies below the 1e-9 relative floor
+        with pytest.raises(SingularMatrix):
+            privacy_spectrum(SymMatrix.diagonal([1.0, 1e-10]), SymMatrix.identity(2))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(3))
@@ -254,6 +259,23 @@ class TestDpCertificate:
         cert = dp_certificate(diagonal_spectrum([lam] * n), eps, delta, k)
         assert not cert.granted
         assert "SensitivityExceeded" in cert.denial_reasons
+
+    def test_both_orderings_checked(self):
+        # lam < 1 keeps (diag(lam), I) inside the budget, but the swapped pair
+        # has spectrum 1/lam, whose deviation exceeds it; neighboring is
+        # symmetric, so both orderings must be denied with the same report.
+        eps, delta, k, n = 0.5, 0.05, 50, 2
+        budget = sensitivity_budget(eps, delta, k).strict
+        lam = 1.0 - 0.999 * budget / math.sqrt(n)
+        fwd = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
+        rev = privacy_spectrum(SymMatrix.identity(n), SymMatrix.diagonal([lam] * n))
+        assert fwd.deviation_frob <= budget < rev.deviation_frob
+        certs = [dp_certificate(spec, eps, delta, k) for spec in (fwd, rev)]
+        for cert in certs:
+            assert not cert.granted
+            assert cert.denial_reasons == ("SensitivityExceeded",)
+            assert cert.sensitivity == pytest.approx(rev.deviation_frob, rel=1e-12)
+        assert certs[0].expected_loss == pytest.approx(certs[1].expected_loss, rel=1e-9)
 
     def test_granted_implies_low_empirical_rate(self):
         eps, delta, k, n = 0.5, 0.05, 50, 2
