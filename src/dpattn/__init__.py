@@ -56,7 +56,6 @@ from .mechanism import (
     MechanismOutput,
     gaussian_sampling_mechanism,
     required_samples,
-    sample_gaussian,
     utility_radius,
 )
 from .pipeline import (

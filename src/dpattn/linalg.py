@@ -4,7 +4,8 @@ Everything downstream (attention perturbation, the sampling mechanism, the
 privacy certificates) manipulates small dense symmetric matrices.  This module
 fixes the conventions once: construction symmetrizes, eigendecompositions are
 sorted descending with a deterministic sign choice, and positive-semidefinite
-tolerances default to a cutoff relative to the spectral scale.
+tolerances default to a cutoff relative to the spectral scale, so the default
+checks give the same answer for ``c * m`` at any scale ``c > 0``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .errors import DimMismatch, InvalidMatrix, ParamRange, SingularMatrix
 
 
 def relative_tol(eigenvalues: np.ndarray) -> float:
-    """Default eigenvalue cutoff: 1e-9 relative to the spectral norm."""
-    return 1e-9 * max(1.0, float(np.abs(eigenvalues).max()))
+    """Default eigenvalue cutoff: 1e-9 times the spectral norm (0 for a zero matrix)."""
+    return 1e-9 * float(np.abs(eigenvalues).max())
 
 
 @dataclass(frozen=True)
@@ -116,16 +117,15 @@ def is_psd(m, tol: float | None = None) -> bool:
     return bool(w.min() >= -tol)
 
 
-def psd_inv_sqrt(m, rank_tol: float | None = None) -> SymMatrix:
+def psd_inv_sqrt(m) -> SymMatrix:
     """Inverse symmetric square root; requires strict positive definiteness.
 
-    Raises :class:`SingularMatrix` when any eigenvalue is at most ``rank_tol``
-    (default: 1e-9 relative to the spectral norm).
+    Raises :class:`SingularMatrix` when any eigenvalue is at most 1e-9 times
+    the spectral norm.
     """
     dec = sym_eigendecompose(m)
     w, v = dec.eigenvalues, dec.eigenvectors
-    if rank_tol is None:
-        rank_tol = relative_tol(w)
+    rank_tol = relative_tol(w)
     if w.min() <= rank_tol:
         raise SingularMatrix(
             f"minimum eigenvalue {w.min():.3e} is at most rank_tol = {rank_tol:.3e}"
@@ -141,25 +141,25 @@ def psd_project(m) -> SymMatrix:
     return SymMatrix((v * w) @ v.T)
 
 
-def _whitened(a, b, rank_tol: float | None = None) -> np.ndarray:
+def _whitened(a, b) -> np.ndarray:
     """``b^{-1/2} a b^{-1/2}``, the one whitening step behind every comparison."""
     a = as_sym(a)
     b = as_sym(b)
     if a.dim != b.dim:
         raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    white = psd_inv_sqrt(b, rank_tol).values
+    white = psd_inv_sqrt(b).values
     return white @ a.values @ white
 
 
-def whitened_eigenvalues(a, b, rank_tol: float | None = None) -> np.ndarray:
+def whitened_eigenvalues(a, b) -> np.ndarray:
     """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
 
     These are also the eigenvalues of ``a^{1/2} b^{-1} a^{1/2}``; swapping the
     arguments gives their reciprocals.  Raises :class:`SingularMatrix` when
-    ``b`` is not positive definite at ``rank_tol`` (default: 1e-9 relative to
-    its spectral norm) and :class:`DimMismatch` when the shapes differ.
+    ``b`` is not positive definite at 1e-9 relative to its spectral norm and
+    :class:`DimMismatch` when the shapes differ.
     """
-    m = _whitened(a, b, rank_tol)
+    m = _whitened(a, b)
     return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
 
 
@@ -169,11 +169,11 @@ def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:
     Evaluated in the whitened domain: every eigenvalue of
     ``b^{-1/2} a b^{-1/2}`` must lie in ``[1 - eps - tol, 1 + eps + tol]``.
     The comparison is scale-invariant.  Raises :class:`SingularMatrix` when
-    ``b`` is not positive definite at tolerance ``tol``.
+    ``b`` is not positive definite at 1e-9 relative to its spectral norm.
     """
     if eps < 0:
         raise ParamRange(f"eps must be non-negative, got {eps}")
-    w = whitened_eigenvalues(a, b, rank_tol=tol)
+    w = whitened_eigenvalues(a, b)
     return bool(w.min() >= 1.0 - eps - tol and w.max() <= 1.0 + eps + tol)
 
 

@@ -1,11 +1,15 @@
 """The Gaussian sampling mechanism and its utility radius.
 
 The mechanism releases the empirical covariance of ``k`` draws from
-``N(0, sigma)``:  ``sigma_hat = (1/k) * sum_i g_i g_i^T``.  Privacy comes from
-the sampling noise alone; no noise is added to the estimate.  Utility is the
-usual empirical-covariance concentration: with probability ``1 - gamma`` the
-whitened deviation ``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F`` is at
-most ``rho ~ sqrt((n^2 + log(1/gamma)) / k)``.
+``N(0, sigma)``:  ``sigma_hat = (1/k) * sum_i g_i g_i^T``, one
+``Wishart(sigma, k) / k`` draw.  Privacy comes from the sampling noise alone;
+no noise is added to the estimate.  The release draws that law by Bartlett's
+decomposition (Odell & Feiveson 1966, JASA 61:199) from at most
+``n * (n + 1) / 2`` variates, so its cost does not grow with ``k``.  Utility
+is the usual empirical-covariance concentration: with probability
+``1 - gamma`` the whitened deviation
+``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F`` is at most
+``rho ~ sqrt((n^2 + log(1/gamma)) / k)``.
 """
 
 from __future__ import annotations
@@ -21,26 +25,6 @@ from .linalg import (SymMatrix, as_sym, relative_frobenius_distance, relative_to
                      sym_eigendecompose)
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
-
-
-def sample_gaussian(sigma, k: int, seed) -> np.ndarray:
-    """Draw ``k`` samples from ``N(0, sigma)``; returns an array of shape (k, n).
-
-    The factor is eigenvector-based, ``L = V diag(sqrt(max(w, 0)))``, which
-    tolerates exactly singular PSD covariances.  Sample ``i`` consumes normals
-    ``[i*n, (i+1)*n)`` of the stream keyed by ``(TAG_MECHANISM, *seed)``, so
-    output is bit-reproducible for fixed ``(sigma, k, seed)``.
-    """
-    sigma = as_sym(sigma)
-    if k < 0:
-        raise ParamRange(f"k must be non-negative, got {k}")
-    dec = sym_eigendecompose(sigma)
-    if dec.eigenvalues.min() < -relative_tol(dec.eigenvalues):
-        raise NotPsd("covariance must be PSD")
-    factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    n = sigma.dim
-    z = rng.standard_normals(k * n, (rng.TAG_MECHANISM, *rng.normalize_entropy(seed)))
-    return z.reshape(k, n) @ factor.T
 
 
 @dataclass(frozen=True)
@@ -61,12 +45,35 @@ class MechanismOutput:
 
 
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
-    """Release ``sigma_hat = (1/k) sum_i g_i g_i^T`` from seeded Gaussian draws."""
+    """Release ``sigma_hat = (1/k) sum_i g_i g_i^T`` with ``g_i ~ N(0, sigma)``.
+
+    Drawn as ``(L T)(L T)^T / k``.  ``L = V diag(sqrt(max(w, 0)))`` is the
+    eigenvector factor of ``sigma``, which tolerates exactly singular PSD
+    covariances.  ``T`` is the ``n x m`` lower-trapezoidal Bartlett factor,
+    ``m = min(n, k)``: ``T_jj = sqrt(chi2(k - j))`` and ``T_ij ~ N(0, 1)``
+    for ``i > j``.  It is the transposed R factor of the QR decomposition
+    of the ``k x n`` standard normal sample matrix, so the law is exact for
+    ``k < n`` too.  Output is bit-reproducible for fixed
+    ``(sigma, k, seed)``; the stream layout is documented in :mod:`rng`.
+    Raises :class:`NotPsd` for an indefinite ``sigma``.
+    """
     sigma = as_sym(sigma)
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
-    samples = sample_gaussian(sigma, k, seed)
-    sigma_hat = SymMatrix(samples.T @ samples / k)
+    dec = sym_eigendecompose(sigma)
+    if dec.eigenvalues.min() < -relative_tol(dec.eigenvalues):
+        raise NotPsd("covariance must be PSD")
+    factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    n = sigma.dim
+    m = min(n, k)
+    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+    bartlett = np.zeros((n, m))
+    diag = np.arange(m)
+    bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
+    below = np.tri(n, m, -1, dtype=bool)
+    bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
+    root = factor @ bartlett
+    sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
     try:
         rel = relative_frobenius_distance(sigma, sigma_hat)

@@ -1,4 +1,4 @@
-"""Deterministic random stream: ``philox-boxmuller-v2``.
+"""Deterministic random stream: ``philox-boxmuller-v3``.
 
 Every random draw in the library flows through one named stream so that any
 result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
@@ -19,12 +19,22 @@ running the same numpy build:
 
   consumed in order; for an odd request the surplus value is dropped;
 * chi-square variates: ``2 * Generator.standard_gamma(df / 2)``, bit-equal to
-  ``Generator.chisquare(df)`` and exactly zero at ``df == 0``.  The privacy
-  stream ``(TAG_PRIVACY, seed)`` holds one row-major ``(trials, n)`` block of
+  ``Generator.chisquare(df)`` and exactly zero at ``df == 0``; ``df`` may be
+  an array, one degree of freedom per variate.  numpy does not promise to
+  keep its gamma sampler stable across versions, so these values are
+  reproducible only on the same numpy build.
+
+Stream layouts:
+
+* privacy ``(TAG_PRIVACY, seed)``: one row-major ``(trials, n)`` block of
   chi-square(k) values, row ``t`` for trial ``t``, so a longer run extends a
-  shorter one.  numpy does not promise to keep its gamma sampler stable
-  across versions, so these values are reproducible only on the same numpy
-  build.
+  shorter one;
+* mechanism, one release of ``n x n`` covariance at ``k`` samples with
+  ``m = min(n, k)``: the Bartlett factor's diagonal ``T_jj^2`` for
+  ``j < m``, chi-square(``k - j``) in order of ``j``, on
+  ``(TAG_MECHANISM, seed, 0)``; its below-diagonal entries ``T_ij``
+  (``i > j``, ``j < m``), standard normals in row-major order, on
+  ``(TAG_MECHANISM, seed, 1)``.
 
 The domain tags below keep unrelated operations on disjoint streams even when
 they share a user-facing seed.  Trial-level substreams append the trial index
@@ -40,7 +50,7 @@ import numpy as np
 
 from .errors import ParamRange
 
-STREAM_VERSION = "philox-boxmuller-v2"
+STREAM_VERSION = "philox-boxmuller-v3"
 
 TAG_DATASET = 1
 TAG_NEIGHBOR = 2
@@ -91,12 +101,14 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
     return z[:count]
 
 
-def chi_squares(df: int, shape, entropy: Sequence[int]) -> np.ndarray:
-    """Array of i.i.d. chi-square(``df``) variates from the named stream.
+def chi_squares(df, shape, entropy: Sequence[int]) -> np.ndarray:
+    """Array of independent chi-square(``df``) variates from the named stream.
 
-    Drawn in row-major order, so the leading rows of a larger ``shape`` equal
-    a smaller request with the same trailing dimensions.
+    ``df`` is a scalar or an array that broadcasts to ``shape``.  Drawn in
+    row-major order, so the leading rows of a larger ``shape`` equal a
+    smaller request with the same trailing dimensions.
     """
-    if df < 0:
+    df = np.asarray(df, dtype=float)
+    if (df < 0).any():
         raise ParamRange(f"df must be non-negative, got {df}")
     return 2.0 * generator(entropy).standard_gamma(df / 2.0, size=shape)

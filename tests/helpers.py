@@ -68,3 +68,19 @@ def direct_loss_samples(lam, k, trials, seed):
         chi = (h * h).sum(axis=0)
         out[t] = 0.5 * (float(((lam - 1.0) * chi).sum()) - k * float(np.log(lam).sum()))
     return out
+
+
+def direct_gaussian_samples(sigma, k, seed):
+    """Reference Gaussian sampler: ``k * n`` standard normals, shape ``(k, n)``.
+
+    Sample ``i`` is ``L z_i`` with ``z_i`` the normals ``[i*n, (i+1)*n)`` of
+    the stream ``(TAG_MECHANISM, *seed)`` and ``L = V diag(sqrt(max(w, 0)))``
+    the eigenvector factor of ``sigma``; ``samples.T @ samples / k`` is the
+    mechanism's release written out sample by sample.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    w, v = np.linalg.eigh(sigma)
+    factor = v * np.sqrt(np.clip(w, 0.0, None))
+    n = len(sigma)
+    z = rng.standard_normals(k * n, (rng.TAG_MECHANISM, *rng.normalize_entropy(seed)))
+    return z.reshape(k, n) @ factor.T

@@ -187,7 +187,7 @@ class TestLoewnerWithin:
             a = half @ ((v * s_eigs) @ v.T) @ half
             eps = float(gen.uniform(0.05, 0.3))
             reference = loewner_within(a, b, eps)
-            for c in (1e-3, 7.0, 1e3):
+            for c in (1e-10, 1e-8, 1e-3, 7.0, 1e3):
                 assert loewner_within(c * a, c * b, eps) == reference
 
 

@@ -10,41 +10,23 @@ from dpattn import (
     SymMatrix,
     gaussian_sampling_mechanism,
     required_samples,
-    sample_gaussian,
+    rng,
     utility_radius,
 )
-from helpers import rand_pd
-
-
-class TestSampleGaussian:
-    def test_zero_covariance(self):
-        samples = sample_gaussian(SymMatrix.zeros(3), 10, seed=0)
-        assert samples.shape == (10, 3)
-        assert np.array_equal(samples, np.zeros((10, 3)))
-
-    def test_empty(self):
-        assert sample_gaussian(SymMatrix.identity(2), 0, seed=0).shape == (0, 2)
-
-    def test_law_of_large_numbers(self):
-        k = 100_000
-        samples = sample_gaussian(SymMatrix.identity(2), k, seed=0)
-        assert np.abs(samples.mean(axis=0)).max() <= 4.0 / math.sqrt(k)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPsd):
-            sample_gaussian(SymMatrix.diagonal([1.0, -1.0]), 5, seed=0)
-
-    def test_reproducible(self):
-        a = sample_gaussian(SymMatrix.diagonal([2.0, 1.0]), 100, seed=42)
-        b = sample_gaussian(SymMatrix.diagonal([2.0, 1.0]), 100, seed=42)
-        assert np.array_equal(a, b)
+from helpers import direct_gaussian_samples, rand_pd
 
 
 class TestGaussianSamplingMechanism:
     def test_zero_covariance(self):
-        out = gaussian_sampling_mechanism(SymMatrix.zeros(2), 10, seed=0)
-        assert np.array_equal(out.sigma_hat.values, np.zeros((2, 2)))
-        assert math.isnan(out.rel_frob_error)
+        for k in (2, 10):
+            out = gaussian_sampling_mechanism(SymMatrix.zeros(3), k, seed=0)
+            assert np.array_equal(out.sigma_hat.values, np.zeros((3, 3)))
+            assert math.isnan(out.rel_frob_error)
+
+    def test_rejects_indefinite(self):
+        for k in (1, 5):
+            with pytest.raises(NotPsd):
+                gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, -1.0]), k, seed=0)
 
     def test_single_sample_is_rank_one(self):
         out = gaussian_sampling_mechanism(SymMatrix.identity(2), 1, seed=3)
@@ -61,11 +43,14 @@ class TestGaussianSamplingMechanism:
         assert out.rel_frob_error <= 0.1
 
     def test_deterministic_bit_identical(self):
-        sigma = SymMatrix([[2.0, 0.3], [0.3, 1.0]])
-        a = gaussian_sampling_mechanism(sigma, 500, seed=9)
-        b = gaussian_sampling_mechanism(sigma, 500, seed=9)
-        assert np.array_equal(a.sigma_hat.values, b.sigma_hat.values)
-        assert a.rel_frob_error == b.rel_frob_error
+        sigma = SymMatrix([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 0.5]])
+        for k in (2, 500):
+            a = gaussian_sampling_mechanism(sigma, k, seed=9)
+            b = gaussian_sampling_mechanism(sigma, k, seed=9)
+            assert np.array_equal(a.sigma_hat.values, b.sigma_hat.values)
+            assert a.rel_frob_error == b.rel_frob_error
+            c = gaussian_sampling_mechanism(sigma, k, seed=10)
+            assert not np.array_equal(a.sigma_hat.values, c.sigma_hat.values)
 
     def test_estimate_is_psd(self):
         gen = np.random.default_rng(12)
@@ -108,6 +93,64 @@ class TestGaussianSamplingMechanism:
             for t in range(500)
         ]
         assert stats.ks_2samp(errs_id, errs_pd).pvalue > 0.01
+
+
+class TestBartlettRelease:
+    SIGMA = np.array([
+        [1.0, 0.2, -0.5, 0.1],
+        [0.2, 1.8, -0.1, 0.3],
+        [-0.5, -0.1, 1.1, 0.1],
+        [0.1, 0.3, 0.1, 1.6],
+    ])
+
+    @pytest.mark.parametrize("k,draws", [(1, 2000), (2, 2000), (3, 2000), (50, 2000),
+                                         (10_000, 1000)])
+    def test_matches_direct_sampler(self, k, draws):
+        # Same Wishart(sigma, k) / k law as k * n direct normals, for k < n and
+        # k >= n: per-entry two-sample KS, means against sigma, and variances
+        # against (sigma_ij^2 + sigma_ii sigma_jj) / k, both within 5 standard
+        # errors estimated from the draws.  The KS gate is per entry over 50
+        # entry tests, so it is set where the whole set rarely trips by chance.
+        sigma = self.SIGMA
+        upper = np.triu_indices(4)
+
+        def direct_release(seed):
+            samples = direct_gaussian_samples(sigma, k, seed)
+            return (samples.T @ samples / k)[upper]
+
+        bartlett = np.array([
+            gaussian_sampling_mechanism(sigma, k, seed=(1, t)).sigma_hat.values[upper]
+            for t in range(draws)
+        ])
+        direct = np.array([direct_release((2, t)) for t in range(draws)])
+        for e in range(bartlett.shape[1]):
+            assert stats.ks_2samp(bartlett[:, e], direct[:, e]).pvalue > 1e-4
+        mean = bartlett.mean(axis=0)
+        var = bartlett.var(axis=0)
+        assert np.all(np.abs(mean - sigma[upper]) <= 5.0 * np.sqrt(var / draws))
+        wishart_var = (sigma[upper] ** 2 + np.diag(sigma)[upper[0]] * np.diag(sigma)[upper[1]]) / k
+        fourth = ((bartlett - mean) ** 4).mean(axis=0)
+        var_se = np.sqrt((fourth - var ** 2) / draws)
+        assert np.all(np.abs(bartlett.var(axis=0, ddof=1) - wishart_var) <= 5.0 * var_se)
+
+    def test_variates_do_not_grow_with_k(self, monkeypatch):
+        drawn = []
+
+        def counted(draw):
+            def wrapper(*args):
+                out = draw(*args)
+                drawn.append(out.size)
+                return out
+            return wrapper
+
+        for name in ("standard_normals", "chi_squares"):
+            monkeypatch.setattr(rng, name, counted(getattr(rng, name)))
+        n = 4
+        for k in (1, 2, 3, 10**3, 10**9):
+            drawn.clear()
+            gaussian_sampling_mechanism(SymMatrix.identity(n), k, seed=5)
+            m = min(n, k)
+            assert sum(drawn) == m * n - m * (m - 1) // 2
 
 
 class TestUtilityRadius:

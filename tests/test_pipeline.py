@@ -82,6 +82,12 @@ class TestDpAttention:
         # released attention is row stochastic
         assert np.abs(report.attention_released.sum(axis=1) - 1.0).max() <= 1e-12 * 2
 
+    def test_completes_at_huge_k(self):
+        # k * n direct normals would allocate 32 GB here; the sensitivity budget
+        # shrinks with k, so the release is not certified.
+        report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(k=10**9))
+        assert report.attention_released.shape == (2, 2)
+
     def test_report_check_names_complete_and_ordered(self):
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params())
         assert [c.name for c in report.requirement_checks] == EXPECTED_CHECK_NAMES

@@ -113,6 +113,16 @@ class TestPrivacySpectrum:
         with pytest.raises(SingularMatrix):
             privacy_spectrum(SymMatrix.diagonal([1.0, 1e-10]), SymMatrix.identity(2))
 
+    def test_singularity_floor_is_scale_relative(self):
+        gen = np.random.default_rng(43)
+        s1, s2 = rand_pd(gen, 3), rand_pd(gen, 3)
+        reference = privacy_spectrum(SymMatrix(s1), SymMatrix(s2)).eigenvalues
+        for c in (1.0, 1e-8, 1e-10):
+            lam = privacy_spectrum(SymMatrix(c * s1), SymMatrix(c * s2)).eigenvalues
+            assert np.allclose(lam, reference, rtol=1e-12, atol=0.0)
+            with pytest.raises(SingularMatrix):
+                privacy_spectrum(SymMatrix.diagonal([c, 1e-10 * c]), SymMatrix(c * np.eye(2)))
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(3))

@@ -50,6 +50,9 @@ class TestChiSquares:
         for df in (1, 7, 50, 1_196_713):
             expected = generator((4, 2)).chisquare(df, size=(6, 3))
             assert np.array_equal(chi_squares(df, (6, 3), (4, 2)), expected)
+        df = np.array([1_196_713, 1_196_712, 3, 1])
+        assert np.array_equal(chi_squares(df, df.shape, (3, 5, 0)),
+                              generator((3, 5, 0)).chisquare(df))
 
     def test_zero_df_gives_zeros(self):
         assert np.all(chi_squares(0, (5, 2), (4, 2)) == 0.0)
@@ -57,3 +60,5 @@ class TestChiSquares:
     def test_negative_df_rejected(self):
         with pytest.raises(ParamRange):
             chi_squares(-1, (2,), (1,))
+        with pytest.raises(ParamRange):
+            chi_squares(np.array([4, 0, -1]), (3,), (1,))
