@@ -16,6 +16,28 @@ from dpattn import (
 from helpers import direct_gaussian_samples, rand_pd
 
 
+class TestSampleGaussian:
+    # the direct k*n-normal sampler is the oracle the Bartlett release is
+    # compared against, so its own behaviour is pinned here
+    def test_zero_covariance(self):
+        samples = direct_gaussian_samples(np.zeros((3, 3)), 10, seed=0)
+        assert samples.shape == (10, 3)
+        assert np.array_equal(samples, np.zeros((10, 3)))
+
+    def test_empty(self):
+        assert direct_gaussian_samples(np.eye(2), 0, seed=0).shape == (0, 2)
+
+    def test_law_of_large_numbers(self):
+        k = 100_000
+        samples = direct_gaussian_samples(np.eye(2), k, seed=0)
+        assert np.abs(samples.mean(axis=0)).max() <= 4.0 / math.sqrt(k)
+
+    def test_reproducible(self):
+        a = direct_gaussian_samples(np.diag([2.0, 1.0]), 100, seed=42)
+        b = direct_gaussian_samples(np.diag([2.0, 1.0]), 100, seed=42)
+        assert np.array_equal(a, b)
+
+
 class TestGaussianSamplingMechanism:
     def test_zero_covariance(self):
         for k in (2, 10):
