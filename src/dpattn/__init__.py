@@ -48,7 +48,6 @@ from .linalg import (
     loewner_within,
     psd_inv_sqrt,
     psd_project,
-    relative_frobenius_distance,
     sym_eigendecompose,
     whitened_eigenvalues,
 )

@@ -7,11 +7,15 @@ Usage::
     dpattn verify-privacy --config cfg.json [--out DIR]
     dpattn bench-utility  --config cfg.json [--out DIR]
 
-Configs are single JSON documents with mandatory seeds; unknown keys are
-rejected and range violations are reported by name at parse time.  Matrices
-travel as headerless CSV (one row per line) with shortest round-trip float
-formatting, so write/read cycles are bit-exact.  Reports are JSON with a
-top-level ``schema_version``.
+Configs are single JSON documents with mandatory seeds.  Each command, the
+dataset sidecar and verify-privacy's inline ``neighbor`` object declare their
+keys in one table, ``key -> (check, default)``; the default ``REQUIRED``
+marks a mandatory key.  One validator reports unknown keys, then missing
+keys, then the first value in table order that fails its check, by name and
+before any file is read.  Numbers must be finite; seeds lie in
+``[0, rng.MAX_SEED]``.  Matrices travel as headerless CSV (one row per line)
+with shortest round-trip float formatting, so write/read cycles are
+bit-exact.  Reports are JSON with a top-level ``schema_version``.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
 2 input or parse error.
@@ -45,7 +49,10 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config tables; a check maps (key, value) to the parsed value or raises
+
+REQUIRED = object()
+
 
 def _load_json(path: Path) -> dict:
     try:
@@ -61,75 +68,119 @@ def _load_json(path: Path) -> dict:
     return doc
 
 
-def _check_keys(cfg: dict, required: set[str], optional: set[str] = frozenset()) -> None:
-    unknown = set(cfg) - required - optional
+def _validate(doc: dict, table: dict) -> dict:
+    """The checked value, or the default, of every key of ``table``."""
+    unknown = set(doc) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(cfg)
+    missing = {key for key, (_, default) in table.items() if default is REQUIRED} - set(doc)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
+    return {key: check(key, doc[key]) if key in doc else default
+            for key, (check, default) in table.items()}
 
 
-def _as_int(cfg: dict, key: str, minimum: int | None = None) -> int:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-    return value
+def _integer(minimum: int, maximum: int | None = None):
+    def check(key, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{key} must be at most {maximum}, got {value}")
+        return value
+    return check
 
 
-def _as_float(cfg: dict, key: str) -> float:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _number(requirement: str, out_of_range):
+    """A finite number; ``out_of_range(value)`` is true where ``requirement`` fails."""
+    def check(key, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        value = float(value)
+        if out_of_range(value):
+            raise ConfigError(f"{key} must {requirement}, got {value}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        return value
+    return check
 
 
-def _as_str(cfg: dict, key: str) -> str:
-    value = cfg[key]
+def _string(key, value):
     if not isinstance(value, str):
         raise ConfigError(f"{key} must be a string, got {value!r}")
     return value
 
 
-def _in_open_closed(cfg: dict, key: str, hi: float) -> float:
-    value = _as_float(cfg, key)
-    if not 0.0 < value <= hi:
-        raise ConfigError(f"{key} must lie in (0, {hi}], got {value}")
+def _choice(*options: str):
+    def check(key, value):
+        if _string(key, value) not in options:
+            raise ConfigError(f"{key} must be one of {list(options)}, got {value!r}")
+        return value
+    return check
+
+
+def _positive_ints(key, value):
+    if not isinstance(value, list) or any(
+        isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in value
+    ):
+        raise ConfigError(f"{key} must be a list of positive integers, got {value!r}")
     return value
 
 
-def _in_open_open(cfg: dict, key: str, hi: float) -> float:
-    value = _as_float(cfg, key)
-    if not 0.0 < value < hi:
-        raise ConfigError(f"{key} must lie in (0, {hi}), got {value}")
+def _unchecked(key, value):
     return value
 
 
-def _positive(cfg: dict, key: str) -> float:
-    value = _as_float(cfg, key)
-    if value <= 0:
-        raise ConfigError(f"{key} must be positive, got {value}")
-    return value
+def _object(table: dict):
+    def check(key, value):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object")
+        return _validate(value, table)
+    return check
 
 
-def _dp_params(cfg: dict) -> DpParams:
-    kind_name = _as_str(cfg, "f")
-    try:
-        kind = Activation(kind_name)
-    except ValueError:
-        raise ConfigError(f"f must be one of {[a.value for a in Activation]}, got {kind_name!r}")
-    return DpParams(
-        eps=_in_open_closed(cfg, "eps", 0.1),
-        delta=_in_open_closed(cfg, "delta", 0.1),
-        gamma=_in_open_open(cfg, "gamma", 1.0),
-        k=_as_int(cfg, "k", minimum=1),
-        r=_in_open_closed(cfg, "r", 0.1),
-        kind=kind,
-        utility_const=_positive(cfg, "utility_const"),
-        seed=_as_int(cfg, "seed", minimum=0),
-    )
+_COUNT = _integer(1)
+_SEED = _integer(0, rng.MAX_SEED)
+_POSITIVE = _number("be positive", lambda x: x <= 0)
+_TENTH = _number("lie in (0, 0.1]", lambda x: not 0.0 < x <= 0.1)
+_UNIT = _number("lie in (0, 1.0)", lambda x: not 0.0 < x < 1.0)
+
+_SIDECAR = {
+    "schema_version": (_unchecked, REQUIRED), "kind": (_choice("dataset"), REQUIRED),
+    "csv": (_string, REQUIRED), "n": (_COUNT, REQUIRED), "d": (_COUNT, REQUIRED),
+    "eta": (_POSITIVE, REQUIRED), "alpha": (_POSITIVE, REQUIRED), "seed": (_unchecked, REQUIRED),
+}
+_GEN_DATASET = {
+    "name": (_string, "dataset"), "n": (_COUNT, REQUIRED), "d": (_COUNT, REQUIRED),
+    "eta": (_POSITIVE, REQUIRED), "alpha": (_POSITIVE, REQUIRED), "seed": (_SEED, REQUIRED),
+}
+_DP_ATTENTION = {
+    "dataset": (_string, REQUIRED),
+    "beta": (_number("be non-negative", lambda x: x < 0), REQUIRED),
+    "f": (_choice(*(a.value for a in Activation)), REQUIRED),
+    "eps": (_TENTH, REQUIRED), "delta": (_TENTH, REQUIRED), "gamma": (_UNIT, REQUIRED),
+    "k": (_COUNT, REQUIRED), "r": (_TENTH, REQUIRED), "utility_const": (_POSITIVE, REQUIRED),
+    "seed": (_SEED, REQUIRED), "report": (_string, "dp_attention_report.json"),
+}
+# verify-privacy merges its common table with one of two pair tables: an
+# inline "neighbor" recipe carries its own beta and index, "perturbed_csv"
+# takes top-level ones.
+_VERIFY_PRIVACY = {
+    "dataset": (_string, REQUIRED), "eps": (_UNIT, REQUIRED), "delta": (_UNIT, REQUIRED),
+    "k": (_COUNT, REQUIRED), "trials": (_integer(1000), REQUIRED), "seed": (_SEED, REQUIRED),
+    "report": (_string, "privacy_report"),
+}
+_NEIGHBOR = {"beta": (_POSITIVE, REQUIRED), "index": (_integer(0), REQUIRED),
+             "seed": (_SEED, REQUIRED)}
+_INLINE_PAIR = {"neighbor": (_object(_NEIGHBOR), REQUIRED)}
+_FILE_PAIR = {"perturbed_csv": (_string, REQUIRED), "beta": _NEIGHBOR["beta"],
+              "index": _NEIGHBOR["index"]}
+_BENCH_UTILITY = {
+    "n": (_COUNT, REQUIRED), "ks": (_positive_ints, REQUIRED), "trials": (_COUNT, REQUIRED),
+    "seed": (_SEED, REQUIRED), "cond": (_number("be at least 1", lambda x: x < 1.0), 1.0),
+    "report": (_string, "bench_utility.csv"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -254,34 +305,24 @@ def _privacy_report_doc(report: NeighborPrivacyReport) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _load_dataset(cfg: dict, config_dir: Path) -> Dataset:
-    sidecar_path = config_dir / _as_str(cfg, "dataset")
-    sidecar = _load_json(sidecar_path)
-    _check_keys(sidecar, {"schema_version", "kind", "csv", "n", "d", "eta", "alpha", "seed"})
-    if sidecar.get("kind") != "dataset":
-        raise ConfigError(f"{sidecar_path}: not a dataset sidecar")
-    csv_path = sidecar_path.parent / _as_str(sidecar, "csv")
+def _load_dataset(name: str, config_dir: Path) -> Dataset:
+    sidecar_path = config_dir / name
+    sidecar = _validate(_load_json(sidecar_path), _SIDECAR)
+    csv_path = sidecar_path.parent / sidecar["csv"]
     matrix = read_matrix_csv(csv_path)
-    n = _as_int(sidecar, "n", minimum=1)
-    d = _as_int(sidecar, "d", minimum=1)
+    n, d = sidecar["n"], sidecar["d"]
     if matrix.shape != (n, d):
         raise ConfigError(f"{csv_path}: shape {matrix.shape} does not match sidecar ({n}, {d})")
-    return Dataset(x=matrix, eta=_positive(sidecar, "eta"), alpha=_positive(sidecar, "alpha"))
+    return Dataset(x=matrix, eta=sidecar["eta"], alpha=sidecar["alpha"])
 
 
 def cmd_gen_dataset(cfg: dict, out_dir: Path, config_dir: Path) -> int:
-    _check_keys(cfg, {"n", "d", "eta", "alpha", "seed"}, optional={"name"})
-    name = _as_str(cfg, "name") if "name" in cfg else "dataset"
-    data = generate_good_dataset(
-        n=_as_int(cfg, "n", minimum=1),
-        d=_as_int(cfg, "d", minimum=1),
-        eta=_positive(cfg, "eta"),
-        alpha=_positive(cfg, "alpha"),
-        seed=_as_int(cfg, "seed", minimum=0),
-    )
-    csv_path = out_dir / f"{name}.csv"
+    v = _validate(cfg, _GEN_DATASET)
+    data = generate_good_dataset(n=v["n"], d=v["d"], eta=v["eta"], alpha=v["alpha"],
+                                 seed=v["seed"])
+    csv_path = out_dir / f"{v['name']}.csv"
     write_matrix_csv(csv_path, data.x)
-    write_json(out_dir / f"{name}.json", {
+    write_json(out_dir / f"{v['name']}.json", {
         "schema_version": SCHEMA_VERSION,
         "kind": "dataset",
         "csv": csv_path.name,
@@ -289,68 +330,38 @@ def cmd_gen_dataset(cfg: dict, out_dir: Path, config_dir: Path) -> int:
         "d": data.d,
         "eta": _jfloat(data.eta),
         "alpha": _jfloat(data.alpha),
-        "seed": cfg["seed"],
+        "seed": v["seed"],
     })
     print(f"wrote {csv_path} and {csv_path.with_suffix('.json')}")
     return 0
 
 
 def cmd_dp_attention(cfg: dict, out_dir: Path, config_dir: Path) -> int:
-    _check_keys(
-        cfg,
-        {"dataset", "beta", "eps", "delta", "gamma", "k", "r", "f", "utility_const", "seed"},
-        optional={"report"},
-    )
-    data = _load_dataset(cfg, config_dir)
-    beta = _as_float(cfg, "beta")
-    if beta < 0:
-        raise ConfigError(f"beta must be non-negative, got {beta}")
-    report = dp_attention(data, beta, _dp_params(cfg))
-    name = _as_str(cfg, "report") if "report" in cfg else "dp_attention_report.json"
-    write_json(out_dir / name, _attention_report_doc(report))
+    v = _validate(cfg, _DP_ATTENTION)
+    data = _load_dataset(v["dataset"], config_dir)
+    params = DpParams(eps=v["eps"], delta=v["delta"], gamma=v["gamma"], k=v["k"], r=v["r"],
+                      kind=Activation(v["f"]), utility_const=v["utility_const"], seed=v["seed"])
+    report = dp_attention(data, v["beta"], params)
+    path = out_dir / v["report"]
+    write_json(path, _attention_report_doc(report))
     failing = [c.name for c in report.requirement_checks if not c.passed and not c.warning_only]
     status = "certified" if report.certified else f"not certified (failing: {failing})"
-    print(f"wrote {out_dir / name}: {status}")
+    print(f"wrote {path}: {status}")
     return 0 if report.certified else 1
 
 
 def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
-    # The pair comes either from an inline "neighbor" recipe, which carries
-    # its own beta and index, or from "perturbed_csv" with top-level ones.
     inline = "neighbor" in cfg
-    pair_keys = {"neighbor"} if inline else {"perturbed_csv", "beta", "index"}
-    _check_keys(cfg, {"dataset", "eps", "delta", "k", "trials", "seed"} | pair_keys,
-                optional={"report"})
-    data = _load_dataset(cfg, config_dir)
-    trials = _as_int(cfg, "trials", minimum=1000)
+    v = _validate(cfg, _VERIFY_PRIVACY | (_INLINE_PAIR if inline else _FILE_PAIR))
+    data = _load_dataset(v["dataset"], config_dir)
     if inline:
-        neighbor_cfg = cfg["neighbor"]
-        if not isinstance(neighbor_cfg, dict):
-            raise ConfigError("neighbor must be an object")
-        _check_keys(neighbor_cfg, {"beta", "index", "seed"})
-        pair = make_neighbor(
-            data,
-            beta=_positive(neighbor_cfg, "beta"),
-            index=_as_int(neighbor_cfg, "index", minimum=0),
-            seed=_as_int(neighbor_cfg, "seed", minimum=0),
-        )
+        pair = make_neighbor(data, **v["neighbor"])
     else:
-        perturbed = read_matrix_csv(config_dir / _as_str(cfg, "perturbed_csv"))
-        pair = NeighborPair(
-            base=data,
-            perturbed=perturbed,
-            beta=_positive(cfg, "beta"),
-            index=_as_int(cfg, "index", minimum=0),
-        )
-    report = verify_neighbor_privacy(
-        pair,
-        eps=_in_open_open(cfg, "eps", 1.0),
-        delta=_in_open_open(cfg, "delta", 1.0),
-        k=_as_int(cfg, "k", minimum=1),
-        trials=trials,
-        seed=_as_int(cfg, "seed", minimum=0),
-    )
-    name = _as_str(cfg, "report") if "report" in cfg else "privacy_report"
+        perturbed = read_matrix_csv(config_dir / v["perturbed_csv"])
+        pair = NeighborPair(base=data, perturbed=perturbed, beta=v["beta"], index=v["index"])
+    report = verify_neighbor_privacy(pair, eps=v["eps"], delta=v["delta"], k=v["k"],
+                                     trials=v["trials"], seed=v["seed"])
+    name = v["report"]
     write_json(out_dir / f"{name}.json", _privacy_report_doc(report))
     samples_path = out_dir / f"{name}_samples.csv"
     lines = ["trial,z"] + [
@@ -381,33 +392,22 @@ def _bench_sigma(n: int, cond: float, seed: int) -> SymMatrix:
 
 
 def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
-    _check_keys(cfg, {"n", "ks", "trials", "seed"}, optional={"cond", "report"})
-    n = _as_int(cfg, "n", minimum=1)
-    ks = cfg["ks"]
-    if not isinstance(ks, list) or any(
-        isinstance(k, bool) or not isinstance(k, int) or k < 1 for k in ks
-    ):
-        raise ConfigError(f"ks must be a list of positive integers, got {ks!r}")
-    trials = _as_int(cfg, "trials", minimum=1)
-    seed = _as_int(cfg, "seed", minimum=0)
-    cond = _as_float(cfg, "cond") if "cond" in cfg else 1.0
-    if cond < 1.0:
-        raise ConfigError(f"cond must be at least 1, got {cond}")
-    sigma = _bench_sigma(n, cond, seed)
+    v = _validate(cfg, _BENCH_UTILITY)
+    n, seed = v["n"], v["seed"]
+    sigma = _bench_sigma(n, v["cond"], seed)
 
     lines = ["n,k,trial,rel_frob_error"]
-    for ki, k in enumerate(ks):
+    for ki, k in enumerate(v["ks"]):
         errors = [
             gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error
-            for t in range(trials)
+            for t in range(v["trials"])
         ]
         lines.extend(
             f"{n},{k},{t},{_format_float(err)}" for t, err in enumerate(errors)
         )
         if errors:
             lines.append(f"{n},{k},median,{_format_float(statistics.median(errors))}")
-    name = _as_str(cfg, "report") if "report" in cfg else "bench_utility.csv"
-    path = out_dir / name
+    path = out_dir / v["report"]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return 0

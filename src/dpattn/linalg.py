@@ -141,16 +141,6 @@ def psd_project(m) -> SymMatrix:
     return SymMatrix((v * w) @ v.T)
 
 
-def _whitened(a, b) -> np.ndarray:
-    """``b^{-1/2} a b^{-1/2}``, the one whitening step behind every comparison."""
-    a = as_sym(a)
-    b = as_sym(b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    white = psd_inv_sqrt(b).values
-    return white @ a.values @ white
-
-
 def whitened_eigenvalues(a, b) -> np.ndarray:
     """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
 
@@ -159,7 +149,12 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     ``b`` is not positive definite at 1e-9 relative to its spectral norm and
     :class:`DimMismatch` when the shapes differ.
     """
-    m = _whitened(a, b)
+    a = as_sym(a)
+    b = as_sym(b)
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    white = psd_inv_sqrt(b).values
+    m = white @ a.values @ white
     return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
 
 
@@ -176,13 +171,3 @@ def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:
     w = whitened_eigenvalues(a, b)
     return bool(w.min() >= 1.0 - eps - tol and w.max() <= 1.0 + eps + tol)
 
-
-def relative_frobenius_distance(sigma, sigma_hat) -> float:
-    """Frobenius norm of the whitened deviation from identity.
-
-    Returns ``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F``; zero exactly
-    when the two matrices agree.  Raises :class:`SingularMatrix` when
-    ``sigma`` is singular and :class:`DimMismatch` when the shapes differ.
-    """
-    m = _whitened(sigma_hat, sigma)
-    return float(np.linalg.norm(m - np.eye(len(m))))

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, ParamRange, SingularMatrix
-from .linalg import (SymMatrix, as_sym, relative_frobenius_distance, relative_tol,
-                     sym_eigendecompose)
+from .errors import NotPsd, ParamRange
+from .linalg import SymMatrix, as_sym, relative_tol, sym_eigendecompose
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 
@@ -56,6 +55,11 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     ``k < n`` too.  Output is bit-reproducible for fixed
     ``(sigma, k, seed)``; the stream layout is documented in :mod:`rng`.
     Raises :class:`NotPsd` for an indefinite ``sigma``.
+
+    Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``
+    and ``rel_frob_error = ||T T^T / k - I||_F``, whatever ``sigma`` is.  It
+    is NaN when ``sigma`` is singular at 1e-9 relative to its spectral norm,
+    the floor of :func:`linalg.psd_inv_sqrt`.
     """
     sigma = as_sym(sigma)
     if k < 1:
@@ -75,10 +79,9 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    try:
-        rel = relative_frobenius_distance(sigma, sigma_hat)
-    except SingularMatrix:
-        rel = float("nan")
+    rel = float("nan")
+    if dec.eigenvalues.min() > relative_tol(dec.eigenvalues):
+        rel = float(np.linalg.norm(bartlett @ bartlett.T / k - np.eye(n)))
     return MechanismOutput(
         sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel, warnings=warnings
     )

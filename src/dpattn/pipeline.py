@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Activation, attention_error, attention_matrix, theoretical_error_bound
-from .dataset import Dataset, NeighborPair, gram
+from .attention import Activation, attention_matrix, theoretical_error_bound
+from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
 from .errors import ParamRange, SingularMatrix
 from .linalg import SymMatrix, loewner_within, psd_project
 from .mechanism import gaussian_sampling_mechanism, utility_radius
@@ -63,8 +63,9 @@ class DpParams:
             raise ParamRange(f"r must lie in (0, 0.1], got {self.r}")
         if not isinstance(self.kind, Activation):
             raise ParamRange(f"kind must be an Activation, got {self.kind!r}")
-        if self.utility_const <= 0:
-            raise ParamRange(f"utility_const must be positive, got {self.utility_const}")
+        if not 0.0 < self.utility_const < math.inf:
+            raise ParamRange(
+                f"utility_const must be positive and finite, got {self.utility_const}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ParamRange(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -139,13 +140,13 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     A failed hard requirement does not abort the run; the full report is
     produced with ``certified=False`` and the failing check named.
     """
-    if beta < 0:
-        raise ParamRange(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ParamRange(f"beta must be non-negative and finite, got {beta}")
     base = gram(data)
     n, d = data.n, data.d
     budget = sensitivity_budget(params.eps, params.delta, params.k)
     budget_used = budget.strict
-    sens_frob = 2.0 * data.alpha * beta * math.sqrt(n) / data.eta
+    sens_frob = sensitivity_bound(data.eta, data.alpha, beta, n).frobenius_bound
     rho = utility_radius(n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
     min_eig = float(np.linalg.eigvalsh(base.values).min())
@@ -180,7 +181,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
 
     attention_base = attention_matrix(base, params.kind)
     attention_released = attention_matrix(released, params.kind)
-    measured = attention_error(base, released, params.kind)
+    measured = float(np.abs(attention_base - attention_released).max())
     bound = theoretical_error_bound(params.eps, params.r)
 
     hard_ok = all(c.passed for c in checks if not c.warning_only)

@@ -8,7 +8,10 @@ running the same numpy build:
   fixed algorithm), keyed through ``numpy.random.SeedSequence`` on the word
   tuple ``(domain_tag + 1, seed + 1, *(extra_i + 1))``.  Every word is offset
   by one because ``SeedSequence`` absorbs trailing zero words, which would
-  alias the substream of trial 0 with its parent stream;
+  alias the substream of trial 0 with its parent stream.  Entropy values lie
+  in ``[0, MAX_SEED]``, so every word lies in ``[1, 2**32 - 1]``:
+  ``SeedSequence`` splits larger words into 32-bit pieces, which would alias
+  ``(1, 2**32)`` with ``(1, 0, 0)``;
 * uniforms: ``Generator.random()``, 53-bit doubles in ``[0, 1)``;
 * normals: consecutive uniform pairs ``(u1, u2)`` mapped through the
   Box-Muller transform::
@@ -51,6 +54,7 @@ import numpy as np
 from .errors import ParamRange
 
 STREAM_VERSION = "philox-boxmuller-v3"
+MAX_SEED = 2**32 - 2
 
 TAG_DATASET = 1
 TAG_NEIGHBOR = 2
@@ -69,8 +73,8 @@ def normalize_entropy(entropy) -> tuple[int, ...]:
         raise ParamRange(f"seed entropy must be an int or a sequence of ints, got {entropy!r}")
     if not out:
         raise ParamRange("seed entropy must not be empty")
-    if any(e < 0 for e in out):
-        raise ParamRange(f"seed entropy values must be non-negative, got {out}")
+    if any(not 0 <= e <= MAX_SEED for e in out):
+        raise ParamRange(f"seed entropy values must lie in [0, {MAX_SEED}], got {out}")
     return out
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dpattn import rng
+from dpattn import rng, whitened_eigenvalues
 
 
 def rand_orthogonal(gen, n):
@@ -84,3 +84,14 @@ def direct_gaussian_samples(sigma, k, seed):
     n = len(sigma)
     z = rng.standard_normals(k * n, (rng.TAG_MECHANISM, *rng.normalize_entropy(seed)))
     return z.reshape(k, n) @ factor.T
+
+
+def relative_frobenius_distance(sigma, sigma_hat):
+    """Reference whitened deviation ``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F``.
+
+    Computed from the actual matrices through :func:`whitened_eigenvalues`:
+    the whitened matrix is symmetric, so its deviation from ``I`` has the
+    Frobenius norm of its eigenvalues minus one.  Raises ``SingularMatrix``
+    when ``sigma`` is singular and ``DimMismatch`` when the shapes differ.
+    """
+    return float(np.linalg.norm(whitened_eigenvalues(sigma_hat, sigma) - 1.0))

@@ -1,10 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpattn import cli
+from dpattn import cli, rng
 from dpattn.cli import read_matrix_csv, write_matrix_csv
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(path, doc):
@@ -264,3 +268,285 @@ class TestBenchUtility:
     def test_bad_ks_rejected(self, tmp_path):
         cfg = self.bench_config(tmp_path, ks=[10, 0])
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 2
+
+    def test_cond_does_not_change_errors(self, tmp_path):
+        # the whitened release T T^T / k does not depend on the covariance,
+        # so below the singularity floor cond changes no byte
+        outputs = []
+        for cond in (1.0, 10.0, 1e8):
+            out = tmp_path / str(cond)
+            cfg = self.bench_config(tmp_path, cond=cond)
+            assert run(["bench-utility", "--config", cfg, "--out", out]) == 0
+            outputs.append((out / "bench_utility.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+DROP = object()  # the key is removed from the valid document
+NAN, INF = float("nan"), float("inf")
+
+VALID = {
+    "gen-dataset": {"name": "demo", "n": 2, "d": 4, "eta": 0.01, "alpha": 0.11, "seed": 7},
+    "dp-attention": {"dataset": "demo.json", "beta": 1e-9, "eps": 0.05, "delta": 0.01,
+                     "gamma": 0.3, "k": 400_000, "r": 0.05, "f": "exp",
+                     "utility_const": 1.0, "seed": 11},
+    "verify-privacy": {"dataset": "demo.json", "eps": 0.05, "delta": 0.01, "k": 50,
+                       "trials": 1000, "seed": 3,
+                       "neighbor": {"beta": 1e-9, "index": 1, "seed": 5}},
+    "verify-privacy-file": {"dataset": "demo.json", "eps": 0.05, "delta": 0.01, "k": 50,
+                            "trials": 1000, "seed": 3, "perturbed_csv": "demo.csv",
+                            "beta": 0.001, "index": 0},
+    "bench-utility": {"n": 3, "ks": [100, 200], "trials": 3, "seed": 1, "cond": 4.0},
+}
+
+# (command, document, key, value, message): one fault in an otherwise valid
+# document, which is the command's config, verify-privacy's inline neighbor
+# or the dataset sidecar.  Each exits 2 with "config error: <message>".
+SINGLE_FAULTS = [
+    ("gen-dataset", "config", "extra", 1, "unknown config keys: ['extra']"),
+    ("gen-dataset", "config", "name", 1, "name must be a string, got 1"),
+    ("gen-dataset", "config", "n", DROP, "missing config keys: ['n']"),
+    ("gen-dataset", "config", "n", 1.5, "n must be an integer, got 1.5"),
+    ("gen-dataset", "config", "n", 0, "n must be at least 1, got 0"),
+    ("gen-dataset", "config", "d", DROP, "missing config keys: ['d']"),
+    ("gen-dataset", "config", "d", 1.5, "d must be an integer, got 1.5"),
+    ("gen-dataset", "config", "d", 0, "d must be at least 1, got 0"),
+    ("gen-dataset", "config", "eta", DROP, "missing config keys: ['eta']"),
+    ("gen-dataset", "config", "eta", "x", "eta must be a number, got 'x'"),
+    ("gen-dataset", "config", "eta", 0, "eta must be positive, got 0.0"),
+    ("gen-dataset", "config", "eta", NAN, "eta must be finite, got nan"),
+    ("gen-dataset", "config", "eta", INF, "eta must be finite, got inf"),
+    ("gen-dataset", "config", "alpha", DROP, "missing config keys: ['alpha']"),
+    ("gen-dataset", "config", "alpha", "x", "alpha must be a number, got 'x'"),
+    ("gen-dataset", "config", "alpha", 0, "alpha must be positive, got 0.0"),
+    ("gen-dataset", "config", "alpha", NAN, "alpha must be finite, got nan"),
+    ("gen-dataset", "config", "alpha", INF, "alpha must be finite, got inf"),
+    ("gen-dataset", "config", "seed", DROP, "missing config keys: ['seed']"),
+    ("gen-dataset", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("gen-dataset", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("gen-dataset", "config", "seed", 4294967295,
+     "seed must be at most 4294967294, got 4294967295"),
+    ("gen-dataset", "config", "seed", 4294967296,
+     "seed must be at most 4294967294, got 4294967296"),
+    ("dp-attention", "config", "extra", 1, "unknown config keys: ['extra']"),
+    ("dp-attention", "config", "dataset", DROP, "missing config keys: ['dataset']"),
+    ("dp-attention", "config", "dataset", 1, "dataset must be a string, got 1"),
+    ("dp-attention", "config", "beta", DROP, "missing config keys: ['beta']"),
+    ("dp-attention", "config", "beta", "x", "beta must be a number, got 'x'"),
+    ("dp-attention", "config", "beta", -1, "beta must be non-negative, got -1.0"),
+    ("dp-attention", "config", "beta", NAN, "beta must be finite, got nan"),
+    ("dp-attention", "config", "beta", INF, "beta must be finite, got inf"),
+    ("dp-attention", "config", "eps", DROP, "missing config keys: ['eps']"),
+    ("dp-attention", "config", "eps", "x", "eps must be a number, got 'x'"),
+    ("dp-attention", "config", "eps", 0.2, "eps must lie in (0, 0.1], got 0.2"),
+    ("dp-attention", "config", "eps", NAN, "eps must lie in (0, 0.1], got nan"),
+    ("dp-attention", "config", "eps", INF, "eps must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "delta", DROP, "missing config keys: ['delta']"),
+    ("dp-attention", "config", "delta", "x", "delta must be a number, got 'x'"),
+    ("dp-attention", "config", "delta", 0.2, "delta must lie in (0, 0.1], got 0.2"),
+    ("dp-attention", "config", "delta", NAN, "delta must lie in (0, 0.1], got nan"),
+    ("dp-attention", "config", "delta", INF, "delta must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "gamma", DROP, "missing config keys: ['gamma']"),
+    ("dp-attention", "config", "gamma", "x", "gamma must be a number, got 'x'"),
+    ("dp-attention", "config", "gamma", 1.0, "gamma must lie in (0, 1.0), got 1.0"),
+    ("dp-attention", "config", "gamma", NAN, "gamma must lie in (0, 1.0), got nan"),
+    ("dp-attention", "config", "gamma", INF, "gamma must lie in (0, 1.0), got inf"),
+    ("dp-attention", "config", "k", DROP, "missing config keys: ['k']"),
+    ("dp-attention", "config", "k", 1.5, "k must be an integer, got 1.5"),
+    ("dp-attention", "config", "k", 0, "k must be at least 1, got 0"),
+    ("dp-attention", "config", "r", DROP, "missing config keys: ['r']"),
+    ("dp-attention", "config", "r", "x", "r must be a number, got 'x'"),
+    ("dp-attention", "config", "r", 0, "r must lie in (0, 0.1], got 0.0"),
+    ("dp-attention", "config", "r", NAN, "r must lie in (0, 0.1], got nan"),
+    ("dp-attention", "config", "r", INF, "r must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "f", DROP, "missing config keys: ['f']"),
+    ("dp-attention", "config", "f", 1, "f must be a string, got 1"),
+    ("dp-attention", "config", "f", "tanh", "f must be one of ['exp', 'cosh'], got 'tanh'"),
+    ("dp-attention", "config", "utility_const", DROP, "missing config keys: ['utility_const']"),
+    ("dp-attention", "config", "utility_const", "x", "utility_const must be a number, got 'x'"),
+    ("dp-attention", "config", "utility_const", 0, "utility_const must be positive, got 0.0"),
+    ("dp-attention", "config", "utility_const", NAN, "utility_const must be finite, got nan"),
+    ("dp-attention", "config", "utility_const", INF, "utility_const must be finite, got inf"),
+    ("dp-attention", "config", "seed", DROP, "missing config keys: ['seed']"),
+    ("dp-attention", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("dp-attention", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("dp-attention", "config", "seed", 4294967295,
+     "seed must be at most 4294967294, got 4294967295"),
+    ("dp-attention", "config", "report", 1, "report must be a string, got 1"),
+    ("verify-privacy", "config", "extra", 1, "unknown config keys: ['extra']"),
+    ("verify-privacy", "config", "dataset", DROP, "missing config keys: ['dataset']"),
+    ("verify-privacy", "config", "dataset", 1, "dataset must be a string, got 1"),
+    ("verify-privacy", "config", "eps", DROP, "missing config keys: ['eps']"),
+    ("verify-privacy", "config", "eps", "x", "eps must be a number, got 'x'"),
+    ("verify-privacy", "config", "eps", 1.0, "eps must lie in (0, 1.0), got 1.0"),
+    ("verify-privacy", "config", "eps", NAN, "eps must lie in (0, 1.0), got nan"),
+    ("verify-privacy", "config", "eps", INF, "eps must lie in (0, 1.0), got inf"),
+    ("verify-privacy", "config", "delta", DROP, "missing config keys: ['delta']"),
+    ("verify-privacy", "config", "delta", "x", "delta must be a number, got 'x'"),
+    ("verify-privacy", "config", "delta", 1.0, "delta must lie in (0, 1.0), got 1.0"),
+    ("verify-privacy", "config", "delta", NAN, "delta must lie in (0, 1.0), got nan"),
+    ("verify-privacy", "config", "delta", INF, "delta must lie in (0, 1.0), got inf"),
+    ("verify-privacy", "config", "k", DROP, "missing config keys: ['k']"),
+    ("verify-privacy", "config", "k", 1.5, "k must be an integer, got 1.5"),
+    ("verify-privacy", "config", "k", 0, "k must be at least 1, got 0"),
+    ("verify-privacy", "config", "trials", DROP, "missing config keys: ['trials']"),
+    ("verify-privacy", "config", "trials", 1.5, "trials must be an integer, got 1.5"),
+    ("verify-privacy", "config", "trials", 999, "trials must be at least 1000, got 999"),
+    ("verify-privacy", "config", "seed", DROP, "missing config keys: ['seed']"),
+    ("verify-privacy", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("verify-privacy", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("verify-privacy", "config", "seed", 4294967295,
+     "seed must be at most 4294967294, got 4294967295"),
+    ("verify-privacy", "config", "neighbor", DROP,
+     "missing config keys: ['beta', 'index', 'perturbed_csv']"),
+    ("verify-privacy", "config", "neighbor", 1, "neighbor must be an object"),
+    ("verify-privacy-file", "config", "extra", 1, "unknown config keys: ['extra']"),
+    ("verify-privacy-file", "config", "perturbed_csv", DROP,
+     "missing config keys: ['perturbed_csv']"),
+    ("verify-privacy-file", "config", "perturbed_csv", 1, "perturbed_csv must be a string, got 1"),
+    ("verify-privacy-file", "config", "beta", DROP, "missing config keys: ['beta']"),
+    ("verify-privacy-file", "config", "beta", "x", "beta must be a number, got 'x'"),
+    ("verify-privacy-file", "config", "beta", 0, "beta must be positive, got 0.0"),
+    ("verify-privacy-file", "config", "beta", NAN, "beta must be finite, got nan"),
+    ("verify-privacy-file", "config", "beta", INF, "beta must be finite, got inf"),
+    ("verify-privacy-file", "config", "index", DROP, "missing config keys: ['index']"),
+    ("verify-privacy-file", "config", "index", 1.5, "index must be an integer, got 1.5"),
+    ("verify-privacy-file", "config", "index", -1, "index must be at least 0, got -1"),
+    ("verify-privacy", "neighbor", "extra", 1, "unknown config keys: ['extra']"),
+    ("verify-privacy", "neighbor", "beta", DROP, "missing config keys: ['beta']"),
+    ("verify-privacy", "neighbor", "beta", "x", "beta must be a number, got 'x'"),
+    ("verify-privacy", "neighbor", "beta", 0, "beta must be positive, got 0.0"),
+    ("verify-privacy", "neighbor", "beta", NAN, "beta must be finite, got nan"),
+    ("verify-privacy", "neighbor", "beta", INF, "beta must be finite, got inf"),
+    ("verify-privacy", "neighbor", "index", DROP, "missing config keys: ['index']"),
+    ("verify-privacy", "neighbor", "index", 1.5, "index must be an integer, got 1.5"),
+    ("verify-privacy", "neighbor", "index", -1, "index must be at least 0, got -1"),
+    ("verify-privacy", "neighbor", "seed", DROP, "missing config keys: ['seed']"),
+    ("verify-privacy", "neighbor", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("verify-privacy", "neighbor", "seed", -1, "seed must be at least 0, got -1"),
+    ("verify-privacy", "neighbor", "seed", 4294967295,
+     "seed must be at most 4294967294, got 4294967295"),
+    ("bench-utility", "config", "extra", 1, "unknown config keys: ['extra']"),
+    ("bench-utility", "config", "n", DROP, "missing config keys: ['n']"),
+    ("bench-utility", "config", "n", 1.5, "n must be an integer, got 1.5"),
+    ("bench-utility", "config", "n", 0, "n must be at least 1, got 0"),
+    ("bench-utility", "config", "ks", DROP, "missing config keys: ['ks']"),
+    ("bench-utility", "config", "ks", "x", "ks must be a list of positive integers, got 'x'"),
+    ("bench-utility", "config", "ks", [0], "ks must be a list of positive integers, got [0]"),
+    ("bench-utility", "config", "trials", DROP, "missing config keys: ['trials']"),
+    ("bench-utility", "config", "trials", 1.5, "trials must be an integer, got 1.5"),
+    ("bench-utility", "config", "trials", 0, "trials must be at least 1, got 0"),
+    ("bench-utility", "config", "seed", DROP, "missing config keys: ['seed']"),
+    ("bench-utility", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
+    ("bench-utility", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("bench-utility", "config", "seed", 4294967295,
+     "seed must be at most 4294967294, got 4294967295"),
+    ("bench-utility", "config", "cond", "x", "cond must be a number, got 'x'"),
+    ("bench-utility", "config", "cond", 0.5, "cond must be at least 1, got 0.5"),
+    ("bench-utility", "config", "cond", NAN, "cond must be finite, got nan"),
+    ("bench-utility", "config", "cond", INF, "cond must be finite, got inf"),
+    ("bench-utility", "config", "report", 1, "report must be a string, got 1"),
+    ("dp-attention", "sidecar", "extra", 1, "unknown config keys: ['extra']"),
+    ("dp-attention", "sidecar", "schema_version", DROP, "missing config keys: ['schema_version']"),
+    ("dp-attention", "sidecar", "kind", DROP, "missing config keys: ['kind']"),
+    ("dp-attention", "sidecar", "kind", 1, "kind must be a string, got 1"),
+    ("dp-attention", "sidecar", "kind", "model", "kind must be one of ['dataset'], got 'model'"),
+    ("dp-attention", "sidecar", "csv", DROP, "missing config keys: ['csv']"),
+    ("dp-attention", "sidecar", "csv", 1, "csv must be a string, got 1"),
+    ("dp-attention", "sidecar", "n", DROP, "missing config keys: ['n']"),
+    ("dp-attention", "sidecar", "n", 1.5, "n must be an integer, got 1.5"),
+    ("dp-attention", "sidecar", "n", 0, "n must be at least 1, got 0"),
+    ("dp-attention", "sidecar", "d", DROP, "missing config keys: ['d']"),
+    ("dp-attention", "sidecar", "d", 1.5, "d must be an integer, got 1.5"),
+    ("dp-attention", "sidecar", "d", 0, "d must be at least 1, got 0"),
+    ("dp-attention", "sidecar", "eta", DROP, "missing config keys: ['eta']"),
+    ("dp-attention", "sidecar", "eta", "x", "eta must be a number, got 'x'"),
+    ("dp-attention", "sidecar", "eta", 0, "eta must be positive, got 0.0"),
+    ("dp-attention", "sidecar", "eta", NAN, "eta must be finite, got nan"),
+    ("dp-attention", "sidecar", "eta", INF, "eta must be finite, got inf"),
+    ("dp-attention", "sidecar", "alpha", DROP, "missing config keys: ['alpha']"),
+    ("dp-attention", "sidecar", "alpha", "x", "alpha must be a number, got 'x'"),
+    ("dp-attention", "sidecar", "alpha", 0, "alpha must be positive, got 0.0"),
+    ("dp-attention", "sidecar", "alpha", NAN, "alpha must be finite, got nan"),
+    ("dp-attention", "sidecar", "alpha", INF, "alpha must be finite, got inf"),
+    ("dp-attention", "sidecar", "seed", DROP, "missing config keys: ['seed']"),
+    ("verify-privacy", "config", "beta", 0.9, "unknown config keys: ['beta']"),
+    ("verify-privacy", "config", "perturbed_csv", "demo.csv",
+     "unknown config keys: ['perturbed_csv']"),
+    ("verify-privacy", "config", "report", 1, "report must be a string, got 1"),
+]
+
+
+def fault_id(case):
+    command, document, key, value = case[:4]
+    shown = "missing" if value is DROP else json.dumps(value)
+    return f"{command}-{document}-{key}={shown}"
+
+
+def set_key(doc, key, value):
+    if value is DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+class TestConfigTables:
+    @pytest.mark.parametrize("case", SINGLE_FAULTS, ids=fault_id)
+    def test_single_fault(self, tmp_path, capsys, case):
+        command, document, key, value, message = case
+        cfg = json.loads(json.dumps(VALID[command]))
+        if "dataset" in cfg:
+            make_dataset(tmp_path, write_config(tmp_path / "gen.json", VALID["gen-dataset"]))
+        if document == "config":
+            set_key(cfg, key, value)
+        elif document == "neighbor":
+            set_key(cfg["neighbor"], key, value)
+        else:
+            sidecar = json.loads((tmp_path / "demo.json").read_text())
+            set_key(sidecar, key, value)
+            write_config(tmp_path / "demo.json", sidecar)
+        capsys.readouterr()
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert run([command.removesuffix("-file"), "--config", path,
+                    "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_seed_bound_is_the_stream_bound(self):
+        assert cli._SEED("seed", rng.MAX_SEED) == rng.MAX_SEED
+        rng.normalize_entropy(rng.MAX_SEED)
+        with pytest.raises(cli.ConfigError, match="seed"):
+            cli._SEED("seed", rng.MAX_SEED + 1)
+
+    def test_readme_configs_pass_their_tables(self):
+        text = README.read_text()
+        block = text[text.index("```jsonc"):]
+        block = block[:block.index("```", 3)]
+        tables = {
+            "gen-dataset": cli._GEN_DATASET,
+            "dp-attention": cli._DP_ATTENTION,
+            "verify-privacy": cli._VERIFY_PRIVACY | cli._INLINE_PAIR,
+            "bench-utility": cli._BENCH_UTILITY,
+        }
+        docs, command, pending, file_form_keys = {}, None, "", None
+        for line in block.splitlines()[1:]:
+            if line.startswith("//"):
+                named = re.match(r"// ([a-z-]+):", line)
+                if named and named.group(1) in tables:
+                    command = named.group(1)
+                if "perturbed_csv" in line:
+                    file_form_keys = set(re.findall(r'"(\w+)":', line))
+                continue
+            pending += line
+            if pending and pending.count("{") == pending.count("}"):
+                docs[command] = json.loads(pending)
+                pending = ""
+        assert set(docs) == set(tables)
+        for command, doc in docs.items():
+            cli._validate(doc, tables[command])
+        # the perturbed_csv form named in the comment, built from the
+        # inline neighbor's beta and index
+        assert file_form_keys == set(cli._FILE_PAIR)
+        file_doc = dict(docs["verify-privacy"])
+        neighbor = file_doc.pop("neighbor")
+        file_doc.update(perturbed_csv="demo.csv", beta=neighbor["beta"], index=neighbor["index"])
+        cli._validate(file_doc, cli._VERIFY_PRIVACY | cli._FILE_PAIR)

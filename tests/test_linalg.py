@@ -12,11 +12,10 @@ from dpattn import (
     loewner_within,
     psd_inv_sqrt,
     psd_project,
-    relative_frobenius_distance,
     sym_eigendecompose,
     whitened_eigenvalues,
 )
-from helpers import rand_pd, rand_psd, rand_symmetric
+from helpers import rand_pd, rand_psd, rand_symmetric, relative_frobenius_distance
 
 
 class TestSymMatrix:

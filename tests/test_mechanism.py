@@ -13,7 +13,7 @@ from dpattn import (
     rng,
     utility_radius,
 )
-from helpers import direct_gaussian_samples, rand_pd
+from helpers import direct_gaussian_samples, rand_orthogonal, rand_pd, relative_frobenius_distance
 
 
 class TestSampleGaussian:
@@ -115,6 +115,38 @@ class TestGaussianSamplingMechanism:
             for t in range(500)
         ]
         assert stats.ks_2samp(errs_id, errs_pd).pvalue > 0.01
+
+
+class TestRelFrobError:
+    # the whitened release is V (T T^T / k) V^T, so the error is
+    # ||T T^T / k - I||_F and does not depend on sigma
+    def conditioned(self, n, cond):
+        q = rand_orthogonal(np.random.default_rng(4), n)
+        return SymMatrix((q * np.geomspace(1.0, cond, n)) @ q.T)
+
+    @pytest.mark.parametrize("k", [3, 50, 1_000_000])
+    def test_independent_of_condition_number(self, k):
+        errors = [
+            gaussian_sampling_mechanism(self.conditioned(6, cond), k, seed=(7, k)).rel_frob_error
+            for cond in (1.0, 1e3, 1e8)
+        ]
+        assert errors[0] == errors[1] == errors[2]
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 1_000_000])
+    def test_matches_whitened_oracle(self, k):
+        for cond in (1.0, 10.0, 1e3):
+            for seed in range(5):
+                sigma = self.conditioned(6, cond)
+                out = gaussian_sampling_mechanism(sigma, k, seed=seed)
+                oracle = relative_frobenius_distance(sigma, out.sigma_hat)
+                assert out.rel_frob_error == pytest.approx(oracle, rel=1e-9)
+
+    def test_nan_at_the_singularity_floor(self):
+        # the floor of psd_inv_sqrt: an eigenvalue at most 1e-9 times the largest
+        assert math.isnan(
+            gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 1e-9]), 10, 0).rel_frob_error)
+        assert math.isfinite(
+            gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 2e-9]), 10, 0).rel_frob_error)
 
 
 class TestBartlettRelease:

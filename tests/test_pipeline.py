@@ -6,12 +6,14 @@ from dpattn import (
     DpParams,
     NeighborPair,
     ParamRange,
+    attention_error,
     dp_attention,
     generate_good_dataset,
     make_neighbor,
     pipeline,
     privacy_spectrum,
     required_samples,
+    sensitivity_bound,
     utility_radius,
     verify_neighbor_privacy,
 )
@@ -54,7 +56,8 @@ class TestDpParams:
             ("gamma", 0.0), ("gamma", 1.0),
             ("k", 0), ("k", 1.5),
             ("r", 0.2), ("r", -0.1),
-            ("utility_const", 0.0),
+            ("utility_const", 0.0), ("utility_const", float("nan")),
+            ("utility_const", float("inf")),
             ("seed", -1), ("seed", 1.5),
         ],
     )
@@ -72,6 +75,20 @@ class TestDpParams:
 
 
 class TestDpAttention:
+    def test_rejects_non_finite_beta(self):
+        for beta in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ParamRange):
+                dp_attention(fast_dataset(), beta, fast_params())
+
+    def test_reuses_what_it_computed(self):
+        data = fast_dataset()
+        params = fast_params()
+        report = dp_attention(data, 1e-9, params)
+        assert report.sensitivity_bound_frob == \
+            sensitivity_bound(data.eta, data.alpha, 1e-9, data.n).frobenius_bound
+        assert report.measured_error == \
+            attention_error(report.gram_matrix, report.released, params.kind)
+
     def test_certified_end_to_end(self):
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params())
         assert report.certified

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dpattn import ParamRange
-from dpattn.rng import chi_squares, generator, normalize_entropy, standard_normals
+from dpattn.rng import MAX_SEED, chi_squares, generator, normalize_entropy, standard_normals
 
 
 class TestStandardNormals:
@@ -43,6 +43,23 @@ class TestStandardNormals:
     def test_normalize_entropy_accepts_plain_int(self):
         assert normalize_entropy(5) == (5,)
         assert normalize_entropy((1, 2)) == (1, 2)
+
+    def test_words_are_never_split(self):
+        # SeedSequence splits a word of 2**32 or more into 32-bit pieces, so
+        # (1, 2**32) would alias (1, 0, 0); entropy above MAX_SEED is refused
+        for entropy in ((1, 2**32), (1, MAX_SEED + 1), 2**64):
+            with pytest.raises(ParamRange):
+                normalize_entropy(entropy)
+            with pytest.raises(ParamRange):
+                standard_normals(4, entropy)
+
+    def test_largest_seed_keeps_its_keying(self):
+        # every accepted value keys SeedSequence with the word value + 1
+        words = np.random.SeedSequence([2, MAX_SEED + 1])
+        expected = np.random.Generator(np.random.Philox(words)).random(4)
+        assert np.array_equal(generator((1, MAX_SEED)).random(4), expected)
+        assert not np.array_equal(standard_normals(4, (1, MAX_SEED)),
+                                  standard_normals(4, (1, 0, 0)))
 
 
 class TestChiSquares:
