@@ -89,8 +89,7 @@ class ChainReport:
         return all(stage.passed for stage in self.stages)
 
 
-def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation,
-                             tol: float = 1e-9) -> ChainReport:
+def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation) -> ChainReport:
     """Measure all four stages of the attention perturbation bound.
 
     Preconditions (violations raise :class:`PreconditionFailed` naming the
@@ -126,7 +125,7 @@ def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation,
         raise PreconditionFailed("psd_base", "base matrix is not PSD")
     if not is_psd(b):
         raise PreconditionFailed("psd_perturbed", "perturbed matrix is not PSD")
-    if not loewner_within(a, b, eps, tol):
+    if not loewner_within(a, b, eps):
         raise PreconditionFailed(
             "loewner", f"pair is not spectrally within eps = {eps} of each other"
         )

@@ -12,13 +12,13 @@ dataset sidecar and verify-privacy's inline ``neighbor`` object declare their
 keys in one table, ``key -> (check, default)``; the default ``REQUIRED``
 marks a mandatory key.  One validator reports unknown keys, then missing
 keys, then the first value in table order that fails its check, by name and
-before any file is read.  Numbers must be finite; seeds lie in
-``[0, rng.MAX_SEED]``.  Matrices travel as headerless CSV (one row per line)
-with shortest round-trip float formatting, so write/read cycles are
-bit-exact.  Reports are JSON with a top-level ``schema_version``.
+before any file is read.  Numbers must be finite, output names non-empty;
+seeds lie in ``[0, rng.MAX_SEED]``.  Matrices travel as headerless CSV (one
+row per line) with shortest round-trip float formatting, so write/read
+cycles are bit-exact.  Reports are JSON with a top-level ``schema_version``.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
-2 input or parse error.
+2 input or parse error, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ def _string(key, value):
     return value
 
 
+def _name(key, value):
+    if not _string(key, value):
+        raise ConfigError(f"{key} must be a non-empty string, got {value!r}")
+    return value
+
+
 def _choice(*options: str):
     def check(key, value):
         if _string(key, value) not in options:
@@ -152,7 +158,7 @@ _SIDECAR = {
     "eta": (_POSITIVE, REQUIRED), "alpha": (_POSITIVE, REQUIRED), "seed": (_unchecked, REQUIRED),
 }
 _GEN_DATASET = {
-    "name": (_string, "dataset"), "n": (_COUNT, REQUIRED), "d": (_COUNT, REQUIRED),
+    "name": (_name, "dataset"), "n": (_COUNT, REQUIRED), "d": (_COUNT, REQUIRED),
     "eta": (_POSITIVE, REQUIRED), "alpha": (_POSITIVE, REQUIRED), "seed": (_SEED, REQUIRED),
 }
 _DP_ATTENTION = {
@@ -161,7 +167,7 @@ _DP_ATTENTION = {
     "f": (_choice(*(a.value for a in Activation)), REQUIRED),
     "eps": (_TENTH, REQUIRED), "delta": (_TENTH, REQUIRED), "gamma": (_UNIT, REQUIRED),
     "k": (_COUNT, REQUIRED), "r": (_TENTH, REQUIRED), "utility_const": (_POSITIVE, REQUIRED),
-    "seed": (_SEED, REQUIRED), "report": (_string, "dp_attention_report.json"),
+    "seed": (_SEED, REQUIRED), "report": (_name, "dp_attention_report.json"),
 }
 # verify-privacy merges its common table with one of two pair tables: an
 # inline "neighbor" recipe carries its own beta and index, "perturbed_csv"
@@ -169,7 +175,7 @@ _DP_ATTENTION = {
 _VERIFY_PRIVACY = {
     "dataset": (_string, REQUIRED), "eps": (_UNIT, REQUIRED), "delta": (_UNIT, REQUIRED),
     "k": (_COUNT, REQUIRED), "trials": (_integer(1000), REQUIRED), "seed": (_SEED, REQUIRED),
-    "report": (_string, "privacy_report"),
+    "report": (_name, "privacy_report"),
 }
 _NEIGHBOR = {"beta": (_POSITIVE, REQUIRED), "index": (_integer(0), REQUIRED),
              "seed": (_SEED, REQUIRED)}
@@ -179,7 +185,7 @@ _FILE_PAIR = {"perturbed_csv": (_string, REQUIRED), "beta": _NEIGHBOR["beta"],
 _BENCH_UTILITY = {
     "n": (_COUNT, REQUIRED), "ks": (_positive_ints, REQUIRED), "trials": (_COUNT, REQUIRED),
     "seed": (_SEED, REQUIRED), "cond": (_number("be at least 1", lambda x: x < 1.0), 1.0),
-    "report": (_string, "bench_utility.csv"),
+    "report": (_name, "bench_utility.csv"),
 }
 
 
@@ -445,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DpAttnError as exc:
+    except (DpAttnError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -23,18 +23,18 @@ from .linalg import SymMatrix, whitened_eigenvalues
 GOODNESS_TOL = 1e-9
 
 
-def check_good(x, eta: float, alpha: float, tol: float = GOODNESS_TOL) -> bool:
-    """True iff ``x x^T >= (eta - tol) I`` and every column norm is <= alpha + tol."""
+def check_good(x, eta: float, alpha: float) -> bool:
+    """True iff ``x x^T >= (eta - GOODNESS_TOL) I`` and column norms <= ``alpha + GOODNESS_TOL``."""
     if eta <= 0 or alpha <= 0:
         raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ParamRange(f"dataset must be a 2-d matrix, got shape {arr.shape}")
     min_eig = float(np.linalg.eigvalsh(arr @ arr.T).min())
-    if min_eig < eta - tol:
+    if min_eig < eta - GOODNESS_TOL:
         return False
     col_norms = np.linalg.norm(arr, axis=0)
-    return bool(col_norms.max() <= alpha + tol)
+    return bool(col_norms.max() <= alpha + GOODNESS_TOL)
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ class NeighborPair:
             )
         if not np.isfinite(arr).all():
             raise ParamRange("perturbed entries must be finite")
-        if self.beta < 0:
-            raise ParamRange(f"beta must be non-negative, got {self.beta}")
+        if not 0 <= self.beta < np.inf:
+            raise ParamRange(f"beta must be non-negative and finite, got {self.beta}")
         if not 0 <= self.index < self.base.d:
             raise ParamRange(f"index {self.index} out of range for d = {self.base.d}")
         others = [j for j in range(self.base.d) if j != self.index]
@@ -150,8 +150,8 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     ``alpha``; the bound derivation needs both columns inside the ball, so the
     perturbation is projected rather than allowed to leave it.
     """
-    if beta <= 0:
-        raise ParamRange(f"beta must be positive, got {beta}")
+    if not 0 < beta < np.inf:
+        raise ParamRange(f"beta must be positive and finite, got {beta}")
     if not 0 <= index < data.d:
         raise ParamRange(f"index {index} out of range for d = {data.d}")
     direction = rng.standard_normals(data.n, (rng.TAG_NEIGHBOR, *rng.normalize_entropy(seed)))

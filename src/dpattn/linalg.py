@@ -3,9 +3,9 @@
 Everything downstream (attention perturbation, the sampling mechanism, the
 privacy certificates) manipulates small dense symmetric matrices.  This module
 fixes the conventions once: construction symmetrizes, eigendecompositions are
-sorted descending with a deterministic sign choice, and positive-semidefinite
-tolerances default to a cutoff relative to the spectral scale, so the default
-checks give the same answer for ``c * m`` at any scale ``c > 0``.
+sorted descending with a deterministic sign choice, and the positive
+semidefinite and singularity cutoffs are relative to the spectral scale, so
+the checks give the same answer for ``c * m`` at any scale ``c > 0``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import DimMismatch, InvalidMatrix, ParamRange, SingularMatrix
 
 
 def relative_tol(eigenvalues: np.ndarray) -> float:
-    """Default eigenvalue cutoff: 1e-9 times the spectral norm (0 for a zero matrix)."""
+    """Eigenvalue cutoff: 1e-9 times the spectral norm (0 for a zero matrix)."""
     return 1e-9 * float(np.abs(eigenvalues).max())
 
 
@@ -103,18 +103,10 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def is_psd(m, tol: float | None = None) -> bool:
-    """True iff the minimum eigenvalue is at least ``-tol``.
-
-    ``tol`` defaults to 1e-9 relative to the spectral norm; pass an explicit
-    value (possibly 0) to override.
-    """
+def is_psd(m) -> bool:
+    """True iff the minimum eigenvalue is at least -1e-9 times the spectral norm."""
     w = np.linalg.eigvalsh(as_sym(m).values)
-    if tol is None:
-        tol = relative_tol(w)
-    elif tol < 0:
-        raise ParamRange(f"tol must be non-negative, got {tol}")
-    return bool(w.min() >= -tol)
+    return bool(w.min() >= -relative_tol(w))
 
 
 def psd_inv_sqrt(m) -> SymMatrix:
@@ -158,16 +150,19 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
 
 
-def loewner_within(a, b, eps: float, tol: float = 1e-9) -> bool:
+def spectrum_within(w: np.ndarray, eps: float) -> bool:
+    """The sandwich test: every whitened eigenvalue lies in ``[1-eps-1e-9, 1+eps+1e-9]``."""
+    return bool(w.min() >= 1.0 - eps - 1e-9 and w.max() <= 1.0 + eps + 1e-9)
+
+
+def loewner_within(a, b, eps: float) -> bool:
     """Check the two-sided spectral sandwich ``(1-eps) b <= a <= (1+eps) b``.
 
-    Evaluated in the whitened domain: every eigenvalue of
-    ``b^{-1/2} a b^{-1/2}`` must lie in ``[1 - eps - tol, 1 + eps + tol]``.
-    The comparison is scale-invariant.  Raises :class:`SingularMatrix` when
-    ``b`` is not positive definite at 1e-9 relative to its spectral norm.
+    Evaluated in the whitened domain by :func:`spectrum_within` on the
+    eigenvalues of ``b^{-1/2} a b^{-1/2}``.  The comparison is
+    scale-invariant.  Raises :class:`SingularMatrix` when ``b`` is not
+    positive definite at 1e-9 relative to its spectral norm.
     """
     if eps < 0:
         raise ParamRange(f"eps must be non-negative, got {eps}")
-    w = whitened_eigenvalues(a, b)
-    return bool(w.min() >= 1.0 - eps - tol and w.max() <= 1.0 + eps + tol)
-
+    return spectrum_within(whitened_eigenvalues(a, b), eps)

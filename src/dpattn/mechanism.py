@@ -30,16 +30,17 @@ WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 class MechanismOutput:
     """Covariance estimate released by the mechanism, with diagnostics.
 
-    ``rel_frob_error`` records the whitened Frobenius deviation from the true
-    covariance (NaN when the input covariance is singular and whitening is
-    undefined).  ``warnings`` flags ``SingularEstimate`` when k < n, in which
-    case the estimate cannot be positive definite.
+    ``whitened = T T^T / k`` is the release whitened by the input covariance,
+    in its eigenbasis, and ``rel_frob_error`` its Frobenius distance to ``I``
+    (``None`` and NaN for a singular input).  ``warnings`` flags
+    ``SingularEstimate`` when k < n: the estimate cannot be positive definite.
     """
 
     sigma_hat: SymMatrix
     k: int
     seed: object
     rel_frob_error: float
+    whitened: SymMatrix | None
     warnings: tuple[str, ...]
 
 
@@ -56,10 +57,11 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     ``(sigma, k, seed)``; the stream layout is documented in :mod:`rng`.
     Raises :class:`NotPsd` for an indefinite ``sigma``.
 
-    Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``
-    and ``rel_frob_error = ||T T^T / k - I||_F``, whatever ``sigma`` is.  It
-    is NaN when ``sigma`` is singular at 1e-9 relative to its spectral norm,
-    the floor of :func:`linalg.psd_inv_sqrt`.
+    Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``:
+    it has the spectrum of ``whitened = T T^T / k`` whatever ``sigma`` is,
+    and ``rel_frob_error = ||T T^T / k - I||_F``.  Both are undefined when
+    ``sigma`` is singular at 1e-9 relative to its spectral norm, the floor of
+    :func:`linalg.psd_inv_sqrt`.
     """
     sigma = as_sym(sigma)
     if k < 1:
@@ -79,12 +81,12 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    rel = float("nan")
+    rel, whitened = float("nan"), None
     if dec.eigenvalues.min() > relative_tol(dec.eigenvalues):
-        rel = float(np.linalg.norm(bartlett @ bartlett.T / k - np.eye(n)))
-    return MechanismOutput(
-        sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel, warnings=warnings
-    )
+        gram_t = bartlett @ bartlett.T / k
+        rel, whitened = float(np.linalg.norm(gram_t - np.eye(n))), SymMatrix(gram_t)
+    return MechanismOutput(sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel,
+                           whitened=whitened, warnings=warnings)
 
 
 def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import Activation, attention_matrix, theoretical_error_bound
-from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
-from .errors import ParamRange, SingularMatrix
-from .linalg import SymMatrix, loewner_within, psd_project
+from .dataset import GOODNESS_TOL, Dataset, NeighborPair, gram, sensitivity_bound
+from .errors import ParamRange
+from .linalg import SymMatrix, psd_project, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
 from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, privacy_spectrum,
                       sensitivity_budget)
@@ -114,13 +114,6 @@ class DpAttentionReport:
     certified: bool
 
 
-def _loewner_event(a, b, eps: float) -> bool:
-    try:
-        return loewner_within(a, b, eps)
-    except SingularMatrix:
-        return False
-
-
 def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionReport:
     """Release a private attention surrogate for one dataset and verify it.
 
@@ -139,6 +132,10 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
 
     A failed hard requirement does not abort the run; the full report is
     produced with ``certified=False`` and the failing check named.
+
+    Both sandwich events are read off the spectrum ``mu`` of the mechanism's
+    whitened release ``T T^T / k``: ``mu`` within ``rho`` and ``1/mu`` within
+    ``eps``.  Both are false when the Gram matrix is singular.
     """
     if not 0.0 <= beta < math.inf:
         raise ParamRange(f"beta must be non-negative and finite, got {beta}")
@@ -157,7 +154,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         RequirementCheck("eps_range", 0.0 < params.eps <= 0.1, params.eps, 0.1),
         RequirementCheck("delta_range", 0.0 < params.delta <= 0.1, params.delta, 0.1),
         RequirementCheck("entry_bound", entry_max <= params.r, entry_max, params.r),
-        RequirementCheck("dataset_good", min_eig >= data.eta - 1e-9, min_eig, data.eta),
+        RequirementCheck("dataset_good", min_eig >= data.eta - GOODNESS_TOL, min_eig, data.eta),
         RequirementCheck("eta_below_r", data.eta < params.r, data.eta, params.r,
                          warning_only=True),
         RequirementCheck("sensitivity", sens_frob < budget_used, sens_frob, budget_used),
@@ -172,11 +169,14 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         projected = True
 
     # The mechanism's guarantee is relative closeness of the release to the
-    # input at level rho; the attention bound needs the inverted sandwich at
-    # level eps.  rho <= 0.1 * eps makes the implication exact, and both
-    # events are evaluated instead of trusting it.
-    rho_event = _loewner_event(released, base, rho)
-    eps_event = _loewner_event(base, released, params.eps)
+    # input at level rho (spectrum mu); the attention bound needs the inverted
+    # sandwich at level eps (spectrum 1/mu).  rho <= 0.1 * eps makes the
+    # implication exact, and both events are evaluated instead of trusting it.
+    rho_event = eps_event = False
+    if mech.whitened is not None:
+        mu = np.linalg.eigvalsh(mech.whitened.values)
+        rho_event = spectrum_within(mu, rho)
+        eps_event = bool(mu.min() > 0.0) and spectrum_within(1.0 / mu, params.eps)
     conversion_ok = eps_event or not (rho_event and rho <= 0.1 * params.eps)
 
     attention_base = attention_matrix(base, params.kind)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from dpattn import rng, whitened_eigenvalues
+from dpattn import SingularMatrix, loewner_within, rng, whitened_eigenvalues
 
 
 def rand_orthogonal(gen, n):
@@ -95,3 +95,13 @@ def relative_frobenius_distance(sigma, sigma_hat):
     when ``sigma`` is singular and ``DimMismatch`` when the shapes differ.
     """
     return float(np.linalg.norm(whitened_eigenvalues(sigma_hat, sigma) - 1.0))
+
+
+def loewner_event(a, b, eps):
+    """Reference sandwich event: ``loewner_within(a, b, eps)`` on the actual
+    matrices, with a singular ``b`` (no whitening defined) read as ``False``.
+    """
+    try:
+        return loewner_within(a, b, eps)
+    except SingularMatrix:
+        return False

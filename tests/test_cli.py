@@ -125,6 +125,31 @@ class TestDpAttention:
         failing = [c["name"] for c in report["requirement_checks"] if not c["passed"]]
         assert "utility" in failing
 
+    def test_k_below_n_writes_false_eps_event(self, tmp_path, gen_config):
+        # the release is singular at k < n; the event must still be a JSON bool
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.attention_config(tmp_path, sidecar, k=1)
+        assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 1
+        report = json.loads((tmp_path / "dp_attention_report.json").read_text())
+        assert report["loewner_eps_event"] is False
+        assert report["warnings"] == ["SingularEstimate"]
+
+    def test_unwritable_report_exit_two(self, tmp_path, gen_config, capsys):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.attention_config(tmp_path, sidecar, report="nodir/r.json")
+        capsys.readouterr()
+        assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and err.count("\n") == 1
+
+    def test_out_naming_a_file_exit_two(self, tmp_path, gen_config, capsys):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.attention_config(tmp_path, sidecar)
+        capsys.readouterr()
+        assert run(["dp-attention", "--config", cfg, "--out", sidecar]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileExistsError: ") and err.count("\n") == 1
+
     def test_missing_dataset_file(self, tmp_path, gen_config):
         cfg = self.attention_config(tmp_path, tmp_path / "nothere.json")
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 2
@@ -304,6 +329,7 @@ VALID = {
 SINGLE_FAULTS = [
     ("gen-dataset", "config", "extra", 1, "unknown config keys: ['extra']"),
     ("gen-dataset", "config", "name", 1, "name must be a string, got 1"),
+    ("gen-dataset", "config", "name", "", "name must be a non-empty string, got ''"),
     ("gen-dataset", "config", "n", DROP, "missing config keys: ['n']"),
     ("gen-dataset", "config", "n", 1.5, "n must be an integer, got 1.5"),
     ("gen-dataset", "config", "n", 0, "n must be at least 1, got 0"),
@@ -372,6 +398,7 @@ SINGLE_FAULTS = [
     ("dp-attention", "config", "seed", 4294967295,
      "seed must be at most 4294967294, got 4294967295"),
     ("dp-attention", "config", "report", 1, "report must be a string, got 1"),
+    ("dp-attention", "config", "report", "", "report must be a non-empty string, got ''"),
     ("verify-privacy", "config", "extra", 1, "unknown config keys: ['extra']"),
     ("verify-privacy", "config", "dataset", DROP, "missing config keys: ['dataset']"),
     ("verify-privacy", "config", "dataset", 1, "dataset must be a string, got 1"),
@@ -445,6 +472,7 @@ SINGLE_FAULTS = [
     ("bench-utility", "config", "cond", NAN, "cond must be finite, got nan"),
     ("bench-utility", "config", "cond", INF, "cond must be finite, got inf"),
     ("bench-utility", "config", "report", 1, "report must be a string, got 1"),
+    ("bench-utility", "config", "report", "", "report must be a non-empty string, got ''"),
     ("dp-attention", "sidecar", "extra", 1, "unknown config keys: ['extra']"),
     ("dp-attention", "sidecar", "schema_version", DROP, "missing config keys: ['schema_version']"),
     ("dp-attention", "sidecar", "kind", DROP, "missing config keys: ['kind']"),
@@ -473,6 +501,7 @@ SINGLE_FAULTS = [
     ("verify-privacy", "config", "perturbed_csv", "demo.csv",
      "unknown config keys: ['perturbed_csv']"),
     ("verify-privacy", "config", "report", 1, "report must be a string, got 1"),
+    ("verify-privacy", "config", "report", "", "report must be a non-empty string, got ''"),
 ]
 
 

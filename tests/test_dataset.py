@@ -115,6 +115,12 @@ class TestMakeNeighbor:
         with pytest.raises(ParamRange):
             make_neighbor(data, beta=0.0, index=0, seed=0)
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_beta_must_be_finite(self, beta):
+        data = generate_good_dataset(2, 2, eta=1.0, alpha=1.0, seed=0)
+        with pytest.raises(ParamRange):
+            make_neighbor(data, beta=beta, index=0, seed=0)
+
 
 class TestNeighborPairValidation:
     def test_rejects_two_changed_columns(self):
@@ -131,6 +137,12 @@ class TestNeighborPairValidation:
         perturbed[:, 1] += 0.5
         with pytest.raises(ParamRange):
             NeighborPair(base=data, perturbed=perturbed, beta=0.01, index=1)
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_rejects_non_finite_beta(self, beta):
+        data = generate_good_dataset(2, 3, eta=1.0, alpha=1.1, seed=0)
+        with pytest.raises(ParamRange):
+            NeighborPair(base=data, perturbed=data.x.copy(), beta=beta, index=0)
 
 
 class TestGram:

@@ -90,13 +90,13 @@ class TestEigendecompose:
 
 class TestIsPsd:
     def test_identity_zero_tol(self):
-        assert is_psd(SymMatrix.identity(3), tol=0.0)
+        assert is_psd(SymMatrix.identity(3))
 
     def test_negative_eigenvalue(self):
-        assert not is_psd(SymMatrix.diagonal([1.0, -0.5]), tol=1e-9)
+        assert not is_psd(SymMatrix.diagonal([1.0, -0.5]))
 
     def test_tolerance_absorbs_tiny_negative(self):
-        assert is_psd(SymMatrix.diagonal([1.0, -1e-12]), tol=1e-9)
+        assert is_psd(SymMatrix.diagonal([1.0, -1e-12]))
 
 
 class TestPsdInvSqrt:

@@ -12,6 +12,7 @@ from dpattn import (
     required_samples,
     rng,
     utility_radius,
+    whitened_eigenvalues,
 )
 from helpers import direct_gaussian_samples, rand_orthogonal, rand_pd, relative_frobenius_distance
 
@@ -140,6 +141,22 @@ class TestRelFrobError:
                 out = gaussian_sampling_mechanism(sigma, k, seed=seed)
                 oracle = relative_frobenius_distance(sigma, out.sigma_hat)
                 assert out.rel_frob_error == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 50, 1_000_000])
+    def test_whitened_spectrum_matches_oracle(self, k):
+        for cond in (1.0, 1e3):
+            for seed in range(5):
+                sigma = self.conditioned(6, cond)
+                out = gaussian_sampling_mechanism(sigma, k, seed=seed)
+                mu = np.linalg.eigvalsh(out.whitened.values)[::-1]
+                oracle = whitened_eigenvalues(out.sigma_hat, sigma)
+                assert np.abs(mu - oracle).max() <= 1e-9 * np.abs(oracle).max()
+
+    def test_whitened_is_none_exactly_when_error_is_nan(self):
+        for floor, defined in ((1e-9, False), (2e-9, True)):
+            out = gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, floor]), 10, 0)
+            assert (out.whitened is not None) is defined
+            assert math.isfinite(out.rel_frob_error) is defined
 
     def test_nan_at_the_singularity_floor(self):
         # the floor of psd_inv_sqrt: an eigenvalue at most 1e-9 times the largest

@@ -3,6 +3,7 @@ import pytest
 
 from dpattn import (
     Activation,
+    Dataset,
     DpParams,
     NeighborPair,
     ParamRange,
@@ -17,6 +18,7 @@ from dpattn import (
     utility_radius,
     verify_neighbor_privacy,
 )
+from helpers import loewner_event
 
 EXPECTED_CHECK_NAMES = [
     "d_ge_n",
@@ -156,6 +158,54 @@ class TestDpAttention:
         b = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(seed=5))
         assert np.array_equal(a.released.values, b.released.values)
         assert a.measured_error == b.measured_error
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("eta", [1e-2, 1e-4])
+    def test_events_match_the_whitening_oracle(self, n, eta):
+        # Both events come from the spectrum of the mechanism's T T^T / k; the
+        # oracle whitens the actual matrices, the release by the Gram matrix
+        # for rho and the Gram matrix by the release for eps.
+        data = generate_good_dataset(n, 2 * n, eta=eta, alpha=0.11, seed=n)
+        seen = set()
+        for k in sorted({1, 2, n, n + 1, *(10**e for e in range(1, 8))}):
+            for eps in (0.01, 0.05, 0.1):
+                for seed in range(6):
+                    params = DpParams(eps=eps, delta=0.01, gamma=0.05, k=k, r=0.1,
+                                      kind=Activation.EXP, utility_const=1.0, seed=seed)
+                    report = dp_attention(data, 1e-8, params)
+                    rho_event = loewner_event(report.released, report.gram_matrix, report.rho)
+                    eps_event = loewner_event(report.gram_matrix, report.released, eps)
+                    assert report.loewner_rho_event is rho_event
+                    assert report.loewner_eps_event is eps_event
+                    seen.add((eps_event, report.psd_projection_applied))
+        assert {(True, False), (False, False)} <= seen
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 10**6])
+    def test_events_false_on_a_singular_gram(self, k):
+        data = Dataset(x=np.full((3, 6), 0.02), eta=1e-15, alpha=0.11)
+        report = dp_attention(data, 1e-8, fast_params(k=k))
+        assert report.loewner_rho_event is False
+        assert report.loewner_eps_event is False
+        assert loewner_event(report.released, report.gram_matrix, report.rho) is False
+        assert loewner_event(report.gram_matrix, report.released, 0.05) is False
+
+    def test_one_eigh_and_three_eigvalsh(self, monkeypatch):
+        # eigvalsh: the dataset_good floor, the release's PSD check and the
+        # whitened release; eigh: the mechanism's factor of the Gram matrix.
+        data = fast_dataset()
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counting(name, solve):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        report = dp_attention(data, 1e-8, fast_params())
+        assert not report.psd_projection_applied
+        assert calls == {"eigh": 1, "eigvalsh": 3}
 
     def test_conversion_holds_across_seeds(self):
         data = fast_dataset()
