@@ -13,9 +13,10 @@ keys in one table, ``key -> (check, default)``; the default ``REQUIRED``
 marks a mandatory key.  One validator reports unknown keys, then missing
 keys, then the first value in table order that fails its check, by name and
 before any file is read.  Numbers must be finite, output names non-empty;
-seeds lie in ``[0, rng.MAX_SEED]``.  Matrices travel as headerless CSV (one
-row per line) with shortest round-trip float formatting, so write/read
-cycles are bit-exact.  Reports are JSON with a top-level ``schema_version``.
+seeds lie in ``[0, rng.MAX_SEED]``.  Matrices and bench-utility's table are
+CSV with shortest round-trip floats, so write/read cycles are bit-exact;
+verify-privacy's privacy-loss draws are one float64 ``.npy`` array in trial
+order.  Reports are JSON with a top-level ``schema_version``.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
 2 input or parse error, or an output that cannot be written.
@@ -37,7 +38,7 @@ from .attention import Activation
 from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError
 from .linalg import SymMatrix
-from .mechanism import gaussian_sampling_mechanism
+from .mechanism import bartlett_release, checked_spectrum
 from .pipeline import DpAttentionReport, DpParams, NeighborPrivacyReport, dp_attention, \
     verify_neighbor_privacy
 
@@ -192,13 +193,9 @@ _BENCH_UTILITY = {
 # ---------------------------------------------------------------------------
 # matrix / report io
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
     rows = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = [",".join(_format_float(v) for v in row) for row in rows]
+    lines = [",".join(repr(float(v)) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -369,11 +366,7 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
                                      trials=v["trials"], seed=v["seed"])
     name = v["report"]
     write_json(out_dir / f"{name}.json", _privacy_report_doc(report))
-    samples_path = out_dir / f"{name}_samples.csv"
-    lines = ["trial,z"] + [
-        f"{t},{_format_float(z)}" for t, z in enumerate(report.samples)
-    ]
-    samples_path.write_text("\n".join(lines) + "\n")
+    np.save(out_dir / f"{name}_samples.npy", report.samples)
     granted = report.certificate.granted
     print(
         f"wrote {out_dir / (name + '.json')}: "
@@ -400,19 +393,18 @@ def _bench_sigma(n: int, cond: float, seed: int) -> SymMatrix:
 def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     v = _validate(cfg, _BENCH_UTILITY)
     n, seed = v["n"], v["seed"]
-    sigma = _bench_sigma(n, v["cond"], seed)
+    # The error needs only each release's Bartlett factor and one check of sigma.
+    _, defined = checked_spectrum(_bench_sigma(n, v["cond"], seed))
 
     lines = ["n,k,trial,rel_frob_error"]
     for ki, k in enumerate(v["ks"]):
         errors = [
-            gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error
+            bartlett_release(n, k, (seed, ki, t))[2] if defined else math.nan
             for t in range(v["trials"])
         ]
-        lines.extend(
-            f"{n},{k},{t},{_format_float(err)}" for t, err in enumerate(errors)
-        )
+        lines.extend(f"{n},{k},{t},{err!r}" for t, err in enumerate(errors))
         if errors:
-            lines.append(f"{n},{k},median,{_format_float(statistics.median(errors))}")
+            lines.append(f"{n},{k},median,{statistics.median(errors)!r}")
     path = out_dir / v["report"]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")

@@ -11,7 +11,7 @@ Frobenius norm), which is what hands the pair to the privacy analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -25,16 +25,21 @@ GOODNESS_TOL = 1e-9
 
 def check_good(x, eta: float, alpha: float) -> bool:
     """True iff ``x x^T >= (eta - GOODNESS_TOL) I`` and column norms <= ``alpha + GOODNESS_TOL``."""
+    return _goodness(x, eta, alpha)[2]
+
+
+def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, float, bool]:
+    """The Gram matrix ``x x^T``, its minimum eigenvalue and :func:`check_good`'s verdict."""
     if eta <= 0 or alpha <= 0:
         raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ParamRange(f"dataset must be a 2-d matrix, got shape {arr.shape}")
-    min_eig = float(np.linalg.eigvalsh(arr @ arr.T).min())
-    if min_eig < eta - GOODNESS_TOL:
-        return False
-    col_norms = np.linalg.norm(arr, axis=0)
-    return bool(col_norms.max() <= alpha + GOODNESS_TOL)
+    g = arr @ arr.T
+    min_eig = float(np.linalg.eigvalsh(g).min())
+    good = (min_eig >= eta - GOODNESS_TOL
+            and np.linalg.norm(arr, axis=0).max() <= alpha + GOODNESS_TOL)
+    return g, min_eig, bool(good)
 
 
 @dataclass(frozen=True)
@@ -42,12 +47,15 @@ class Dataset:
     """Immutable matrix with declared goodness parameters ``(eta, alpha)``.
 
     Construction validates the declaration: d >= n, the Gram spectral floor,
-    and the column-norm cap (at tolerance ``GOODNESS_TOL``).
+    and the column-norm cap (at tolerance ``GOODNESS_TOL``).  It keeps the
+    Gram matrix ``gram_matrix`` and its minimum eigenvalue ``min_eigenvalue``.
     """
 
     x: np.ndarray
     eta: float
     alpha: float
+    gram_matrix: SymMatrix = field(init=False, repr=False, compare=False)
+    min_eigenvalue: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.x, dtype=float, copy=True)
@@ -58,12 +66,15 @@ class Dataset:
         n, d = arr.shape
         if d < n:
             raise ParamRange(f"dataset requires d >= n, got n={n}, d={d}")
-        if not check_good(arr, self.eta, self.alpha):
+        g, min_eig, good = _goodness(arr, self.eta, self.alpha)
+        if not good:
             raise Infeasible(
                 f"dataset does not satisfy the declared (eta={self.eta}, alpha={self.alpha}) bounds"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
+        object.__setattr__(self, "gram_matrix", SymMatrix(g))
+        object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @property
     def n(self) -> int:
@@ -172,8 +183,10 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
 
 
 def gram(x) -> SymMatrix:
-    """The Gram matrix ``X X^T``; PSD by construction."""
-    arr = x.x if isinstance(x, Dataset) else np.asarray(x, dtype=float)
+    """The Gram matrix ``X X^T``; PSD by construction.  A :class:`Dataset` keeps its own."""
+    if isinstance(x, Dataset):
+        return x.gram_matrix
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         raise ParamRange(f"expected a 2-d matrix, got shape {arr.shape}")
     return SymMatrix(arr @ arr.T)

@@ -92,12 +92,8 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = nonzero[0] if nonzero.size else 0
-        if col[lead] < 0:
-            v[:, j] = -col
+    lead = np.argmax(np.abs(v) > 1e-12, axis=0)  # row 0 for an all-zero column
+    v[:, v[lead, np.arange(v.shape[1])] < 0] *= -1.0
     w.flags.writeable = False
     v.flags.writeable = False
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import NotPsd, ParamRange
-from .linalg import SymMatrix, as_sym, relative_tol, sym_eigendecompose
+from .linalg import SpectralDecomposition, SymMatrix, as_sym, relative_tol, sym_eigendecompose
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 
@@ -44,6 +44,30 @@ class MechanismOutput:
     warnings: tuple[str, ...]
 
 
+def checked_spectrum(sigma) -> tuple[SpectralDecomposition, bool]:
+    """``sigma``'s eigendecomposition and whether it is positive definite at 1e-9
+    relative to its spectral norm; :class:`NotPsd` if it is indefinite."""
+    dec = sym_eigendecompose(sigma)
+    w = dec.eigenvalues
+    if w.min() < -relative_tol(w):
+        raise NotPsd("covariance must be PSD")
+    return dec, bool(w.min() > relative_tol(w))
+
+
+def bartlett_release(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``n x min(n, k)`` Bartlett factor ``T`` on the mechanism stream of ``seed``,
+    the whitened release ``T T^T / k`` and its distance ``||T T^T/k - I||_F``."""
+    m = min(n, k)
+    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+    bartlett = np.zeros((n, m))
+    diag = np.arange(m)
+    bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
+    below = np.tri(n, m, -1, dtype=bool)
+    bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
+    gram_t = bartlett @ bartlett.T / k
+    return bartlett, gram_t, float(np.linalg.norm(gram_t - np.eye(n)))
+
+
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     """Release ``sigma_hat = (1/k) sum_i g_i g_i^T`` with ``g_i ~ N(0, sigma)``.
 
@@ -60,31 +84,18 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``:
     it has the spectrum of ``whitened = T T^T / k`` whatever ``sigma`` is,
     and ``rel_frob_error = ||T T^T / k - I||_F``.  Both are undefined when
-    ``sigma`` is singular at 1e-9 relative to its spectral norm, the floor of
-    :func:`linalg.psd_inv_sqrt`.
+    ``sigma`` is singular (see :func:`checked_spectrum`).
     """
     sigma = as_sym(sigma)
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
-    dec = sym_eigendecompose(sigma)
-    if dec.eigenvalues.min() < -relative_tol(dec.eigenvalues):
-        raise NotPsd("covariance must be PSD")
+    dec, defined = checked_spectrum(sigma)
     factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    n = sigma.dim
-    m = min(n, k)
-    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
-    bartlett = np.zeros((n, m))
-    diag = np.arange(m)
-    bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
-    below = np.tri(n, m, -1, dtype=bool)
-    bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
+    bartlett, gram_t, rel = bartlett_release(sigma.dim, k, seed)
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    rel, whitened = float("nan"), None
-    if dec.eigenvalues.min() > relative_tol(dec.eigenvalues):
-        gram_t = bartlett @ bartlett.T / k
-        rel, whitened = float(np.linalg.norm(gram_t - np.eye(n))), SymMatrix(gram_t)
+    rel, whitened = (rel, SymMatrix(gram_t)) if defined else (float("nan"), None)
     return MechanismOutput(sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel,
                            whitened=whitened, warnings=warnings)
 
@@ -116,12 +127,7 @@ def required_samples(n: int, gamma: float, radius_target: float, scale: float) -
     """
     if radius_target <= 0:
         raise ParamRange(f"radius_target must be positive, got {radius_target}")
-    if scale <= 0:
-        raise ParamRange(f"scale must be positive, got {scale}")
-    if not 0.0 < gamma < 1.0:
-        raise ParamRange(f"gamma must lie in (0, 1), got {gamma}")
-    if n < 1:
-        raise ParamRange(f"n must be at least 1, got {n}")
+    utility_radius(n, gamma, 1, scale)  # validates n, gamma and scale
     mass = n * n + math.log(1.0 / gamma)
     # Solve y + y^2 = target/scale for y = sqrt(mass / k).
     t = radius_target / scale

@@ -146,7 +146,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     sens_frob = sensitivity_bound(data.eta, data.alpha, beta, n).frobenius_bound
     rho = utility_radius(n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
-    min_eig = float(np.linalg.eigvalsh(base.values).min())
+    min_eig = data.min_eigenvalue
 
     checks = (
         RequirementCheck("d_ge_n", d >= n, float(d), float(n)),

@@ -105,3 +105,18 @@ def loewner_event(a, b, eps):
         return loewner_within(a, b, eps)
     except SingularMatrix:
         return False
+
+
+def sign_rule_loop(v):
+    """Reference eigenvector sign rule, column by column: negate a column whose
+    first entry larger than 1e-12 in magnitude is negative (row 0 for a column
+    with no such entry).  Returns a new array.
+    """
+    v = np.array(v, dtype=float)
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
+        lead = nonzero[0] if nonzero.size else 0
+        if col[lead] < 0:
+            v[:, j] = -col
+    return v

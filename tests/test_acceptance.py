@@ -267,7 +267,7 @@ def test_criterion_7_cli_determinism(tmp_path):
     outputs = {
         "gen-dataset": ["demo.csv", "demo.json"],
         "dp-attention": ["dp_attention_report.json"],
-        "verify-privacy": ["privacy_report.json", "privacy_report_samples.csv"],
+        "verify-privacy": ["privacy_report.json", "privacy_report_samples.npy"],
         "bench-utility": ["bench_utility.csv"],
     }
     mismatches = []

@@ -1,11 +1,13 @@
 import json
 import re
+import statistics
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpattn import cli, rng
+from dpattn import (Dataset, cli, gaussian_sampling_mechanism, make_neighbor, rng,
+                    verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -192,9 +194,19 @@ class TestVerifyPrivacy:
         report = json.loads((tmp_path / "privacy_report.json").read_text())
         assert report["empirical_rate"] == 0.0
         assert report["certificate"]["granted"] is True
-        samples = (tmp_path / "privacy_report_samples.csv").read_text().splitlines()
-        assert samples[0] == "trial,z"
-        assert len(samples) == 1001
+        samples = np.load(tmp_path / "privacy_report_samples.npy", allow_pickle=False)
+        assert samples.shape == (1000,)
+
+    def test_samples_npy_are_the_library_draws(self, tmp_path, gen_config):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.privacy_config(tmp_path, sidecar, trials=1234)
+        assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 0
+        samples = np.load(tmp_path / "privacy_report_samples.npy", allow_pickle=False)
+        data = Dataset(x=read_matrix_csv(tmp_path / "demo.csv"), eta=0.01, alpha=0.11)
+        pair = make_neighbor(data, beta=1e-9, index=1, seed=5)
+        report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1234, seed=3)
+        assert samples.dtype == np.float64 and samples.shape == (1234,)
+        assert np.array_equal(samples, report.samples)
 
     def test_generated_neighbor_form(self, tmp_path, gen_config):
         sidecar = make_dataset(tmp_path, gen_config)
@@ -304,6 +316,31 @@ class TestBenchUtility:
             assert run(["bench-utility", "--config", cfg, "--out", out]) == 0
             outputs.append((out / "bench_utility.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e9])
+    def test_rows_are_the_mechanism_errors(self, tmp_path, cond):
+        n, ks, trials, seed = 5, [1, 4, 5, 100_000], 4, 2
+        cfg = self.bench_config(tmp_path, n=n, ks=ks, trials=trials, seed=seed, cond=cond)
+        assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "bench_utility.csv").read_text().splitlines()[1:]]
+        sigma = cli._bench_sigma(n, cond, seed)
+        expected = []
+        for ki, k in enumerate(ks):
+            errors = [gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error
+                      for t in range(trials)]
+            expected += [[str(n), str(k), str(t), repr(e)] for t, e in enumerate(errors)]
+            expected.append([str(n), str(k), "median", repr(statistics.median(errors))])
+        assert rows == expected
+        assert any(row[3] == "nan" for row in rows) == (cond == 1e9)
+
+    def test_one_eigh_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        cfg = self.bench_config(tmp_path, ks=[2, 3, 50], trials=4)
+        assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
+        assert len(calls) == 1
 
 
 DROP = object()  # the key is removed from the valid document
@@ -518,6 +555,30 @@ def set_key(doc, key, value):
         doc[key] = value
 
 
+def readme_configs():
+    """The README's ``jsonc`` block: each command's config, the file names its
+    ``// <command>: writes ...`` line names, and the keys of the perturbed_csv form.
+    """
+    text = README.read_text()
+    block = text[text.index("```jsonc"):]
+    block = block[:block.index("```", 3)]
+    docs, writes, command, pending, file_form_keys = {}, {}, None, "", None
+    for line in block.splitlines()[1:]:
+        if line.startswith("//"):
+            named = re.match(r"// ([a-z-]+): writes (.*)", line)
+            if named and named.group(1) in cli._COMMANDS:
+                command = named.group(1)
+                writes[command] = re.findall(r"[\w<>]+\.(?:csv|json|npy)", named.group(2))
+            if "perturbed_csv" in line:
+                file_form_keys = set(re.findall(r'"(\w+)":', line))
+            continue
+        pending += line
+        if pending and pending.count("{") == pending.count("}"):
+            docs[command] = json.loads(pending)
+            pending = ""
+    return docs, writes, file_form_keys
+
+
 class TestConfigTables:
     @pytest.mark.parametrize("case", SINGLE_FAULTS, ids=fault_id)
     def test_single_fault(self, tmp_path, capsys, case):
@@ -547,28 +608,13 @@ class TestConfigTables:
             cli._SEED("seed", rng.MAX_SEED + 1)
 
     def test_readme_configs_pass_their_tables(self):
-        text = README.read_text()
-        block = text[text.index("```jsonc"):]
-        block = block[:block.index("```", 3)]
+        docs, _, file_form_keys = readme_configs()
         tables = {
             "gen-dataset": cli._GEN_DATASET,
             "dp-attention": cli._DP_ATTENTION,
             "verify-privacy": cli._VERIFY_PRIVACY | cli._INLINE_PAIR,
             "bench-utility": cli._BENCH_UTILITY,
         }
-        docs, command, pending, file_form_keys = {}, None, "", None
-        for line in block.splitlines()[1:]:
-            if line.startswith("//"):
-                named = re.match(r"// ([a-z-]+):", line)
-                if named and named.group(1) in tables:
-                    command = named.group(1)
-                if "perturbed_csv" in line:
-                    file_form_keys = set(re.findall(r'"(\w+)":', line))
-                continue
-            pending += line
-            if pending and pending.count("{") == pending.count("}"):
-                docs[command] = json.loads(pending)
-                pending = ""
         assert set(docs) == set(tables)
         for command, doc in docs.items():
             cli._validate(doc, tables[command])
@@ -579,3 +625,13 @@ class TestConfigTables:
         neighbor = file_doc.pop("neighbor")
         file_doc.update(perturbed_csv="demo.csv", beta=neighbor["beta"], index=neighbor["index"])
         cli._validate(file_doc, cli._VERIFY_PRIVACY | cli._FILE_PAIR)
+
+    def test_readme_configs_write_the_files_they_name(self, tmp_path):
+        docs, writes, _ = readme_configs()
+        assert list(docs) == list(writes) == list(cli._COMMANDS)
+        for command, doc in docs.items():
+            path = write_config(tmp_path / f"{command}.cfg", doc)
+            before = set(tmp_path.iterdir())
+            assert run([command, "--config", path, "--out", tmp_path]) == 0
+            named = {name.replace("<name>", doc.get("name", "")) for name in writes[command]}
+            assert {p.name for p in set(tmp_path.iterdir()) - before} == named, command

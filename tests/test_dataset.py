@@ -160,6 +160,12 @@ class TestGram:
         assert is_psd(g)
         assert np.linalg.eigvalsh(g.values).min() >= data.eta - 1e-9
 
+    def test_dataset_keeps_its_gram_and_floor(self):
+        data = generate_good_dataset(3, 6, eta=0.1, alpha=0.5, seed=8)
+        assert gram(data) is data.gram_matrix
+        assert np.array_equal(gram(data.x).values, data.gram_matrix.values)
+        assert data.min_eigenvalue == np.linalg.eigvalsh(gram(data.x).values).min()
+
 
 class TestSensitivity:
     def test_unchanged_pair_measures_zero(self):

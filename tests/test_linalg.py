@@ -15,7 +15,8 @@ from dpattn import (
     sym_eigendecompose,
     whitened_eigenvalues,
 )
-from helpers import rand_pd, rand_psd, rand_symmetric, relative_frobenius_distance
+from helpers import (rand_pd, rand_psd, rand_symmetric, relative_frobenius_distance,
+                     sign_rule_loop)
 
 
 class TestSymMatrix:
@@ -86,6 +87,36 @@ class TestEigendecompose:
             gram = dec.eigenvectors.T @ dec.eigenvectors
             assert np.linalg.norm(gram - np.eye(n)) <= 1e-8 * n
             assert np.all(np.diff(dec.eigenvalues) <= 0)
+
+    @staticmethod
+    def loop_oracle(m):
+        w, v = np.linalg.eigh(np.asarray(m, dtype=float))
+        return sign_rule_loop(v[:, np.argsort(-w, kind="stable")])
+
+    @pytest.mark.parametrize("m", [np.eye(4), np.zeros((3, 3)), np.diag([2.0, 2.0, 1.0]),
+                                   np.ones((5, 5)), np.ones((1, 1)), -np.eye(2)],
+                             ids=["identity", "zero", "repeated", "all-ones", "one", "neg"])
+    def test_sign_rule_matches_loop(self, m):
+        assert np.array_equal(sym_eigendecompose(m).eigenvectors, self.loop_oracle(m))
+
+    def test_sign_rule_matches_loop_on_random_matrices(self):
+        gen = np.random.default_rng(11)
+        for _ in range(300):
+            m = rand_symmetric(gen, int(gen.integers(1, 10)))
+            assert np.array_equal(sym_eigendecompose(m).eigenvectors, self.loop_oracle(m))
+
+    def test_sign_rule_threshold_and_zero_column(self, monkeypatch):
+        # eigh is replaced so the rule sees entries at the 1e-12 threshold
+        # and a column with no entry above it
+        v = np.array([[-1e-13, 0.0, -1e-12, 0.0],
+                      [-0.6, 0.0, 2e-12, 1e-13],
+                      [0.8, 0.0, -1.0, -1e-13],
+                      [0.0, 0.0, 0.0, 0.0]])
+        w = np.array([1.0, 2.0, 3.0, 4.0])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (w.copy(), v.copy()))
+        got = sym_eigendecompose(np.eye(4)).eigenvectors
+        assert np.array_equal(got, sign_rule_loop(v[:, ::-1]))
+        assert np.array_equal(got[:, 3], [1e-13, 0.6, -0.8, 0.0])
 
 
 class TestIsPsd:

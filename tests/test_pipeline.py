@@ -189,9 +189,10 @@ class TestDpAttention:
         assert loewner_event(report.released, report.gram_matrix, report.rho) is False
         assert loewner_event(report.gram_matrix, report.released, 0.05) is False
 
-    def test_one_eigh_and_three_eigvalsh(self, monkeypatch):
-        # eigvalsh: the dataset_good floor, the release's PSD check and the
-        # whitened release; eigh: the mechanism's factor of the Gram matrix.
+    def test_one_eigh_and_two_eigvalsh(self, monkeypatch):
+        # eigvalsh: the release's PSD check and the whitened release; eigh:
+        # the mechanism's factor of the Gram matrix.  The dataset_good floor
+        # is the minimum eigenvalue the Dataset took at construction.
         data = fast_dataset()
         calls = {"eigh": 0, "eigvalsh": 0}
 
@@ -205,7 +206,15 @@ class TestDpAttention:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         report = dp_attention(data, 1e-8, fast_params())
         assert not report.psd_projection_applied
-        assert calls == {"eigh": 1, "eigvalsh": 3}
+        assert calls == {"eigh": 1, "eigvalsh": 2}
+
+    def test_dataset_good_measures_the_gram_floor(self):
+        for seed in range(5):
+            data = generate_good_dataset(3, 5, eta=0.01, alpha=0.11, seed=seed)
+            report = dp_attention(data, 1e-8, fast_params(seed=seed))
+            check = report.requirement_checks[EXPECTED_CHECK_NAMES.index("dataset_good")]
+            assert check.measured == np.linalg.eigvalsh(data.x @ data.x.T).min()
+            assert check.passed and check.required == data.eta
 
     def test_conversion_holds_across_seeds(self):
         data = fast_dataset()
