@@ -38,7 +38,7 @@ from .attention import Activation
 from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError
 from .linalg import SymMatrix
-from .mechanism import bartlett_release, checked_spectrum
+from .mechanism import bartlett_factors, checked_spectrum, frobenius_from_identity
 from .pipeline import DpAttentionReport, DpParams, NeighborPrivacyReport, dp_attention, \
     verify_neighbor_privacy
 
@@ -188,6 +188,7 @@ _BENCH_UTILITY = {
     "seed": (_SEED, REQUIRED), "cond": (_number("be at least 1", lambda x: x < 1.0), 1.0),
     "report": (_name, "bench_utility.csv"),
 }
+_BLOCK_ENTRIES = 1 << 16  # per stacked Bartlett product: bench-utility's memory is bounded
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +393,20 @@ def _bench_sigma(n: int, cond: float, seed: int) -> SymMatrix:
 
 def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     v = _validate(cfg, _BENCH_UTILITY)
-    n, seed = v["n"], v["seed"]
+    n, seed, trials = v["n"], v["seed"], v["trials"]
     # The error needs only each release's Bartlett factor and one check of sigma.
     _, defined = checked_spectrum(_bench_sigma(n, v["cond"], seed))
+    block = max(1, _BLOCK_ENTRIES // (n * n))  # trials per stacked product
 
     lines = ["n,k,trial,rel_frob_error"]
     for ki, k in enumerate(v["ks"]):
-        errors = [
-            bartlett_release(n, k, (seed, ki, t))[2] if defined else math.nan
-            for t in range(v["trials"])
-        ]
+        errors = [math.nan] * trials
+        for start in range(0, trials if defined else 0, block):
+            chunk = range(start, min(start + block, trials))
+            factors = bartlett_factors(n, k, [(seed, ki, t) for t in chunk])
+            errors[start:chunk.stop] = frobenius_from_identity(factors @ factors.mT / k)
         lines.extend(f"{n},{k},{t},{err!r}" for t, err in enumerate(errors))
-        if errors:
-            lines.append(f"{n},{k},median,{statistics.median(errors)!r}")
+        lines.append(f"{n},{k},median,{statistics.median(errors)!r}")
     path = out_dir / v["report"]
     path.write_text("\n".join(lines) + "\n")
     print(f"wrote {path}")
@@ -427,11 +429,9 @@ def main(argv: list[str] | None = None) -> int:
         prog="dpattn",
         description="Differentially private attention surrogates and their verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to a JSON config")
-        cmd.add_argument("--out", default=".", help="output directory (default: cwd)")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON config")
+    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
     args = parser.parse_args(argv)
 
     try:

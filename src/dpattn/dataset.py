@@ -42,7 +42,7 @@ def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, float, bool]:
     return g, min_eig, bool(good)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Immutable matrix with declared goodness parameters ``(eta, alpha)``.
 
@@ -54,8 +54,8 @@ class Dataset:
     x: np.ndarray
     eta: float
     alpha: float
-    gram_matrix: SymMatrix = field(init=False, repr=False, compare=False)
-    min_eigenvalue: float = field(init=False, repr=False, compare=False)
+    gram_matrix: SymMatrix = field(init=False, repr=False)
+    min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.x, dtype=float, copy=True)
@@ -118,7 +118,7 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     return Dataset(x=x, eta=eta, alpha=alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborPair:
     """A dataset and a perturbation of exactly one of its columns.
 

@@ -22,7 +22,7 @@ def relative_tol(eigenvalues: np.ndarray) -> float:
     return 1e-9 * float(np.abs(eigenvalues).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymMatrix:
     """Immutable dense real symmetric matrix.
 
@@ -67,7 +67,7 @@ def as_sym(m) -> SymMatrix:
     return SymMatrix(np.asarray(m, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenpairs of a symmetric matrix.
 

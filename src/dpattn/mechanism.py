@@ -54,18 +54,26 @@ def checked_spectrum(sigma) -> tuple[SpectralDecomposition, bool]:
     return dec, bool(w.min() > relative_tol(w))
 
 
-def bartlett_release(n: int, k: int, seed) -> tuple[np.ndarray, np.ndarray, float]:
-    """The ``n x min(n, k)`` Bartlett factor ``T`` on the mechanism stream of ``seed``,
-    the whitened release ``T T^T / k`` and its distance ``||T T^T/k - I||_F``."""
+def bartlett_factors(n: int, k: int, seeds) -> np.ndarray:
+    """The ``n x min(n, k)`` Bartlett factors ``T`` of ``seeds``, stacked in seed order.
+    Each seed ``s`` has its own substreams: ``(TAG_MECHANISM, *s, 0)`` for the diagonal's
+    chi-squares, ``(TAG_MECHANISM, *s, 1)`` for the normals below it (see :mod:`rng`)."""
     m = min(n, k)
-    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
-    bartlett = np.zeros((n, m))
     diag = np.arange(m)
-    bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
     below = np.tri(n, m, -1, dtype=bool)
-    bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
-    gram_t = bartlett @ bartlett.T / k
-    return bartlett, gram_t, float(np.linalg.norm(gram_t - np.eye(n)))
+    factors = np.zeros((len(seeds), n, m))
+    for bartlett, seed in zip(factors, seeds):
+        entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+        bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
+        bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
+    return factors
+
+
+def frobenius_from_identity(grams: np.ndarray) -> list[float]:
+    """``||G - I||_F`` of each matrix ``G`` of the stack ``grams``: ``sqrt(row @ row)`` of the
+    flattened ``G - I``, the ravel-dot ``np.linalg.norm`` takes (a batched-axis sum differs)."""
+    n = grams.shape[-1]
+    return [math.sqrt(row @ row) for row in (grams - np.eye(n)).reshape(-1, n * n)]
 
 
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
@@ -91,11 +99,13 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
         raise ParamRange(f"k must be at least 1, got {k}")
     dec, defined = checked_spectrum(sigma)
     factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    bartlett, gram_t, rel = bartlett_release(sigma.dim, k, seed)
+    bartlett = bartlett_factors(sigma.dim, k, [seed])[0]
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    rel, whitened = (rel, SymMatrix(gram_t)) if defined else (float("nan"), None)
+    gram_t = bartlett @ bartlett.T / k
+    rel = frobenius_from_identity(gram_t[None])[0] if defined else float("nan")
+    whitened = SymMatrix(gram_t) if defined else None
     return MechanismOutput(sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel,
                            whitened=whitened, warnings=warnings)
 

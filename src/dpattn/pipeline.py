@@ -81,7 +81,7 @@ class RequirementCheck:
     warning_only: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DpAttentionReport:
     """Everything one end-to-end run produced and verified.
 
@@ -208,7 +208,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NeighborPrivacyReport:
     """Certificate plus Monte-Carlo evidence for one neighbor pair."""
 

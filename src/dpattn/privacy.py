@@ -74,7 +74,7 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> SensitivityBudget:
     return SensitivityBudget(loose=loose, strict=strict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivacySpectrum:
     """Spectrum of the whitened comparison of two covariances.
 

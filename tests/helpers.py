@@ -1,5 +1,7 @@
 """Shared random-instance constructors for the test suite."""
 
+import math
+
 import numpy as np
 
 from dpattn import SingularMatrix, loewner_within, rng, whitened_eigenvalues
@@ -84,6 +86,23 @@ def direct_gaussian_samples(sigma, k, seed):
     n = len(sigma)
     z = rng.standard_normals(k * n, (rng.TAG_MECHANISM, *rng.normalize_entropy(seed)))
     return z.reshape(k, n) @ factor.T
+
+
+def bartlett_factor(n, k, seed):
+    """Reference Bartlett factor of one seed, entry by entry: ``T_jj`` is the root of
+    chi-square ``j`` (``k - j`` degrees of freedom) of substream
+    ``(TAG_MECHANISM, *seed, 0)``, and the entries below the diagonal take the
+    normals of ``(TAG_MECHANISM, *seed, 1)`` in row order.
+    """
+    m = min(n, k)
+    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+    chi = rng.chi_squares(k - np.arange(m), (m,), (*entropy, 0))
+    normals = iter(rng.standard_normals(m * n - m * (m + 1) // 2, (*entropy, 1)))
+    factor = np.zeros((n, m))
+    for i in range(n):
+        for j in range(min(i + 1, m)):
+            factor[i, j] = math.sqrt(chi[j]) if i == j else next(normals)
+    return factor
 
 
 def relative_frobenius_distance(sigma, sigma_hat):

@@ -9,6 +9,8 @@ import pytest
 from dpattn import (Dataset, cli, gaussian_sampling_mechanism, make_neighbor, rng,
                     verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
+from dpattn.mechanism import bartlett_factors
+from helpers import bartlett_factor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,6 +50,28 @@ class TestMatrixCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(cli.ConfigError):
             read_matrix_csv(path)
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--config", "cfg.json"],
+        ["gen-dataset"],
+        ["gen-dataset", "--out", "."],
+        ["--config", "cfg.json"],
+        [],
+    ], ids=["unknown-command", "no-config", "no-config-with-out", "no-command", "empty"])
+    def test_bad_argv_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "usage: dpattn" in capsys.readouterr().err
+
+    def test_out_defaults_to_working_directory(self, tmp_path, gen_config, monkeypatch):
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert run(["gen-dataset", "--config", gen_config]) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == ["demo.csv", "demo.json"]
 
 
 class TestGenDataset:
@@ -317,9 +341,14 @@ class TestBenchUtility:
             outputs.append((out / "bench_utility.csv").read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize("cond", [1.0, 10.0, 1e9])
-    def test_rows_are_the_mechanism_errors(self, tmp_path, cond):
-        n, ks, trials, seed = 5, [1, 4, 5, 100_000], 4, 2
+    @pytest.mark.parametrize("n,cond", [
+        pytest.param(5, 1.0, id="1.0"), pytest.param(5, 10.0, id="10.0"),
+        pytest.param(5, 1e9, id="1000000000.0"), pytest.param(1, 1e12, id="n1-1e12"),
+        pytest.param(64, 10.0, id="n64-10.0"),
+    ])
+    def test_rows_are_the_mechanism_errors(self, tmp_path, n, cond):
+        ks = sorted({k for k in (1, n - 1, n, n + 1, 100_000) if k >= 1})
+        trials, seed = 4, 2
         cfg = self.bench_config(tmp_path, n=n, ks=ks, trials=trials, seed=seed, cond=cond)
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
         rows = [line.split(",") for line in
@@ -327,12 +356,31 @@ class TestBenchUtility:
         sigma = cli._bench_sigma(n, cond, seed)
         expected = []
         for ki, k in enumerate(ks):
-            errors = [gaussian_sampling_mechanism(sigma, k, (seed, ki, t)).rel_frob_error
-                      for t in range(trials)]
+            seeds = [(seed, ki, t) for t in range(trials)]
+            per_seed = np.array([bartlett_factor(n, k, s) for s in seeds])
+            assert bartlett_factors(n, k, seeds).tobytes() == per_seed.tobytes()
+            errors = [gaussian_sampling_mechanism(sigma, k, s).rel_frob_error for s in seeds]
+            if cond < 1e9:  # the direct formula: a 2-D product and np.linalg.norm, bit for bit
+                assert errors == [float(np.linalg.norm(f @ f.T / k - np.eye(n))) for f in per_seed]
             expected += [[str(n), str(k), str(t), repr(e)] for t, e in enumerate(errors)]
             expected.append([str(n), str(k), "median", repr(statistics.median(errors))])
         assert rows == expected
         assert any(row[3] == "nan" for row in rows) == (cond == 1e9)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_blocked_run_equals_one_block(self, tmp_path, monkeypatch, n):
+        cfg = self.bench_config(tmp_path, n=n, ks=[1, 4, 5, 100_000], trials=7, cond=10.0)
+        assert run(["bench-utility", "--config", cfg, "--out", tmp_path / "one"]) == 0
+        sizes = []
+        factors = cli.bartlett_factors
+        monkeypatch.setattr(cli, "bartlett_factors",
+                            lambda n, k, seeds: sizes.append(len(seeds)) or factors(n, k, seeds))
+        for block in (1, 3):
+            monkeypatch.setattr(cli, "_BLOCK_ENTRIES", block * n * n)
+            assert run(["bench-utility", "--config", cfg, "--out", tmp_path / str(block)]) == 0
+            assert ((tmp_path / str(block) / "bench_utility.csv").read_bytes()
+                    == (tmp_path / "one" / "bench_utility.csv").read_bytes())
+        assert sizes == [1] * 28 + [3, 3, 1] * 4
 
     def test_one_eigh_per_run(self, tmp_path, monkeypatch):
         calls = []

@@ -1,20 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dpattn import (
     Activation,
     Dataset,
+    DpAttentionReport,
     DpParams,
     NeighborPair,
+    NeighborPrivacyReport,
     ParamRange,
+    PrivacySpectrum,
+    SpectralDecomposition,
+    SymMatrix,
+    attention,
     attention_error,
+    dataset,
     dp_attention,
     generate_good_dataset,
+    gram,
+    linalg,
     make_neighbor,
+    mechanism,
     pipeline,
+    privacy,
     privacy_spectrum,
     required_samples,
     sensitivity_bound,
+    sym_eigendecompose,
     utility_radius,
     verify_neighbor_privacy,
 )
@@ -257,3 +271,35 @@ class TestVerifyNeighborPrivacy:
         pair = NeighborPair(base=data, perturbed=data.x.copy(), beta=0.001, index=0)
         with pytest.raises(ParamRange):
             verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=999, seed=0)
+
+
+def test_array_dataclasses_compare_by_identity():
+    # A generated __eq__ compares the ndarray fields and raises, and the
+    # generated hash raises with it; these classes compare by identity.
+    data = fast_dataset()
+    pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
+    makers = {
+        SymMatrix: lambda: SymMatrix(np.eye(2)),
+        SpectralDecomposition: lambda: sym_eigendecompose(np.eye(2)),
+        Dataset: fast_dataset,
+        NeighborPair: lambda: make_neighbor(data, beta=1e-8, index=1, seed=4),
+        PrivacySpectrum: lambda: privacy_spectrum(gram(data), gram(data)),
+        DpAttentionReport: lambda: dp_attention(data, 1e-9, fast_params()),
+        NeighborPrivacyReport: lambda: verify_neighbor_privacy(
+            pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0),
+    }
+    with_arrays = {
+        cls for module in (attention, dataset, linalg, mechanism, pipeline, privacy)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+    }
+    assert with_arrays == set(makers)
+    for cls, make in makers.items():
+        x, copy = make(), make()
+        assert type(x) is cls
+        assert x == x and not x != x
+        assert (x == copy) is False and x != copy
+        assert hash(x) == hash(x)
+        assert x in [copy, x] and x not in [copy]
+        assert len({x, copy, x}) == 2
