@@ -74,6 +74,7 @@ from .privacy import (
     dp_certificate,
     expected_privacy_loss,
     mc_privacy_verify,
+    neighbor_spectrum,
     privacy_loss_samples,
     privacy_spectrum,
     sensitivity_budget,

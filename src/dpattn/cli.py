@@ -188,7 +188,6 @@ _BENCH_UTILITY = {
     "seed": (_SEED, REQUIRED), "cond": (_number("be at least 1", lambda x: x < 1.0), 1.0),
     "report": (_name, "bench_utility.csv"),
 }
-_BLOCK_ENTRIES = 1 << 16  # per stacked Bartlett product: bench-utility's memory is bounded
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +395,13 @@ def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     n, seed, trials = v["n"], v["seed"], v["trials"]
     # The error needs only each release's Bartlett factor and one check of sigma.
     _, defined = checked_spectrum(_bench_sigma(n, v["cond"], seed))
-    block = max(1, _BLOCK_ENTRIES // (n * n))  # trials per stacked product
 
     lines = ["n,k,trial,rel_frob_error"]
     for ki, k in enumerate(v["ks"]):
         errors = [math.nan] * trials
-        for start in range(0, trials if defined else 0, block):
-            chunk = range(start, min(start + block, trials))
-            factors = bartlett_factors(n, k, [(seed, ki, t) for t in chunk])
-            errors[start:chunk.stop] = frobenius_from_identity(factors @ factors.mT / k)
+        if defined:
+            errors = [err for factors in bartlett_factors(n, k, (seed, ki), trials)
+                      for err in frobenius_from_identity(factors @ factors.mT / k)]
         lines.extend(f"{n},{k},{t},{err!r}" for t, err in enumerate(errors))
         lines.append(f"{n},{k},median,{statistics.median(errors)!r}")
     path = out_dir / v["report"]

@@ -6,7 +6,8 @@ A dataset is a wide matrix ``X`` (n rows, d >= n columns) whose Gram matrix
 exactly one column differs, by 2-norm at most ``beta``.  Under those
 constraints the whitened Gram deviation between neighbors is bounded by
 ``2 * alpha * beta / eta`` in spectral norm (``sqrt(n)`` times that in
-Frobenius norm), which is what hands the pair to the privacy analysis.
+Frobenius norm, which the deviation's rank of two tightens to ``sqrt(2)``),
+which is what hands the pair to the privacy analysis.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import rng
 from .errors import Infeasible, ParamRange
-from .linalg import SymMatrix, whitened_eigenvalues
+from .linalg import SymMatrix, rank_two_eigenvalues
 
 GOODNESS_TOL = 1e-9
 
@@ -201,14 +202,18 @@ def sensitivity_measured(pair: NeighborPair) -> SensitivityMeasurement:
     """Whitened Gram deviation of a neighbor pair.
 
     Returns the spectral and Frobenius norms of
-    ``(X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` where ``X`` is the base and
-    ``Xt`` the perturbed matrix.  Raises :class:`SingularMatrix` when the base
-    Gram matrix is not positive definite.
+    ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` where ``X`` is the base and
+    ``Xt`` the perturbed matrix.  One column moved, so ``D`` has rank at most two: its
+    nonzero eigenvalues ``mu`` are :func:`~dpattn.linalg.rank_two_eigenvalues` of
+    ``X X^T`` with the base column and its step, and the norms are ``max |mu|`` and
+    ``sqrt(mu_1^2 + mu_2^2)``.  Raises :class:`SingularMatrix` when the base Gram matrix
+    is not positive definite.
     """
-    dev = whitened_eigenvalues(gram(pair.perturbed), gram(pair.base)) - 1.0
+    col = pair.base.column(pair.index)
+    mu = rank_two_eigenvalues(gram(pair.base), col, pair.perturbed[:, pair.index] - col)
     return SensitivityMeasurement(
-        spectral=float(np.abs(dev).max()),
-        frobenius=float(np.sqrt((dev * dev).sum())),
+        spectral=float(np.abs(mu).max()),
+        frobenius=float(np.sqrt((mu * mu).sum())),
     )
 
 
@@ -220,7 +225,13 @@ class SensitivityBound(NamedTuple):
 def sensitivity_bound(eta: float, alpha: float, beta: float, n: int) -> SensitivityBound:
     """Worst-case whitened deviation for (eta, alpha)-good, beta-close pairs.
 
-    ``(2 alpha beta / eta, 2 sqrt(n) alpha beta / eta)``.
+    ``(2 alpha beta / eta, 2 sqrt(n) alpha beta / eta)``, the paper's bounds.  The
+    Frobenius bound is loose by ``sqrt(n / 2)``: ``||D||_F <= sqrt(2) ||D||_2``, so
+    ``2 sqrt(2) alpha beta / eta`` bounds it too.  Proof: ``D`` is symmetric, so
+    ``||D||_F^2`` is the sum of its squared eigenvalues; a neighbor moves one column,
+    so ``D = W (x' x'^T - x x^T) W`` with ``W = (X X^T)^{-1/2}`` has rank at most two,
+    and at most two of those eigenvalues are nonzero, each at most ``||D||_2`` in
+    magnitude.  Hence ``||D||_F^2 <= 2 ||D||_2^2``.
     """
     if eta <= 0:
         raise ParamRange(f"eta must be positive, got {eta}")

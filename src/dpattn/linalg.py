@@ -146,6 +146,35 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
     return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
 
 
+_RANK_TWO = np.array([[0.0, 1.0], [1.0, 1.0]])
+
+
+def rank_two_eigenvalues(b, y, e) -> np.ndarray:
+    """The eigenvalues of ``b^{-1/2} a b^{-1/2} - I`` that can be nonzero, descending, where
+    ``a = b - y y^T + (y + e)(y + e)^T``: one column ``y`` of ``b = X X^T`` moved by ``e``.
+
+    ``a - b = [y e] C [y e]^T`` with ``C = [[0, 1], [1, 1]]`` has rank at most two, so the
+    other ``n - 2`` eigenvalues are exactly zero.  With ``b = L L^T`` (Cholesky) and
+    ``[L^{-1} y, L^{-1} e] = Q R``, the ``min(n, 2)`` returned ones are the eigenvalues of
+    the symmetric ``R C R^T``.  The step enters as ``e``: forming ``(y + e)(y + e)^T - y y^T``
+    cancels when ``e`` is small.  Raises :class:`SingularMatrix` when ``b`` is not positive
+    definite: its Cholesky factorization fails, or a pivot ``L_ii^2`` (at least the smallest
+    eigenvalue of ``b``) is at most 1e-9 times the largest diagonal entry of ``b``.
+    """
+    b = as_sym(b)
+    try:
+        chol = np.linalg.cholesky(b.values)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("matrix is not positive definite")
+    pivots = np.diagonal(chol) ** 2
+    if pivots.min() <= relative_tol(np.diagonal(b.values)):
+        raise SingularMatrix(
+            f"Cholesky pivot {pivots.min():.3e} is at most 1e-9 of the largest diagonal entry"
+        )
+    r = np.linalg.qr(np.linalg.solve(chol, np.column_stack([y, e])), mode="r")
+    return np.linalg.eigvalsh(r @ _RANK_TWO @ r.T)[::-1]
+
+
 def spectrum_within(w: np.ndarray, eps: float) -> bool:
     """The sandwich test: every whitened eigenvalue lies in ``[1-eps-1e-9, 1+eps+1e-9]``."""
     return bool(w.min() >= 1.0 - eps - 1e-9 and w.max() <= 1.0 + eps + 1e-9)

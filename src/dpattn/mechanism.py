@@ -24,6 +24,7 @@ from .errors import NotPsd, ParamRange
 from .linalg import SpectralDecomposition, SymMatrix, as_sym, relative_tol, sym_eigendecompose
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
+_BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,30 @@ def checked_spectrum(sigma) -> tuple[SpectralDecomposition, bool]:
     return dec, bool(w.min() > relative_tol(w))
 
 
-def bartlett_factors(n: int, k: int, seeds) -> np.ndarray:
-    """The ``n x min(n, k)`` Bartlett factors ``T`` of ``seeds``, stacked in seed order.
-    Each seed ``s`` has its own substreams: ``(TAG_MECHANISM, *s, 0)`` for the diagonal's
-    chi-squares, ``(TAG_MECHANISM, *s, 1)`` for the normals below it (see :mod:`rng`)."""
+def bartlett_factors(n: int, k: int, seed, trials: int):
+    """Yield the ``n x min(n, k)`` Bartlett factors ``T`` of ``trials`` releases under ``seed``.
+
+    Trial ``t`` is row ``t`` of one block on the substreams
+    ``(TAG_MECHANISM, *seed, 0)`` (the diagonal's chi-squares) and
+    ``(TAG_MECHANISM, *seed, 1)`` (the normals below it; see :mod:`rng`), so
+    trial 0 is the factor of the single release under ``seed``.  The block
+    comes in stacks of at most ``max(1, _BLOCK_ENTRIES // n^2)`` trials, which
+    bounds a stacked product ``T T^T``; the stacks continue the same two
+    generators, so no value depends on the stack size.
+    """
     m = min(n, k)
     diag = np.arange(m)
     below = np.tri(n, m, -1, dtype=bool)
-    factors = np.zeros((len(seeds), n, m))
-    for bartlett, seed in zip(factors, seeds):
-        entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
-        bartlett[diag, diag] = np.sqrt(rng.chi_squares(k - diag, (m,), (*entropy, 0)))
-        bartlett[below] = rng.standard_normals(int(below.sum()), (*entropy, 1))
-    return factors
+    count = int(below.sum())
+    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+    chis, normals = rng.generator((*entropy, 0)), rng.generator((*entropy, 1))
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, trials, step):
+        rows = min(step, trials - start)
+        factors = np.zeros((rows, n, m))
+        factors[:, diag, diag] = np.sqrt(rng.chi_squares(k - diag, (rows, m), chis))
+        factors[:, below] = rng.normal_rows(normals, rows, count)
+        yield factors
 
 
 def frobenius_from_identity(grams: np.ndarray) -> list[float]:
@@ -99,7 +111,7 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
         raise ParamRange(f"k must be at least 1, got {k}")
     dec, defined = checked_spectrum(sigma)
     factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    bartlett = bartlett_factors(sigma.dim, k, [seed])[0]
+    bartlett = next(bartlett_factors(sigma.dim, k, seed, 1))[0]
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()

@@ -27,7 +27,7 @@ from .dataset import GOODNESS_TOL, Dataset, NeighborPair, gram, sensitivity_boun
 from .errors import ParamRange
 from .linalg import SymMatrix, psd_project, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
-from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, privacy_spectrum,
+from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, neighbor_spectrum,
                       sensitivity_budget)
 
 
@@ -223,12 +223,14 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
                             trials: int, seed: int) -> NeighborPrivacyReport:
     """Certificate and empirical exceedance rate for one neighbor pair.
 
-    Both covariances are the Gram matrices of the pair; their spectrum is
-    computed once and feeds both sides.  ``eps`` and ``delta`` lie in
-    ``(0, 1)``.  The Monte-Carlo side draws the privacy loss ``trials`` times
-    from the privacy stream of ``seed``; at least 1000 trials are required.
+    Both covariances are the Gram matrices of the pair; their spectrum, the at
+    most two eigenvalues other than 1 (:func:`neighbor_spectrum`), is computed
+    once and feeds both sides.  ``eps`` and ``delta`` lie in ``(0, 1)``.  The
+    Monte-Carlo side draws the privacy loss ``trials`` times from the privacy
+    stream of ``seed``, at most two chi-squares per trial; at least 1000
+    trials are required.
     """
-    spectrum = privacy_spectrum(gram(pair.base), gram(pair.perturbed))
+    spectrum = neighbor_spectrum(pair)
     certificate = dp_certificate(spectrum, eps, delta, k)
     mc = mc_privacy_verify(spectrum, k, eps, trials, seed)
     return NeighborPrivacyReport(

@@ -39,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
+from .dataset import NeighborPair, gram
 from .errors import ParamRange, SingularMatrix
-from .linalg import relative_tol, whitened_eigenvalues
+from .linalg import rank_two_eigenvalues, relative_tol, whitened_eigenvalues
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
 _Z99 = statistics.NormalDist().inv_cdf(0.99)
@@ -80,7 +81,9 @@ class PrivacySpectrum:
 
     ``eigenvalues`` are the (descending, strictly positive) eigenvalues of
     ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``.  The reverse ordering (real
-    input ``sigma2``, neighbor ``sigma1``) has the spectrum ``1/lam``.
+    input ``sigma2``, neighbor ``sigma1``) has the spectrum ``1/lam``.  An
+    eigenvalue 1 adds nothing to the loss, its mean or either deviation, so a
+    spectrum may leave such eigenvalues out (:func:`neighbor_spectrum` does).
     """
 
     eigenvalues: np.ndarray
@@ -126,6 +129,27 @@ def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
     return PrivacySpectrum(lam)
 
 
+def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
+    """The eigenvalues other than 1 of ``privacy_spectrum(gram(base), gram(perturbed))``.
+
+    The pair differs in one column, ``x = x' + delta``, so the Gram matrices differ by
+    rank at most two: the eigenvalues are ``1 + rank_two_eigenvalues(gram(perturbed),
+    x', delta)``, with no ``n x n`` eigendecomposition.  Raises :class:`SingularMatrix`
+    when the perturbed Gram matrix is not positive definite (see
+    :func:`rank_two_eigenvalues`) or the smallest eigenvalue is at most 1e-9 times
+    ``max(1, largest)``.
+    """
+    moved = pair.perturbed[:, pair.index]
+    delta = pair.base.column(pair.index) - moved
+    lam = 1.0 + rank_two_eigenvalues(gram(pair.perturbed), moved, delta)
+    floor = relative_tol(np.append(lam, 1.0))
+    if lam.min() <= floor:
+        raise SingularMatrix(
+            f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
+        )
+    return PrivacySpectrum(lam)
+
+
 def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
     """Closed-form mean ``(k/2) * sum_j (lam_j - 1 - ln(lam_j))``; non-negative."""
     if k < 0:
@@ -137,9 +161,10 @@ def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
 def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -> np.ndarray:
     """``trials`` independent draws of the privacy-loss variable Z.
 
-    One ``(trials, n)`` block of chi-square(k) variates from the privacy
-    stream of ``seed``; row ``t`` gives trial ``t``, so a longer run extends a
-    shorter one.  Exactly zero when the spectrum is all ones or ``k == 0``.
+    One ``(trials, spectrum.dim)`` block of chi-square(k) variates from the
+    privacy stream of ``seed``; row ``t`` gives trial ``t``, so a longer run
+    extends a shorter one.  Exactly zero when the spectrum is all ones or
+    ``k == 0``.
     """
     if trials < 0:
         raise ParamRange(f"trials must be non-negative, got {trials}")
@@ -147,7 +172,7 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
         raise ParamRange(f"k must be non-negative, got {k}")
     lam = spectrum.eigenvalues
     entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
-    chi = rng.chi_squares(k, (trials, lam.size), entropy)
+    chi = rng.chi_squares(k, (trials, lam.size), rng.generator(entropy))
     # A row sum, not ``chi @ (lam - 1)``: BLAS may round a row differently
     # depending on how many rows there are, which would break the prefix.
     return 0.5 * ((chi * (lam - 1.0)).sum(axis=1) - k * float(np.log(lam).sum()))
@@ -264,7 +289,10 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
     )
 
 
-class McTail(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class McTail:
+    """Monte-Carlo exceedance rate, its Wilson upper bound and the draws behind them."""
+
     empirical_rate: float
     wilson_upper: float
     samples: np.ndarray

@@ -1,4 +1,4 @@
-"""Deterministic random stream: ``philox-boxmuller-v3``.
+"""Deterministic random stream: ``philox-boxmuller-v4``.
 
 Every random draw in the library flows through one named stream so that any
 result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
@@ -20,29 +20,35 @@ running the same numpy build:
       z1 = radius * cos(2 * pi * u2)
       z2 = radius * sin(2 * pi * u2)
 
-  consumed in order; for an odd request the surplus value is dropped;
+  consumed in order; a block of rows gives each row its own pairs, so for an
+  odd row length one surplus value per row is dropped;
 * chi-square variates: ``2 * Generator.standard_gamma(df / 2)``, bit-equal to
   ``Generator.chisquare(df)`` and exactly zero at ``df == 0``; ``df`` may be
   an array, one degree of freedom per variate.  numpy does not promise to
   keep its gamma sampler stable across versions, so these values are
   reproducible only on the same numpy build.
 
+Successive draws from one generator continue its stream, so a block drawn in
+several pieces equals the block drawn at once.
+
 Stream layouts:
 
-* privacy ``(TAG_PRIVACY, seed)``: one row-major ``(trials, n)`` block of
-  chi-square(k) values, row ``t`` for trial ``t``, so a longer run extends a
-  shorter one;
-* mechanism, one release of ``n x n`` covariance at ``k`` samples with
-  ``m = min(n, k)``: the Bartlett factor's diagonal ``T_jj^2`` for
-  ``j < m``, chi-square(``k - j``) in order of ``j``, on
-  ``(TAG_MECHANISM, seed, 0)``; its below-diagonal entries ``T_ij``
-  (``i > j``, ``j < m``), standard normals in row-major order, on
-  ``(TAG_MECHANISM, seed, 1)``.
+* privacy ``(TAG_PRIVACY, seed)``: one row-major ``(trials, min(n, 2))``
+  block of chi-square(k) values, row ``t`` for trial ``t``, so a longer run
+  extends a shorter one.  A neighbor pair's comparison spectrum has at most
+  two eigenvalues other than 1, and only those are drawn for;
+* mechanism, ``trials`` releases of ``n x n`` covariance at ``k`` samples
+  under one seed, with ``m = min(n, k)``: row ``t`` of each block is trial
+  ``t``'s Bartlett factor.  A row-major ``(trials, m)`` block of its
+  diagonal's ``T_jj^2``, chi-square(``k - j``) in order of ``j``, on
+  ``(TAG_MECHANISM, seed, 0)``; a ``(trials, count)`` block of its
+  below-diagonal entries ``T_ij`` (``i > j``, ``j < m``), standard normals
+  in row-major order, on ``(TAG_MECHANISM, seed, 1)``.  A single release is
+  trial 0; bench-utility keys the trials of its ``i``-th ``k`` by
+  ``(seed, i)``.
 
 The domain tags below keep unrelated operations on disjoint streams even when
-they share a user-facing seed.  Trial-level substreams append the trial index
-to the entropy tuple, which makes batch results independent of execution
-order.
+they share a user-facing seed.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import numpy as np
 
 from .errors import ParamRange
 
-STREAM_VERSION = "philox-boxmuller-v3"
+STREAM_VERSION = "philox-boxmuller-v4"
 MAX_SEED = 2**32 - 2
 
 TAG_DATASET = 1
@@ -91,28 +97,38 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
     The stream position is a pure function of ``entropy``; two calls with the
     same arguments return bit-identical arrays.
     """
+    return normal_rows(generator(entropy), 1, count)[0]
+
+
+def normal_rows(gen: np.random.Generator, rows: int, count: int) -> np.ndarray:
+    """The next ``(rows, count)`` block of standard normals from ``gen``, row by row.
+
+    Each row maps its own ``count + (count & 1)`` uniforms through Box-Muller
+    and drops the surplus of an odd ``count``, so row 0 equals
+    :func:`standard_normals` and a later call continues with the next row.
+    """
     if count < 0:
         raise ParamRange(f"count must be non-negative, got {count}")
-    gen = generator(entropy)
     paired = count + (count & 1)
-    u = gen.random(paired)
+    u = gen.random((rows, paired))
     # 1 - u lies in (0, 1], so the log is finite.
-    radius = np.sqrt(-2.0 * np.log1p(-u[0::2]))
-    theta = (2.0 * np.pi) * u[1::2]
-    z = np.empty(paired)
-    z[0::2] = radius * np.cos(theta)
-    z[1::2] = radius * np.sin(theta)
-    return z[:count]
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    theta = (2.0 * np.pi) * u[:, 1::2]
+    z = np.empty((rows, paired))
+    z[:, 0::2] = radius * np.cos(theta)
+    z[:, 1::2] = radius * np.sin(theta)
+    return z[:, :count]
 
 
-def chi_squares(df, shape, entropy: Sequence[int]) -> np.ndarray:
-    """Array of independent chi-square(``df``) variates from the named stream.
+def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray:
+    """Array of independent chi-square(``df``) variates, the next ones from ``gen``.
 
     ``df`` is a scalar or an array that broadcasts to ``shape``.  Drawn in
     row-major order, so the leading rows of a larger ``shape`` equal a
-    smaller request with the same trailing dimensions.
+    smaller request with the same trailing dimensions, and a later call
+    continues with the next rows.
     """
     df = np.asarray(df, dtype=float)
     if (df < 0).any():
         raise ParamRange(f"df must be non-negative, got {df}")
-    return 2.0 * generator(entropy).standard_gamma(df / 2.0, size=shape)
+    return 2.0 * gen.standard_gamma(df / 2.0, size=shape)

@@ -88,21 +88,29 @@ def direct_gaussian_samples(sigma, k, seed):
     return z.reshape(k, n) @ factor.T
 
 
-def bartlett_factor(n, k, seed):
-    """Reference Bartlett factor of one seed, entry by entry: ``T_jj`` is the root of
-    chi-square ``j`` (``k - j`` degrees of freedom) of substream
-    ``(TAG_MECHANISM, *seed, 0)``, and the entries below the diagonal take the
-    normals of ``(TAG_MECHANISM, *seed, 1)`` in row order.
+def bartlett_block(n, k, seed, trials):
+    """Reference Bartlett factors of ``trials`` releases under one seed, entry by entry.
+
+    Trial ``t``'s ``T_jj`` is the root of entry ``(t, j)`` of one ``(trials, m)`` numpy
+    ``chisquare`` block (``k - j`` degrees of freedom) on substream
+    ``(TAG_MECHANISM, *seed, 0)``.  Its ``count`` entries below the diagonal take, in row
+    order, the normals ``[t * paired, t * paired + count)`` of
+    ``(TAG_MECHANISM, *seed, 1)``, where ``paired`` rounds ``count`` up to even: each
+    trial reads its own Box-Muller pairs.
     """
     m = min(n, k)
     entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
-    chi = rng.chi_squares(k - np.arange(m), (m,), (*entropy, 0))
-    normals = iter(rng.standard_normals(m * n - m * (m + 1) // 2, (*entropy, 1)))
-    factor = np.zeros((n, m))
-    for i in range(n):
-        for j in range(min(i + 1, m)):
-            factor[i, j] = math.sqrt(chi[j]) if i == j else next(normals)
-    return factor
+    chi = rng.generator((*entropy, 0)).chisquare(k - np.arange(m), size=(trials, m))
+    count = m * n - m * (m + 1) // 2
+    paired = count + count % 2
+    stream = rng.standard_normals(trials * paired, (*entropy, 1))
+    factors = np.zeros((trials, n, m))
+    for t in range(trials):
+        normals = iter(stream[t * paired:])
+        for i in range(n):
+            for j in range(min(i + 1, m)):
+                factors[t, i, j] = math.sqrt(chi[t, j]) if i == j else next(normals)
+    return factors
 
 
 def relative_frobenius_distance(sigma, sigma_hat):

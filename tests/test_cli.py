@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import statistics
 from pathlib import Path
@@ -6,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpattn import (Dataset, cli, gaussian_sampling_mechanism, make_neighbor, rng,
-                    verify_neighbor_privacy)
+from dpattn import (Dataset, SymMatrix, cli, gaussian_sampling_mechanism, make_neighbor,
+                    mechanism, rng, verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
 from dpattn.mechanism import bartlett_factors
-from helpers import bartlett_factor
+from helpers import bartlett_block
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -347,6 +348,8 @@ class TestBenchUtility:
         pytest.param(64, 10.0, id="n64-10.0"),
     ])
     def test_rows_are_the_mechanism_errors(self, tmp_path, n, cond):
+        # The trials of the ki-th k are the rows of one Bartlett block under
+        # (seed, ki); row 0 is the single release under that seed.
         ks = sorted({k for k in (1, n - 1, n, n + 1, 100_000) if k >= 1})
         trials, seed = 4, 2
         cfg = self.bench_config(tmp_path, n=n, ks=ks, trials=trials, seed=seed, cond=cond)
@@ -356,27 +359,38 @@ class TestBenchUtility:
         sigma = cli._bench_sigma(n, cond, seed)
         expected = []
         for ki, k in enumerate(ks):
-            seeds = [(seed, ki, t) for t in range(trials)]
-            per_seed = np.array([bartlett_factor(n, k, s) for s in seeds])
-            assert bartlett_factors(n, k, seeds).tobytes() == per_seed.tobytes()
-            errors = [gaussian_sampling_mechanism(sigma, k, s).rel_frob_error for s in seeds]
-            if cond < 1e9:  # the direct formula: a 2-D product and np.linalg.norm, bit for bit
-                assert errors == [float(np.linalg.norm(f @ f.T / k - np.eye(n))) for f in per_seed]
+            block = bartlett_block(n, k, (seed, ki), trials)
+            stacks = list(bartlett_factors(n, k, (seed, ki), trials))
+            assert np.concatenate(stacks).tobytes() == block.tobytes()
+            release = gaussian_sampling_mechanism(sigma, k, (seed, ki))
+            errors = [math.nan] * trials
+            if release.whitened is not None:  # the direct formula, bit for bit
+                errors = [float(np.linalg.norm(f @ f.T / k - np.eye(n))) for f in block]
+                assert errors[0] == release.rel_frob_error
+                assert np.array_equal(release.whitened.values,
+                                      SymMatrix(block[0] @ block[0].T / k).values)
             expected += [[str(n), str(k), str(t), repr(e)] for t, e in enumerate(errors)]
             expected.append([str(n), str(k), "median", repr(statistics.median(errors))])
         assert rows == expected
         assert any(row[3] == "nan" for row in rows) == (cond == 1e9)
 
-    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("n", [1, 3, 5])
     def test_blocked_run_equals_one_block(self, tmp_path, monkeypatch, n):
+        # n = 3 has an odd count of normals per factor: a stack boundary must
+        # not shift the Box-Muller pairs
         cfg = self.bench_config(tmp_path, n=n, ks=[1, 4, 5, 100_000], trials=7, cond=10.0)
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path / "one"]) == 0
         sizes = []
         factors = cli.bartlett_factors
-        monkeypatch.setattr(cli, "bartlett_factors",
-                            lambda n, k, seeds: sizes.append(len(seeds)) or factors(n, k, seeds))
+
+        def recorded(*args):
+            for stack in factors(*args):
+                sizes.append(len(stack))
+                yield stack
+
+        monkeypatch.setattr(cli, "bartlett_factors", recorded)
         for block in (1, 3):
-            monkeypatch.setattr(cli, "_BLOCK_ENTRIES", block * n * n)
+            monkeypatch.setattr(mechanism, "_BLOCK_ENTRIES", block * n * n)
             assert run(["bench-utility", "--config", cfg, "--out", tmp_path / str(block)]) == 0
             assert ((tmp_path / str(block) / "bench_utility.csv").read_bytes()
                     == (tmp_path / "one" / "bench_utility.csv").read_bytes())

@@ -6,6 +6,7 @@ from dpattn import (
     Infeasible,
     NeighborPair,
     ParamRange,
+    SingularMatrix,
     check_good,
     generate_good_dataset,
     gram,
@@ -14,6 +15,7 @@ from dpattn import (
     make_neighbor,
     sensitivity_bound,
     sensitivity_measured,
+    whitened_eigenvalues,
 )
 
 
@@ -199,6 +201,29 @@ class TestSensitivity:
         pair = make_neighbor(data, beta=0.05, index=1, seed=4)
         measured = sensitivity_measured(pair)
         assert measured.frobenius <= np.sqrt(4) * measured.spectral * (1 + 1e-9)
+
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64])
+    def test_rank_two_frobenius_bound(self, n):
+        # D has rank two, so ||D||_F <= sqrt(2) ||D||_2 <= 2 sqrt(2) alpha beta / eta
+        # at any n; the whitening oracle measures the same two norms
+        eta, alpha = 0.01, 0.11
+        tol = 32 * n * np.finfo(float).eps
+        data = generate_good_dataset(n, 2 * n, eta, alpha, seed=3)
+        for beta in (1e-8, 1e-4, 1e-2):
+            for index, seed in ((0, 5), (n, 6), (2 * n - 1, 7)):
+                pair = make_neighbor(data, beta, index, seed)
+                measured = sensitivity_measured(pair)
+                assert measured.frobenius <= 2.0 * np.sqrt(2.0) * alpha * beta / eta
+                dev = whitened_eigenvalues(gram(pair.perturbed), gram(data)) - 1.0
+                assert measured.spectral == pytest.approx(np.abs(dev).max(), rel=0, abs=tol)
+                assert measured.frobenius == pytest.approx(np.linalg.norm(dev), rel=0, abs=tol)
+
+    def test_singular_base_gram_raises(self):
+        data = Dataset(x=np.diag([1.0, 1e-12]), eta=1e-24, alpha=1.0)
+        pair = make_neighbor(data, beta=0.01, index=0, seed=1)
+        with pytest.raises(SingularMatrix):
+            sensitivity_measured(pair)
 
 
 def test_sensitivity_bounds_hold_on_generated_pairs():

@@ -6,6 +6,7 @@ from scipy import stats
 
 from dpattn import (
     NotPsd,
+    mechanism,
     ParamRange,
     SymMatrix,
     gaussian_sampling_mechanism,
@@ -14,7 +15,9 @@ from dpattn import (
     utility_radius,
     whitened_eigenvalues,
 )
-from helpers import direct_gaussian_samples, rand_orthogonal, rand_pd, relative_frobenius_distance
+from dpattn.mechanism import bartlett_factors
+from helpers import (bartlett_block, direct_gaussian_samples, rand_orthogonal, rand_pd,
+                     relative_frobenius_distance)
 
 
 class TestSampleGaussian:
@@ -214,7 +217,7 @@ class TestBartlettRelease:
                 return out
             return wrapper
 
-        for name in ("standard_normals", "chi_squares"):
+        for name in ("normal_rows", "chi_squares"):
             monkeypatch.setattr(rng, name, counted(getattr(rng, name)))
         n = 4
         for k in (1, 2, 3, 10**3, 10**9):
@@ -222,6 +225,34 @@ class TestBartlettRelease:
             gaussian_sampling_mechanism(SymMatrix.identity(n), k, seed=5)
             m = min(n, k)
             assert sum(drawn) == m * n - m * (m - 1) // 2
+
+
+def block_of(n, k, seed, trials):
+    return np.concatenate(list(bartlett_factors(n, k, seed, trials)))
+
+
+class TestBartlettFactors:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rows_of_one_block(self, n):
+        # n = 3: three normals per trial, an odd count
+        for k in (1, 2, n, 50):
+            block = block_of(n, k, (2, 1), 7)
+            assert block.tobytes() == bartlett_block(n, k, (2, 1), 7).tobytes()
+            assert np.array_equal(block_of(n, k, (2, 1), 4), block[:4])
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_trial_zero_is_the_release(self, n):
+        for k in (1, n, 1_196_713):
+            factor = block_of(n, k, (4, 2), 3)[0]
+            release = gaussian_sampling_mechanism(SymMatrix.identity(n), k, (4, 2))
+            assert np.array_equal(release.whitened.values, SymMatrix(factor @ factor.T / k).values)
+            assert np.array_equal(release.sigma_hat.values, release.whitened.values)
+
+    def test_stacks_bound_the_product(self, monkeypatch):
+        monkeypatch.setattr(mechanism, "_BLOCK_ENTRIES", 2 * 9)
+        stacks = list(bartlett_factors(3, 50, 1, 5))
+        assert [s.shape for s in stacks] == [(2, 3, 3), (2, 3, 3), (1, 3, 3)]
+        assert np.array_equal(np.concatenate(stacks), bartlett_block(3, 50, 1, 5))
 
 
 class TestUtilityRadius:

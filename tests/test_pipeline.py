@@ -8,6 +8,7 @@ from dpattn import (
     Dataset,
     DpAttentionReport,
     DpParams,
+    McTail,
     NeighborPair,
     NeighborPrivacyReport,
     ParamRange,
@@ -22,10 +23,13 @@ from dpattn import (
     gram,
     linalg,
     make_neighbor,
+    mc_privacy_verify,
     mechanism,
+    neighbor_spectrum,
     pipeline,
     privacy,
     privacy_spectrum,
+    rng,
     required_samples,
     sensitivity_bound,
     sym_eigendecompose,
@@ -254,17 +258,34 @@ class TestVerifyNeighborPrivacy:
         assert "SensitivityExceeded" in report.certificate.denial_reasons
 
     def test_spectrum_computed_once(self, monkeypatch):
-        calls = []
+        # one rank-two spectrum feeds both sides, and the draws are one
+        # (trials, 2) chi-square block whatever n is
+        calls, shapes = [], []
+        chi_squares = rng.chi_squares
 
-        def counted(*args):
-            calls.append(args)
-            return privacy_spectrum(*args)
+        def counted(pair):
+            calls.append(pair)
+            return neighbor_spectrum(pair)
 
-        monkeypatch.setattr(pipeline, "privacy_spectrum", counted)
-        data = fast_dataset()
+        def drawn(df, shape, gen):
+            shapes.append(shape)
+            return chi_squares(df, shape, gen)
+
+        monkeypatch.setattr(pipeline, "neighbor_spectrum", counted)
+        monkeypatch.setattr(rng, "chi_squares", drawn)
+        data = generate_good_dataset(8, 16, eta=0.01, alpha=0.11, seed=7)
         pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
         verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
         assert len(calls) == 1
+        assert shapes == [(1000, 2)]
+
+    def test_shorter_run_is_a_prefix(self):
+        data = generate_good_dataset(8, 16, eta=0.01, alpha=0.11, seed=3)
+        pair = make_neighbor(data, beta=1e-4, index=1, seed=5)
+        short = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=7)
+        long = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=5000, seed=7)
+        assert np.array_equal(short.samples, long.samples[:1000])
+        assert np.any(short.samples != 0.0)
 
     def test_minimum_trials(self):
         data = fast_dataset()
@@ -287,6 +308,7 @@ def test_array_dataclasses_compare_by_identity():
         DpAttentionReport: lambda: dp_attention(data, 1e-9, fast_params()),
         NeighborPrivacyReport: lambda: verify_neighbor_privacy(
             pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0),
+        McTail: lambda: mc_privacy_verify(PrivacySpectrum([1.01, 0.99]), 50, 0.05, 1000, 1),
     }
     with_arrays = {
         cls for module in (attention, dataset, linalg, mechanism, pipeline, privacy)

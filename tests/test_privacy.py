@@ -5,14 +5,20 @@ import pytest
 from scipy import stats
 
 from dpattn import (
+    Dataset,
     DimMismatch,
+    NeighborPair,
     ParamRange,
     SingularMatrix,
     SubExpParams,
     SymMatrix,
     dp_certificate,
     expected_privacy_loss,
+    generate_good_dataset,
+    gram,
+    make_neighbor,
     mc_privacy_verify,
+    neighbor_spectrum,
     privacy_loss_samples,
     privacy_spectrum,
     sensitivity_budget,
@@ -20,7 +26,8 @@ from dpattn import (
     tail_bound,
     wilson_upper,
 )
-from helpers import direct_loss_samples, rand_pd
+from dpattn.cli import read_matrix_csv, write_matrix_csv
+from helpers import direct_loss_samples, rand_orthogonal, rand_pd
 
 
 class TestSensitivityBudget:
@@ -156,6 +163,72 @@ class TestExpectedPrivacyLoss:
 
 def diagonal_spectrum(lam):
     return privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(len(lam)))
+
+
+def neighbor_pairs(n, beta, tmp_path):
+    """An inline pair (``make_neighbor``) and a ``perturbed_csv`` pair (column ``n``
+    moved by ``beta``, written and read back), each in both orderings."""
+    data = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=3)
+    moved = data.x.copy()
+    moved[0, n] += beta
+    write_matrix_csv(tmp_path / "perturbed.csv", moved)
+    pairs = [make_neighbor(data, beta=beta, index=1, seed=5),
+             NeighborPair(base=data, perturbed=read_matrix_csv(tmp_path / "perturbed.csv"),
+                          beta=beta, index=n)]
+    return pairs + [
+        NeighborPair(base=Dataset(x=p.perturbed, eta=0.009, alpha=0.12), perturbed=p.base.x,
+                     beta=beta, index=p.index)
+        for p in pairs
+    ]
+
+
+class TestNeighborSpectrum:
+    @pytest.mark.parametrize("n", [4, 8, 64, 256])
+    @pytest.mark.parametrize("beta", [1e-4, 1e-8])
+    def test_matches_general_route(self, tmp_path, n, beta):
+        # the general route's own eigensolver error sets the tolerance
+        tol = 32 * n * np.finfo(float).eps
+        for pair in neighbor_pairs(n, beta, tmp_path):
+            fast = neighbor_spectrum(pair).eigenvalues
+            full = privacy_spectrum(gram(pair.base), gram(pair.perturbed)).eigenvalues
+            assert fast.shape == (2,)
+            assert np.abs(fast - full[[0, -1]]).max() <= tol
+            assert np.abs(full[1:-1] - 1.0).max() <= tol
+            assert fast[0] - 1.0 > 10 * tol and 1.0 - fast[1] > 10 * tol
+
+    def test_small_n_keeps_every_eigenvalue(self):
+        for n in (1, 2):
+            data = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=3)
+            pair = make_neighbor(data, beta=1e-3, index=n, seed=5)
+            fast = neighbor_spectrum(pair).eigenvalues
+            full = privacy_spectrum(gram(pair.base), gram(pair.perturbed)).eigenvalues
+            assert fast.shape == (n,)
+            assert np.abs(fast - full).max() <= 1e-14
+
+    def test_identical_pair_is_all_ones(self):
+        data = generate_good_dataset(4, 8, eta=0.01, alpha=0.11, seed=3)
+        pair = NeighborPair(base=data, perturbed=data.x, beta=0.001, index=2)
+        spec = neighbor_spectrum(pair)
+        assert spec.eigenvalues.tolist() == [1.0, 1.0]
+        assert np.all(privacy_loss_samples(spec, 50, 1000, 3) == 0.0)
+
+    def test_singular_perturbed_gram_raises(self):
+        # exactly singular: the Cholesky factorization fails
+        data = generate_good_dataset(2, 2, eta=0.01, alpha=0.11, seed=1)
+        perturbed = data.x.copy()
+        perturbed[:, 0] = 0.0
+        pairs = [NeighborPair(base=data, perturbed=perturbed, beta=0.2, index=0)]
+        # singular up to rounding in a rotated basis: a pivot falls below the floor
+        q = 0.1 * rand_orthogonal(np.random.default_rng(5), 3)
+        data = Dataset(x=q, eta=0.01 - 1e-12, alpha=0.11)
+        perturbed = q.copy()
+        perturbed[:, 0] = (q[:, 1] + q[:, 2]) / np.sqrt(2.0)
+        pairs.append(NeighborPair(base=data, perturbed=perturbed, beta=0.2, index=0))
+        for pair in pairs:
+            with pytest.raises(SingularMatrix):
+                privacy_spectrum(gram(pair.base), gram(pair.perturbed))
+            with pytest.raises(SingularMatrix):
+                neighbor_spectrum(pair)
 
 
 class TestPrivacyLossSample:

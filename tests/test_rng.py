@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dpattn import ParamRange
-from dpattn.rng import MAX_SEED, chi_squares, generator, normalize_entropy, standard_normals
+from dpattn.rng import (MAX_SEED, STREAM_VERSION, chi_squares, generator, normal_rows,
+                        normalize_entropy, standard_normals)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestStandardNormals:
@@ -66,16 +71,49 @@ class TestChiSquares:
     def test_equals_numpy_chisquare(self):
         for df in (1, 7, 50, 1_196_713):
             expected = generator((4, 2)).chisquare(df, size=(6, 3))
-            assert np.array_equal(chi_squares(df, (6, 3), (4, 2)), expected)
+            assert np.array_equal(chi_squares(df, (6, 3), generator((4, 2))), expected)
         df = np.array([1_196_713, 1_196_712, 3, 1])
-        assert np.array_equal(chi_squares(df, df.shape, (3, 5, 0)),
+        assert np.array_equal(chi_squares(df, df.shape, generator((3, 5, 0))),
                               generator((3, 5, 0)).chisquare(df))
 
     def test_zero_df_gives_zeros(self):
-        assert np.all(chi_squares(0, (5, 2), (4, 2)) == 0.0)
+        assert np.all(chi_squares(0, (5, 2), generator((4, 2))) == 0.0)
 
     def test_negative_df_rejected(self):
         with pytest.raises(ParamRange):
-            chi_squares(-1, (2,), (1,))
+            chi_squares(-1, (2,), generator((1,)))
         with pytest.raises(ParamRange):
-            chi_squares(np.array([4, 0, -1]), (3,), (1,))
+            chi_squares(np.array([4, 0, -1]), (3,), generator((1,)))
+
+    def test_later_calls_continue_the_block(self):
+        df = np.array([9, 8, 7])
+        gen = generator((3, 1, 0))
+        pieces = [chi_squares(df, (rows, 3), gen) for rows in (1, 4, 2)]
+        assert np.array_equal(np.concatenate(pieces), chi_squares(df, (7, 3), generator((3, 1, 0))))
+
+
+class TestNormalRows:
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
+    def test_each_row_reads_its_own_pairs(self, count):
+        # row t holds normals [t * paired, t * paired + count) of the stream,
+        # so an odd count drops one surplus value per row
+        paired = count + (count & 1)
+        stream = standard_normals(5 * paired, (3, 1))
+        rows = normal_rows(generator((3, 1)), 5, count)
+        assert rows.shape == (5, count)
+        assert np.array_equal(rows, stream.reshape(5, paired)[:, :count])
+        assert np.array_equal(rows[0], standard_normals(count, (3, 1)))
+
+    def test_later_calls_continue_the_block(self):
+        gen = generator((3, 1))
+        pieces = [normal_rows(gen, rows, 3) for rows in (1, 1, 3, 2)]
+        assert np.array_equal(np.concatenate(pieces), normal_rows(generator((3, 1)), 7, 3))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ParamRange):
+            normal_rows(generator((1,)), 2, -1)
+
+
+def test_readme_names_the_stream_version():
+    # the Determinism section documents the layout of one stream version
+    assert f"`{STREAM_VERSION}`" in README.read_text()
