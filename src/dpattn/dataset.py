@@ -193,6 +193,19 @@ def gram(x) -> SymMatrix:
     return SymMatrix(arr @ arr.T)
 
 
+def neighbor_deviation(pair: NeighborPair) -> np.ndarray:
+    """The eigenvalues of ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` that can be
+    nonzero, descending, where ``X`` is the base and ``Xt`` the perturbed matrix.
+
+    One column moved, so ``D`` has rank at most two: these are the ``min(n, 2)``
+    :func:`~dpattn.linalg.rank_two_eigenvalues` of the base's kept Gram matrix with the
+    base column and its step.  Raises :class:`SingularMatrix` when the base Gram matrix is
+    not positive definite.
+    """
+    col = pair.base.column(pair.index)
+    return rank_two_eigenvalues(gram(pair.base), col, pair.perturbed[:, pair.index] - col)
+
+
 class SensitivityMeasurement(NamedTuple):
     spectral: float
     frobenius: float
@@ -203,14 +216,11 @@ def sensitivity_measured(pair: NeighborPair) -> SensitivityMeasurement:
 
     Returns the spectral and Frobenius norms of
     ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` where ``X`` is the base and
-    ``Xt`` the perturbed matrix.  One column moved, so ``D`` has rank at most two: its
-    nonzero eigenvalues ``mu`` are :func:`~dpattn.linalg.rank_two_eigenvalues` of
-    ``X X^T`` with the base column and its step, and the norms are ``max |mu|`` and
-    ``sqrt(mu_1^2 + mu_2^2)``.  Raises :class:`SingularMatrix` when the base Gram matrix
-    is not positive definite.
+    ``Xt`` the perturbed matrix: ``max |mu|`` and ``sqrt(mu_1^2 + mu_2^2)`` of its nonzero
+    eigenvalues ``mu`` (:func:`neighbor_deviation`).  Raises :class:`SingularMatrix` when
+    the base Gram matrix is not positive definite.
     """
-    col = pair.base.column(pair.index)
-    mu = rank_two_eigenvalues(gram(pair.base), col, pair.perturbed[:, pair.index] - col)
+    mu = neighbor_deviation(pair)
     return SensitivityMeasurement(
         spectral=float(np.abs(mu).max()),
         frobenius=float(np.sqrt((mu * mu).sum())),

@@ -11,6 +11,7 @@ the checks give the same answer for ``c * m`` at any scale ``c > 0``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,10 @@ class SymMatrix:
 
     Input is symmetrized on construction, ``(M + M.T) / 2``, so covariance
     accumulation round-off never leaks asymmetry into later spectral code.
-    Entries must be finite; the backing array is marked read-only.
+    Entries must be finite; the backing array is marked read-only.  The
+    eigendecomposition is computed on first use and kept, since the matrix
+    cannot change: every :func:`sym_eigendecompose` of one ``SymMatrix``
+    returns the same read-only arrays.
     """
 
     values: np.ndarray
@@ -46,6 +50,18 @@ class SymMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _spectrum(self) -> SpectralDecomposition:
+        w, v = np.linalg.eigh(self.values)
+        order = np.argsort(-w, kind="stable")
+        w = w[order]
+        v = v[:, order]
+        lead = np.argmax(np.abs(v) > 1e-12, axis=0)  # row 0 for an all-zero column
+        v[:, v[lead, np.arange(v.shape[1])] < 0] *= -1.0
+        w.flags.writeable = False
+        v.flags.writeable = False
+        return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
@@ -85,18 +101,11 @@ def sym_eigendecompose(m) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Deterministic for a fixed input: eigenvalues descending, eigenvector signs
-    normalized.  Raises :class:`InvalidMatrix` for non-finite input.
+    normalized; the arrays are read-only.  A :class:`SymMatrix` is decomposed
+    once and keeps the result; any other input is decomposed afresh.  Raises
+    :class:`InvalidMatrix` for non-finite input.
     """
-    mat = as_sym(m)
-    w, v = np.linalg.eigh(mat.values)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    lead = np.argmax(np.abs(v) > 1e-12, axis=0)  # row 0 for an all-zero column
-    v[:, v[lead, np.arange(v.shape[1])] < 0] *= -1.0
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+    return as_sym(m)._spectrum
 
 
 def is_psd(m) -> bool:

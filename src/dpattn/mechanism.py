@@ -14,6 +14,7 @@ is the usual empirical-covariance concentration: with probability
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,17 @@ def checked_spectrum(sigma) -> tuple[SpectralDecomposition, bool]:
     return dec, bool(w.min() > relative_tol(w))
 
 
+@functools.lru_cache(maxsize=64)
+def _bartlett_layout(n: int, m: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where an ``n x m`` Bartlett factor keeps its variates: the diagonal's indices, the
+    mask below it and that mask's count.  Kept per shape; the arrays are read-only."""
+    diag = np.arange(m)
+    below = np.tri(n, m, -1, dtype=bool)
+    diag.flags.writeable = False
+    below.flags.writeable = False
+    return diag, below, int(below.sum())
+
+
 def bartlett_factors(n: int, k: int, seed, trials: int):
     """Yield the ``n x min(n, k)`` Bartlett factors ``T`` of ``trials`` releases under ``seed``.
 
@@ -67,9 +79,7 @@ def bartlett_factors(n: int, k: int, seed, trials: int):
     generators, so no value depends on the stack size.
     """
     m = min(n, k)
-    diag = np.arange(m)
-    below = np.tri(n, m, -1, dtype=bool)
-    count = int(below.sum())
+    diag, below, count = _bartlett_layout(n, m)
     entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
     chis, normals = rng.generator((*entropy, 0)), rng.generator((*entropy, 1))
     step = max(1, _BLOCK_ENTRIES // (n * n))

@@ -39,9 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .dataset import NeighborPair, gram
+from .dataset import NeighborPair, neighbor_deviation
 from .errors import ParamRange, SingularMatrix
-from .linalg import rank_two_eigenvalues, relative_tol, whitened_eigenvalues
+from .linalg import relative_tol, whitened_eigenvalues
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
 _Z99 = statistics.NormalDist().inv_cdf(0.99)
@@ -132,22 +132,28 @@ def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
 def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
     """The eigenvalues other than 1 of ``privacy_spectrum(gram(base), gram(perturbed))``.
 
-    The pair differs in one column, ``x = x' + delta``, so the Gram matrices differ by
-    rank at most two: the eigenvalues are ``1 + rank_two_eigenvalues(gram(perturbed),
-    x', delta)``, with no ``n x n`` eigendecomposition.  Raises :class:`SingularMatrix`
-    when the perturbed Gram matrix is not positive definite (see
-    :func:`rank_two_eigenvalues`) or the smallest eigenvalue is at most 1e-9 times
-    ``max(1, largest)``.
+    The pair differs in one column, so the Gram matrices differ by rank at most two.
+    Whitened by the base's kept Gram matrix, the perturbed one has the eigenvalues
+    ``1 + mu`` with ``mu`` from :func:`~dpattn.dataset.neighbor_deviation`, and the
+    comparison has their reciprocals ``lam = 1 / (1 + mu)``: no ``n x n``
+    eigendecomposition and no second Gram product.  Raises :class:`SingularMatrix` when
+    the base Gram matrix is not positive definite (see
+    :func:`~dpattn.linalg.rank_two_eigenvalues`), or when the smallest of ``1 + mu`` or
+    of ``lam`` is at most 1e-9 times ``max(1, largest)``.  A singular perturbed Gram
+    matrix shows as ``1 + mu`` near 0, and is caught before the division.
     """
-    moved = pair.perturbed[:, pair.index]
-    delta = pair.base.column(pair.index) - moved
-    lam = 1.0 + rank_two_eigenvalues(gram(pair.perturbed), moved, delta)
+    grown = _above_floor(1.0 + neighbor_deviation(pair))
+    return PrivacySpectrum(_above_floor((1.0 / grown)[::-1]))
+
+
+def _above_floor(lam: np.ndarray) -> np.ndarray:
+    """``lam``, checked: its smallest entry must exceed 1e-9 times ``max(1, largest)``."""
     floor = relative_tol(np.append(lam, 1.0))
     if lam.min() <= floor:
         raise SingularMatrix(
             f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
         )
-    return PrivacySpectrum(lam)
+    return lam
 
 
 def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +76,15 @@ class TestArgv:
         monkeypatch.chdir(cwd)
         assert run(["gen-dataset", "--config", gen_config]) == 0
         assert sorted(p.name for p in cwd.iterdir()) == ["demo.csv", "demo.json"]
+
+    def test_module_entry_point(self, tmp_path):
+        # python -m dpattn runs the CLI from a checkout, the package on PYTHONPATH
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpattn", "gen-dataset", "--config", "missing.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error: cannot read config missing.json")
 
 
 class TestGenDataset:

@@ -88,6 +88,34 @@ class TestEigendecompose:
             assert np.linalg.norm(gram - np.eye(n)) <= 1e-8 * n
             assert np.all(np.diff(dec.eigenvalues) <= 0)
 
+    def test_sym_matrix_decomposes_once(self, monkeypatch):
+        # psd_inv_sqrt, psd_project and loewner_within's whitening share the first eigh
+        m = SymMatrix(rand_pd(np.random.default_rng(3), 5))
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        dec = sym_eigendecompose(m)
+        psd_inv_sqrt(m)
+        psd_project(m)
+        assert loewner_within(m, m, 0.0)
+        assert sym_eigendecompose(m) is dec
+        assert len(calls) == 1
+
+    def test_kept_arrays_are_read_only(self):
+        dec = sym_eigendecompose(SymMatrix(rand_symmetric(np.random.default_rng(4), 3)))
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 0.0
+
+    def test_array_input_shares_nothing(self):
+        values = rand_symmetric(np.random.default_rng(6), 4)
+        kept = sym_eigendecompose(SymMatrix(values))
+        a, b = sym_eigendecompose(values), sym_eigendecompose(values)
+        assert a is not b
+        for name in ("eigenvalues", "eigenvectors"):
+            assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            assert getattr(a, name).tobytes() == getattr(kept, name).tobytes()
+
     @staticmethod
     def loop_oracle(m):
         w, v = np.linalg.eigh(np.asarray(m, dtype=float))

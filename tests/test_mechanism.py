@@ -248,6 +248,16 @@ class TestBartlettFactors:
             assert np.array_equal(release.whitened.values, SymMatrix(factor @ factor.T / k).values)
             assert np.array_equal(release.sigma_hat.values, release.whitened.values)
 
+    def test_layout_is_kept_read_only(self):
+        diag, below, count = mechanism._bartlett_layout(5, 3)
+        assert mechanism._bartlett_layout(5, 3)[1] is below
+        assert diag.tolist() == [0, 1, 2] and count == 9
+        assert np.array_equal(below, np.tri(5, 3, -1, dtype=bool))
+        with pytest.raises(ValueError):
+            diag[0] = 1
+        with pytest.raises(ValueError):
+            below[0, 0] = True
+
     def test_stacks_bound_the_product(self, monkeypatch):
         monkeypatch.setattr(mechanism, "_BLOCK_ENTRIES", 2 * 9)
         stacks = list(bartlett_factors(3, 50, 1, 5))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from dpattn import (
     utility_radius,
     verify_neighbor_privacy,
 )
+from dpattn.cli import _attention_report_doc
 from helpers import loewner_event
 
 EXPECTED_CHECK_NAMES = [
@@ -209,8 +211,10 @@ class TestDpAttention:
 
     def test_one_eigh_and_two_eigvalsh(self, monkeypatch):
         # eigvalsh: the release's PSD check and the whitened release; eigh:
-        # the mechanism's factor of the Gram matrix.  The dataset_good floor
-        # is the minimum eigenvalue the Dataset took at construction.
+        # the mechanism's factor of the Gram matrix, which the Gram matrix
+        # keeps, so a second release on the Dataset makes none.  The
+        # dataset_good floor is the minimum eigenvalue the Dataset took at
+        # construction.
         data = fast_dataset()
         calls = {"eigh": 0, "eigvalsh": 0}
 
@@ -225,6 +229,23 @@ class TestDpAttention:
         report = dp_attention(data, 1e-8, fast_params())
         assert not report.psd_projection_applied
         assert calls == {"eigh": 1, "eigvalsh": 2}
+        calls.update(eigh=0, eigvalsh=0)
+        dp_attention(data, 1e-8, fast_params(seed=1))
+        assert calls == {"eigh": 0, "eigvalsh": 2}
+
+    def test_shared_dataset_matches_fresh_datasets(self):
+        # the kept decomposition changes no byte of any report
+        for n in (1, 2, 4, 8):
+            shared = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
+            for k in sorted({1, n, n + 1, 1_196_713}):
+                for kind in Activation:
+                    for seed in range(3):
+                        params = dataclasses.replace(fast_params(seed=seed, k=k), kind=kind)
+                        fresh = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
+                        shared_doc, fresh_doc = (
+                            json.dumps(_attention_report_doc(dp_attention(d, 1e-8, params)))
+                            for d in (shared, fresh))
+                        assert shared_doc == fresh_doc
 
     def test_dataset_good_measures_the_gram_floor(self):
         for seed in range(5):

@@ -12,6 +12,7 @@ from dpattn import (
     SingularMatrix,
     SubExpParams,
     SymMatrix,
+    dataset,
     dp_certificate,
     expected_privacy_loss,
     generate_good_dataset,
@@ -212,13 +213,25 @@ class TestNeighborSpectrum:
         assert spec.eigenvalues.tolist() == [1.0, 1.0]
         assert np.all(privacy_loss_samples(spec, 50, 1000, 3) == 0.0)
 
+    def test_whitens_by_the_base_gram(self, monkeypatch):
+        data = generate_good_dataset(4, 8, eta=0.01, alpha=0.11, seed=3)
+        pair = make_neighbor(data, beta=1e-3, index=2, seed=5)
+        whitened_by = []
+        rank_two = dataset.rank_two_eigenvalues
+        monkeypatch.setattr(dataset, "rank_two_eigenvalues",
+                            lambda b, y, e: whitened_by.append(b) or rank_two(b, y, e))
+        lam = neighbor_spectrum(pair).eigenvalues
+        assert len(whitened_by) == 1 and whitened_by[0] is data.gram_matrix
+        mu = rank_two(data.gram_matrix, data.column(2), pair.perturbed[:, 2] - data.column(2))
+        assert lam.tolist() == (1.0 / (1.0 + mu))[::-1].tolist()
+
     def test_singular_perturbed_gram_raises(self):
-        # exactly singular: the Cholesky factorization fails
+        # exactly singular: 1 + mu is 0
         data = generate_good_dataset(2, 2, eta=0.01, alpha=0.11, seed=1)
         perturbed = data.x.copy()
         perturbed[:, 0] = 0.0
         pairs = [NeighborPair(base=data, perturbed=perturbed, beta=0.2, index=0)]
-        # singular up to rounding in a rotated basis: a pivot falls below the floor
+        # singular up to rounding in a rotated basis: 1 + mu is -4e-16
         q = 0.1 * rand_orthogonal(np.random.default_rng(5), 3)
         data = Dataset(x=q, eta=0.01 - 1e-12, alpha=0.11)
         perturbed = q.copy()
