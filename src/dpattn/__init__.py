@@ -12,7 +12,6 @@ from .attention import (
     Activation,
     ChainReport,
     ChainStage,
-    attention_error,
     attention_matrix,
     entrywise_activation,
     perturbation_chain_check,
@@ -47,7 +46,6 @@ from .linalg import (
     is_psd,
     loewner_within,
     psd_inv_sqrt,
-    psd_project,
     sym_eigendecompose,
     whitened_eigenvalues,
 )
@@ -69,7 +67,6 @@ from .privacy import (
     CertificateReport,
     McTail,
     PrivacySpectrum,
-    SensitivityBudget,
     SubExpParams,
     dp_certificate,
     expected_privacy_loss,

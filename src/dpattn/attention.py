@@ -46,15 +46,6 @@ def attention_matrix(m, kind: Activation) -> np.ndarray:
     return act / act.sum(axis=1)[:, None]
 
 
-def attention_error(a, b, kind: Activation) -> float:
-    """Entrywise max-absolute difference of the two attention matrices."""
-    a = as_sym(a)
-    b = as_sym(b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return float(np.abs(attention_matrix(a, kind) - attention_matrix(b, kind)).max())
-
-
 def _check_ratio(name: str, value: float) -> None:
     if not 0.0 < value <= 0.1:
         raise ParamRange(f"{name} must lie in (0, 0.1], got {value}")

@@ -16,7 +16,12 @@ before any file is read.  Numbers must be finite, output names non-empty;
 seeds lie in ``[0, rng.MAX_SEED]``.  Matrices and bench-utility's table are
 CSV with shortest round-trip floats, so write/read cycles are bit-exact;
 verify-privacy's privacy-loss draws are one float64 ``.npy`` array in trial
-order.  Reports are JSON with a top-level ``schema_version``.
+order.  Reports are JSON documents, ``schema_version`` 2: ``schema_version``
+and ``kind``, then one key per field of the report's dataclass, in field
+order.  One writer walks the fields: a nested dataclass becomes an object, a
+matrix nested lists, a tuple a list, an enum its value and a non-finite float
+``null``; ``NeighborPrivacyReport.samples`` goes to the ``.npy`` instead.  A
+new report field therefore needs no change here.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
 2 input or parse error, or an output that cannot be written.
@@ -25,10 +30,12 @@ Exit codes: 0 success/certified, 1 requirement or certificate failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import statistics
 import sys
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +46,9 @@ from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError
 from .linalg import SymMatrix
 from .mechanism import bartlett_factors, checked_spectrum, frobenius_from_identity
-from .pipeline import DpAttentionReport, DpParams, NeighborPrivacyReport, dp_attention, \
-    verify_neighbor_privacy
+from .pipeline import DpParams, dp_attention, verify_neighbor_privacy
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -220,89 +226,28 @@ def read_matrix_csv(path: Path) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def _jfloat(x: float):
-    x = float(x)
-    return x if math.isfinite(x) else None
+def _jsonable(value):
+    """``value`` as JSON: a dataclass by its fields (but ``samples``, which goes to a
+    ``.npy``), a matrix as nested lists, an enum by value, a non-finite float as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, SymMatrix):
+        value = value.values
+    if isinstance(value, np.ndarray):
+        return np.where(np.isfinite(value), value, None).tolist()
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return {f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value) if f.name != "samples"}
 
 
-def _jmatrix(arr) -> list[list[float]]:
-    vals = arr.values if isinstance(arr, SymMatrix) else np.asarray(arr)
-    return [[_jfloat(v) for v in row] for row in vals]
-
-
-def write_json(path: Path, doc: dict) -> None:
+def write_json(path: Path, kind: str, fields: dict) -> None:
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
     path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _attention_report_doc(report: DpAttentionReport) -> dict:
-    p = report.params
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dp_attention_report",
-        "params": {
-            "eps": _jfloat(p.eps),
-            "delta": _jfloat(p.delta),
-            "gamma": _jfloat(p.gamma),
-            "k": p.k,
-            "r": _jfloat(p.r),
-            "f": p.kind.value,
-            "utility_const": _jfloat(p.utility_const),
-            "seed": p.seed,
-        },
-        "beta": _jfloat(report.beta),
-        "gram": _jmatrix(report.gram_matrix),
-        "released": _jmatrix(report.released),
-        "attention_base": _jmatrix(report.attention_base),
-        "attention_released": _jmatrix(report.attention_released),
-        "measured_error": _jfloat(report.measured_error),
-        "error_bound": _jfloat(report.error_bound),
-        "rho": _jfloat(report.rho),
-        "budget_used": _jfloat(report.budget_used),
-        "sensitivity_bound_frob": _jfloat(report.sensitivity_bound_frob),
-        "requirement_checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "measured": _jfloat(c.measured),
-                "required": _jfloat(c.required),
-                "warning_only": c.warning_only,
-            }
-            for c in report.requirement_checks
-        ],
-        "loewner_rho_event": report.loewner_rho_event,
-        "loewner_eps_event": report.loewner_eps_event,
-        "loewner_conversion_ok": report.loewner_conversion_ok,
-        "psd_projection_applied": report.psd_projection_applied,
-        "warnings": list(report.warnings),
-        "certified": report.certified,
-    }
-
-
-def _privacy_report_doc(report: NeighborPrivacyReport) -> dict:
-    cert = report.certificate
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "neighbor_privacy_report",
-        "certificate": {
-            "eps": _jfloat(cert.eps),
-            "delta": _jfloat(cert.delta),
-            "k": cert.k,
-            "sensitivity": _jfloat(cert.sensitivity),
-            "budget_loose": _jfloat(cert.budget.loose),
-            "budget_strict": _jfloat(cert.budget.strict),
-            "budget_used": _jfloat(cert.budget_used),
-            "expected_loss": _jfloat(cert.expected_loss),
-            "tail_at_half_eps": _jfloat(cert.tail_at_half_eps),
-            "sensitivity_ok": cert.sensitivity_ok,
-            "mean_ok": cert.mean_ok,
-            "tail_ok": cert.tail_ok,
-            "granted": cert.granted,
-            "denial_reasons": list(cert.denial_reasons),
-        },
-        "trials": report.trials,
-        "empirical_rate": _jfloat(report.empirical_rate),
-        "wilson_upper": _jfloat(report.wilson_upper),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +270,8 @@ def cmd_gen_dataset(cfg: dict, out_dir: Path, config_dir: Path) -> int:
                                  seed=v["seed"])
     csv_path = out_dir / f"{v['name']}.csv"
     write_matrix_csv(csv_path, data.x)
-    write_json(out_dir / f"{v['name']}.json", {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dataset",
-        "csv": csv_path.name,
-        "n": data.n,
-        "d": data.d,
-        "eta": _jfloat(data.eta),
-        "alpha": _jfloat(data.alpha),
+    write_json(out_dir / f"{v['name']}.json", "dataset", {
+        "csv": csv_path.name, "n": data.n, "d": data.d, "eta": data.eta, "alpha": data.alpha,
         "seed": v["seed"],
     })
     print(f"wrote {csv_path} and {csv_path.with_suffix('.json')}")
@@ -346,7 +285,7 @@ def cmd_dp_attention(cfg: dict, out_dir: Path, config_dir: Path) -> int:
                       kind=Activation(v["f"]), utility_const=v["utility_const"], seed=v["seed"])
     report = dp_attention(data, v["beta"], params)
     path = out_dir / v["report"]
-    write_json(path, _attention_report_doc(report))
+    write_json(path, "dp_attention_report", _jsonable(report))
     failing = [c.name for c in report.requirement_checks if not c.passed and not c.warning_only]
     status = "certified" if report.certified else f"not certified (failing: {failing})"
     print(f"wrote {path}: {status}")
@@ -365,7 +304,7 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     report = verify_neighbor_privacy(pair, eps=v["eps"], delta=v["delta"], k=v["k"],
                                      trials=v["trials"], seed=v["seed"])
     name = v["report"]
-    write_json(out_dir / f"{name}.json", _privacy_report_doc(report))
+    write_json(out_dir / f"{name}.json", "neighbor_privacy_report", _jsonable(report))
     np.save(out_dir / f"{name}_samples.npy", report.samples)
     granted = report.certificate.granted
     print(

@@ -26,11 +26,11 @@ GOODNESS_TOL = 1e-9
 
 def check_good(x, eta: float, alpha: float) -> bool:
     """True iff ``x x^T >= (eta - GOODNESS_TOL) I`` and column norms <= ``alpha + GOODNESS_TOL``."""
-    return _goodness(x, eta, alpha)[2]
+    return _goodness(x, eta, alpha)[1]
 
 
-def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, float, bool]:
-    """The Gram matrix ``x x^T``, its minimum eigenvalue and :func:`check_good`'s verdict."""
+def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
+    """The Gram matrix ``x x^T`` and :func:`check_good`'s verdict."""
     if eta <= 0 or alpha <= 0:
         raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
     arr = np.asarray(x, dtype=float)
@@ -40,7 +40,7 @@ def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, float, bool]:
     min_eig = float(np.linalg.eigvalsh(g).min())
     good = (min_eig >= eta - GOODNESS_TOL
             and np.linalg.norm(arr, axis=0).max() <= alpha + GOODNESS_TOL)
-    return g, min_eig, bool(good)
+    return g, bool(good)
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,14 +49,13 @@ class Dataset:
 
     Construction validates the declaration: d >= n, the Gram spectral floor,
     and the column-norm cap (at tolerance ``GOODNESS_TOL``).  It keeps the
-    Gram matrix ``gram_matrix`` and its minimum eigenvalue ``min_eigenvalue``.
+    Gram matrix ``gram_matrix``.
     """
 
     x: np.ndarray
     eta: float
     alpha: float
     gram_matrix: SymMatrix = field(init=False, repr=False)
-    min_eigenvalue: float = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.x, dtype=float, copy=True)
@@ -67,7 +66,7 @@ class Dataset:
         n, d = arr.shape
         if d < n:
             raise ParamRange(f"dataset requires d >= n, got n={n}, d={d}")
-        g, min_eig, good = _goodness(arr, self.eta, self.alpha)
+        g, good = _goodness(arr, self.eta, self.alpha)
         if not good:
             raise Infeasible(
                 f"dataset does not satisfy the declared (eta={self.eta}, alpha={self.alpha}) bounds"
@@ -75,7 +74,6 @@ class Dataset:
         arr.flags.writeable = False
         object.__setattr__(self, "x", arr)
         object.__setattr__(self, "gram_matrix", SymMatrix(g))
-        object.__setattr__(self, "min_eigenvalue", min_eig)
 
     @property
     def n(self) -> int:

@@ -130,14 +130,6 @@ def psd_inv_sqrt(m) -> SymMatrix:
     return SymMatrix((v / np.sqrt(w)) @ v.T)
 
 
-def psd_project(m) -> SymMatrix:
-    """Nearest-PSD projection: clip negative eigenvalues at zero."""
-    dec = sym_eigendecompose(m)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    v = dec.eigenvectors
-    return SymMatrix((v * w) @ v.T)
-
-
 def whitened_eigenvalues(a, b) -> np.ndarray:
     """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
 

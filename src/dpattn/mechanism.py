@@ -39,8 +39,6 @@ class MechanismOutput:
     """
 
     sigma_hat: SymMatrix
-    k: int
-    seed: object
     rel_frob_error: float
     whitened: SymMatrix | None
     warnings: tuple[str, ...]
@@ -128,8 +126,8 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     gram_t = bartlett @ bartlett.T / k
     rel = frobenius_from_identity(gram_t[None])[0] if defined else float("nan")
     whitened = SymMatrix(gram_t) if defined else None
-    return MechanismOutput(sigma_hat=sigma_hat, k=k, seed=seed, rel_frob_error=rel,
-                           whitened=whitened, warnings=warnings)
+    return MechanismOutput(sigma_hat=sigma_hat, rel_frob_error=rel, whitened=whitened,
+                           warnings=warnings)
 
 
 def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import Activation, attention_matrix, theoretical_error_bound
-from .dataset import GOODNESS_TOL, Dataset, NeighborPair, gram, sensitivity_bound
+from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
 from .errors import ParamRange
-from .linalg import SymMatrix, psd_project, spectrum_within
+from .linalg import SymMatrix, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
 from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, neighbor_spectrum,
                       sensitivity_budget)
@@ -91,7 +91,9 @@ class DpAttentionReport:
     deviation respects the theoretical bound.  The relative-closeness event at
     level ``rho`` and its conversion to the ``eps`` sandwich are recorded
     separately so reports distinguish "the probabilistic event occurred" from
-    "the bound held".
+    "the bound held".  ``released`` is the mechanism's draw as it is: at
+    ``k < n`` it is singular, and rounding may leave its smallest eigenvalues
+    just below zero.
     """
 
     params: DpParams
@@ -109,7 +111,6 @@ class DpAttentionReport:
     loewner_rho_event: bool
     loewner_eps_event: bool
     loewner_conversion_ok: bool
-    psd_projection_applied: bool
     warnings: tuple[str, ...]
     certified: bool
 
@@ -117,21 +118,20 @@ class DpAttentionReport:
 def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionReport:
     """Release a private attention surrogate for one dataset and verify it.
 
-    Requirement checks, in order (``eta_below_r`` is advisory only; nothing
-    in the verified chain uses it):
+    Requirement checks, in order:
 
-    1. ``d_ge_n``        dataset is wide
-    2. ``r_range``       r in (0, 0.1]
-    3. ``eps_range``     eps in (0, 0.1]
-    4. ``delta_range``   delta in (0, 0.1]
-    5. ``entry_bound``   max |gram entry| <= r
-    6. ``dataset_good``  min Gram eigenvalue >= eta
-    7. ``eta_below_r``   eta < r (warning)
-    8. ``sensitivity``   2 alpha beta sqrt(n) / eta < deviation budget
-    9. ``utility``       rho < 0.1 * eps
+    1. ``entry_bound``   max |gram entry| <= r
+    2. ``eta_below_r``   eta < r (warning)
+    3. ``sensitivity``   2 alpha beta sqrt(n) / eta < deviation budget
+    4. ``utility``       rho < 0.1 * eps
 
-    A failed hard requirement does not abort the run; the full report is
-    produced with ``certified=False`` and the failing check named.
+    ``eta_below_r`` is advisory only: a :class:`Dataset`'s Gram diagonal is
+    at least ``eta - 1e-9``, so ``entry_bound`` already implies it up to that
+    tolerance.  What :class:`Dataset` and :class:`DpParams` validate on
+    construction (``d >= n``, the Gram floor ``eta``, the ranges of ``r``,
+    ``eps`` and ``delta``) cannot fail here and is not re-checked.  A failed
+    hard requirement does not abort the run; the full report is produced with
+    ``certified=False`` and the failing check named.
 
     Both sandwich events are read off the spectrum ``mu`` of the mechanism's
     whitened release ``T T^T / k``: ``mu`` within ``rho`` and ``1/mu`` within
@@ -140,21 +140,13 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     if not 0.0 <= beta < math.inf:
         raise ParamRange(f"beta must be non-negative and finite, got {beta}")
     base = gram(data)
-    n, d = data.n, data.d
-    budget = sensitivity_budget(params.eps, params.delta, params.k)
-    budget_used = budget.strict
-    sens_frob = sensitivity_bound(data.eta, data.alpha, beta, n).frobenius_bound
-    rho = utility_radius(n, params.gamma, params.k, params.utility_const)
+    budget_used = sensitivity_budget(params.eps, params.delta, params.k)
+    sens_frob = sensitivity_bound(data.eta, data.alpha, beta, data.n).frobenius_bound
+    rho = utility_radius(data.n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
-    min_eig = data.min_eigenvalue
 
     checks = (
-        RequirementCheck("d_ge_n", d >= n, float(d), float(n)),
-        RequirementCheck("r_range", 0.0 < params.r <= 0.1, params.r, 0.1),
-        RequirementCheck("eps_range", 0.0 < params.eps <= 0.1, params.eps, 0.1),
-        RequirementCheck("delta_range", 0.0 < params.delta <= 0.1, params.delta, 0.1),
         RequirementCheck("entry_bound", entry_max <= params.r, entry_max, params.r),
-        RequirementCheck("dataset_good", min_eig >= data.eta - GOODNESS_TOL, min_eig, data.eta),
         RequirementCheck("eta_below_r", data.eta < params.r, data.eta, params.r,
                          warning_only=True),
         RequirementCheck("sensitivity", sens_frob < budget_used, sens_frob, budget_used),
@@ -163,10 +155,6 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
 
     mech = gaussian_sampling_mechanism(base, params.k, params.seed)
     released = mech.sigma_hat
-    projected = False
-    if float(np.linalg.eigvalsh(released.values).min()) < 0.0:
-        released = psd_project(released)
-        projected = True
 
     # The mechanism's guarantee is relative closeness of the release to the
     # input at level rho (spectrum mu); the attention bound needs the inverted
@@ -202,7 +190,6 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         loewner_rho_event=rho_event,
         loewner_eps_event=eps_event,
         loewner_conversion_ok=conversion_ok,
-        psd_projection_applied=projected,
         warnings=mech.warnings,
         certified=certified,
     )
@@ -213,9 +200,9 @@ class NeighborPrivacyReport:
     """Certificate plus Monte-Carlo evidence for one neighbor pair."""
 
     certificate: CertificateReport
+    trials: int
     empirical_rate: float
     wilson_upper: float
-    trials: int
     samples: np.ndarray
 
 
@@ -235,8 +222,8 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
     mc = mc_privacy_verify(spectrum, k, eps, trials, seed)
     return NeighborPrivacyReport(
         certificate=certificate,
+        trials=trials,
         empirical_rate=mc.empirical_rate,
         wilson_upper=mc.wilson_upper,
-        trials=trials,
         samples=mc.samples,
     )

@@ -23,7 +23,7 @@ where ``F = ||comparison - I||_F``, giving the Bernstein-type tail
 
 ``(eps, delta)``-differential privacy follows whenever ``Pr[Z > eps] <= delta``
 for both orderings of the pair; :func:`dp_certificate` checks the sufficient
-conditions (``F`` within the strict sensitivity budget, ``E[Z] <= eps/2``,
+conditions (``F`` within the sensitivity budget, ``E[Z] <= eps/2``,
 tail at ``eps/2`` below ``delta``) for ``lam`` and ``1/lam``, and
 :func:`mc_privacy_verify` estimates the exceedance probability of the given
 ordering directly by Monte Carlo.  All logarithms are natural.
@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +46,13 @@ from .linalg import relative_tol, whitened_eigenvalues
 _Z99 = statistics.NormalDist().inv_cdf(0.99)
 
 
-class SensitivityBudget(NamedTuple):
+def sensitivity_budget(eps: float, delta: float, k: int) -> float:
     """Admissible whitened Frobenius deviation between neighboring releases.
 
-    Two calibrations of the same quantity: ``loose`` uses the
-    ``1/sqrt(8k log(1/delta))`` and ``1/(8 log(1/delta))`` branches, ``strict``
-    the 0.1-scaled variants the end-to-end pipeline quotes.  ``strict <
-    loose`` holds term by term, as ``0.1 < 1/sqrt(8)`` and ``0.1 < 1/8``;
-    certificates use ``strict`` and report ``loose`` alongside it.
+    ``0.1 * min(eps / sqrt(k log(1/delta)), eps / log(1/delta))`` for privacy
+    parameters ``(eps, delta)`` and ``k``; the certificate and the end-to-end
+    pipeline both use it.
     """
-
-    loose: float
-    strict: float
-
-
-def sensitivity_budget(eps: float, delta: float, k: int) -> SensitivityBudget:
-    """Both deviation budgets for privacy parameters ``(eps, delta)`` and ``k``."""
     if not 0.0 < eps < 1.0:
         raise ParamRange(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
@@ -70,9 +60,7 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> SensitivityBudget:
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
     log_inv = math.log(1.0 / delta)
-    loose = min(eps / math.sqrt(8.0 * k * log_inv), eps / (8.0 * log_inv))
-    strict = 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
-    return SensitivityBudget(loose=loose, strict=strict)
+    return 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +225,6 @@ class CertificateReport:
     delta: float
     k: int
     sensitivity: float
-    budget: SensitivityBudget
     budget_used: float
     expected_loss: float
     tail_at_half_eps: float
@@ -254,13 +241,12 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
 
     Neighboring is symmetric, so both orderings of the pair are checked:
     ``spectrum`` and its reverse ``1/lam``.  Grants iff, for both, the
-    whitened deviation is within the strict sensitivity budget, the
+    whitened deviation is within the sensitivity budget, the
     closed-form mean satisfies ``E[Z] <= eps/2``, and the sub-exponential
     tail at ``eps/2`` is at most ``delta``.  The report carries the worse
     ordering's value of each.
     """
-    budget = sensitivity_budget(eps, delta, k)
-    budget_used = budget.strict
+    budget_used = sensitivity_budget(eps, delta, k)
     both = (spectrum, PrivacySpectrum(1.0 / spectrum.eigenvalues[::-1]))
     sensitivity = max(s.deviation_frob for s in both)
     params = [sub_exp_params(s, k) for s in both]
@@ -283,7 +269,6 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
         delta=delta,
         k=k,
         sensitivity=sensitivity,
-        budget=budget,
         budget_used=budget_used,
         expected_loss=mean,
         tail_at_half_eps=tail,

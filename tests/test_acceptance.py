@@ -111,13 +111,12 @@ def test_criterion_2_utility_scaling():
 
 
 def test_criterion_3_privacy_tail():
-    # diagonal pair placed at the (stricter) deviation budget for eps=0.5,
+    # diagonal pair placed at the deviation budget for eps=0.5,
     # delta=0.05, k=50; the certificate must hold and 1e5 Monte-Carlo trials
     # must keep the exceedance rate and its Wilson bound within delta.
     start = time.perf_counter()
     eps, delta, k, n = 0.5, 0.05, 50, 4
-    budget = sensitivity_budget(eps, delta, k)
-    budget_used = min(budget.loose, budget.strict)
+    budget_used = sensitivity_budget(eps, delta, k)
     lam = 1.0 + (1.0 - 1e-9) * budget_used / math.sqrt(n)
     spectrum = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
     cert = dp_certificate(spectrum, eps, delta, k)
@@ -183,8 +182,7 @@ def test_criterion_4_closed_form_mean():
         eps = float(gen.uniform(0.01, 0.999))
         delta = float(gen.uniform(0.001, 0.0999))
         k = int(gen.integers(1, 1000))
-        budget = sensitivity_budget(eps, delta, k)
-        budget_used = min(budget.loose, budget.strict)
+        budget_used = sensitivity_budget(eps, delta, k)
         lam = _boundary_spectrum(gen, n, budget_used)
         spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
         assert spec.deviation_frob <= budget_used * (1 + 1e-9)

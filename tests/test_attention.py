@@ -5,12 +5,10 @@ import pytest
 
 from dpattn import (
     Activation,
-    DimMismatch,
     Overflow,
     ParamRange,
     PreconditionFailed,
     SymMatrix,
-    attention_error,
     attention_matrix,
     entrywise_activation,
     perturbation_chain_check,
@@ -63,34 +61,6 @@ class TestAttentionMatrix:
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-12 * n
             assert out.min() > 0.0
             assert out.max() <= 1.0
-
-
-class TestAttentionError:
-    def test_zero_for_equal(self):
-        gen = np.random.default_rng(5)
-        m = SymMatrix(rand_psd(gen, 3) * 0.03)
-        assert attention_error(m, m, Activation.EXP) == 0.0
-        assert attention_error(SymMatrix.zeros(2), SymMatrix.zeros(2), Activation.COSH) == 0.0
-
-    def test_symmetric_in_arguments(self):
-        gen = np.random.default_rng(6)
-        a = SymMatrix(rand_psd(gen, 3) * 0.03)
-        b = SymMatrix(rand_psd(gen, 3) * 0.03)
-        assert attention_error(a, b, Activation.EXP) == attention_error(b, a, Activation.EXP)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
-            attention_error(SymMatrix.identity(2), SymMatrix.identity(3), Activation.EXP)
-
-    def test_direct_evaluation_oracle(self):
-        a = np.diag([0.05, 0.05])
-        b = np.diag([0.04, 0.04])
-        # independent evaluation with raw numpy
-        fa, fb = np.exp(a), np.exp(b)
-        expected = np.abs(fa / fa.sum(1)[:, None] - fb / fb.sum(1)[:, None]).max()
-        got = attention_error(SymMatrix(a), SymMatrix(b), Activation.EXP)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got > 0
 
 
 class TestTheoreticalErrorBound:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpattn import (Dataset, SymMatrix, cli, gaussian_sampling_mechanism, make_neighbor,
-                    mechanism, rng, verify_neighbor_privacy)
+from dpattn import (Activation, Dataset, DpParams, SymMatrix, cli, dp_attention,
+                    gaussian_sampling_mechanism, make_neighbor, mechanism, rng,
+                    verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
 from dpattn.mechanism import bartlett_factors
 from helpers import bartlett_block
@@ -39,6 +41,19 @@ def gen_config(tmp_path):
 def make_dataset(tmp_path, gen_config):
     assert run(["gen-dataset", "--config", gen_config, "--out", tmp_path]) == 0
     return tmp_path / "demo.json"
+
+
+def field_names(cls):
+    return [f.name for f in dataclasses.fields(cls) if f.name != "samples"]
+
+
+def assert_written(path, kind, report):
+    """The JSON at ``path`` is schema 2's header, then ``report``'s fields in order."""
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["schema_version", "kind", *field_names(type(report))]
+    assert doc == {"schema_version": 2, "kind": kind,
+                   **json.loads(json.dumps(cli._jsonable(report)))}
+    return doc
 
 
 class TestMatrixCsv:
@@ -148,13 +163,27 @@ class TestDpAttention:
         cfg = self.attention_config(tmp_path, sidecar)
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "dp_attention_report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["certified"] is True
         assert report["measured_error"] <= report["error_bound"]
         assert [c["name"] for c in report["requirement_checks"]] == [
-            "d_ge_n", "r_range", "eps_range", "delta_range", "entry_bound",
-            "dataset_good", "eta_below_r", "sensitivity", "utility",
+            "entry_bound", "eta_below_r", "sensitivity", "utility",
         ]
+
+    def test_report_keys_are_the_dataclass_fields(self, tmp_path, gen_config):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.attention_config(tmp_path, sidecar)
+        assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 0
+        data = Dataset(x=read_matrix_csv(tmp_path / "demo.csv"), eta=0.01, alpha=0.11)
+        params = DpParams(eps=0.05, delta=0.01, gamma=0.3, k=400_000, r=0.05,
+                          kind=Activation.EXP, utility_const=1.0, seed=11)
+        report = dp_attention(data, 1e-9, params)
+        doc = assert_written(tmp_path / "dp_attention_report.json", "dp_attention_report", report)
+        assert list(doc["params"]) == field_names(DpParams)
+        assert doc["params"]["kind"] == "exp"
+        assert doc["gram_matrix"] == data.gram_matrix.values.tolist()
+        assert list(doc["requirement_checks"][0]) == \
+            field_names(type(report.requirement_checks[0]))
 
     def test_small_k_fails_utility_exit_one(self, tmp_path, gen_config):
         sidecar = make_dataset(tmp_path, gen_config)
@@ -243,6 +272,18 @@ class TestVerifyPrivacy:
         pair = make_neighbor(data, beta=1e-9, index=1, seed=5)
         report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1234, seed=3)
         assert samples.dtype == np.float64 and samples.shape == (1234,)
+        assert np.array_equal(samples, report.samples)
+
+    def test_report_keys_are_the_dataclass_fields(self, tmp_path, gen_config):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.privacy_config(tmp_path, sidecar)
+        assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 0
+        data = Dataset(x=read_matrix_csv(tmp_path / "demo.csv"), eta=0.01, alpha=0.11)
+        pair = make_neighbor(data, beta=1e-9, index=1, seed=5)
+        report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=3)
+        doc = assert_written(tmp_path / "privacy_report.json", "neighbor_privacy_report", report)
+        assert list(doc["certificate"]) == field_names(type(report.certificate))
+        samples = np.load(tmp_path / "privacy_report_samples.npy", allow_pickle=False)
         assert np.array_equal(samples, report.samples)
 
     def test_generated_neighbor_form(self, tmp_path, gen_config):

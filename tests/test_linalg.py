@@ -11,11 +11,10 @@ from dpattn import (
     is_psd,
     loewner_within,
     psd_inv_sqrt,
-    psd_project,
     sym_eigendecompose,
     whitened_eigenvalues,
 )
-from helpers import (rand_pd, rand_psd, rand_symmetric, relative_frobenius_distance,
+from helpers import (rand_pd, rand_symmetric, relative_frobenius_distance,
                      sign_rule_loop)
 
 
@@ -89,13 +88,12 @@ class TestEigendecompose:
             assert np.all(np.diff(dec.eigenvalues) <= 0)
 
     def test_sym_matrix_decomposes_once(self, monkeypatch):
-        # psd_inv_sqrt, psd_project and loewner_within's whitening share the first eigh
+        # psd_inv_sqrt and loewner_within's whitening share the first eigh
         m = SymMatrix(rand_pd(np.random.default_rng(3), 5))
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
         dec = sym_eigendecompose(m)
         psd_inv_sqrt(m)
-        psd_project(m)
         assert loewner_within(m, m, 0.0)
         assert sym_eigendecompose(m) is dec
         assert len(calls) == 1
@@ -269,14 +267,3 @@ class TestRelativeFrobeniusDistance:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             relative_frobenius_distance(SymMatrix.identity(2), SymMatrix.identity(3))
-
-
-class TestPsdProject:
-    def test_clips_negative_eigenvalues(self):
-        projected = psd_project(SymMatrix.diagonal([2.0, -0.5]))
-        assert np.allclose(projected.values, np.diag([2.0, 0.0]))
-
-    def test_psd_fixed_point(self):
-        gen = np.random.default_rng(29)
-        m = SymMatrix(rand_psd(gen, 4))
-        assert np.allclose(psd_project(m).values, m.values, atol=1e-12)

@@ -17,7 +17,6 @@ from dpattn import (
     SpectralDecomposition,
     SymMatrix,
     attention,
-    attention_error,
     dataset,
     dp_attention,
     generate_good_dataset,
@@ -37,20 +36,10 @@ from dpattn import (
     utility_radius,
     verify_neighbor_privacy,
 )
-from dpattn.cli import _attention_report_doc
+from dpattn.cli import _jsonable
 from helpers import loewner_event
 
-EXPECTED_CHECK_NAMES = [
-    "d_ge_n",
-    "r_range",
-    "eps_range",
-    "delta_range",
-    "entry_bound",
-    "dataset_good",
-    "eta_below_r",
-    "sensitivity",
-    "utility",
-]
+EXPECTED_CHECK_NAMES = ["entry_bound", "eta_below_r", "sensitivity", "utility"]
 
 
 def fast_params(seed=0, k=None, gamma=0.3):
@@ -109,7 +98,10 @@ class TestDpAttention:
         assert report.sensitivity_bound_frob == \
             sensitivity_bound(data.eta, data.alpha, 1e-9, data.n).frobenius_bound
         assert report.measured_error == \
-            attention_error(report.gram_matrix, report.released, params.kind)
+            np.abs(report.attention_base - report.attention_released).max()
+        for matrix, att in ((report.gram_matrix, report.attention_base),
+                            (report.released, report.attention_released)):
+            assert np.array_equal(att, attention.attention_matrix(matrix, params.kind))
 
     def test_certified_end_to_end(self):
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params())
@@ -197,8 +189,8 @@ class TestDpAttention:
                     eps_event = loewner_event(report.gram_matrix, report.released, eps)
                     assert report.loewner_rho_event is rho_event
                     assert report.loewner_eps_event is eps_event
-                    seen.add((eps_event, report.psd_projection_applied))
-        assert {(True, False), (False, False)} <= seen
+                    seen.add(eps_event)
+        assert seen == {True, False}
 
     @pytest.mark.parametrize("k", [1, 2, 10, 10**6])
     def test_events_false_on_a_singular_gram(self, k):
@@ -209,12 +201,10 @@ class TestDpAttention:
         assert loewner_event(report.released, report.gram_matrix, report.rho) is False
         assert loewner_event(report.gram_matrix, report.released, 0.05) is False
 
-    def test_one_eigh_and_two_eigvalsh(self, monkeypatch):
-        # eigvalsh: the release's PSD check and the whitened release; eigh:
-        # the mechanism's factor of the Gram matrix, which the Gram matrix
-        # keeps, so a second release on the Dataset makes none.  The
-        # dataset_good floor is the minimum eigenvalue the Dataset took at
-        # construction.
+    def test_one_eigh_and_one_eigvalsh(self, monkeypatch):
+        # eigvalsh: the whitened release; eigh: the mechanism's factor of the
+        # Gram matrix, which the Gram matrix keeps, so a second release on the
+        # Dataset makes none.
         data = fast_dataset()
         calls = {"eigh": 0, "eigvalsh": 0}
 
@@ -226,12 +216,11 @@ class TestDpAttention:
 
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        report = dp_attention(data, 1e-8, fast_params())
-        assert not report.psd_projection_applied
-        assert calls == {"eigh": 1, "eigvalsh": 2}
+        dp_attention(data, 1e-8, fast_params())
+        assert calls == {"eigh": 1, "eigvalsh": 1}
         calls.update(eigh=0, eigvalsh=0)
         dp_attention(data, 1e-8, fast_params(seed=1))
-        assert calls == {"eigh": 0, "eigvalsh": 2}
+        assert calls == {"eigh": 0, "eigvalsh": 1}
 
     def test_shared_dataset_matches_fresh_datasets(self):
         # the kept decomposition changes no byte of any report
@@ -243,17 +232,9 @@ class TestDpAttention:
                         params = dataclasses.replace(fast_params(seed=seed, k=k), kind=kind)
                         fresh = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
                         shared_doc, fresh_doc = (
-                            json.dumps(_attention_report_doc(dp_attention(d, 1e-8, params)))
+                            json.dumps(_jsonable(dp_attention(d, 1e-8, params)))
                             for d in (shared, fresh))
                         assert shared_doc == fresh_doc
-
-    def test_dataset_good_measures_the_gram_floor(self):
-        for seed in range(5):
-            data = generate_good_dataset(3, 5, eta=0.01, alpha=0.11, seed=seed)
-            report = dp_attention(data, 1e-8, fast_params(seed=seed))
-            check = report.requirement_checks[EXPECTED_CHECK_NAMES.index("dataset_good")]
-            assert check.measured == np.linalg.eigvalsh(data.x @ data.x.T).min()
-            assert check.passed and check.required == data.eta
 
     def test_conversion_holds_across_seeds(self):
         data = fast_dataset()

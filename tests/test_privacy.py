@@ -35,27 +35,25 @@ class TestSensitivityBudget:
     def test_reference_values(self):
         budget = sensitivity_budget(0.1, 0.01, 100)
         log_inv = math.log(100.0)
-        assert budget.loose == pytest.approx(
-            min(0.1 / math.sqrt(8 * 100 * log_inv), 0.1 / (8 * log_inv)), rel=1e-15
-        )
-        assert budget.loose == pytest.approx(0.001647, abs=1e-6)
-        assert budget.strict == pytest.approx(
+        assert budget == pytest.approx(
             0.1 * min(0.1 / math.sqrt(100 * log_inv), 0.1 / log_inv), rel=1e-15
         )
-        assert budget.strict == pytest.approx(0.000466, abs=1e-6)
+        assert budget == pytest.approx(0.000466, abs=1e-6)
 
     def test_linear_in_eps(self):
-        small = sensitivity_budget(1e-6, 0.01, 100)
-        assert small.loose < 1e-7 and small.strict < 1e-7
+        assert sensitivity_budget(1e-6, 0.01, 100) < 1e-7
 
     def test_strict_never_exceeds_loose(self):
+        # the budget is no looser than the 1/sqrt(8k log(1/delta)) and
+        # 1/(8 log(1/delta)) calibration, since 0.1 < 1/sqrt(8) and 0.1 < 1/8
         gen = np.random.default_rng(31)
         for _ in range(200):
             eps = float(gen.uniform(1e-4, 0.999))
             delta = float(gen.uniform(1e-4, 0.999))
             k = int(gen.integers(1, 10**6))
-            budget = sensitivity_budget(eps, delta, k)
-            assert budget.strict <= budget.loose
+            log_inv = math.log(1.0 / delta)
+            loose = min(eps / math.sqrt(8.0 * k * log_inv), eps / (8.0 * log_inv))
+            assert sensitivity_budget(eps, delta, k) <= loose
 
     def test_param_validation(self):
         for eps, delta, k in ((0.0, 0.1, 1), (1.0, 0.1, 1), (0.1, 0.0, 1), (0.1, 0.1, 0)):
@@ -349,8 +347,7 @@ class TestDpCertificate:
 
     def test_sensitivity_exceeded(self):
         eps, delta, k, n = 0.5, 0.05, 50, 2
-        budget = sensitivity_budget(eps, delta, k)
-        delta_used = min(budget.loose, budget.strict)
+        delta_used = sensitivity_budget(eps, delta, k)
         lam = 1.0 + 1.01 * delta_used / math.sqrt(n)
         cert = dp_certificate(diagonal_spectrum([lam] * n), eps, delta, k)
         assert not cert.granted
@@ -361,7 +358,7 @@ class TestDpCertificate:
         # has spectrum 1/lam, whose deviation exceeds it; neighboring is
         # symmetric, so both orderings must be denied with the same report.
         eps, delta, k, n = 0.5, 0.05, 50, 2
-        budget = sensitivity_budget(eps, delta, k).strict
+        budget = sensitivity_budget(eps, delta, k)
         lam = 1.0 - 0.999 * budget / math.sqrt(n)
         fwd = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
         rev = privacy_spectrum(SymMatrix.identity(n), SymMatrix.diagonal([lam] * n))
@@ -375,8 +372,7 @@ class TestDpCertificate:
 
     def test_granted_implies_low_empirical_rate(self):
         eps, delta, k, n = 0.5, 0.05, 50, 2
-        budget = sensitivity_budget(eps, delta, k)
-        delta_used = min(budget.loose, budget.strict)
+        delta_used = sensitivity_budget(eps, delta, k)
         lam = 1.0 + 0.999 * delta_used / math.sqrt(n)
         spec = diagonal_spectrum([lam] * n)
         cert = dp_certificate(spec, eps, delta, k)
@@ -443,8 +439,7 @@ class TestMeanBoundAtBudgetBoundary:
             eps = float(gen.uniform(0.01, 0.999))
             delta = float(gen.uniform(0.001, 0.0999))
             k = int(gen.integers(1, 1000))
-            budget = sensitivity_budget(eps, delta, k)
-            delta_used = min(budget.loose, budget.strict)
+            delta_used = sensitivity_budget(eps, delta, k)
             lam = _boundary_spectrum(gen, n, delta_used)
             spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
             assert spec.deviation_frob <= delta_used * (1 + 1e-9)
@@ -457,8 +452,7 @@ class TestEmpiricalTailDomination:
         gen = np.random.default_rng(67)
         n, k = 3, 40
         eps, delta = 0.5, 0.05
-        budget = sensitivity_budget(eps, delta, k)
-        delta_used = min(budget.loose, budget.strict)
+        delta_used = sensitivity_budget(eps, delta, k)
         lam = _boundary_spectrum(gen, n, delta_used)
         spec = diagonal_spectrum(lam)
         params = sub_exp_params(spec, k)
