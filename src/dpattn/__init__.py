@@ -22,7 +22,6 @@ from .dataset import (
     NeighborPair,
     SensitivityBound,
     SensitivityMeasurement,
-    check_good,
     generate_good_dataset,
     gram,
     make_neighbor,

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimMismatch, Overflow, ParamRange, PreconditionFailed
-from .linalg import SymMatrix, as_sym, is_psd, loewner_within
+from .linalg import as_sym, is_psd, loewner_within
 
 
 class Activation(Enum):
@@ -30,19 +30,20 @@ class Activation(Enum):
     COSH = "cosh"
 
 
-def entrywise_activation(m, kind: Activation) -> SymMatrix:
-    """Apply the activation to every entry; symmetry is preserved exactly."""
+def entrywise_activation(m, kind: Activation) -> np.ndarray:
+    """Apply the activation to every entry of the symmetric ``m``; the result is finite
+    and exactly symmetric."""
     vals = as_sym(m).values
     with np.errstate(over="ignore"):
         out = np.exp(vals) if kind is Activation.EXP else np.cosh(vals)
     if not np.isfinite(out).all():
         raise Overflow(f"entrywise {kind.value} exceeds double range")
-    return SymMatrix(out)
+    return out
 
 
 def attention_matrix(m, kind: Activation) -> np.ndarray:
     """Row-stochastic attention map: each activated row divided by its sum."""
-    act = entrywise_activation(m, kind).values
+    act = entrywise_activation(m, kind)
     return act / act.sum(axis=1)[:, None]
 
 
@@ -121,8 +122,8 @@ def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation) -> Ch
             "loewner", f"pair is not spectrally within eps = {eps} of each other"
         )
 
-    act_a = entrywise_activation(a, kind).values
-    act_b = entrywise_activation(b, kind).values
+    act_a = entrywise_activation(a, kind)
+    act_b = entrywise_activation(b, kind)
     sums_a = act_a.sum(axis=1)
     sums_b = act_b.sum(axis=1)
 

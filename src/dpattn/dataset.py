@@ -24,18 +24,11 @@ from .linalg import SymMatrix, rank_two_eigenvalues
 GOODNESS_TOL = 1e-9
 
 
-def check_good(x, eta: float, alpha: float) -> bool:
-    """True iff ``x x^T >= (eta - GOODNESS_TOL) I`` and column norms <= ``alpha + GOODNESS_TOL``."""
-    return _goodness(x, eta, alpha)[1]
-
-
-def _goodness(x, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
-    """The Gram matrix ``x x^T`` and :func:`check_good`'s verdict."""
+def _goodness(arr: np.ndarray, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
+    """The Gram matrix ``g = arr arr^T`` of the 2-d ``arr`` and whether
+    ``g >= (eta - GOODNESS_TOL) I`` and every column norm is at most ``alpha + GOODNESS_TOL``."""
     if eta <= 0 or alpha <= 0:
         raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise ParamRange(f"dataset must be a 2-d matrix, got shape {arr.shape}")
     g = arr @ arr.T
     min_eig = float(np.linalg.eigvalsh(g).min())
     good = (min_eig >= eta - GOODNESS_TOL

@@ -27,8 +27,10 @@ def relative_tol(eigenvalues: np.ndarray) -> float:
 class SymMatrix:
     """Immutable dense real symmetric matrix.
 
-    Input is symmetrized on construction, ``(M + M.T) / 2``, so covariance
-    accumulation round-off never leaks asymmetry into later spectral code.
+    Input is symmetrized on construction, ``M / 2 + M.T / 2``, so covariance
+    accumulation round-off never leaks asymmetry into later spectral code; halving
+    before the sum keeps every finite entry finite, where ``(M + M.T) / 2`` would
+    overflow above about 9e307.
     Entries must be finite; the backing array is marked read-only.  The
     eigendecomposition is computed on first use and kept, since the matrix
     cannot change: every :func:`sym_eigendecompose` of one ``SymMatrix``
@@ -43,7 +45,7 @@ class SymMatrix:
             raise InvalidMatrix(f"expected a non-empty square matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise InvalidMatrix("matrix entries must be finite")
-        sym = (arr + arr.T) / 2.0
+        sym = 0.5 * arr + 0.5 * arr.T
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
 

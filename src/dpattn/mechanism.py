@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .errors import NotPsd, ParamRange
-from .linalg import SpectralDecomposition, SymMatrix, as_sym, relative_tol, sym_eigendecompose
+from .linalg import SymMatrix, as_sym, relative_tol, sym_eigendecompose
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
@@ -33,25 +33,14 @@ class MechanismOutput:
     """Covariance estimate released by the mechanism, with diagnostics.
 
     ``whitened = T T^T / k`` is the release whitened by the input covariance,
-    in its eigenbasis, and ``rel_frob_error`` its Frobenius distance to ``I``
-    (``None`` and NaN for a singular input).  ``warnings`` flags
+    in its eigenbasis (``None`` for a singular input); its Frobenius distance
+    to ``I`` is the release's relative error.  ``warnings`` flags
     ``SingularEstimate`` when k < n: the estimate cannot be positive definite.
     """
 
     sigma_hat: SymMatrix
-    rel_frob_error: float
     whitened: SymMatrix | None
     warnings: tuple[str, ...]
-
-
-def checked_spectrum(sigma) -> tuple[SpectralDecomposition, bool]:
-    """``sigma``'s eigendecomposition and whether it is positive definite at 1e-9
-    relative to its spectral norm; :class:`NotPsd` if it is indefinite."""
-    dec = sym_eigendecompose(sigma)
-    w = dec.eigenvalues
-    if w.min() < -relative_tol(w):
-        raise NotPsd("covariance must be PSD")
-    return dec, bool(w.min() > relative_tol(w))
 
 
 @functools.lru_cache(maxsize=64)
@@ -111,23 +100,24 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
 
     Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``:
     it has the spectrum of ``whitened = T T^T / k`` whatever ``sigma`` is,
-    and ``rel_frob_error = ||T T^T / k - I||_F``.  Both are undefined when
-    ``sigma`` is singular (see :func:`checked_spectrum`).
+    and ``||T T^T / k - I||_F`` is its relative error.  ``whitened`` is
+    ``None`` when ``sigma`` is singular: its smallest eigenvalue is at most
+    1e-9 times its spectral norm.
     """
     sigma = as_sym(sigma)
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
-    dec, defined = checked_spectrum(sigma)
-    factor = dec.eigenvectors * np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    dec = sym_eigendecompose(sigma)
+    w, tol = dec.eigenvalues, relative_tol(dec.eigenvalues)
+    if w.min() < -tol:
+        raise NotPsd("covariance must be PSD")
+    factor = dec.eigenvectors * np.sqrt(np.clip(w, 0.0, None))
     bartlett = next(bartlett_factors(sigma.dim, k, seed, 1))[0]
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    gram_t = bartlett @ bartlett.T / k
-    rel = frobenius_from_identity(gram_t[None])[0] if defined else float("nan")
-    whitened = SymMatrix(gram_t) if defined else None
-    return MechanismOutput(sigma_hat=sigma_hat, rel_frob_error=rel, whitened=whitened,
-                           warnings=warnings)
+    whitened = SymMatrix(bartlett @ bartlett.T / k) if w.min() > tol else None
+    return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened, warnings=warnings)
 
 
 def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:

@@ -67,9 +67,11 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> float:
 class PrivacySpectrum:
     """Spectrum of the whitened comparison of two covariances.
 
-    ``eigenvalues`` are the (descending, strictly positive) eigenvalues of
-    ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``.  The reverse ordering (real
-    input ``sigma2``, neighbor ``sigma1``) has the spectrum ``1/lam``.  An
+    ``eigenvalues`` are the (descending) eigenvalues of
+    ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``; construction raises
+    :class:`SingularMatrix` unless the smallest exceeds 1e-9 times
+    ``max(1, largest)``.  The reverse ordering (real input ``sigma2``,
+    neighbor ``sigma1``) has the spectrum ``1/lam``, :attr:`reverse`.  An
     eigenvalue 1 adds nothing to the loss, its mean or either deviation, so a
     spectrum may leave such eigenvalues out (:func:`neighbor_spectrum` does).
     """
@@ -80,8 +82,11 @@ class PrivacySpectrum:
         lam = np.array(self.eigenvalues, dtype=float, copy=True)
         if lam.ndim != 1 or lam.size < 1:
             raise ParamRange(f"eigenvalues must be a non-empty vector, got shape {lam.shape}")
-        if lam.min() <= 0.0:
-            raise SingularMatrix("comparison spectrum must be strictly positive")
+        floor = relative_tol(np.append(lam, 1.0))
+        if lam.min() <= floor:
+            raise SingularMatrix(
+                f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
+            )
         lam.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
 
@@ -95,9 +100,9 @@ class PrivacySpectrum:
         return math.sqrt(float(((self.eigenvalues - 1.0) ** 2).sum()))
 
     @property
-    def inverse_deviation_frob(self) -> float:
-        """``||I - comparison^{-1}||_F = sqrt(sum (1 - 1/lam)^2)``: the reverse ordering's."""
-        return math.sqrt(float(((1.0 - 1.0 / self.eigenvalues) ** 2).sum()))
+    def reverse(self) -> "PrivacySpectrum":
+        """The reverse ordering's spectrum, ``1/lam`` (descending)."""
+        return PrivacySpectrum(1.0 / self.eigenvalues[::-1])
 
 
 def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
@@ -106,15 +111,10 @@ def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
     Computed as the eigenvalues of the similar matrix
     ``sigma2^{-1/2} sigma1 sigma2^{-1/2}``.  Raises :class:`SingularMatrix`
     when either input is singular: ``sigma2`` at its whitening, ``sigma1``
-    when the smallest eigenvalue is at most 1e-9 relative to the largest.
+    at the :class:`PrivacySpectrum` floor (the smallest eigenvalue at most
+    1e-9 times ``max(1, largest)``).
     """
-    lam = whitened_eigenvalues(sigma1, sigma2)
-    floor = relative_tol(lam)
-    if lam.min() <= floor:
-        raise SingularMatrix(
-            f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
-        )
-    return PrivacySpectrum(lam)
+    return PrivacySpectrum(whitened_eigenvalues(sigma1, sigma2))
 
 
 def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
@@ -123,25 +123,14 @@ def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
     The pair differs in one column, so the Gram matrices differ by rank at most two.
     Whitened by the base's kept Gram matrix, the perturbed one has the eigenvalues
     ``1 + mu`` with ``mu`` from :func:`~dpattn.dataset.neighbor_deviation`, and the
-    comparison has their reciprocals ``lam = 1 / (1 + mu)``: no ``n x n``
-    eigendecomposition and no second Gram product.  Raises :class:`SingularMatrix` when
-    the base Gram matrix is not positive definite (see
-    :func:`~dpattn.linalg.rank_two_eigenvalues`), or when the smallest of ``1 + mu`` or
-    of ``lam`` is at most 1e-9 times ``max(1, largest)``.  A singular perturbed Gram
-    matrix shows as ``1 + mu`` near 0, and is caught before the division.
+    comparison has their reciprocals ``lam = 1 / (1 + mu)``, the :attr:`~PrivacySpectrum.reverse`
+    of the spectrum ``1 + mu``: no ``n x n`` eigendecomposition and no second Gram
+    product.  Raises :class:`SingularMatrix` when the base Gram matrix is not positive
+    definite (see :func:`~dpattn.linalg.rank_two_eigenvalues`), or when ``1 + mu`` or
+    ``lam`` fails the :class:`PrivacySpectrum` floor.  A singular perturbed Gram matrix
+    shows as ``1 + mu`` near 0, and is caught before the division.
     """
-    grown = _above_floor(1.0 + neighbor_deviation(pair))
-    return PrivacySpectrum(_above_floor((1.0 / grown)[::-1]))
-
-
-def _above_floor(lam: np.ndarray) -> np.ndarray:
-    """``lam``, checked: its smallest entry must exceed 1e-9 times ``max(1, largest)``."""
-    floor = relative_tol(np.append(lam, 1.0))
-    if lam.min() <= floor:
-        raise SingularMatrix(
-            f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
-        )
-    return lam
+    return PrivacySpectrum(1.0 + neighbor_deviation(pair)).reverse
 
 
 def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
@@ -247,7 +236,7 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
     ordering's value of each.
     """
     budget_used = sensitivity_budget(eps, delta, k)
-    both = (spectrum, PrivacySpectrum(1.0 / spectrum.eigenvalues[::-1]))
+    both = (spectrum, spectrum.reverse)
     sensitivity = max(s.deviation_frob for s in both)
     params = [sub_exp_params(s, k) for s in both]
     mean = max(p.mean for p in params)
@@ -289,16 +278,16 @@ class McTail:
     samples: np.ndarray
 
 
-def wilson_upper(successes: int, trials: int, z: float = _Z99) -> float:
-    """One-sided Wilson score upper confidence bound for a binomial rate."""
+def wilson_upper(successes: int, trials: int) -> float:
+    """One-sided 99% Wilson score upper confidence bound for a binomial rate."""
     if trials < 1:
         raise ParamRange(f"trials must be at least 1, got {trials}")
     if not 0 <= successes <= trials:
         raise ParamRange(f"successes {successes} out of range for {trials} trials")
     p = successes / trials
-    z2 = z * z
+    z2 = _Z99 * _Z99
     center = p + z2 / (2.0 * trials)
-    half = z * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
+    half = _Z99 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return (center + half) / (1.0 + z2 / trials)
 
 

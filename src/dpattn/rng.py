@@ -66,7 +66,6 @@ TAG_DATASET = 1
 TAG_NEIGHBOR = 2
 TAG_MECHANISM = 3
 TAG_PRIVACY = 4
-TAG_BENCH = 5
 
 
 def normalize_entropy(entropy) -> tuple[int, ...]:

@@ -55,6 +55,14 @@ def chain_pair(gen, n, eps, r):
     return base * scale, perturbed * scale
 
 
+def whitened_error(release):
+    """A release's relative error ``||T T^T / k - I||_F``: its whitened release's
+    Frobenius distance to ``I``, NaN when the input covariance is singular."""
+    if release.whitened is None:
+        return math.nan
+    return float(np.linalg.norm(release.whitened.values - np.eye(release.whitened.dim)))
+
+
 def direct_loss_samples(lam, k, trials, seed):
     """Reference privacy-loss sampler: ``k * n`` standard normals per trial.
 

@@ -33,7 +33,7 @@ from dpattn import (
     sensitivity_budget,
     sensitivity_measured,
 )
-from helpers import chain_pair, rand_orthogonal
+from helpers import chain_pair, rand_orthogonal, whitened_error
 
 
 def report(name, ok, detail=""):
@@ -94,7 +94,7 @@ def test_criterion_2_utility_scaling():
     medians = []
     for ki, k in enumerate((10**3, 10**4, 10**5)):
         errors = [
-            gaussian_sampling_mechanism(sigma, k, seed=(2, ki, t)).rel_frob_error
+            whitened_error(gaussian_sampling_mechanism(sigma, k, seed=(2, ki, t)))
             for t in range(trials)
         ]
         medians.append(float(np.median(errors)))
@@ -186,7 +186,7 @@ def test_criterion_4_closed_form_mean():
         lam = _boundary_spectrum(gen, n, budget_used)
         spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
         assert spec.deviation_frob <= budget_used * (1 + 1e-9)
-        assert spec.inverse_deviation_frob <= budget_used * (1 + 1e-9)
+        assert spec.reverse.deviation_frob <= budget_used * (1 + 1e-9)
         if expected_privacy_loss(spec, k) > eps / 2.0:
             violations += 1
     ok = worst_pull <= 4.0 and violations == 0

@@ -21,17 +21,17 @@ class TestEntrywiseActivation:
     def test_zero_matrix(self):
         for kind in Activation:
             out = entrywise_activation(SymMatrix.zeros(2), kind)
-            assert np.array_equal(out.values, np.ones((2, 2)))
+            assert np.array_equal(out, np.ones((2, 2)))
 
     def test_closed_form(self):
         out = entrywise_activation(SymMatrix.diagonal([math.log(2.0), 0.0]), Activation.EXP)
-        assert np.allclose(out.values, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
+        assert np.allclose(out, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
     def test_symmetry_exact(self):
         gen = np.random.default_rng(3)
         m = SymMatrix(rand_psd(gen, 5) * 0.01)
         out = entrywise_activation(m, Activation.COSH)
-        assert np.array_equal(out.values, out.values.T)
+        assert np.array_equal(out, out.T)
 
     def test_overflow(self):
         with pytest.raises(Overflow):
@@ -50,6 +50,13 @@ class TestAttentionMatrix:
         m = SymMatrix([[0.0, math.log(2.0)], [math.log(2.0), 0.0]])
         out = attention_matrix(m, Activation.EXP)
         assert np.allclose(out, [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], atol=1e-15)
+
+    def test_activation_near_the_double_range(self):
+        # exp(709.5) = 1.35e308 is finite, so the map is defined: finite rows summing to 1
+        out = attention_matrix(SymMatrix([[709.5, 0.0], [0.0, 0.0]]), Activation.EXP)
+        assert np.isfinite(out).all()
+        assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-15
+        assert out[1, 0] == out[1, 1] == 0.5
 
     def test_row_sums_and_entry_range(self):
         gen = np.random.default_rng(101)

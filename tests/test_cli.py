@@ -409,7 +409,7 @@ class TestBenchUtility:
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
         rows = [line.split(",") for line in
                 (tmp_path / "bench_utility.csv").read_text().splitlines()[1:]]
-        sigma = cli._bench_sigma(n, cond, seed)
+        sigma = SymMatrix.diagonal(np.geomspace(1.0, cond, n))  # the covariance's spectrum
         expected = []
         for ki, k in enumerate(ks):
             block = bartlett_block(n, k, (seed, ki), trials)
@@ -419,7 +419,7 @@ class TestBenchUtility:
             errors = [math.nan] * trials
             if release.whitened is not None:  # the direct formula, bit for bit
                 errors = [float(np.linalg.norm(f @ f.T / k - np.eye(n))) for f in block]
-                assert errors[0] == release.rel_frob_error
+                assert errors[0] == float(np.linalg.norm(release.whitened.values - np.eye(n)))
                 assert np.array_equal(release.whitened.values,
                                       SymMatrix(block[0] @ block[0].T / k).values)
             expected += [[str(n), str(k), str(t), repr(e)] for t, e in enumerate(errors)]
@@ -449,13 +449,28 @@ class TestBenchUtility:
                     == (tmp_path / "one" / "bench_utility.csv").read_bytes())
         assert sizes == [1] * 28 + [3, 3, 1] * 4
 
-    def test_one_eigh_per_run(self, tmp_path, monkeypatch):
+    def test_no_eigh_per_run(self, tmp_path, monkeypatch):
+        # the covariance's spectrum is geomspace(1, cond, n) by construction: no eigh
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         cfg = self.bench_config(tmp_path, ks=[2, 3, 50], trials=4)
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("n,cond,defined", [
+        pytest.param(n, cond, defined, id=f"n{n}-{cond!r}")
+        for n in (2, 5, 64)
+        for cond, defined in ((1e9, False), (math.nextafter(1e9, 0.0), True))
+    ] + [pytest.param(1, 1e12, True, id="n1-1e12")])
+    def test_nan_edge_does_not_depend_on_the_seed(self, tmp_path, n, cond, defined):
+        # the rows are NaN exactly when n >= 2 and cond >= 1e9, the singularity floor
+        for seed in range(4):
+            cfg = self.bench_config(tmp_path, n=n, ks=[100], trials=2, seed=seed, cond=cond)
+            assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
+            errors = [float(line.split(",")[3]) for line in
+                      (tmp_path / "bench_utility.csv").read_text().splitlines()[1:]]
+            assert [math.isfinite(e) for e in errors] == [defined] * 3, seed
 
 
 DROP = object()  # the key is removed from the valid document

@@ -7,7 +7,6 @@ from dpattn import (
     NeighborPair,
     ParamRange,
     SingularMatrix,
-    check_good,
     generate_good_dataset,
     gram,
     is_psd,
@@ -20,21 +19,25 @@ from dpattn import (
 
 
 class TestCheckGood:
+    """``Dataset`` accepts exactly the matrices that meet their declared bounds."""
+
     def test_identity(self):
-        assert check_good(np.eye(2), eta=1.0, alpha=1.0)
+        Dataset(np.eye(2), eta=1.0, alpha=1.0)
 
     def test_spectral_floor_violated(self):
-        assert not check_good(np.eye(2), eta=1.5, alpha=1.0)
+        with pytest.raises(Infeasible):
+            Dataset(np.eye(2), eta=1.5, alpha=1.0)
 
     def test_column_cap_violated(self):
-        assert not check_good(2.0 * np.eye(2), eta=1.0, alpha=1.0)
+        with pytest.raises(Infeasible):
+            Dataset(2.0 * np.eye(2), eta=1.0, alpha=1.0)
 
     def test_scaled_diagonal(self):
-        assert check_good(np.diag([2.0, 2.0]), eta=4.0, alpha=2.0)
+        Dataset(np.diag([2.0, 2.0]), eta=4.0, alpha=2.0)
 
     def test_param_validation(self):
         with pytest.raises(ParamRange):
-            check_good(np.eye(2), eta=0.0, alpha=1.0)
+            Dataset(np.eye(2), eta=0.0, alpha=1.0)
 
 
 class TestGenerateGoodDataset:
@@ -44,7 +47,7 @@ class TestGenerateGoodDataset:
 
     def test_wide_case_passes_check(self):
         data = generate_good_dataset(2, 4, eta=1.0, alpha=1.0, seed=7)
-        assert check_good(data.x, 1.0, 1.0)
+        Dataset(data.x, 1.0, 1.0)
         assert data.n == 2 and data.d == 4
 
     def test_infeasible(self):

@@ -38,6 +38,13 @@ class TestSymMatrix:
         with pytest.raises(InvalidMatrix):
             SymMatrix([[np.inf]])
 
+    def test_symmetrizing_keeps_the_largest_finite_entries(self):
+        # (M + M.T) / 2 overflows to inf above about 9e307; RuntimeWarnings fail the suite
+        assert SymMatrix([[1e308]]).values[0, 0] == 1e308
+        big = np.finfo(float).max
+        m = SymMatrix([[big, -big], [big, big]])
+        assert np.array_equal(m.values, [[big, 0.0], [0.0, big]])
+
     def test_values_read_only(self):
         m = SymMatrix.identity(2)
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from dpattn import (
     DimMismatch,
     NeighborPair,
     ParamRange,
+    PrivacySpectrum,
     SingularMatrix,
     SubExpParams,
     SymMatrix,
@@ -66,7 +67,7 @@ class TestPrivacySpectrum:
         spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
         assert np.allclose(spec.eigenvalues, 1.0)
         assert spec.deviation_frob <= 1e-12
-        assert spec.inverse_deviation_frob <= 1e-12
+        assert spec.reverse.deviation_frob <= 1e-12
 
     def test_scaled_identity(self):
         spec = privacy_spectrum(SymMatrix(2.0 * np.eye(2)), SymMatrix.identity(2))
@@ -104,9 +105,9 @@ class TestPrivacySpectrum:
             sum_dev = ((lam - 1.0) ** 2).sum()
             sum_inv = ((1.0 - 1.0 / lam) ** 2).sum()
             assert abs(spec.deviation_frob**2 - sum_dev) <= 1e-9 * max(1.0, sum_dev)
-            assert abs(spec.inverse_deviation_frob**2 - sum_inv) <= 1e-9 * max(1.0, sum_inv)
+            assert abs(spec.reverse.deviation_frob**2 - sum_inv) <= 1e-9 * max(1.0, sum_inv)
             assert spec.deviation_frob == pytest.approx(dev, rel=1e-7, abs=1e-10)
-            assert spec.inverse_deviation_frob == pytest.approx(inv_dev, rel=1e-7, abs=1e-10)
+            assert spec.reverse.deviation_frob == pytest.approx(inv_dev, rel=1e-7, abs=1e-10)
 
     def test_singular_input(self):
         with pytest.raises(SingularMatrix):
@@ -132,6 +133,20 @@ class TestPrivacySpectrum:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(3))
+
+    def test_floor_is_relative_to_one_or_the_largest(self):
+        # the smallest eigenvalue must exceed 1e-9 * max(1, largest)
+        for lam in ([2.0, 1e-10], [1e-10], [1e3, 1e-6]):
+            with pytest.raises(SingularMatrix):
+                PrivacySpectrum(np.array(lam))
+        PrivacySpectrum(np.array([1e3, 2e-6]))
+
+    def test_reverse_is_the_reciprocal_spectrum(self):
+        gen = np.random.default_rng(47)
+        for n in (1, 2, 5):
+            lam = np.sort(gen.uniform(0.1, 10.0, n))[::-1]
+            rev = PrivacySpectrum(lam).reverse.eigenvalues
+            assert rev.tobytes() == (1.0 / lam[::-1]).tobytes()
 
 
 class TestExpectedPrivacyLoss:
@@ -443,7 +458,7 @@ class TestMeanBoundAtBudgetBoundary:
             lam = _boundary_spectrum(gen, n, delta_used)
             spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
             assert spec.deviation_frob <= delta_used * (1 + 1e-9)
-            assert spec.inverse_deviation_frob <= delta_used * (1 + 1e-9)
+            assert spec.reverse.deviation_frob <= delta_used * (1 + 1e-9)
             assert expected_privacy_loss(spec, k) <= eps / 2.0
 
 
