@@ -348,15 +348,18 @@ _COMMANDS = {
 }
 
 
+# Built once, at import: nothing in it depends on argv.
+_PARSER = argparse.ArgumentParser(
+    prog="dpattn",
+    description="Differentially private attention surrogates and their verification.",
+)
+_PARSER.add_argument("command", choices=_COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to a JSON config")
+_PARSER.add_argument("--out", default=".", help="output directory (default: cwd)")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dpattn",
-        description="Differentially private attention surrogates and their verification.",
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         config_path = Path(args.config)

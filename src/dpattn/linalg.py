@@ -34,7 +34,8 @@ class SymMatrix:
     Entries must be finite; the backing array is marked read-only.  The
     eigendecomposition is computed on first use and kept, since the matrix
     cannot change: every :func:`sym_eigendecompose` of one ``SymMatrix``
-    returns the same read-only arrays.
+    returns the same read-only arrays.  The Cholesky factor that
+    :func:`rank_two_eigenvalues` reads is kept the same way.
     """
 
     values: np.ndarray
@@ -64,6 +65,23 @@ class SymMatrix:
         w.flags.writeable = False
         v.flags.writeable = False
         return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+    @cached_property
+    def _cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor ``L``; raises :class:`SingularMatrix` (and keeps
+        nothing) when the factorization fails or a pivot ``L_ii^2`` is at most 1e-9
+        times the largest diagonal entry."""
+        try:
+            chol = np.linalg.cholesky(self.values)
+        except np.linalg.LinAlgError:
+            raise SingularMatrix("matrix is not positive definite")
+        pivots = np.diagonal(chol) ** 2
+        if pivots.min() <= relative_tol(np.diagonal(self.values)):
+            raise SingularMatrix(
+                f"Cholesky pivot {pivots.min():.3e} is at most 1e-9 of the largest diagonal entry"
+            )
+        chol.flags.writeable = False
+        return chol
 
     @classmethod
     def identity(cls, n: int) -> "SymMatrix":
@@ -146,7 +164,7 @@ def whitened_eigenvalues(a, b) -> np.ndarray:
         raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
     white = psd_inv_sqrt(b).values
     m = white @ a.values @ white
-    return np.linalg.eigvalsh((m + m.T) / 2.0)[::-1]
+    return np.linalg.eigvalsh(0.5 * m + 0.5 * m.T)[::-1]
 
 
 _RANK_TWO = np.array([[0.0, 1.0], [1.0, 1.0]])
@@ -160,20 +178,12 @@ def rank_two_eigenvalues(b, y, e) -> np.ndarray:
     other ``n - 2`` eigenvalues are exactly zero.  With ``b = L L^T`` (Cholesky) and
     ``[L^{-1} y, L^{-1} e] = Q R``, the ``min(n, 2)`` returned ones are the eigenvalues of
     the symmetric ``R C R^T``.  The step enters as ``e``: forming ``(y + e)(y + e)^T - y y^T``
-    cancels when ``e`` is small.  Raises :class:`SingularMatrix` when ``b`` is not positive
-    definite: its Cholesky factorization fails, or a pivot ``L_ii^2`` (at least the smallest
-    eigenvalue of ``b``) is at most 1e-9 times the largest diagonal entry of ``b``.
+    cancels when ``e`` is small.  A :class:`SymMatrix` ``b`` keeps its factor ``L``, so
+    repeated calls on one ``b`` factor it once.  Raises :class:`SingularMatrix` when ``b`` is
+    not positive definite: its Cholesky factorization fails, or a pivot ``L_ii^2`` (at least
+    the smallest eigenvalue of ``b``) is at most 1e-9 times the largest diagonal entry of ``b``.
     """
-    b = as_sym(b)
-    try:
-        chol = np.linalg.cholesky(b.values)
-    except np.linalg.LinAlgError:
-        raise SingularMatrix("matrix is not positive definite")
-    pivots = np.diagonal(chol) ** 2
-    if pivots.min() <= relative_tol(np.diagonal(b.values)):
-        raise SingularMatrix(
-            f"Cholesky pivot {pivots.min():.3e} is at most 1e-9 of the largest diagonal entry"
-        )
+    chol = as_sym(b)._cholesky
     r = np.linalg.qr(np.linalg.solve(chol, np.column_stack([y, e])), mode="r")
     return np.linalg.eigvalsh(r @ _RANK_TWO @ r.T)[::-1]
 

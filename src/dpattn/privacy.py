@@ -69,7 +69,8 @@ class PrivacySpectrum:
 
     ``eigenvalues`` are the (descending) eigenvalues of
     ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``; construction raises
-    :class:`SingularMatrix` unless the smallest exceeds 1e-9 times
+    :class:`ParamRange` unless they form a non-empty vector of finite values,
+    and :class:`SingularMatrix` unless the smallest exceeds 1e-9 times
     ``max(1, largest)``.  The reverse ordering (real input ``sigma2``,
     neighbor ``sigma1``) has the spectrum ``1/lam``, :attr:`reverse`.  An
     eigenvalue 1 adds nothing to the loss, its mean or either deviation, so a
@@ -82,6 +83,8 @@ class PrivacySpectrum:
         lam = np.array(self.eigenvalues, dtype=float, copy=True)
         if lam.ndim != 1 or lam.size < 1:
             raise ParamRange(f"eigenvalues must be a non-empty vector, got shape {lam.shape}")
+        if not np.isfinite(lam).all():
+            raise ParamRange(f"eigenvalues must be finite, got {lam}")
         floor = relative_tol(np.append(lam, 1.0))
         if lam.min() <= floor:
             raise SingularMatrix(
@@ -156,9 +159,14 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
     lam = spectrum.eigenvalues
     entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
     chi = rng.chi_squares(k, (trials, lam.size), rng.generator(entropy))
-    # A row sum, not ``chi @ (lam - 1)``: BLAS may round a row differently
-    # depending on how many rows there are, which would break the prefix.
-    return 0.5 * ((chi * (lam - 1.0)).sum(axis=1) - k * float(np.log(lam).sum()))
+    # Summed in order, not ``chi @ (lam - 1)``: BLAS may round a row differently
+    # depending on how many rows there are, which would break the prefix.  Column
+    # by column, since numpy reduces a short row one row at a time; up to 7
+    # eigenvalues this gives the same bits as ``(chi * (lam - 1)).sum(axis=1)``.
+    weighted = chi[:, 0] * (lam[0] - 1.0)
+    for j in range(1, lam.size):
+        weighted += chi[:, j] * (lam[j] - 1.0)
+    return 0.5 * (weighted - k * float(np.log(lam).sum()))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -84,6 +85,23 @@ class TestArgv:
             run(argv)
         assert exc.value.code == 2
         assert "usage: dpattn" in capsys.readouterr().err
+
+    def test_parser_built_once_at_import(self, tmp_path, gen_config, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        for _ in range(4):
+            assert run(["gen-dataset", "--config", gen_config, "--out", tmp_path]) == 0
+        assert built == []
+
+    def test_parser_works_after_an_error(self, tmp_path, gen_config, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-dataset", "--out", tmp_path])
+        assert exc.value.code == 2
+        assert "usage: dpattn" in capsys.readouterr().err
+        assert run(["gen-dataset", "--config", gen_config, "--out", tmp_path]) == 0
+        assert sorted(p.name for p in tmp_path.glob("demo.*")) == ["demo.csv", "demo.json"]
 
     def test_out_defaults_to_working_directory(self, tmp_path, gen_config, monkeypatch):
         cwd = tmp_path / "cwd"

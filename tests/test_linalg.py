@@ -205,6 +205,11 @@ class TestWhitenedEigenvalues:
         with pytest.raises(SingularMatrix):
             whitened_eigenvalues(SymMatrix.identity(2), SymMatrix.diagonal([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_do_not_overflow(self):
+        got = whitened_eigenvalues(SymMatrix.diagonal([1e308, 1.0]), SymMatrix.identity(2))
+        assert got.tolist() == [1e308, 1.0]
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             whitened_eigenvalues(SymMatrix.identity(2), SymMatrix.identity(3))

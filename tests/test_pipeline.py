@@ -30,8 +30,10 @@ from dpattn import (
     privacy,
     privacy_spectrum,
     rng,
+    privacy_loss_samples,
     required_samples,
     sensitivity_bound,
+    sensitivity_measured,
     sym_eigendecompose,
     utility_radius,
     verify_neighbor_privacy,
@@ -288,6 +290,25 @@ class TestVerifyNeighborPrivacy:
         long = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=5000, seed=7)
         assert np.array_equal(short.samples, long.samples[:1000])
         assert np.any(short.samples != 0.0)
+        # past 7 eigenvalues the column sum no longer matches a row sum's bits,
+        # but it still does not depend on the number of trials
+        spec = PrivacySpectrum(np.linspace(1.2, 0.8, 9))
+        short = privacy_loss_samples(spec, 50, 1000, 7)
+        assert np.array_equal(short, privacy_loss_samples(spec, 50, 5000, 7)[:1000])
+        assert np.any(short != 0.0)
+
+    def test_base_gram_factored_once(self, monkeypatch):
+        # the base's kept Gram matrix keeps its Cholesky factor too
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+        data = generate_good_dataset(8, 16, eta=0.01, alpha=0.11, seed=7)
+        pair = make_neighbor(data, beta=1e-4, index=1, seed=4)
+        first, second = (verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50,
+                                                 trials=1000, seed=0) for _ in range(2))
+        sensitivity_measured(pair)
+        assert len(factored) == 1
+        assert np.array_equal(first.samples, second.samples)
 
     def test_minimum_trials(self):
         data = fast_dataset()

@@ -23,6 +23,7 @@ from dpattn import (
     neighbor_spectrum,
     privacy_loss_samples,
     privacy_spectrum,
+    rng,
     sensitivity_budget,
     sub_exp_params,
     tail_bound,
@@ -140,6 +141,17 @@ class TestPrivacySpectrum:
             with pytest.raises(SingularMatrix):
                 PrivacySpectrum(np.array(lam))
         PrivacySpectrum(np.array([1e3, 2e-6]))
+
+    @pytest.mark.parametrize("lam", [[np.nan, 1.0], [np.inf], [1.0, -np.inf]])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(ParamRange):
+            PrivacySpectrum(np.array(lam))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entry_is_below_the_floor(self):
+        # whitening does not overflow, and 1 lies below 1e-9 * 1e308
+        with pytest.raises(SingularMatrix):
+            privacy_spectrum(SymMatrix.diagonal([1e308, 1.0]), SymMatrix.identity(2))
 
     def test_reverse_is_the_reciprocal_spectrum(self):
         gen = np.random.default_rng(47)
@@ -277,6 +289,17 @@ class TestPrivacyLossSample:
         spec = diagonal_spectrum([1.2, 0.9])
         assert np.array_equal(privacy_loss_samples(spec, 30, 100, 11),
                               privacy_loss_samples(spec, 30, 100, 11))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7])
+    def test_column_sum_is_the_row_sum(self, m):
+        # in-order column sums give the bits of numpy's row sum up to 7 eigenvalues
+        spec = PrivacySpectrum(np.sort(np.random.default_rng(m).uniform(0.8, 1.2, m))[::-1])
+        lam, k, trials, seed = spec.eigenvalues, 50, 2000, 11
+        entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
+        chi = rng.chi_squares(k, (trials, m), rng.generator(entropy))
+        rows = 0.5 * ((chi * (lam - 1.0)).sum(axis=1) - k * float(np.log(lam).sum()))
+        got = privacy_loss_samples(spec, k, trials, seed)
+        assert got.tobytes() == rows.tobytes()
 
     def test_longer_run_extends_shorter(self):
         spec = diagonal_spectrum([1.2, 0.9, 1.05])
