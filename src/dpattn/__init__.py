@@ -40,12 +40,9 @@ from .errors import (
     SingularMatrix,
 )
 from .linalg import (
-    SpectralDecomposition,
     SymMatrix,
     is_psd,
     loewner_within,
-    psd_inv_sqrt,
-    sym_eigendecompose,
     whitened_eigenvalues,
 )
 from .mechanism import (

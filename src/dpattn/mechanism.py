@@ -5,11 +5,12 @@ The mechanism releases the empirical covariance of ``k`` draws from
 ``Wishart(sigma, k) / k`` draw.  Privacy comes from the sampling noise alone;
 no noise is added to the estimate.  The release draws that law by Bartlett's
 decomposition (Odell & Feiveson 1966, JASA 61:199) from at most
-``n * (n + 1) / 2`` variates, so its cost does not grow with ``k``.  Utility
-is the usual empirical-covariance concentration: with probability
-``1 - gamma`` the whitened deviation
-``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F`` is at most
-``rho ~ sqrt((n^2 + log(1/gamma)) / k)``.
+``n * (n + 1) / 2`` variates, so its cost does not grow with ``k``.  It
+factors ``sigma`` by its kept lower Cholesky factor ``L``: any ``L`` with
+``L L^T = sigma`` gives the same law.  Utility is the usual
+empirical-covariance concentration: with probability ``1 - gamma`` the
+whitened deviation ``||sigma^{-1/2} sigma_hat sigma^{-1/2} - I||_F`` is at
+most ``rho ~ sqrt((n^2 + log(1/gamma)) / k)``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, ParamRange
-from .linalg import SymMatrix, as_sym, relative_tol, sym_eigendecompose
+from .errors import NotPsd, ParamRange, SingularMatrix
+from .linalg import SymMatrix, as_sym, relative_tol
 
 WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
@@ -32,10 +33,11 @@ _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memo
 class MechanismOutput:
     """Covariance estimate released by the mechanism, with diagnostics.
 
-    ``whitened = T T^T / k`` is the release whitened by the input covariance,
-    in its eigenbasis (``None`` for a singular input); its Frobenius distance
-    to ``I`` is the release's relative error.  ``warnings`` flags
-    ``SingularEstimate`` when k < n: the estimate cannot be positive definite.
+    ``whitened = T T^T / k`` is the release whitened by the input covariance's
+    Cholesky factor ``L``, ``L^{-1} sigma_hat L^{-T}`` (``None`` for a singular
+    input); its Frobenius distance to ``I`` is the release's relative error.
+    ``warnings`` flags ``SingularEstimate`` when k < n: the estimate cannot be
+    positive definite.
     """
 
     sigma_hat: SymMatrix
@@ -88,35 +90,37 @@ def frobenius_from_identity(grams: np.ndarray) -> list[float]:
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     """Release ``sigma_hat = (1/k) sum_i g_i g_i^T`` with ``g_i ~ N(0, sigma)``.
 
-    Drawn as ``(L T)(L T)^T / k``.  ``L = V diag(sqrt(max(w, 0)))`` is the
-    eigenvector factor of ``sigma``, which tolerates exactly singular PSD
-    covariances.  ``T`` is the ``n x m`` lower-trapezoidal Bartlett factor,
-    ``m = min(n, k)``: ``T_jj = sqrt(chi2(k - j))`` and ``T_ij ~ N(0, 1)``
-    for ``i > j``.  It is the transposed R factor of the QR decomposition
-    of the ``k x n`` standard normal sample matrix, so the law is exact for
-    ``k < n`` too.  Output is bit-reproducible for fixed
-    ``(sigma, k, seed)``; the stream layout is documented in :mod:`rng`.
-    Raises :class:`NotPsd` for an indefinite ``sigma``.
+    Drawn as ``(L T)(L T)^T / k``, with ``L`` the kept lower Cholesky factor of
+    ``sigma`` (:attr:`~dpattn.linalg.SymMatrix.cholesky`).  ``T`` is the
+    ``n x m`` lower-trapezoidal Bartlett factor, ``m = min(n, k)``:
+    ``T_jj = sqrt(chi2(k - j))`` and ``T_ij ~ N(0, 1)`` for ``i > j``.  It is
+    the transposed R factor of the QR decomposition of the ``k x n`` standard
+    normal sample matrix, so the law is exact for ``k < n`` too.  Output is
+    bit-reproducible for fixed ``(sigma, k, seed)``; the stream layout is
+    documented in :mod:`rng`.
 
-    Since ``sigma^{-1/2} L = V``, the whitened release is ``V (T T^T / k) V^T``:
-    it has the spectrum of ``whitened = T T^T / k`` whatever ``sigma`` is,
-    and ``||T T^T / k - I||_F`` is its relative error.  ``whitened`` is
-    ``None`` when ``sigma`` is singular: its smallest eigenvalue is at most
-    1e-9 times its spectral norm.
+    Since ``L^{-1} sigma_hat L^{-T} = T T^T / k``, the release whitened by
+    ``L`` is ``whitened = T T^T / k`` whatever ``sigma`` is, and
+    ``||T T^T / k - I||_F`` is its relative error.  ``whitened`` is ``None``
+    when ``sigma`` fails the Cholesky floor; such a ``sigma`` (a singular PSD
+    covariance, such as zero) is factored by a plain, unkept ``eigh`` as
+    ``V sqrt(max(w, 0))``, and only there is it checked for :class:`NotPsd`.
     """
     sigma = as_sym(sigma)
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
-    dec = sym_eigendecompose(sigma)
-    w, tol = dec.eigenvalues, relative_tol(dec.eigenvalues)
-    if w.min() < -tol:
-        raise NotPsd("covariance must be PSD")
-    factor = dec.eigenvectors * np.sqrt(np.clip(w, 0.0, None))
+    try:
+        factor, definite = sigma.cholesky, True
+    except SingularMatrix:
+        w, v = np.linalg.eigh(sigma.values)
+        if w.min() < -relative_tol(w):
+            raise NotPsd("covariance must be PSD")
+        factor, definite = v * np.sqrt(np.clip(w, 0.0, None)), False
     bartlett = next(bartlett_factors(sigma.dim, k, seed, 1))[0]
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
-    whitened = SymMatrix(bartlett @ bartlett.T / k) if w.min() > tol else None
+    whitened = SymMatrix(bartlett @ bartlett.T / k) if definite else None
     return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened, warnings=warnings)
 
 

@@ -112,10 +112,12 @@ def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
     """Spectrum of ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}`` for positive definite inputs.
 
     Computed as the eigenvalues of the similar matrix
-    ``sigma2^{-1/2} sigma1 sigma2^{-1/2}``.  Raises :class:`SingularMatrix`
-    when either input is singular: ``sigma2`` at its whitening, ``sigma1``
-    at the :class:`PrivacySpectrum` floor (the smallest eigenvalue at most
-    1e-9 times ``max(1, largest)``).
+    ``sigma2^{-1/2} sigma1 sigma2^{-1/2}`` (:func:`~dpattn.linalg.whitened_eigenvalues`,
+    two solves on the kept Cholesky factor of ``sigma2``).  Raises
+    :class:`SingularMatrix` when either input is singular: ``sigma2`` at the
+    Cholesky floor of :attr:`~dpattn.linalg.SymMatrix.cholesky`, ``sigma1`` at
+    the :class:`PrivacySpectrum` floor (the smallest eigenvalue at most 1e-9
+    times ``max(1, largest)``).
     """
     return PrivacySpectrum(whitened_eigenvalues(sigma1, sigma2))
 

@@ -12,11 +12,6 @@ def rand_orthogonal(gen, n):
     return q
 
 
-def rand_symmetric(gen, n, scale=1.0):
-    m = gen.standard_normal((n, n)) * scale
-    return (m + m.T) / 2.0
-
-
 def rand_pd(gen, n, eig_low=0.5, eig_high=2.0):
     q = rand_orthogonal(gen, n)
     eigs = gen.uniform(eig_low, eig_high, n)
@@ -85,8 +80,9 @@ def direct_gaussian_samples(sigma, k, seed):
 
     Sample ``i`` is ``L z_i`` with ``z_i`` the normals ``[i*n, (i+1)*n)`` of
     the stream ``(TAG_MECHANISM, *seed)`` and ``L = V diag(sqrt(max(w, 0)))``
-    the eigenvector factor of ``sigma``; ``samples.T @ samples / k`` is the
-    mechanism's release written out sample by sample.
+    the eigenvector factor of ``sigma``; ``samples.T @ samples / k`` is one
+    ``Wishart(sigma, k) / k`` draw written out sample by sample, the law of the
+    mechanism's release.
     """
     sigma = np.asarray(sigma, dtype=float)
     w, v = np.linalg.eigh(sigma)
@@ -141,17 +137,3 @@ def loewner_event(a, b, eps):
     except SingularMatrix:
         return False
 
-
-def sign_rule_loop(v):
-    """Reference eigenvector sign rule, column by column: negate a column whose
-    first entry larger than 1e-12 in magnitude is negative (row 0 for a column
-    with no such entry).  Returns a new array.
-    """
-    v = np.array(v, dtype=float)
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nonzero = np.flatnonzero(np.abs(col) > 1e-12)
-        lead = nonzero[0] if nonzero.size else 0
-        if col[lead] < 0:
-            v[:, j] = -col
-    return v

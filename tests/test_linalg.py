@@ -8,14 +8,13 @@ from dpattn import (
     ParamRange,
     SingularMatrix,
     SymMatrix,
+    gaussian_sampling_mechanism,
     is_psd,
     loewner_within,
-    psd_inv_sqrt,
-    sym_eigendecompose,
     whitened_eigenvalues,
 )
-from helpers import (rand_pd, rand_symmetric, relative_frobenius_distance,
-                     sign_rule_loop)
+from dpattn.linalg import rank_two_eigenvalues
+from helpers import rand_pd, relative_frobenius_distance
 
 
 class TestSymMatrix:
@@ -51,105 +50,66 @@ class TestSymMatrix:
             m.values[0, 0] = 5.0
 
 
-class TestEigendecompose:
-    def test_identity(self):
-        dec = sym_eigendecompose(SymMatrix.identity(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-
-    def test_diagonal_axis_aligned(self):
-        dec = sym_eigendecompose(SymMatrix.diagonal([3.0, 1.0]))
-        assert np.allclose(dec.eigenvalues, [3.0, 1.0])
-        assert np.allclose(np.abs(dec.eigenvectors), np.eye(2), atol=1e-12)
-
-    def test_two_by_two_hand_oracle(self):
-        # characteristic polynomial of [[2,1],[1,2]]: t^2 - 4t + 3 = (t-3)(t-1)
-        dec = sym_eigendecompose(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(dec.eigenvalues, [3.0, 1.0], atol=1e-12)
-
-    def test_sign_convention(self):
-        dec = sym_eigendecompose(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        for j in range(2):
-            col = dec.eigenvectors[:, j]
-            lead = np.flatnonzero(np.abs(col) > 1e-12)[0]
-            assert col[lead] > 0
-
-    def test_deterministic(self):
-        gen = np.random.default_rng(5)
-        m = SymMatrix(rand_symmetric(gen, 6))
-        a = sym_eigendecompose(m)
-        b = sym_eigendecompose(m)
-        assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.eigenvectors, b.eigenvectors)
-
-    def test_reconstruction_and_orthonormality(self):
-        gen = np.random.default_rng(42)
-        for _ in range(100):
-            n = int(gen.integers(2, 9))
-            m = SymMatrix(rand_symmetric(gen, n, scale=gen.uniform(0.1, 10.0)))
-            dec = sym_eigendecompose(m)
-            frob = np.linalg.norm(m.values)
-            v, w = dec.eigenvectors, dec.eigenvalues
-            assert np.linalg.norm((v * w) @ v.T - m.values) <= 1e-8 * max(1.0, frob)
-            gram = dec.eigenvectors.T @ dec.eigenvectors
-            assert np.linalg.norm(gram - np.eye(n)) <= 1e-8 * n
-            assert np.all(np.diff(dec.eigenvalues) <= 0)
-
-    def test_sym_matrix_decomposes_once(self, monkeypatch):
-        # psd_inv_sqrt and loewner_within's whitening share the first eigh
-        m = SymMatrix(rand_pd(np.random.default_rng(3), 5))
-        eigh, calls = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
-        dec = sym_eigendecompose(m)
-        psd_inv_sqrt(m)
-        assert loewner_within(m, m, 0.0)
-        assert sym_eigendecompose(m) is dec
-        assert len(calls) == 1
-
-    def test_kept_arrays_are_read_only(self):
-        dec = sym_eigendecompose(SymMatrix(rand_symmetric(np.random.default_rng(4), 3)))
-        with pytest.raises(ValueError):
-            dec.eigenvalues[0] = 0.0
-        with pytest.raises(ValueError):
-            dec.eigenvectors[0, 0] = 0.0
-
-    def test_array_input_shares_nothing(self):
-        values = rand_symmetric(np.random.default_rng(6), 4)
-        kept = sym_eigendecompose(SymMatrix(values))
-        a, b = sym_eigendecompose(values), sym_eigendecompose(values)
-        assert a is not b
-        for name in ("eigenvalues", "eigenvectors"):
-            assert not np.shares_memory(getattr(a, name), getattr(b, name))
-            assert getattr(a, name).tobytes() == getattr(kept, name).tobytes()
-
-    @staticmethod
-    def loop_oracle(m):
-        w, v = np.linalg.eigh(np.asarray(m, dtype=float))
-        return sign_rule_loop(v[:, np.argsort(-w, kind="stable")])
-
-    @pytest.mark.parametrize("m", [np.eye(4), np.zeros((3, 3)), np.diag([2.0, 2.0, 1.0]),
-                                   np.ones((5, 5)), np.ones((1, 1)), -np.eye(2)],
-                             ids=["identity", "zero", "repeated", "all-ones", "one", "neg"])
-    def test_sign_rule_matches_loop(self, m):
-        assert np.array_equal(sym_eigendecompose(m).eigenvectors, self.loop_oracle(m))
-
-    def test_sign_rule_matches_loop_on_random_matrices(self):
+class TestCholesky:
+    def test_factor_reconstructs(self):
         gen = np.random.default_rng(11)
-        for _ in range(300):
-            m = rand_symmetric(gen, int(gen.integers(1, 10)))
-            assert np.array_equal(sym_eigendecompose(m).eigenvectors, self.loop_oracle(m))
+        for _ in range(30):
+            n = int(gen.integers(1, 8))
+            m = SymMatrix(rand_pd(gen, n))
+            chol = m.cholesky
+            assert np.array_equal(chol, np.tril(chol))
+            assert np.linalg.norm(chol @ chol.T - m.values) <= 1e-12 * np.linalg.norm(m.values)
 
-    def test_sign_rule_threshold_and_zero_column(self, monkeypatch):
-        # eigh is replaced so the rule sees entries at the 1e-12 threshold
-        # and a column with no entry above it
-        v = np.array([[-1e-13, 0.0, -1e-12, 0.0],
-                      [-0.6, 0.0, 2e-12, 1e-13],
-                      [0.8, 0.0, -1.0, -1e-13],
-                      [0.0, 0.0, 0.0, 0.0]])
-        w = np.array([1.0, 2.0, 3.0, 4.0])
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: (w.copy(), v.copy()))
-        got = sym_eigendecompose(np.eye(4)).eigenvectors
-        assert np.array_equal(got, sign_rule_loop(v[:, ::-1]))
-        assert np.array_equal(got[:, 3], [1e-13, 0.6, -0.8, 0.0])
+    def test_kept_factor_is_read_only(self):
+        m = SymMatrix(rand_pd(np.random.default_rng(4), 3))
+        assert m.cholesky is m.cholesky
+        with pytest.raises(ValueError):
+            m.cholesky[0, 0] = 0.0
+        with pytest.raises(AttributeError):
+            m.cholesky = np.eye(3)
+
+    def test_one_factor_and_no_eigh(self, monkeypatch):
+        # the release, the whitening, the sandwich and the rank-two spectrum
+        # all read the one kept factor
+        gen = np.random.default_rng(3)
+        m, a = SymMatrix(rand_pd(gen, 5)), SymMatrix(rand_pd(gen, 5))
+        calls = {"cholesky": 0, "eigh": 0}
+
+        def counting(name, solve):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        assert gaussian_sampling_mechanism(m, 10, 0).whitened is not None
+        whitened_eigenvalues(a, m)
+        assert loewner_within(m, m, 0.0)
+        rank_two_eigenvalues(m, gen.standard_normal(5), gen.standard_normal(5))
+        assert calls == {"cholesky": 1, "eigh": 0}
+
+    @pytest.mark.parametrize("b,singular", [
+        pytest.param(np.diag([1.0, 1e-9]), True, id="floor"),
+        pytest.param(np.diag([1.0, 2e-9]), False, id="above-floor"),
+        pytest.param(np.zeros((2, 2)), True, id="zero"),
+        pytest.param(np.ones((2, 2)), True, id="rank-one"),
+        pytest.param(np.diag([1.0, 1e-10]), True, id="below-floor"),
+        pytest.param(1e-10 * np.diag([1.0, 1e-10]), True, id="below-floor-scaled"),
+    ])
+    def test_floors_agree(self, b, singular):
+        # the whitening, the rank-two spectrum and the release's whitened
+        # matrix share the one positive-definiteness test
+        def raises(check):
+            try:
+                check()
+            except SingularMatrix:
+                return True
+            return False
+
+        assert raises(lambda: whitened_eigenvalues(np.eye(2), b)) is singular
+        assert raises(lambda: rank_two_eigenvalues(b, [1.0, 0.5], [0.1, 0.2])) is singular
+        assert (gaussian_sampling_mechanism(b, 10, 0).whitened is None) is singular
 
 
 class TestIsPsd:
@@ -161,27 +121,6 @@ class TestIsPsd:
 
     def test_tolerance_absorbs_tiny_negative(self):
         assert is_psd(SymMatrix.diagonal([1.0, -1e-12]))
-
-
-class TestPsdInvSqrt:
-    def test_identity(self):
-        assert np.allclose(psd_inv_sqrt(SymMatrix.identity(4)).values, np.eye(4))
-
-    def test_diagonal(self):
-        r = psd_inv_sqrt(SymMatrix.diagonal([4.0, 16.0]))
-        assert np.allclose(r.values, np.diag([0.5, 0.25]))
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrix):
-            psd_inv_sqrt(SymMatrix.diagonal([1.0, 0.0]))
-
-    def test_whitening_property(self):
-        gen = np.random.default_rng(11)
-        for _ in range(30):
-            n = int(gen.integers(2, 8))
-            m = SymMatrix(rand_pd(gen, n))
-            r = psd_inv_sqrt(m).values
-            assert np.linalg.norm(r @ m.values @ r - np.eye(n)) <= 1e-7 * n
 
 
 class TestWhitenedEigenvalues:

@@ -49,6 +49,25 @@ class TestGaussianSamplingMechanism:
             assert np.array_equal(out.sigma_hat.values, np.zeros((3, 3)))
             assert out.whitened is None
 
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_singular_fallback_law(self, k):
+        # a rank-one sigma = v v^T fails the Cholesky floor; its eigh factor gives
+        # the release s v v^T with s ~ chi2(k) / k, and no whitened release.  The
+        # zero eigenvalues come out of eigh at rounding size, so the factor's other
+        # columns are about sqrt(1e-16) long: the tolerance is 1e-6.
+        v = np.array([1.0, -2.0, 0.5])
+        sigma = SymMatrix(np.outer(v, v))
+        scale = []
+        for seed in range(2000):
+            out = gaussian_sampling_mechanism(sigma, k, seed)
+            assert out.whitened is None
+            s = float(v @ out.sigma_hat.values @ v) / float(v @ v) ** 2
+            assert np.abs(out.sigma_hat.values - s * sigma.values).max() <= 1e-6 * max(s, 1.0)
+            scale.append(s)
+        again = gaussian_sampling_mechanism(sigma, k, 7).sigma_hat.values
+        assert again.tobytes() == gaussian_sampling_mechanism(sigma, k, 7).sigma_hat.values.tobytes()
+        assert stats.kstest(np.array(scale) * k, stats.chi2(k).cdf).pvalue > 1e-4
+
     def test_rejects_indefinite(self):
         for k in (1, 5):
             with pytest.raises(NotPsd):
@@ -122,8 +141,8 @@ class TestGaussianSamplingMechanism:
 
 
 class TestRelFrobError:
-    # the whitened release is V (T T^T / k) V^T, so the error is
-    # ||T T^T / k - I||_F and does not depend on sigma
+    # the release whitened by sigma's Cholesky factor L is T T^T / k, so the
+    # error is ||T T^T / k - I||_F and does not depend on sigma
     def conditioned(self, n, cond):
         q = rand_orthogonal(np.random.default_rng(4), n)
         return SymMatrix((q * np.geomspace(1.0, cond, n)) @ q.T)
@@ -162,7 +181,8 @@ class TestRelFrobError:
             assert math.isfinite(whitened_error(out)) is defined
 
     def test_nan_at_the_singularity_floor(self):
-        # the floor of psd_inv_sqrt: an eigenvalue at most 1e-9 times the largest
+        # the Cholesky floor: for a diagonal sigma the pivots are its entries, so an
+        # entry at most 1e-9 times the largest
         assert gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 1e-9]), 10, 0).whitened is None
         assert math.isfinite(
             whitened_error(gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 2e-9]), 10, 0)))

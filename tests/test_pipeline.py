@@ -14,7 +14,6 @@ from dpattn import (
     NeighborPrivacyReport,
     ParamRange,
     PrivacySpectrum,
-    SpectralDecomposition,
     SymMatrix,
     attention,
     dataset,
@@ -34,7 +33,6 @@ from dpattn import (
     required_samples,
     sensitivity_bound,
     sensitivity_measured,
-    sym_eigendecompose,
     utility_radius,
     verify_neighbor_privacy,
 )
@@ -203,12 +201,12 @@ class TestDpAttention:
         assert loewner_event(report.released, report.gram_matrix, report.rho) is False
         assert loewner_event(report.gram_matrix, report.released, 0.05) is False
 
-    def test_one_eigh_and_one_eigvalsh(self, monkeypatch):
-        # eigvalsh: the whitened release; eigh: the mechanism's factor of the
-        # Gram matrix, which the Gram matrix keeps, so a second release on the
-        # Dataset makes none.
+    def test_no_eigh_and_one_eigvalsh(self, monkeypatch):
+        # eigvalsh: the whitened release; cholesky: the mechanism's factor of
+        # the Gram matrix, which the Gram matrix keeps, so a second release on
+        # the Dataset makes none.
         data = fast_dataset()
-        calls = {"eigh": 0, "eigvalsh": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
 
         def counting(name, solve):
             def counted(*args, **kwargs):
@@ -219,13 +217,13 @@ class TestDpAttention:
         for name in calls:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         dp_attention(data, 1e-8, fast_params())
-        assert calls == {"eigh": 1, "eigvalsh": 1}
-        calls.update(eigh=0, eigvalsh=0)
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 1}
+        calls.update(eigh=0, eigvalsh=0, cholesky=0)
         dp_attention(data, 1e-8, fast_params(seed=1))
-        assert calls == {"eigh": 0, "eigvalsh": 1}
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
 
     def test_shared_dataset_matches_fresh_datasets(self):
-        # the kept decomposition changes no byte of any report
+        # the kept factor changes no byte of any report
         for n in (1, 2, 4, 8):
             shared = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
             for k in sorted({1, n, n + 1, 1_196_713}):
@@ -324,7 +322,6 @@ def test_array_dataclasses_compare_by_identity():
     pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
     makers = {
         SymMatrix: lambda: SymMatrix(np.eye(2)),
-        SpectralDecomposition: lambda: sym_eigendecompose(np.eye(2)),
         Dataset: fast_dataset,
         NeighborPair: lambda: make_neighbor(data, beta=1e-8, index=1, seed=4),
         PrivacySpectrum: lambda: privacy_spectrum(gram(data), gram(data)),
