@@ -11,7 +11,7 @@ utility scaling, and the (eps, delta) privacy tail of the loss variable.
 from .attention import (
     Activation,
     ChainReport,
-    ChainStage,
+    RequirementCheck,
     attention_matrix,
     entrywise_activation,
     perturbation_chain_check,
@@ -55,7 +55,6 @@ from .pipeline import (
     DpAttentionReport,
     DpParams,
     NeighborPrivacyReport,
-    RequirementCheck,
     dp_attention,
     verify_neighbor_privacy,
 )

@@ -60,11 +60,18 @@ def theoretical_error_bound(eps: float, r: float) -> float:
 
 
 @dataclass(frozen=True)
-class ChainStage:
+class RequirementCheck:
+    """One verdict of the package: a named measured value against the value it requires.
+
+    ``passed`` is decided by the producer, which fixes the comparison (``<=`` or
+    ``<``).  A ``warning_only`` check is reported but does not decide the verdict.
+    """
+
     name: str
-    measured: float
-    bound: float
     passed: bool
+    measured: float
+    required: float
+    warning_only: bool = False
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class ChainReport:
     eps: float
     r: float
     kind: Activation
-    stages: tuple[ChainStage, ...]
+    stages: tuple[RequirementCheck, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -89,7 +96,7 @@ def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation) -> Ch
     matrix entrywise bounded by ``r``; the pair spectrally within ``eps``
     (``loewner_within(a, b, eps)``).
 
-    Stages, each reported as (measured, bound, passed):
+    Stages, each a :class:`RequirementCheck` passing when ``measured <= required``:
 
     1. ``entry_range``       max |b_ij|                       vs (1 + eps) r
     2. ``activation_ratio``  max |g(a)-g(b)| / min(g(a),g(b)) vs (2 + 2 eps + 4r) r
@@ -128,17 +135,17 @@ def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation) -> Ch
     sums_b = act_b.sum(axis=1)
 
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
-    entry_measured = float(np.abs(b.values).max())
+    entry_max = float(np.abs(b.values).max())
     entry_bound = (1.0 + eps) * r
-    act_measured = float((np.abs(act_a - act_b) / np.minimum(act_a, act_b)).max())
-    sum_measured = float((np.abs(sums_a - sums_b) / np.minimum(sums_a, sums_b)).max())
-    att_measured = float(np.abs(act_a / sums_a[:, None] - act_b / sums_b[:, None]).max())
+    act_ratio = float((np.abs(act_a - act_b) / np.minimum(act_a, act_b)).max())
+    sum_ratio = float((np.abs(sums_a - sums_b) / np.minimum(sums_a, sums_b)).max())
+    att_error = float(np.abs(act_a / sums_a[:, None] - act_b / sums_b[:, None]).max())
     att_bound = theoretical_error_bound(eps, r)
 
     stages = (
-        ChainStage("entry_range", entry_measured, entry_bound, entry_measured <= entry_bound),
-        ChainStage("activation_ratio", act_measured, ratio_bound, act_measured <= ratio_bound),
-        ChainStage("normalizer_ratio", sum_measured, ratio_bound, sum_measured <= ratio_bound),
-        ChainStage("attention_bound", att_measured, att_bound, att_measured <= att_bound),
+        RequirementCheck("entry_range", entry_max <= entry_bound, entry_max, entry_bound),
+        RequirementCheck("activation_ratio", act_ratio <= ratio_bound, act_ratio, ratio_bound),
+        RequirementCheck("normalizer_ratio", sum_ratio <= ratio_bound, sum_ratio, ratio_bound),
+        RequirementCheck("attention_bound", att_error <= att_bound, att_error, att_bound),
     )
     return ChainReport(eps=eps, r=r, kind=kind, stages=stages)

@@ -16,12 +16,13 @@ before any file is read.  Numbers must be finite, output names non-empty;
 seeds lie in ``[0, rng.MAX_SEED]``.  Matrices and bench-utility's table are
 CSV with shortest round-trip floats, so write/read cycles are bit-exact;
 verify-privacy's privacy-loss draws are one float64 ``.npy`` array in trial
-order.  Reports are JSON documents, ``schema_version`` 2: ``schema_version``
+order.  Reports are JSON documents, ``schema_version`` 3: ``schema_version``
 and ``kind``, then one key per field of the report's dataclass, in field
 order.  One writer walks the fields: a nested dataclass becomes an object, a
 matrix nested lists, a tuple a list, an enum its value and a non-finite float
 ``null``; ``NeighborPrivacyReport.samples`` goes to the ``.npy`` instead.  A
-new report field therefore needs no change here.
+new report field therefore needs no change here.  Each verdict is a list of
+``RequirementCheck`` objects; a failing run prints the failing checks' names.
 
 Exit codes: 0 success/certified, 1 requirement or certificate failure,
 2 input or parse error, or an output that cannot be written.
@@ -48,7 +49,7 @@ from .linalg import SymMatrix, relative_tol
 from .mechanism import bartlett_factors, frobenius_from_identity
 from .pipeline import DpParams, dp_attention, verify_neighbor_privacy
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(Exception):
@@ -306,13 +307,12 @@ def cmd_verify_privacy(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     name = v["report"]
     write_json(out_dir / f"{name}.json", "neighbor_privacy_report", _jsonable(report))
     np.save(out_dir / f"{name}_samples.npy", report.samples)
-    granted = report.certificate.granted
-    print(
-        f"wrote {out_dir / (name + '.json')}: "
-        f"{'granted' if granted else 'denied ' + str(list(report.certificate.denial_reasons))}, "
-        f"empirical rate {report.empirical_rate}"
-    )
-    return 0 if granted else 1
+    certificate = report.certificate
+    failing = [c.name for c in certificate.checks if not c.passed]
+    status = "granted" if certificate.granted else f"denied (failing: {failing})"
+    print(f"wrote {out_dir / (name + '.json')}: {status}, "
+          f"empirical rate {report.empirical_rate}")
+    return 0 if certificate.granted else 1
 
 
 def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:

@@ -25,7 +25,6 @@ from . import rng
 from .errors import NotPsd, ParamRange, SingularMatrix
 from .linalg import SymMatrix, as_sym, relative_tol
 
-WARN_SINGULAR_ESTIMATE = "SingularEstimate"
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
 
 
@@ -36,13 +35,11 @@ class MechanismOutput:
     ``whitened = T T^T / k`` is the release whitened by the input covariance's
     Cholesky factor ``L``, ``L^{-1} sigma_hat L^{-T}`` (``None`` for a singular
     input); its Frobenius distance to ``I`` is the release's relative error.
-    ``warnings`` flags ``SingularEstimate`` when k < n: the estimate cannot be
-    positive definite.
+    At ``k < n`` neither can be positive definite: both have rank at most ``k``.
     """
 
     sigma_hat: SymMatrix
     whitened: SymMatrix | None
-    warnings: tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=64)
@@ -104,7 +101,9 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     ``||T T^T / k - I||_F`` is its relative error.  ``whitened`` is ``None``
     when ``sigma`` fails the Cholesky floor; such a ``sigma`` (a singular PSD
     covariance, such as zero) is factored by a plain, unkept ``eigh`` as
-    ``V sqrt(max(w, 0))``, and only there is it checked for :class:`NotPsd`.
+    ``V sqrt(w)`` with every eigenvalue at most ``relative_tol(w)`` set to 0, so
+    a rank-``r`` covariance gives a rank-``r`` factor, and only there is it
+    checked for :class:`NotPsd`.
     """
     sigma = as_sym(sigma)
     if k < 1:
@@ -113,15 +112,15 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
         factor, definite = sigma.cholesky, True
     except SingularMatrix:
         w, v = np.linalg.eigh(sigma.values)
-        if w.min() < -relative_tol(w):
+        tol = relative_tol(w)
+        if w.min() < -tol:
             raise NotPsd("covariance must be PSD")
-        factor, definite = v * np.sqrt(np.clip(w, 0.0, None)), False
+        factor, definite = v * np.sqrt(np.where(w > tol, w, 0.0)), False
     bartlett = next(bartlett_factors(sigma.dim, k, seed, 1))[0]
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
-    warnings = (WARN_SINGULAR_ESTIMATE,) if k < sigma.dim else ()
     whitened = SymMatrix(bartlett @ bartlett.T / k) if definite else None
-    return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened, warnings=warnings)
+    return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened)
 
 
 def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:

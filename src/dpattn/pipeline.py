@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Activation, attention_matrix, theoretical_error_bound
+from .attention import Activation, RequirementCheck, attention_matrix, theoretical_error_bound
 from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
 from .errors import ParamRange
 from .linalg import SymMatrix, spectrum_within
@@ -70,17 +70,6 @@ class DpParams:
             raise ParamRange(f"seed must be a non-negative integer, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class RequirementCheck:
-    """One named requirement with its measured value and threshold."""
-
-    name: str
-    passed: bool
-    measured: float
-    required: float
-    warning_only: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class DpAttentionReport:
     """Everything one end-to-end run produced and verified.
@@ -89,11 +78,13 @@ class DpAttentionReport:
     landed spectrally within ``eps`` of the true Gram matrix (the event that
     holds with probability at least ``1 - gamma``), and the measured attention
     deviation respects the theoretical bound.  The relative-closeness event at
-    level ``rho`` and its conversion to the ``eps`` sandwich are recorded
-    separately so reports distinguish "the probabilistic event occurred" from
-    "the bound held".  ``released`` is the mechanism's draw as it is: at
-    ``k < n`` it is singular, and rounding may leave its smallest eigenvalues
-    just below zero.
+    level ``rho`` is recorded next to the ``eps`` event, so reports distinguish
+    "the probabilistic event occurred" from "the bound held".  Each compared
+    value is stated once, in its check: ``rho`` is the ``utility`` check's
+    ``measured``, the Frobenius sensitivity bound and the budget are the
+    ``sensitivity`` check's ``measured`` and ``required``.  ``released`` is the
+    mechanism's draw as it is: at ``k < n`` it is singular, and rounding may
+    leave its smallest eigenvalues just below zero.
     """
 
     params: DpParams
@@ -104,14 +95,9 @@ class DpAttentionReport:
     attention_released: np.ndarray
     measured_error: float
     error_bound: float
-    rho: float
-    budget_used: float
-    sensitivity_bound_frob: float
     requirement_checks: tuple[RequirementCheck, ...]
     loewner_rho_event: bool
     loewner_eps_event: bool
-    loewner_conversion_ok: bool
-    warnings: tuple[str, ...]
     certified: bool
 
 
@@ -159,13 +145,13 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     # The mechanism's guarantee is relative closeness of the release to the
     # input at level rho (spectrum mu); the attention bound needs the inverted
     # sandwich at level eps (spectrum 1/mu).  rho <= 0.1 * eps makes the
-    # implication exact, and both events are evaluated instead of trusting it.
+    # implication exact up to rounding, and both events are evaluated instead
+    # of trusting it.
     rho_event = eps_event = False
     if mech.whitened is not None:
         mu = np.linalg.eigvalsh(mech.whitened.values)
         rho_event = spectrum_within(mu, rho)
         eps_event = bool(mu.min() > 0.0) and spectrum_within(1.0 / mu, params.eps)
-    conversion_ok = eps_event or not (rho_event and rho <= 0.1 * params.eps)
 
     attention_base = attention_matrix(base, params.kind)
     attention_released = attention_matrix(released, params.kind)
@@ -183,14 +169,9 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         attention_released=attention_released,
         measured_error=measured,
         error_bound=bound,
-        rho=rho,
-        budget_used=budget_used,
-        sensitivity_bound_frob=sens_frob,
         requirement_checks=checks,
         loewner_rho_event=rho_event,
         loewner_eps_event=eps_event,
-        loewner_conversion_ok=conversion_ok,
-        warnings=mech.warnings,
         certified=certified,
     )
 

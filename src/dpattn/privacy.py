@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .attention import RequirementCheck
 from .dataset import NeighborPair, neighbor_deviation
 from .errors import ParamRange, SingularMatrix
 from .linalg import relative_tol, whitened_eigenvalues
@@ -211,27 +212,16 @@ def tail_bound(params: SubExpParams, t: float) -> float:
     return max(gauss_branch, linear_branch)
 
 
-REASON_SENSITIVITY = "SensitivityExceeded"
-REASON_MEAN = "MeanExceeded"
-REASON_TAIL = "TailExceeded"
-
-
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of the sufficient-condition privacy check for one pair."""
+    """The sufficient-condition privacy checks of one pair (see :func:`dp_certificate`);
+    ``granted`` is ``all(c.passed for c in checks)``."""
 
     eps: float
     delta: float
     k: int
-    sensitivity: float
-    budget_used: float
-    expected_loss: float
-    tail_at_half_eps: float
-    sensitivity_ok: bool
-    mean_ok: bool
-    tail_ok: bool
+    checks: tuple[RequirementCheck, ...]
     granted: bool
-    denial_reasons: tuple[str, ...]
 
 
 def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
@@ -242,41 +232,24 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
     ``spectrum`` and its reverse ``1/lam``.  Grants iff, for both, the
     whitened deviation is within the sensitivity budget, the
     closed-form mean satisfies ``E[Z] <= eps/2``, and the sub-exponential
-    tail at ``eps/2`` is at most ``delta``.  The report carries the worse
-    ordering's value of each.
+    tail at ``eps/2`` is at most ``delta``: the checks ``sensitivity`` (the
+    deviation against :func:`sensitivity_budget`), ``mean`` (against ``eps/2``)
+    and ``tail`` (against ``delta``), each passing when the worse ordering's
+    value is at most the required one.
     """
-    budget_used = sensitivity_budget(eps, delta, k)
+    budget_used = sensitivity_budget(eps, delta, k)  # validates eps, delta and k first
     both = (spectrum, spectrum.reverse)
-    sensitivity = max(s.deviation_frob for s in both)
     params = [sub_exp_params(s, k) for s in both]
-    mean = max(p.mean for p in params)
-    tail = max(tail_bound(p, eps / 2.0) for p in params)
-    sensitivity_ok = sensitivity <= budget_used
-    mean_ok = mean <= eps / 2.0
-    tail_ok = tail <= delta
-    reasons = tuple(
-        reason
-        for ok, reason in (
-            (sensitivity_ok, REASON_SENSITIVITY),
-            (mean_ok, REASON_MEAN),
-            (tail_ok, REASON_TAIL),
+    checks = tuple(
+        RequirementCheck(name, measured <= required, measured, required)
+        for name, measured, required in (
+            ("sensitivity", max(s.deviation_frob for s in both), budget_used),
+            ("mean", max(p.mean for p in params), eps / 2.0),
+            ("tail", max(tail_bound(p, eps / 2.0) for p in params), delta),
         )
-        if not ok
     )
-    return CertificateReport(
-        eps=eps,
-        delta=delta,
-        k=k,
-        sensitivity=sensitivity,
-        budget_used=budget_used,
-        expected_loss=mean,
-        tail_at_half_eps=tail,
-        sensitivity_ok=sensitivity_ok,
-        mean_ok=mean_ok,
-        tail_ok=tail_ok,
-        granted=not reasons,
-        denial_reasons=reasons,
-    )
+    return CertificateReport(eps=eps, delta=delta, k=k, checks=checks,
+                             granted=all(c.passed for c in checks))
 
 
 @dataclass(frozen=True, eq=False)

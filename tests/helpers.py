@@ -137,3 +137,17 @@ def loewner_event(a, b, eps):
     except SingularMatrix:
         return False
 
+
+
+def check_named(checks, name):
+    """The check called ``name`` in a report's tuple of ``RequirementCheck``s."""
+    return next(c for c in checks if c.name == name)
+
+
+def conversion_holds(report):
+    """The implication ``rho_event and rho <= 0.1 eps => eps_event`` of one
+    ``DpAttentionReport``, with ``rho`` the ``utility`` check's measured value.
+    """
+    rho = check_named(report.requirement_checks, "utility").measured
+    rho_tight = report.loewner_rho_event and rho <= 0.1 * report.params.eps
+    return report.loewner_eps_event or not rho_tight

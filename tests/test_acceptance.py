@@ -33,7 +33,7 @@ from dpattn import (
     sensitivity_budget,
     sensitivity_measured,
 )
-from helpers import chain_pair, rand_orthogonal, whitened_error
+from helpers import chain_pair, conversion_holds, rand_orthogonal, whitened_error
 
 
 def report(name, ok, detail=""):
@@ -67,7 +67,7 @@ def test_criterion_1_end_to_end_error_bound():
             certified += 1
             worst_certified_error = max(worst_certified_error, rep.measured_error)
             assert rep.measured_error <= 0.23
-        assert rep.loewner_conversion_ok
+        assert conversion_holds(rep)
     elapsed = time.perf_counter() - start
     allowance = gamma + 3.0 * math.sqrt(gamma * (1.0 - gamma) / runs)
     ok = (

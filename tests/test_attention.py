@@ -8,6 +8,7 @@ from dpattn import (
     Overflow,
     ParamRange,
     PreconditionFailed,
+    RequirementCheck,
     SymMatrix,
     attention_matrix,
     entrywise_activation,
@@ -123,6 +124,19 @@ class TestPerturbationChain:
         assert by_name["normalizer_ratio"].passed
         assert by_name["attention_bound"].passed
 
+    def test_stages_are_requirement_checks(self):
+        # the lower boundary pair, whose entry stage fails
+        base = SymMatrix(0.05 * np.eye(2))
+        perturbed = SymMatrix(base.values / (1.0 - 0.05))
+        report = perturbation_chain_check(base, perturbed, 0.05, 0.05, Activation.EXP)
+        assert [s.name for s in report.stages] == [
+            "entry_range", "activation_ratio", "normalizer_ratio", "attention_bound"]
+        for stage in report.stages:
+            assert type(stage) is RequirementCheck and not stage.warning_only
+            assert stage.passed == (stage.measured <= stage.required)
+        assert report.stages[-1].required == theoretical_error_bound(0.05, 0.05)
+        assert report.all_passed == all(s.passed for s in report.stages) is False
+
     def test_entry_bound_precondition(self):
         base = SymMatrix(np.diag([0.2, 0.1]))
         with pytest.raises(PreconditionFailed) as err:
@@ -161,5 +175,5 @@ class TestPerturbationChain:
             base, perturbed = chain_pair(gen, n, eps, r)
             report = perturbation_chain_check(base, perturbed, eps, r, kind)
             assert report.all_passed, [
-                (s.name, s.measured, s.bound) for s in report.stages if not s.passed
+                (s.name, s.measured, s.required) for s in report.stages if not s.passed
             ]

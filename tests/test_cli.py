@@ -49,10 +49,10 @@ def field_names(cls):
 
 
 def assert_written(path, kind, report):
-    """The JSON at ``path`` is schema 2's header, then ``report``'s fields in order."""
+    """The JSON at ``path`` is the schema header, then ``report``'s fields in order."""
     doc = json.loads(path.read_text())
     assert list(doc) == ["schema_version", "kind", *field_names(type(report))]
-    assert doc == {"schema_version": 2, "kind": kind,
+    assert doc == {"schema_version": cli.SCHEMA_VERSION, "kind": kind,
                    **json.loads(json.dumps(cli._jsonable(report)))}
     return doc
 
@@ -181,7 +181,7 @@ class TestDpAttention:
         cfg = self.attention_config(tmp_path, sidecar)
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 0
         report = json.loads((tmp_path / "dp_attention_report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["certified"] is True
         assert report["measured_error"] <= report["error_bound"]
         assert [c["name"] for c in report["requirement_checks"]] == [
@@ -218,7 +218,7 @@ class TestDpAttention:
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 1
         report = json.loads((tmp_path / "dp_attention_report.json").read_text())
         assert report["loewner_eps_event"] is False
-        assert report["warnings"] == ["SingularEstimate"]
+        assert report["params"]["k"] < len(report["gram_matrix"])
 
     def test_unwritable_report_exit_two(self, tmp_path, gen_config, capsys):
         sidecar = make_dataset(tmp_path, gen_config)
@@ -353,7 +353,7 @@ class TestVerifyPrivacy:
             assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 2
             assert next(iter(extra)) in capsys.readouterr().err
 
-    def test_oversized_neighbor_denied_exit_one(self, tmp_path):
+    def test_oversized_neighbor_denied_exit_one(self, tmp_path, capsys):
         gen_cfg = write_config(
             tmp_path / "gen2.json",
             {"name": "wide", "n": 2, "d": 4, "eta": 1.0, "alpha": 2.0, "seed": 3},
@@ -368,7 +368,9 @@ class TestVerifyPrivacy:
             "seed": 3,
             "neighbor": {"beta": 0.5, "index": 1, "seed": 5},
         })
+        capsys.readouterr()
         assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 1
+        assert "denied (failing: ['sensitivity'" in capsys.readouterr().out
 
 
 class TestBenchUtility:
@@ -725,6 +727,11 @@ def readme_configs():
             docs[command] = json.loads(pending)
             pending = ""
     return docs, writes, file_form_keys
+
+
+def test_readme_names_the_schema_version():
+    # the report paragraph documents the schema the writer emits
+    assert f'"schema_version": {cli.SCHEMA_VERSION}' in README.read_text()
 
 
 class TestConfigTables:

@@ -37,7 +37,7 @@ from dpattn import (
     verify_neighbor_privacy,
 )
 from dpattn.cli import _jsonable
-from helpers import loewner_event
+from helpers import check_named, conversion_holds, loewner_event
 
 EXPECTED_CHECK_NAMES = ["entry_bound", "eta_below_r", "sensitivity", "utility"]
 
@@ -95,8 +95,13 @@ class TestDpAttention:
         data = fast_dataset()
         params = fast_params()
         report = dp_attention(data, 1e-9, params)
-        assert report.sensitivity_bound_frob == \
+        sensitivity = check_named(report.requirement_checks, "sensitivity")
+        assert sensitivity.measured == \
             sensitivity_bound(data.eta, data.alpha, 1e-9, data.n).frobenius_bound
+        assert sensitivity.required == privacy.sensitivity_budget(params.eps, params.delta,
+                                                                  params.k)
+        assert check_named(report.requirement_checks, "utility").measured == \
+            utility_radius(data.n, params.gamma, params.k, params.utility_const)
         assert report.measured_error == \
             np.abs(report.attention_base - report.attention_released).max()
         for matrix, att in ((report.gram_matrix, report.attention_base),
@@ -108,7 +113,7 @@ class TestDpAttention:
         assert report.certified
         assert report.measured_error <= report.error_bound
         assert report.loewner_eps_event
-        assert report.loewner_conversion_ok
+        assert conversion_holds(report)
         assert all(c.passed for c in report.requirement_checks)
         # released attention is row stochastic
         assert np.abs(report.attention_released.sum(axis=1) - 1.0).max() <= 1e-12 * 2
@@ -146,10 +151,24 @@ class TestDpAttention:
         assert not report.certified
 
     def test_singular_estimate_flagged(self):
+        # k < n, both in the report, is what makes the release singular
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(k=1))
-        assert "SingularEstimate" in report.warnings
+        assert report.params.k < report.gram_matrix.dim
+        assert np.linalg.matrix_rank(report.released.values) == report.params.k
         assert not report.loewner_eps_event
         assert not report.certified
+
+    def test_certified_is_its_checks_event_and_bound(self):
+        data = fast_dataset()
+        seen = set()
+        for k, beta in ((None, 1e-8), (1, 1e-8), (10, 1e-8), (20_000, 1e-8), (None, 1.0)):
+            for seed in range(3):
+                report = dp_attention(data, beta, fast_params(seed=seed, k=k))
+                hard = all(c.passed for c in report.requirement_checks if not c.warning_only)
+                assert report.certified == (hard and report.loewner_eps_event
+                                            and report.measured_error <= report.error_bound)
+                seen.add(report.certified)
+        assert seen == {True, False}
 
     def test_eta_warning_does_not_gate(self):
         # eta = 0.04 < r = 0.05 keeps the warning green; flip it by raising
@@ -185,7 +204,8 @@ class TestDpAttention:
                     params = DpParams(eps=eps, delta=0.01, gamma=0.05, k=k, r=0.1,
                                       kind=Activation.EXP, utility_const=1.0, seed=seed)
                     report = dp_attention(data, 1e-8, params)
-                    rho_event = loewner_event(report.released, report.gram_matrix, report.rho)
+                    rho = check_named(report.requirement_checks, "utility").measured
+                    rho_event = loewner_event(report.released, report.gram_matrix, rho)
                     eps_event = loewner_event(report.gram_matrix, report.released, eps)
                     assert report.loewner_rho_event is rho_event
                     assert report.loewner_eps_event is eps_event
@@ -198,7 +218,8 @@ class TestDpAttention:
         report = dp_attention(data, 1e-8, fast_params(k=k))
         assert report.loewner_rho_event is False
         assert report.loewner_eps_event is False
-        assert loewner_event(report.released, report.gram_matrix, report.rho) is False
+        rho = check_named(report.requirement_checks, "utility").measured
+        assert loewner_event(report.released, report.gram_matrix, rho) is False
         assert loewner_event(report.gram_matrix, report.released, 0.05) is False
 
     def test_no_eigh_and_one_eigvalsh(self, monkeypatch):
@@ -240,7 +261,7 @@ class TestDpAttention:
         data = fast_dataset()
         for seed in range(10):
             report = dp_attention(data, beta=1e-8, params=fast_params(seed=seed, k=20_000))
-            assert report.loewner_conversion_ok
+            assert conversion_holds(report)
 
 
 class TestVerifyNeighborPrivacy:
@@ -257,7 +278,7 @@ class TestVerifyNeighborPrivacy:
         pair = make_neighbor(data, beta=0.5, index=1, seed=4)
         report = verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0)
         assert not report.certificate.granted
-        assert "SensitivityExceeded" in report.certificate.denial_reasons
+        assert not check_named(report.certificate.checks, "sensitivity").passed
 
     def test_spectrum_computed_once(self, monkeypatch):
         # one rank-two spectrum feeds both sides, and the draws are one

@@ -381,7 +381,8 @@ class TestDpCertificate:
         spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
         cert = dp_certificate(spec, 0.5, 0.05, 50)
         assert cert.granted
-        assert cert.denial_reasons == ()
+        assert [c.name for c in cert.checks] == ["sensitivity", "mean", "tail"]
+        assert all(c.passed for c in cert.checks)
 
     def test_sensitivity_exceeded(self):
         eps, delta, k, n = 0.5, 0.05, 50, 2
@@ -389,7 +390,7 @@ class TestDpCertificate:
         lam = 1.0 + 1.01 * delta_used / math.sqrt(n)
         cert = dp_certificate(diagonal_spectrum([lam] * n), eps, delta, k)
         assert not cert.granted
-        assert "SensitivityExceeded" in cert.denial_reasons
+        assert [c.name for c in cert.checks if not c.passed] == ["sensitivity"]
 
     def test_both_orderings_checked(self):
         # lam < 1 keeps (diag(lam), I) inside the budget, but the swapped pair
@@ -404,9 +405,24 @@ class TestDpCertificate:
         certs = [dp_certificate(spec, eps, delta, k) for spec in (fwd, rev)]
         for cert in certs:
             assert not cert.granted
-            assert cert.denial_reasons == ("SensitivityExceeded",)
-            assert cert.sensitivity == pytest.approx(rev.deviation_frob, rel=1e-12)
-        assert certs[0].expected_loss == pytest.approx(certs[1].expected_loss, rel=1e-9)
+            assert [c.name for c in cert.checks if not c.passed] == ["sensitivity"]
+            assert cert.checks[0].measured == pytest.approx(rev.deviation_frob, rel=1e-12)
+        assert certs[0].checks[1].measured == pytest.approx(certs[1].checks[1].measured,
+                                                            rel=1e-9)
+
+    @pytest.mark.parametrize("scale,granted", [
+        (0.0, True), (0.999, True), (1.01, False), (-0.999, False), (1000.0, False)])
+    def test_granted_is_all_checks(self, scale, granted):
+        # the spectra above: lam at 1, inside and past the budget, below 1 (whose
+        # reverse exceeds it), and far past it
+        eps, delta, k, n = 0.5, 0.05, 50, 2
+        lam = 1.0 + scale * sensitivity_budget(eps, delta, k) / math.sqrt(n)
+        cert = dp_certificate(diagonal_spectrum([lam] * n), eps, delta, k)
+        assert cert.granted is all(c.passed for c in cert.checks) is granted
+        for check, required in zip(cert.checks, (sensitivity_budget(eps, delta, k),
+                                                 eps / 2.0, delta)):
+            assert check.required == required and not check.warning_only
+            assert check.passed == (check.measured <= check.required)
 
     def test_granted_implies_low_empirical_rate(self):
         eps, delta, k, n = 0.5, 0.05, 50, 2
