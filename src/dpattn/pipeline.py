@@ -108,8 +108,8 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
 
     1. ``entry_bound``   max |gram entry| <= r
     2. ``eta_below_r``   eta < r (warning)
-    3. ``sensitivity``   2 alpha beta sqrt(n) / eta < deviation budget
-    4. ``utility``       rho < 0.1 * eps
+    3. ``sensitivity``   2 alpha beta sqrt(n) / eta <= deviation budget
+    4. ``utility``       rho <= 0.1 * eps
 
     ``eta_below_r`` is advisory only: a :class:`Dataset`'s Gram diagonal is
     at least ``eta - 1e-9``, so ``entry_bound`` already implies it up to that
@@ -135,8 +135,8 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         RequirementCheck("entry_bound", entry_max <= params.r, entry_max, params.r),
         RequirementCheck("eta_below_r", data.eta < params.r, data.eta, params.r,
                          warning_only=True),
-        RequirementCheck("sensitivity", sens_frob < budget_used, sens_frob, budget_used),
-        RequirementCheck("utility", rho < 0.1 * params.eps, rho, 0.1 * params.eps),
+        RequirementCheck("sensitivity", sens_frob <= budget_used, sens_frob, budget_used),
+        RequirementCheck("utility", rho <= 0.1 * params.eps, rho, 0.1 * params.eps),
     )
 
     mech = gaussian_sampling_mechanism(base, params.k, params.seed)

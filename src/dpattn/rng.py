@@ -1,17 +1,20 @@
-"""Deterministic random stream: ``philox-boxmuller-v4``.
+"""Deterministic random stream: ``philox-boxmuller-v5``.
 
 Every random draw in the library flows through one named stream so that any
 result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
 running the same numpy build:
 
-* bit generator: numpy's Philox (a counter-based generator with a published
-  fixed algorithm), keyed through ``numpy.random.SeedSequence`` on the word
-  tuple ``(domain_tag + 1, seed + 1, *(extra_i + 1))``.  Every word is offset
-  by one because ``SeedSequence`` absorbs trailing zero words, which would
-  alias the substream of trial 0 with its parent stream.  Entropy values lie
-  in ``[0, MAX_SEED]``, so every word lies in ``[1, 2**32 - 1]``:
-  ``SeedSequence`` splits larger words into 32-bit pieces, which would alias
-  ``(1, 2**32)`` with ``(1, 0, 0)``;
+* bit generator: numpy's Philox-4x64 (a counter-based generator with a
+  published fixed algorithm), keyed directly by the entropy words, with no
+  seeding hash.  The entropy tuple ``(domain_tag, seed, *extra)`` has at
+  most ``MAX_WORDS = 8`` values, each in ``[0, MAX_SEED]``.  Value ``i``
+  plus one fills the ``i``-th 32-bit slot of a 256-bit integer, low slot
+  first, and a slot with no value is 0.  The low 128 bits ``K`` are the
+  Philox key and the high 128 bits ``H`` the high half of the starting
+  counter: the state of ``Philox(key=K, counter=H << 128)``.  The offset by
+  one keeps ``(t, s)`` apart from ``(t, s, 0)``, so distinct tuples get
+  distinct ``(key, counter)`` pairs, and ``MAX_SEED`` is the largest value
+  whose word still fits its slot;
 * uniforms: ``Generator.random()``, 53-bit doubles in ``[0, 1)``;
 * normals: consecutive uniform pairs ``(u1, u2)`` mapped through the
   Box-Muller transform::
@@ -53,14 +56,16 @@ they share a user-facing seed.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParamRange
 
-STREAM_VERSION = "philox-boxmuller-v4"
+STREAM_VERSION = "philox-boxmuller-v5"
 MAX_SEED = 2**32 - 2
+MAX_WORDS = 8
 
 TAG_DATASET = 1
 TAG_NEIGHBOR = 2
@@ -83,11 +88,38 @@ def normalize_entropy(entropy) -> tuple[int, ...]:
     return out
 
 
+@functools.cache
+def _philox_key() -> type:
+    """The seed-sequence type that hands Philox a fixed key.
+
+    Built on first use, so that importing the package does not import
+    ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Philox asks for its 128-bit key as generate_state(2, np.uint64).
+            return self.key
+
+    return PhiloxKey
+
+
 def generator(entropy: Sequence[int]) -> np.random.Generator:
-    """Philox generator keyed by the given entropy tuple."""
+    """Philox generator keyed directly by the given entropy tuple (see above)."""
     words = [e + 1 for e in normalize_entropy(entropy)]
-    seq = np.random.SeedSequence(words)
-    return np.random.Generator(np.random.Philox(seq))
+    if len(words) > MAX_WORDS:
+        raise ParamRange(f"seed entropy has at most {MAX_WORDS} values, got {len(words)}")
+    words += [0] * (MAX_WORDS - len(words))
+    key = np.array([words[0] | words[1] << 32, words[2] | words[3] << 32], dtype=np.uint64)
+    bits = np.random.Philox(_philox_key()(key))
+    high = words[4] | words[5] << 32 | words[6] << 64 | words[7] << 96
+    if high:
+        bits.advance(high << 128)
+    return np.random.Generator(bits)
 
 
 def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:

@@ -142,6 +142,28 @@ class TestDpAttention:
         failing = {c.name for c in report.requirement_checks if not c.passed}
         assert failing == {"sensitivity"}
 
+    def test_sensitivity_bound_on_the_budget_passes(self):
+        # 2 alpha beta sqrt(n) / eta is exactly 8 beta here; the check is
+        # <=, as the certificate's sensitivity check on the same budget
+        data = generate_good_dataset(1, 2, eta=0.0625, alpha=0.25, seed=1)
+        params = fast_params(k=1_196_713)
+        beta = privacy.sensitivity_budget(params.eps, params.delta, params.k) / 8
+        check = check_named(dp_attention(data, beta, params).requirement_checks, "sensitivity")
+        assert check.measured == check.required
+        assert check.passed
+
+    def test_utility_radius_on_the_bound_passes(self):
+        # a utility constant whose radius lands exactly on 0.1 eps
+        target, gamma = 0.1 * fast_params().eps, fast_params().gamma
+        k, scale = next((k, c) for k in range(2, 1000)
+                        for c in [target / utility_radius(2, gamma, k, 1.0)]
+                        if utility_radius(2, gamma, k, c) == target)
+        params = dataclasses.replace(fast_params(k=k), utility_const=scale)
+        check = check_named(dp_attention(fast_dataset(), 1e-8, params).requirement_checks,
+                            "utility")
+        assert check.measured == check.required
+        assert check.passed
+
     def test_entry_bound_gate_failure(self):
         # eta alone pushes the diagonal above r
         wide = generate_good_dataset(2, 4, eta=0.09, alpha=0.3, seed=1)

@@ -1,9 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpattn import ParamRange
+from dpattn import Activation, DpParams, ParamRange, dp_attention, generate_good_dataset, rng
 from dpattn.rng import (MAX_SEED, STREAM_VERSION, chi_squares, generator, normal_rows,
                         normalize_entropy, standard_normals)
 
@@ -50,21 +53,85 @@ class TestStandardNormals:
         assert normalize_entropy((1, 2)) == (1, 2)
 
     def test_words_are_never_split(self):
-        # SeedSequence splits a word of 2**32 or more into 32-bit pieces, so
-        # (1, 2**32) would alias (1, 0, 0); entropy above MAX_SEED is refused
+        # each value plus one fills one 32-bit slot of the Philox key or
+        # counter, so a value above MAX_SEED would overflow into the next
+        # slot; entropy above MAX_SEED is refused
         for entropy in ((1, 2**32), (1, MAX_SEED + 1), 2**64):
             with pytest.raises(ParamRange):
                 normalize_entropy(entropy)
             with pytest.raises(ParamRange):
                 standard_normals(4, entropy)
 
-    def test_largest_seed_keeps_its_keying(self):
-        # every accepted value keys SeedSequence with the word value + 1
-        words = np.random.SeedSequence([2, MAX_SEED + 1])
-        expected = np.random.Generator(np.random.Philox(words)).random(4)
-        assert np.array_equal(generator((1, MAX_SEED)).random(4), expected)
-        assert not np.array_equal(standard_normals(4, (1, MAX_SEED)),
-                                  standard_normals(4, (1, 0, 0)))
+
+def philox_state(entropy):
+    """The ``(key, counter)`` integers that stream v5 gives ``entropy``."""
+    packed = sum((e + 1) << (32 * i) for i, e in enumerate(entropy))
+    return packed & (2**128 - 1), packed >> 128 << 128
+
+
+def keyed_state(entropy):
+    """The ``(key, counter)`` integers of ``generator(entropy)``'s Philox."""
+    state = generator(entropy).bit_generator.state["state"]
+    return tuple(sum(int(w) << (64 * i) for i, w in enumerate(state[part]))
+                 for part in ("key", "counter"))
+
+
+class TestKeying:
+    ENTROPIES = [(0,), (MAX_SEED,), (3, 7), (1, MAX_SEED), (3, 7, 0), (4, 0, 0, 0),
+                 (2, 5, 9, 1, 0), (MAX_SEED,) * 5, (1, 2, 3, 4, 5, 6), (0,) * 7,
+                 (8, 7, 6, 5, 4, 3, 2, 1), (MAX_SEED,) * 8]
+
+    def test_matches_philox_key_and_counter(self):
+        for entropy in self.ENTROPIES:
+            key, counter = philox_state(entropy)
+            assert keyed_state(entropy) == (key, counter), entropy
+            expected = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(6)
+            assert np.array_equal(generator(entropy).random(6), expected), entropy
+
+    def test_distinct_tuples_get_distinct_states(self):
+        prefixes = [tuple(range(1, m + 1)) for m in range(1, 9)]
+        zeros = [(0,) * m for m in range(1, 9)]
+        entropies = {*self.ENTROPIES, *prefixes, *zeros, (3, 7, 0, 0), (3, 7, 0, 0, 0),
+                     (1, 0, 0), (0, 1), (1, 0)}
+        assert len({keyed_state(e) for e in entropies}) == len(entropies)
+
+    def test_nine_words_rejected(self):
+        with pytest.raises(ParamRange, match="at most 8"):
+            generator((1,) * 9)
+        with pytest.raises(ParamRange):
+            standard_normals(4, (0,) * 9)
+
+
+class TestKeyingCost:
+    def test_release_builds_two_generators(self, monkeypatch):
+        data = generate_good_dataset(4, 8, eta=0.01, alpha=0.11, seed=7)
+        params = DpParams(eps=0.05, delta=0.01, gamma=0.05, k=1_196_713, r=0.05,
+                          kind=Activation.EXP, utility_const=1.0, seed=0)
+        built = []
+
+        def counted(entropy):
+            built.append(entropy)
+            return generator(entropy)
+
+        monkeypatch.setattr(rng, "generator", counted)
+        dp_attention(data, 1e-8, params)
+        assert len(built) == 2
+
+    def test_no_seed_sequence(self):
+        # the key goes to Philox through a seed-sequence type of the package's
+        # own, with no SeedSequence hash (Philox(key=...) would leave None)
+        seed_seq = generator((1, 2)).bit_generator.seed_seq
+        assert isinstance(seed_seq, np.random.bit_generator.ISeedSequence)
+        assert not isinstance(seed_seq, np.random.SeedSequence)
+
+    def test_import_leaves_numpy_random_out(self):
+        # the key type is built on first use, so importing costs no numpy.random
+        env = {**os.environ, "PYTHONPATH": str(Path(rng.__file__).resolve().parents[1])}
+        code = "import sys, dpattn, dpattn.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestChiSquares:
