@@ -60,17 +60,13 @@ from .pipeline import (
 )
 from .privacy import (
     CertificateReport,
-    McTail,
     PrivacySpectrum,
-    SubExpParams,
     dp_certificate,
     expected_privacy_loss,
-    mc_privacy_verify,
     neighbor_spectrum,
     privacy_loss_samples,
     privacy_spectrum,
     sensitivity_budget,
-    sub_exp_params,
     tail_bound,
     wilson_upper,
 )

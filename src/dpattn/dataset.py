@@ -27,8 +27,9 @@ GOODNESS_TOL = 1e-9
 def _goodness(arr: np.ndarray, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
     """The Gram matrix ``g = arr arr^T`` of the 2-d ``arr`` and whether
     ``g >= (eta - GOODNESS_TOL) I`` and every column norm is at most ``alpha + GOODNESS_TOL``."""
-    if eta <= 0 or alpha <= 0:
-        raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
+    if not (0 < eta < np.inf and 0 < alpha < np.inf):
+        raise ParamRange(
+            f"eta and alpha must be positive and finite, got eta={eta}, alpha={alpha}")
     g = arr @ arr.T
     min_eig = float(np.linalg.eigvalsh(g).min())
     good = (min_eig >= eta - GOODNESS_TOL
@@ -92,8 +93,9 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
         raise ParamRange(f"n must be at least 1, got {n}")
     if d < n:
         raise ParamRange(f"d must be at least n, got n={n}, d={d}")
-    if eta <= 0 or alpha <= 0:
-        raise ParamRange(f"eta and alpha must be positive, got eta={eta}, alpha={alpha}")
+    if not (0 < eta < np.inf and 0 < alpha < np.inf):
+        raise ParamRange(
+            f"eta and alpha must be positive and finite, got eta={eta}, alpha={alpha}")
     if alpha < np.sqrt(eta):
         raise Infeasible(
             f"columns of norm <= alpha = {alpha} cannot reach a spectral floor of "

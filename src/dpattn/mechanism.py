@@ -136,8 +136,8 @@ def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
         raise ParamRange(f"gamma must lie in (0, 1), got {gamma}")
     if k < 1:
         raise ParamRange(f"k must be at least 1, got {k}")
-    if scale <= 0:
-        raise ParamRange(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ParamRange(f"scale must be positive and finite, got {scale}")
     mass = n * n + math.log(1.0 / gamma)
     return scale * (math.sqrt(mass / k) + mass / k)
 
@@ -148,7 +148,7 @@ def required_samples(n: int, gamma: float, radius_target: float, scale: float) -
     The radius is strictly decreasing in ``k``, so an analytic starting point
     plus a local integer walk gives the exact minimizer.
     """
-    if radius_target <= 0:
+    if not radius_target > 0:
         raise ParamRange(f"radius_target must be positive, got {radius_target}")
     utility_radius(n, gamma, 1, scale)  # validates n, gamma and scale
     mass = n * n + math.log(1.0 / gamma)

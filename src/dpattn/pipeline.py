@@ -9,10 +9,10 @@ taken on trust: each requirement and each implication is evaluated
 numerically and recorded in the report.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
-the sufficient-condition certificate plus a Monte-Carlo estimate of the
-privacy-loss exceedance rate, both from one :class:`PrivacySpectrum`.  It
-takes only the privacy parameters ``eps``, ``delta``, ``k`` and a seed;
-:class:`DpParams` belongs to :func:`dp_attention`.
+the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
+the privacy loss with its Wilson upper bound, both from one
+:class:`PrivacySpectrum`.  It takes only the privacy parameters ``eps``,
+``delta``, ``k`` and a seed; :class:`DpParams` belongs to :func:`dp_attention`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,13 @@ from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
 from .errors import ParamRange
 from .linalg import SymMatrix, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
-from .privacy import (CertificateReport, dp_certificate, mc_privacy_verify, neighbor_spectrum,
-                      sensitivity_budget)
+from .privacy import (CertificateReport, dp_certificate, neighbor_spectrum, privacy_loss_samples,
+                      sensitivity_budget, wilson_upper)
+
+
+def _integer(value) -> bool:
+    """An ``int`` or numpy integer, but not a ``bool``, which is an ``int`` too."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -57,7 +62,7 @@ class DpParams:
             raise ParamRange(f"delta must lie in (0, 0.1], got {self.delta}")
         if not 0.0 < self.gamma < 1.0:
             raise ParamRange(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _integer(self.k) or self.k < 1:
             raise ParamRange(f"k must be a positive integer, got {self.k}")
         if not 0.0 < self.r <= 0.1:
             raise ParamRange(f"r must lie in (0, 0.1], got {self.r}")
@@ -66,7 +71,7 @@ class DpParams:
         if not 0.0 < self.utility_const < math.inf:
             raise ParamRange(
                 f"utility_const must be positive and finite, got {self.utility_const}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _integer(self.seed) or self.seed < 0:
             raise ParamRange(f"seed must be a non-negative integer, got {self.seed}")
 
 
@@ -195,16 +200,20 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
     most two eigenvalues other than 1 (:func:`neighbor_spectrum`), is computed
     once and feeds both sides.  ``eps`` and ``delta`` lie in ``(0, 1)``.  The
     Monte-Carlo side draws the privacy loss ``trials`` times from the privacy
-    stream of ``seed``, at most two chi-squares per trial; at least 1000
-    trials are required.
+    stream of ``seed``, at most two chi-squares per trial, and counts the
+    draws above ``eps``; at least 1000 trials are required, which is checked
+    before anything is computed.
     """
+    if trials < 1000:
+        raise ParamRange(f"trials must be at least 1000, got {trials}")
     spectrum = neighbor_spectrum(pair)
     certificate = dp_certificate(spectrum, eps, delta, k)
-    mc = mc_privacy_verify(spectrum, k, eps, trials, seed)
+    losses = privacy_loss_samples(spectrum, k, trials, seed)
+    exceed = int((losses > eps).sum())
     return NeighborPrivacyReport(
         certificate=certificate,
         trials=trials,
-        empirical_rate=mc.empirical_rate,
-        wilson_upper=mc.wilson_upper,
-        samples=mc.samples,
+        empirical_rate=exceed / trials,
+        wilson_upper=wilson_upper(exceed, trials),
+        samples=losses,
     )

@@ -18,15 +18,17 @@ chi-squared sum
 with closed-form mean ``E[Z] = (k/2) * sum_j (lam_j - 1 - ln(lam_j))``.  Z is
 sub-exponential with parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``
 where ``F = ||comparison - I||_F``, giving the Bernstein-type tail
+(:func:`tail_bound`)
 
     Pr[Z - E[Z] > t] <= max( exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)) ).
 
 ``(eps, delta)``-differential privacy follows whenever ``Pr[Z > eps] <= delta``
 for both orderings of the pair; :func:`dp_certificate` checks the sufficient
 conditions (``F`` within the sensitivity budget, ``E[Z] <= eps/2``,
-tail at ``eps/2`` below ``delta``) for ``lam`` and ``1/lam``, and
-:func:`mc_privacy_verify` estimates the exceedance probability of the given
-ordering directly by Monte Carlo.  All logarithms are natural.
+tail at ``eps/2`` below ``delta``) for ``lam`` and ``1/lam``.  The Monte-Carlo
+side draws Z with :func:`privacy_loss_samples`; the exceedance rate over those
+draws estimates ``Pr[Z > eps]`` for the given ordering, and
+:func:`wilson_upper` bounds it.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class PrivacySpectrum:
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    @property
     def deviation_frob(self) -> float:
         """``||comparison - I||_F = sqrt(sum (lam - 1)^2)``."""
         return math.sqrt(float(((self.eigenvalues - 1.0) ** 2).sum()))
@@ -150,9 +148,9 @@ def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
 def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -> np.ndarray:
     """``trials`` independent draws of the privacy-loss variable Z.
 
-    One ``(trials, spectrum.dim)`` block of chi-square(k) variates from the
-    privacy stream of ``seed``; row ``t`` gives trial ``t``, so a longer run
-    extends a shorter one.  Exactly zero when the spectrum is all ones or
+    One ``(trials, spectrum.eigenvalues.size)`` block of chi-square(k) variates
+    from the privacy stream of ``seed``; row ``t`` gives trial ``t``, so a longer
+    run extends a shorter one.  Exactly zero when the spectrum is all ones or
     ``k == 0``.
     """
     if trials < 0:
@@ -172,43 +170,25 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
     return 0.5 * (weighted - k * float(np.log(lam).sum()))
 
 
-@dataclass(frozen=True)
-class SubExpParams:
-    """Sub-exponential parameters of Z derived from a spectrum.
+def tail_bound(spectrum: PrivacySpectrum, k: int, t: float) -> float:
+    """Bernstein-type tail level for ``Pr[Z - E[Z] > t]`` of ``k`` samples under ``spectrum``.
 
-    ``nu = sqrt(k) * F`` and ``alpha_se = 2 * F`` with
-    ``F = ||comparison - I||_F``; ``mean`` is the closed-form expectation.
+    ``max(exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)))`` with the sub-exponential
+    parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``,
+    ``F = spectrum.deviation_frob``; the max of the two branches equals the
+    usual piecewise sub-exponential bound.  A point mass at the mean (``F == 0``
+    or ``k == 0``) gives 0 for any t > 0.
     """
-
-    nu: float
-    alpha_se: float
-    mean: float
-
-
-def sub_exp_params(spectrum: PrivacySpectrum, k: int) -> SubExpParams:
-    dev = spectrum.deviation_frob
-    return SubExpParams(
-        nu=math.sqrt(k) * dev,
-        alpha_se=2.0 * dev,
-        mean=expected_privacy_loss(spectrum, k),
-    )
-
-
-def tail_bound(params: SubExpParams, t: float) -> float:
-    """Bernstein-type tail level for ``Pr[Z - E[Z] > t]``.
-
-    ``max(exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha_se)))``; the max of the two
-    branches equals the usual piecewise sub-exponential bound.  Degenerate
-    parameters (``nu == 0``, a point mass at the mean) give 0 for any t > 0.
-    """
-    if t <= 0:
+    if not t > 0:
         raise ParamRange(f"t must be positive, got {t}")
-    if params.nu < 0 or params.alpha_se < 0:
-        raise ParamRange("sub-exponential parameters must be non-negative")
-    if params.nu == 0.0 or params.alpha_se == 0.0:
+    if k < 0:
+        raise ParamRange(f"k must be non-negative, got {k}")
+    dev = spectrum.deviation_frob
+    nu, alpha = math.sqrt(k) * dev, 2.0 * dev
+    if nu == 0.0:
         return 0.0
-    gauss_branch = math.exp(-t * t / (2.0 * params.nu**2))
-    linear_branch = math.exp(-t / (2.0 * params.alpha_se))
+    gauss_branch = math.exp(-t * t / (2.0 * nu**2))
+    linear_branch = math.exp(-t / (2.0 * alpha))
     return max(gauss_branch, linear_branch)
 
 
@@ -239,26 +219,16 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
     """
     budget_used = sensitivity_budget(eps, delta, k)  # validates eps, delta and k first
     both = (spectrum, spectrum.reverse)
-    params = [sub_exp_params(s, k) for s in both]
     checks = tuple(
         RequirementCheck(name, measured <= required, measured, required)
         for name, measured, required in (
             ("sensitivity", max(s.deviation_frob for s in both), budget_used),
-            ("mean", max(p.mean for p in params), eps / 2.0),
-            ("tail", max(tail_bound(p, eps / 2.0) for p in params), delta),
+            ("mean", max(expected_privacy_loss(s, k) for s in both), eps / 2.0),
+            ("tail", max(tail_bound(s, k, eps / 2.0) for s in both), delta),
         )
     )
     return CertificateReport(eps=eps, delta=delta, k=k, checks=checks,
                              granted=all(c.passed for c in checks))
-
-
-@dataclass(frozen=True, eq=False)
-class McTail:
-    """Monte-Carlo exceedance rate, its Wilson upper bound and the draws behind them."""
-
-    empirical_rate: float
-    wilson_upper: float
-    samples: np.ndarray
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -273,20 +243,3 @@ def wilson_upper(successes: int, trials: int) -> float:
     half = _Z99 * math.sqrt(p * (1.0 - p) / trials + z2 / (4.0 * trials * trials))
     return (center + half) / (1.0 + z2 / trials)
 
-
-def mc_privacy_verify(spectrum: PrivacySpectrum, k: int, eps: float, trials: int,
-                      seed) -> McTail:
-    """Monte-Carlo estimate of ``Pr[Z > eps]`` with a 99% Wilson upper bound.
-
-    Requires at least 1000 trials.  The returned samples are the draws behind
-    the rate, from :func:`privacy_loss_samples`.
-    """
-    if trials < 1000:
-        raise ParamRange(f"trials must be at least 1000, got {trials}")
-    losses = privacy_loss_samples(spectrum, k, trials, seed)
-    exceed = int((losses > eps).sum())
-    return McTail(
-        empirical_rate=exceed / trials,
-        wilson_upper=wilson_upper(exceed, trials),
-        samples=losses,
-    )

@@ -18,6 +18,9 @@ from dpattn import (
 )
 
 
+NON_FINITE_DECLARATIONS = [(np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf)]
+
+
 class TestCheckGood:
     """``Dataset`` accepts exactly the matrices that meet their declared bounds."""
 
@@ -39,6 +42,13 @@ class TestCheckGood:
         with pytest.raises(ParamRange):
             Dataset(np.eye(2), eta=0.0, alpha=1.0)
 
+    @pytest.mark.parametrize("eta,alpha", NON_FINITE_DECLARATIONS)
+    def test_non_finite_declaration(self, eta, alpha):
+        # a NaN or infinite eta is out of range, not an unmet floor, and an
+        # infinite alpha would make every sensitivity bound infinite
+        with pytest.raises(ParamRange):
+            Dataset(np.eye(2), eta=eta, alpha=alpha)
+
 
 class TestGenerateGoodDataset:
     def test_square_case_is_scaled_identity(self):
@@ -57,6 +67,11 @@ class TestGenerateGoodDataset:
     def test_narrow_rejected(self):
         with pytest.raises(ParamRange):
             generate_good_dataset(4, 2, eta=1.0, alpha=1.0, seed=0)
+
+    @pytest.mark.parametrize("eta,alpha", NON_FINITE_DECLARATIONS)
+    def test_non_finite_declaration(self, eta, alpha):
+        with pytest.raises(ParamRange):
+            generate_good_dataset(2, 4, eta=eta, alpha=alpha, seed=0)
 
     def test_deterministic(self):
         a = generate_good_dataset(3, 9, eta=0.02, alpha=0.2, seed=123)

@@ -305,6 +305,11 @@ class TestUtilityRadius:
         with pytest.raises(ParamRange):
             utility_radius(4, 0.1, 10, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ParamRange):
+            utility_radius(4, 0.1, 10, scale)
+
 
 class TestRequiredSamples:
     def test_definitional_minimality(self):
@@ -325,3 +330,9 @@ class TestRequiredSamples:
     def test_param_validation(self):
         with pytest.raises(ParamRange):
             required_samples(4, 0.1, 0.0, 1.0)
+
+    @pytest.mark.parametrize("radius_target,scale", [
+        (0.004, math.nan), (0.004, math.inf), (math.nan, 1.0)])
+    def test_non_finite_inputs(self, radius_target, scale):
+        with pytest.raises(ParamRange):
+            required_samples(4, 0.05, radius_target, scale)

@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
+import dpattn
 from dpattn import (
     Activation,
     Dataset,
     DpAttentionReport,
     DpParams,
-    McTail,
     NeighborPair,
     NeighborPrivacyReport,
     ParamRange,
@@ -22,7 +23,6 @@ from dpattn import (
     gram,
     linalg,
     make_neighbor,
-    mc_privacy_verify,
     mechanism,
     neighbor_spectrum,
     pipeline,
@@ -35,6 +35,7 @@ from dpattn import (
     sensitivity_measured,
     utility_radius,
     verify_neighbor_privacy,
+    wilson_upper,
 )
 from dpattn.cli import _jsonable
 from helpers import check_named, conversion_holds, loewner_event
@@ -65,11 +66,11 @@ class TestDpParams:
             ("eps", 0.2), ("eps", 0.0),
             ("delta", 0.2), ("delta", 0.0),
             ("gamma", 0.0), ("gamma", 1.0),
-            ("k", 0), ("k", 1.5),
+            ("k", 0), ("k", 1.5), ("k", True),
             ("r", 0.2), ("r", -0.1),
             ("utility_const", 0.0), ("utility_const", float("nan")),
             ("utility_const", float("inf")),
-            ("seed", -1), ("seed", 1.5),
+            ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", False),
         ],
     )
     def test_range_violations(self, field, value):
@@ -351,11 +352,49 @@ class TestVerifyNeighborPrivacy:
         assert len(factored) == 1
         assert np.array_equal(first.samples, second.samples)
 
-    def test_minimum_trials(self):
+    def test_rate_counts_the_draws_above_eps(self):
+        data = generate_good_dataset(2, 4, eta=1.0, alpha=2.0, seed=3)
+        pair = make_neighbor(data, beta=0.1, index=1, seed=4)
+        report = verify_neighbor_privacy(pair, eps=0.5, delta=0.01, k=50, trials=1000, seed=0)
+        exceed = int((report.samples > 0.5).sum())
+        assert 0 < exceed < 1000
+        assert report.empirical_rate == exceed / 1000
+        assert report.wilson_upper == wilson_upper(exceed, 1000)
+
+    def test_minimum_trials(self, monkeypatch):
+        # checked before the spectrum is computed
+        calls = []
+        monkeypatch.setattr(pipeline, "neighbor_spectrum", calls.append)
         data = fast_dataset()
         pair = NeighborPair(base=data, perturbed=data.x.copy(), beta=0.001, index=0)
-        with pytest.raises(ParamRange):
-            verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=999, seed=0)
+        for trials in (999, 0, -1):
+            with pytest.raises(ParamRange):
+                verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=50, trials=trials, seed=0)
+        assert calls == []
+
+
+PUBLIC_NAMES = {
+    "Activation", "CertificateReport", "ChainReport", "Dataset", "DimMismatch",
+    "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible", "InvalidMatrix",
+    "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
+    "ParamRange", "PreconditionFailed", "PrivacySpectrum", "RequirementCheck",
+    "SensitivityBound", "SensitivityMeasurement", "SingularMatrix", "SymMatrix",
+    "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
+    "expected_privacy_loss", "gaussian_sampling_mechanism", "generate_good_dataset", "gram",
+    "is_psd", "loewner_within", "make_neighbor", "neighbor_spectrum",
+    "perturbation_chain_check", "privacy_loss_samples", "privacy_spectrum", "required_samples",
+    "sensitivity_bound", "sensitivity_budget", "sensitivity_measured", "tail_bound",
+    "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy",
+    "whitened_eigenvalues", "wilson_upper",
+}
+
+
+def test_public_names_are_pinned():
+    # every name the package exports, submodules aside: growing or shrinking
+    # the API means editing this set
+    exported = {name for name, value in vars(dpattn).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES
 
 
 def test_array_dataclasses_compare_by_identity():
@@ -371,7 +410,6 @@ def test_array_dataclasses_compare_by_identity():
         DpAttentionReport: lambda: dp_attention(data, 1e-9, fast_params()),
         NeighborPrivacyReport: lambda: verify_neighbor_privacy(
             pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0),
-        McTail: lambda: mc_privacy_verify(PrivacySpectrum([1.01, 0.99]), 50, 0.05, 1000, 1),
     }
     with_arrays = {
         cls for module in (attention, dataset, linalg, mechanism, pipeline, privacy)

@@ -11,7 +11,6 @@ from dpattn import (
     ParamRange,
     PrivacySpectrum,
     SingularMatrix,
-    SubExpParams,
     SymMatrix,
     dataset,
     dp_certificate,
@@ -19,13 +18,11 @@ from dpattn import (
     generate_good_dataset,
     gram,
     make_neighbor,
-    mc_privacy_verify,
     neighbor_spectrum,
     privacy_loss_samples,
     privacy_spectrum,
     rng,
     sensitivity_budget,
-    sub_exp_params,
     tail_bound,
     wilson_upper,
 )
@@ -327,53 +324,65 @@ class TestPrivacyLossSample:
             fast = privacy_loss_samples(spec, k, 20_000, seed)
             direct = direct_loss_samples(spec.eigenvalues, k, 20_000, seed)
             assert stats.ks_2samp(fast, direct).pvalue > 1e-3
-            variance = 0.5 * sub_exp_params(spec, k).nu ** 2
+            variance = 0.5 * k * spec.deviation_frob ** 2
             assert fast.var(ddof=1) / variance == pytest.approx(1.0, abs=0.03)
 
 
 class TestSubExpParams:
+    """The parameters ``nu = sqrt(k) F`` and ``alpha = 2 F`` that :func:`tail_bound`
+    derives from a spectrum's Frobenius deviation ``F``."""
+
     def test_identity_spectrum(self):
         spec = privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(2))
-        params = sub_exp_params(spec, 50)
-        assert params.nu <= 1e-12 and params.alpha_se <= 1e-12 and params.mean <= 1e-12
+        assert spec.deviation_frob <= 1e-12 and expected_privacy_loss(spec, 50) <= 1e-12
+        assert tail_bound(spec, 50, 1e-6) <= 1e-12
 
     def test_reference_values(self):
+        # nu = sqrt(2) sets the bound at t = 1, alpha = 2 sqrt(0.02) at t = 10
         spec = privacy_spectrum(SymMatrix.diagonal([1.1, 0.9]), SymMatrix.identity(2))
-        params = sub_exp_params(spec, 100)
-        assert params.nu == pytest.approx(math.sqrt(2.0), rel=1e-10)
-        assert params.alpha_se == pytest.approx(2.0 * math.sqrt(0.02), rel=1e-10)
+        assert tail_bound(spec, 100, 1.0) == pytest.approx(math.exp(-1.0 / 4.0), rel=1e-10)
+        assert tail_bound(spec, 100, 10.0) == pytest.approx(
+            math.exp(-10.0 / (4.0 * math.sqrt(0.02))), rel=1e-10)
 
     def test_fixed_ratio(self):
+        # nu / alpha = sqrt(k) / 2, so at t = c k F the bound is
+        # exp(-k min(c^2 / 2, c / 4)) whatever the spectrum
         gen = np.random.default_rng(59)
         for _ in range(20):
             n = int(gen.integers(2, 6))
             k = int(gen.integers(1, 200))
             lam = gen.uniform(0.7, 1.4, n)
             spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
-            params = sub_exp_params(spec, k)
-            assert params.nu / params.alpha_se == pytest.approx(math.sqrt(k) / 2.0, rel=1e-12)
+            for c in (0.25, 0.5, 1.0):
+                t = c * k * spec.deviation_frob
+                assert tail_bound(spec, k, t) == pytest.approx(
+                    math.exp(-k * min(c * c / 2.0, c / 4.0)), rel=1e-12)
 
 
 class TestTailBound:
+    # PrivacySpectrum([1.5]) at k = 4 has nu = alpha = 1
     def test_approaches_one_for_tiny_t(self):
-        params = SubExpParams(nu=1.0, alpha_se=1.0, mean=0.0)
-        assert tail_bound(params, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert tail_bound(PrivacySpectrum([1.5]), 4, 1e-12) == pytest.approx(1.0, abs=1e-9)
 
     def test_reference_value(self):
-        params = SubExpParams(nu=1.0, alpha_se=1.0, mean=0.0)
-        assert tail_bound(params, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert tail_bound(PrivacySpectrum([1.5]), 4, 2.0) == pytest.approx(math.exp(-1.0),
+                                                                          rel=1e-12)
 
     def test_monotone_decreasing(self):
-        params = SubExpParams(nu=0.7, alpha_se=0.4, mean=0.0)
-        grid = [tail_bound(params, t) for t in np.linspace(0.01, 5.0, 50)]
+        spec = PrivacySpectrum([1.2, 0.9])
+        grid = [tail_bound(spec, 7, t) for t in np.linspace(0.01, 5.0, 50)]
         assert all(a >= b for a, b in zip(grid, grid[1:]))
 
     def test_degenerate_point_mass(self):
-        assert tail_bound(SubExpParams(nu=0.0, alpha_se=0.0, mean=0.0), 0.5) == 0.0
+        assert tail_bound(PrivacySpectrum([1.0, 1.0]), 4, 0.5) == 0.0
+        assert tail_bound(PrivacySpectrum([1.5]), 0, 0.5) == 0.0
 
     def test_requires_positive_t(self):
+        for t in (0.0, math.nan):
+            with pytest.raises(ParamRange):
+                tail_bound(PrivacySpectrum([1.5]), 4, t)
         with pytest.raises(ParamRange):
-            tail_bound(SubExpParams(nu=1.0, alpha_se=1.0, mean=0.0), 0.0)
+            tail_bound(PrivacySpectrum([1.5]), -1, 0.5)
 
 
 class TestDpCertificate:
@@ -431,24 +440,22 @@ class TestDpCertificate:
         spec = diagonal_spectrum([lam] * n)
         cert = dp_certificate(spec, eps, delta, k)
         assert cert.granted
-        mc = mc_privacy_verify(spec, k, eps, trials=2000, seed=0)
-        assert mc.empirical_rate <= delta
+        losses = privacy_loss_samples(spec, k, trials=2000, seed=0)
+        assert (losses > eps).mean() <= delta
 
 
 class TestMcPrivacyVerify:
+    """The Monte-Carlo exceedance count of ``Z > eps`` and its Wilson bound."""
+
     def test_equal_pair_rate_zero(self):
         spec = privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(2))
-        mc = mc_privacy_verify(spec, 20, 0.1, 1000, 0)
-        assert mc.empirical_rate == 0.0
-        assert mc.wilson_upper < 0.01
+        exceed = int((privacy_loss_samples(spec, 20, 1000, 0) > 0.1).sum())
+        assert exceed == 0
+        assert wilson_upper(exceed, 1000) < 0.01
 
     def test_large_separation_rate_one(self):
-        mc = mc_privacy_verify(diagonal_spectrum([4.0, 4.0]), 50, 0.1, 1000, 0)
-        assert mc.empirical_rate == 1.0
-
-    def test_minimum_trials_enforced(self):
-        with pytest.raises(ParamRange):
-            mc_privacy_verify(diagonal_spectrum([1.0, 1.0]), 10, 0.1, 999, 0)
+        losses = privacy_loss_samples(diagonal_spectrum([4.0, 4.0]), 50, 1000, 0)
+        assert (losses > 0.1).all()
 
 
 class TestWilsonUpper:
@@ -509,11 +516,10 @@ class TestEmpiricalTailDomination:
         delta_used = sensitivity_budget(eps, delta, k)
         lam = _boundary_spectrum(gen, n, delta_used)
         spec = diagonal_spectrum(lam)
-        params = sub_exp_params(spec, k)
         samples = privacy_loss_samples(spec, k, trials=5000, seed=3)
-        centered = samples - params.mean
-        for t in np.linspace(0.2, 3.0, 12) * params.nu:
+        centered = samples - expected_privacy_loss(spec, k)
+        for t in np.linspace(0.2, 3.0, 12) * (math.sqrt(k) * spec.deviation_frob):
             survival = float((centered > t).mean())
-            bound = tail_bound(params, float(t))
+            bound = tail_bound(spec, k, float(t))
             se = math.sqrt(max(survival * (1 - survival), 1e-12) / samples.size)
             assert survival <= bound + 3.0 * se
