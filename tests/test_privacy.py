@@ -24,6 +24,7 @@ from dpattn import (
     rng,
     sensitivity_budget,
     tail_bound,
+    verify_neighbor_privacy,
     wilson_upper,
 )
 from dpattn.cli import read_matrix_csv, write_matrix_csv
@@ -456,6 +457,12 @@ class TestMcPrivacyVerify:
     def test_large_separation_rate_one(self):
         losses = privacy_loss_samples(diagonal_spectrum([4.0, 4.0]), 50, 1000, 0)
         assert (losses > 0.1).all()
+
+    def test_minimum_trials_enforced(self):
+        data = generate_good_dataset(2, 4, eta=1.0, alpha=2.0, seed=3)
+        pair = make_neighbor(data, beta=0.1, index=1, seed=4)
+        with pytest.raises(ParamRange):
+            verify_neighbor_privacy(pair, eps=0.1, delta=0.01, k=10, trials=999, seed=0)
 
 
 class TestWilsonUpper:
