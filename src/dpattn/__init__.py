@@ -36,15 +36,9 @@ from .errors import (
     NotPsd,
     Overflow,
     ParamRange,
-    PreconditionFailed,
     SingularMatrix,
 )
-from .linalg import (
-    SymMatrix,
-    is_psd,
-    loewner_within,
-    whitened_eigenvalues,
-)
+from .linalg import SymMatrix
 from .mechanism import (
     MechanismOutput,
     gaussian_sampling_mechanism,
@@ -65,7 +59,6 @@ from .privacy import (
     expected_privacy_loss,
     neighbor_spectrum,
     privacy_loss_samples,
-    privacy_spectrum,
     sensitivity_budget,
     tail_bound,
     wilson_upper,

@@ -5,8 +5,11 @@ where ``g`` applies ``exp`` or ``cosh`` entrywise and ``s`` holds the row sums
 of ``g(M)``.  When two PSD logit matrices are entrywise bounded by ``r`` and
 spectrally within a relative factor ``eps`` of each other, the resulting
 attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
-:func:`perturbation_chain_check` measures every intermediate step of that
-bound on concrete inputs.
+:func:`perturbation_chain_check` measures every link of that bound on a
+concrete pair, from the spectral sandwich to the attention error, and is the
+package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` takes
+its attention maps, its error, its bound and its sandwich event from it on
+every release.
 
 Throughout this module the matrix infinity-norm means the entrywise
 max-absolute value.  ``eps`` and ``r`` are accepted on ``(0, 0.1]``.
@@ -14,13 +17,14 @@ max-absolute value.  ``eps`` and ``r`` are accepted on ``(0, 0.1]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, Overflow, ParamRange, PreconditionFailed
-from .linalg import as_sym, is_psd, loewner_within
+from .errors import DimMismatch, Overflow, ParamRange
+from .linalg import as_sym, spectrum_within
 
 
 class Activation(Enum):
@@ -74,13 +78,12 @@ class RequirementCheck:
     warning_only: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainReport:
-    """Per-stage measurements of the perturbation error chain."""
+    """Both attention maps of a pair and the checks of every link between them."""
 
-    eps: float
-    r: float
-    kind: Activation
+    attention_base: np.ndarray
+    attention_perturbed: np.ndarray
     stages: tuple[RequirementCheck, ...]
 
     @property
@@ -88,64 +91,68 @@ class ChainReport:
         return all(stage.passed for stage in self.stages)
 
 
-def perturbation_chain_check(a, b, eps: float, r: float, kind: Activation) -> ChainReport:
-    """Measure all four stages of the attention perturbation bound.
+def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -> ChainReport:
+    """Measure every link of the attention perturbation bound on the pair ``(a, b)``.
 
-    Preconditions (violations raise :class:`PreconditionFailed` naming the
-    requirement): ``eps, r`` in ``(0, 0.1]``; both matrices PSD; the base
-    matrix entrywise bounded by ``r``; the pair spectrally within ``eps``
-    (``loewner_within(a, b, eps)``).
+    ``mu`` is the spectrum of ``b`` whitened by ``a``, the eigenvalues of
+    ``a^{-1/2} b a^{-1/2}`` (:func:`~dpattn.pipeline.dp_attention` reads them off
+    the release's ``T T^T / k``), or ``None`` when ``a`` has no Cholesky factor;
+    nothing here factors a matrix.  ``eps`` and ``r`` outside ``(0, 0.1]`` raise
+    :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is the
+    caller's requirement and is not checked here.  A failed link does not stop the
+    chain: every check is measured and reported.
 
-    Stages, each a :class:`RequirementCheck` passing when ``measured <= required``:
+    Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 
-    1. ``entry_range``       max |b_ij|                       vs (1 + eps) r
-    2. ``activation_ratio``  max |g(a)-g(b)| / min(g(a),g(b)) vs (2 + 2 eps + 4r) r
-    3. ``normalizer_ratio``  same ratio for the row sums      vs (2 + 2 eps + 4r) r
-    4. ``attention_bound``   attention error                  vs 4 (1 + eps + 2r) r
+    1. ``loewner``           max |1/mu - 1|                   vs eps
+    2. ``entry_range``       max |b_ij|                       vs (1 + eps) r
+    3. ``activation_ratio``  max |g(a)-g(b)| / min(g(a),g(b)) vs (2 + 2 eps + 4r) r
+    4. ``normalizer_ratio``  same ratio for the row sums      vs (2 + 2 eps + 4r) r
+    5. ``attention_bound``   attention error                  vs 4 (1 + eps + 2r) r
 
-    Stage 1's ``(1 + eps) r`` level is guaranteed only in the sandwich
-    direction the sampling pipeline actually produces ((1-x) a <= b <= (1+x) a
-    for some x <= eps); for pairs whose whitened spectrum touches ``1 - eps``
-    from below, the attainable entry bound degrades to ``r / (1 - eps)`` and
-    stage 1 reports the excess honestly (see the tests for the boundary case).
+    ``loewner`` is the sandwich ``(1 - eps) b <= a <= (1 + eps) b``: it passes when
+    ``mu`` is positive and :func:`~dpattn.linalg.spectrum_within` holds for ``1/mu``,
+    so its ``measured`` may exceed ``eps`` by that test's tolerance, 1e-9, and still
+    pass.  Without a positive ``mu`` it fails and measures ``inf``.  A given ``mu``
+    means ``a`` is positive definite and a positive one that ``b`` is too, so no
+    separate PSD test is needed.
+
+    Stage 2's ``(1 + eps) r`` level is guaranteed only in the sandwich direction
+    the sampling pipeline actually produces ((1-x) a <= b <= (1+x) a for some
+    x <= eps); for pairs whose whitened spectrum touches ``1 - eps`` from below,
+    the attainable entry bound degrades to ``r / (1 - eps)`` and stage 2 reports
+    the excess honestly (see the tests for the boundary case).
     """
+    att_bound = theoretical_error_bound(eps, r)  # validates eps and r first
     a = as_sym(a)
     b = as_sym(b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not 0.0 < eps <= 0.1:
-        raise PreconditionFailed("eps_range", f"eps must lie in (0, 0.1], got {eps}")
-    if not 0.0 < r <= 0.1:
-        raise PreconditionFailed("r_range", f"r must lie in (0, 0.1], got {r}")
-    max_a = float(np.abs(a.values).max())
-    if max_a > r * (1.0 + 1e-12):
-        raise PreconditionFailed("entry_bound", f"max |entry| = {max_a} exceeds r = {r}")
-    if not is_psd(a):
-        raise PreconditionFailed("psd_base", "base matrix is not PSD")
-    if not is_psd(b):
-        raise PreconditionFailed("psd_perturbed", "perturbed matrix is not PSD")
-    if not loewner_within(a, b, eps):
-        raise PreconditionFailed(
-            "loewner", f"pair is not spectrally within eps = {eps} of each other"
-        )
+    if a.dim != b.dim or (mu is not None and np.shape(mu) != (a.dim,)):
+        raise DimMismatch(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
+    sandwich, deviation = False, math.inf
+    if mu is not None and mu.min() > 0.0:
+        inv = 1.0 / mu
+        sandwich = spectrum_within(inv, eps)
+        deviation = float(np.abs(inv - 1.0).max())
 
     act_a = entrywise_activation(a, kind)
     act_b = entrywise_activation(b, kind)
     sums_a = act_a.sum(axis=1)
     sums_b = act_b.sum(axis=1)
+    att_a = act_a / sums_a[:, None]
+    att_b = act_b / sums_b[:, None]
 
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
     entry_max = float(np.abs(b.values).max())
     entry_bound = (1.0 + eps) * r
     act_ratio = float((np.abs(act_a - act_b) / np.minimum(act_a, act_b)).max())
     sum_ratio = float((np.abs(sums_a - sums_b) / np.minimum(sums_a, sums_b)).max())
-    att_error = float(np.abs(act_a / sums_a[:, None] - act_b / sums_b[:, None]).max())
-    att_bound = theoretical_error_bound(eps, r)
+    att_error = float(np.abs(att_a - att_b).max())
 
     stages = (
+        RequirementCheck("loewner", sandwich, deviation, eps),
         RequirementCheck("entry_range", entry_max <= entry_bound, entry_max, entry_bound),
         RequirementCheck("activation_ratio", act_ratio <= ratio_bound, act_ratio, ratio_bound),
         RequirementCheck("normalizer_ratio", sum_ratio <= ratio_bound, sum_ratio, ratio_bound),
         RequirementCheck("attention_bound", att_error <= att_bound, att_error, att_bound),
     )
-    return ChainReport(eps=eps, r=r, kind=kind, stages=stages)
+    return ChainReport(attention_base=att_a, attention_perturbed=att_b, stages=stages)

@@ -287,7 +287,8 @@ def cmd_dp_attention(cfg: dict, out_dir: Path, config_dir: Path) -> int:
     report = dp_attention(data, v["beta"], params)
     path = out_dir / v["report"]
     write_json(path, "dp_attention_report", _jsonable(report))
-    failing = [c.name for c in report.requirement_checks if not c.passed and not c.warning_only]
+    failing = [c.name for c in (*report.requirement_checks, *report.chain)
+               if not c.passed and not c.warning_only]
     status = "certified" if report.certified else f"not certified (failing: {failing})"
     print(f"wrote {path}: {status}")
     return 0 if report.certified else 1

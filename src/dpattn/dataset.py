@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import Infeasible, ParamRange
+from .errors import Infeasible, ParamRange, check_integer
 from .linalg import SymMatrix, rank_two_eigenvalues
 
 GOODNESS_TOL = 1e-9
@@ -112,6 +112,12 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     return Dataset(x=x, eta=eta, alpha=alpha)
 
 
+def _check_index(index, d: int) -> None:
+    check_integer("index", index, 0)
+    if index >= d:
+        raise ParamRange(f"index {index} out of range for d = {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class NeighborPair:
     """A dataset and a perturbation of exactly one of its columns.
@@ -135,8 +141,7 @@ class NeighborPair:
             raise ParamRange("perturbed entries must be finite")
         if not 0 <= self.beta < np.inf:
             raise ParamRange(f"beta must be non-negative and finite, got {self.beta}")
-        if not 0 <= self.index < self.base.d:
-            raise ParamRange(f"index {self.index} out of range for d = {self.base.d}")
+        _check_index(self.index, self.base.d)
         others = [j for j in range(self.base.d) if j != self.index]
         if not np.array_equal(self.base.x[:, others], arr[:, others]):
             raise ParamRange("neighbor pair may differ in exactly one column")
@@ -157,8 +162,7 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     """
     if not 0 < beta < np.inf:
         raise ParamRange(f"beta must be positive and finite, got {beta}")
-    if not 0 <= index < data.d:
-        raise ParamRange(f"index {index} out of range for d = {data.d}")
+    _check_index(index, data.d)
     direction = rng.standard_normals(data.n, (rng.TAG_NEIGHBOR, *rng.normalize_entropy(seed)))
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
@@ -236,7 +240,9 @@ def sensitivity_bound(eta: float, alpha: float, beta: float, n: int) -> Sensitiv
     and at most two of those eigenvalues are nonzero, each at most ``||D||_2`` in
     magnitude.  Hence ``||D||_F^2 <= 2 ||D||_2^2``.
     """
-    if eta <= 0:
-        raise ParamRange(f"eta must be positive, got {eta}")
+    if not (0 < eta < np.inf and 0 < alpha < np.inf and 0 <= beta < np.inf):
+        raise ParamRange("eta and alpha must be positive and finite and beta non-negative and "
+                         f"finite, got eta={eta}, alpha={alpha}, beta={beta}")
+    check_integer("n", n, 1)
     spectral = 2.0 * alpha * beta / eta
     return SensitivityBound(spectral, float(np.sqrt(n)) * spectral)

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer test."""
+
+import numpy as np
 
 
 class DpAttnError(Exception):
@@ -33,13 +35,8 @@ class Infeasible(DpAttnError):
     """The requested construction cannot be realized with the given parameters."""
 
 
-class PreconditionFailed(DpAttnError):
-    """A stated precondition of a verification routine does not hold.
-
-    Carries the name of the violated requirement so callers and tests can
-    pinpoint which condition broke.
-    """
-
-    def __init__(self, requirement: str, message: str = ""):
-        self.requirement = requirement
-        super().__init__(f"{requirement}: {message}" if message else requirement)
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise :class:`ParamRange` unless ``value`` is an integer of at least ``minimum``: an
+    ``int`` or numpy integer, but not a ``bool``, which is an ``int`` too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParamRange(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -3,10 +3,10 @@
 Everything downstream (attention perturbation, the sampling mechanism, the
 privacy certificates) manipulates small dense symmetric matrices.  This module
 fixes the conventions once: construction symmetrizes, a positive definite
-matrix keeps one lower Cholesky factor, which both whitens and factors the
-release, and the positive semidefinite and singularity cutoffs are relative to
-the matrix's scale, so the checks give the same answer for ``c * m`` at any
-scale ``c > 0``.
+matrix keeps one lower Cholesky factor, which factors the release and whitens
+a neighbor's rank-two change, the sandwich test has one tolerance, and the
+positive semidefinite and singularity cutoffs are relative to the matrix's
+scale, so the checks give the same answer for ``c * m`` at any scale ``c > 0``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidMatrix, ParamRange, SingularMatrix
+from .errors import InvalidMatrix, SingularMatrix
 
 
 def relative_tol(values: np.ndarray) -> float:
@@ -35,8 +35,8 @@ class SymMatrix:
     overflow above about 9e307.
     Entries must be finite; the backing array is marked read-only.  The lower
     Cholesky factor :attr:`cholesky` is computed on first use and kept, since
-    the matrix cannot change: the release, :func:`whitened_eigenvalues` and
-    :func:`rank_two_eigenvalues` of one ``SymMatrix`` all read that one factor.
+    the matrix cannot change: the release and :func:`rank_two_eigenvalues` of
+    one ``SymMatrix`` both read that one factor.
     """
 
     values: np.ndarray
@@ -95,31 +95,6 @@ def as_sym(m) -> SymMatrix:
     return SymMatrix(np.asarray(m, dtype=float))
 
 
-def is_psd(m) -> bool:
-    """True iff the minimum eigenvalue is at least -1e-9 times the spectral norm."""
-    w = np.linalg.eigvalsh(as_sym(m).values)
-    return bool(w.min() >= -relative_tol(w))
-
-
-def whitened_eigenvalues(a, b) -> np.ndarray:
-    """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
-
-    Taken from the similar matrix ``L^{-1} a L^{-T}``, two solves on the kept
-    factor ``L`` of ``b`` (:attr:`SymMatrix.cholesky`).  These are also the
-    eigenvalues of ``a^{1/2} b^{-1} a^{1/2}``; swapping the arguments gives
-    their reciprocals.  Raises :class:`SingularMatrix` when ``b`` fails the
-    Cholesky floor of :attr:`SymMatrix.cholesky` and :class:`DimMismatch` when
-    the shapes differ.
-    """
-    a = as_sym(a)
-    b = as_sym(b)
-    if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
-    chol = b.cholesky
-    m = np.linalg.solve(chol, np.linalg.solve(chol, a.values).T)
-    return np.linalg.eigvalsh(0.5 * m + 0.5 * m.T)[::-1]
-
-
 _RANK_TWO = np.array([[0.0, 1.0], [1.0, 1.0]])
 
 
@@ -143,16 +118,3 @@ def rank_two_eigenvalues(b, y, e) -> np.ndarray:
 def spectrum_within(w: np.ndarray, eps: float) -> bool:
     """The sandwich test: every whitened eigenvalue lies in ``[1-eps-1e-9, 1+eps+1e-9]``."""
     return bool(w.min() >= 1.0 - eps - 1e-9 and w.max() <= 1.0 + eps + 1e-9)
-
-
-def loewner_within(a, b, eps: float) -> bool:
-    """Check the two-sided spectral sandwich ``(1-eps) b <= a <= (1+eps) b``.
-
-    Evaluated in the whitened domain by :func:`spectrum_within` on
-    :func:`whitened_eigenvalues`, the eigenvalues of ``b^{-1/2} a b^{-1/2}``.
-    The comparison is scale-invariant.  Raises :class:`SingularMatrix` when
-    ``b`` fails the Cholesky floor of :attr:`SymMatrix.cholesky`.
-    """
-    if eps < 0:
-        raise ParamRange(f"eps must be non-negative, got {eps}")
-    return spectrum_within(whitened_eigenvalues(a, b), eps)

@@ -2,11 +2,12 @@
 
 :func:`dp_attention` runs the whole chain for one dataset: check every
 requirement of the end-to-end guarantee, release a surrogate Gram matrix
-through the Gaussian sampling mechanism, convert the mechanism's relative
-closeness into the spectral sandwich the attention bound needs, and measure
-the attention deviation against ``4 * (1 + eps + 2r) * r``.  Nothing is
-taken on trust: each requirement and each implication is evaluated
-numerically and recorded in the report.
+through the Gaussian sampling mechanism, and run
+:func:`~dpattn.attention.perturbation_chain_check` on the Gram matrix and the
+release: the spectral sandwich, the entry range, the activation and
+normalizer ratios and the attention deviation against
+``4 * (1 + eps + 2r) * r``.  Nothing is taken on trust: each requirement and
+each link is evaluated numerically and recorded in the report.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
@@ -22,18 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import Activation, RequirementCheck, attention_matrix, theoretical_error_bound
+from .attention import Activation, RequirementCheck, perturbation_chain_check
 from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
-from .errors import ParamRange
+from .errors import ParamRange, check_integer
 from .linalg import SymMatrix, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
 from .privacy import (CertificateReport, dp_certificate, neighbor_spectrum, privacy_loss_samples,
                       sensitivity_budget, wilson_upper)
-
-
-def _integer(value) -> bool:
-    """An ``int`` or numpy integer, but not a ``bool``, which is an ``int`` too."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,7 @@ class DpParams:
             raise ParamRange(f"delta must lie in (0, 0.1], got {self.delta}")
         if not 0.0 < self.gamma < 1.0:
             raise ParamRange(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not _integer(self.k) or self.k < 1:
-            raise ParamRange(f"k must be a positive integer, got {self.k}")
+        check_integer("k", self.k, 1)
         if not 0.0 < self.r <= 0.1:
             raise ParamRange(f"r must lie in (0, 0.1], got {self.r}")
         if not isinstance(self.kind, Activation):
@@ -71,23 +66,29 @@ class DpParams:
         if not 0.0 < self.utility_const < math.inf:
             raise ParamRange(
                 f"utility_const must be positive and finite, got {self.utility_const}")
-        if not _integer(self.seed) or self.seed < 0:
-            raise ParamRange(f"seed must be a non-negative integer, got {self.seed}")
+        check_integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
 class DpAttentionReport:
     """Everything one end-to-end run produced and verified.
 
+    ``chain`` holds the checks of :func:`~dpattn.attention.perturbation_chain_check`
+    on the Gram matrix and the release, ``loewner`` to ``attention_bound``.
     ``certified`` means: every hard requirement passed, the released matrix
     landed spectrally within ``eps`` of the true Gram matrix (the event that
-    holds with probability at least ``1 - gamma``), and the measured attention
-    deviation respects the theoretical bound.  The relative-closeness event at
+    holds with probability at least ``1 - gamma``, the ``loewner`` check), and
+    the measured attention deviation respects the theoretical bound (the
+    ``attention_bound`` check).  The relative-closeness event at
     level ``rho`` is recorded next to the ``eps`` event, so reports distinguish
     "the probabilistic event occurred" from "the bound held".  Each compared
     value is stated once, in its check: ``rho`` is the ``utility`` check's
     ``measured``, the Frobenius sensitivity bound and the budget are the
-    ``sensitivity`` check's ``measured`` and ``required``.  ``released`` is the
+    ``sensitivity`` check's ``measured`` and ``required``.  The exceptions are
+    ``measured_error``, ``error_bound`` and ``loewner_eps_event``, copies of the
+    ``attention_bound`` check's ``measured`` and ``required`` and of the
+    ``loewner`` check's ``passed``, kept while readers of the report still
+    take them from here.  ``released`` is the
     mechanism's draw as it is: at ``k < n`` it is singular, and rounding may
     leave its smallest eigenvalues just below zero.
     """
@@ -101,6 +102,7 @@ class DpAttentionReport:
     measured_error: float
     error_bound: float
     requirement_checks: tuple[RequirementCheck, ...]
+    chain: tuple[RequirementCheck, ...]
     loewner_rho_event: bool
     loewner_eps_event: bool
     certified: bool
@@ -125,11 +127,11 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     ``certified=False`` and the failing check named.
 
     Both sandwich events are read off the spectrum ``mu`` of the mechanism's
-    whitened release ``T T^T / k``: ``mu`` within ``rho`` and ``1/mu`` within
-    ``eps``.  Both are false when the Gram matrix is singular.
+    whitened release ``T T^T / k``, its one ``eigvalsh``: ``mu`` within ``rho``,
+    and ``1/mu`` within ``eps``, the chain's ``loewner`` check, which hands
+    ``mu`` to the chain.  Both are false when the Gram matrix is singular.  The
+    attention maps, the error and its bound are the chain's.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ParamRange(f"beta must be non-negative and finite, got {beta}")
     base = gram(data)
     budget_used = sensitivity_budget(params.eps, params.delta, params.k)
     sens_frob = sensitivity_bound(data.eta, data.alpha, beta, data.n).frobenius_bound
@@ -145,39 +147,31 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     )
 
     mech = gaussian_sampling_mechanism(base, params.k, params.seed)
-    released = mech.sigma_hat
-
+    mu = None if mech.whitened is None else np.linalg.eigvalsh(mech.whitened.values)
     # The mechanism's guarantee is relative closeness of the release to the
     # input at level rho (spectrum mu); the attention bound needs the inverted
-    # sandwich at level eps (spectrum 1/mu).  rho <= 0.1 * eps makes the
-    # implication exact up to rounding, and both events are evaluated instead
-    # of trusting it.
-    rho_event = eps_event = False
-    if mech.whitened is not None:
-        mu = np.linalg.eigvalsh(mech.whitened.values)
-        rho_event = spectrum_within(mu, rho)
-        eps_event = bool(mu.min() > 0.0) and spectrum_within(1.0 / mu, params.eps)
-
-    attention_base = attention_matrix(base, params.kind)
-    attention_released = attention_matrix(released, params.kind)
-    measured = float(np.abs(attention_base - attention_released).max())
-    bound = theoretical_error_bound(params.eps, params.r)
+    # sandwich at level eps (spectrum 1/mu), the chain's loewner check.
+    # rho <= 0.1 * eps makes the implication exact up to rounding, and both
+    # events are evaluated instead of trusting it.
+    rho_event = mu is not None and spectrum_within(mu, rho)
+    chain = perturbation_chain_check(base, mech.sigma_hat, mu, params.eps, params.r, params.kind)
+    loewner, error = chain.stages[0], chain.stages[-1]
 
     hard_ok = all(c.passed for c in checks if not c.warning_only)
-    certified = hard_ok and eps_event and measured <= bound
     return DpAttentionReport(
         params=params,
         beta=beta,
         gram_matrix=base,
-        released=released,
-        attention_base=attention_base,
-        attention_released=attention_released,
-        measured_error=measured,
-        error_bound=bound,
+        released=mech.sigma_hat,
+        attention_base=chain.attention_base,
+        attention_released=chain.attention_perturbed,
+        measured_error=error.measured,
+        error_bound=error.required,
         requirement_checks=checks,
+        chain=chain.stages,
         loewner_rho_event=rho_event,
-        loewner_eps_event=eps_event,
-        certified=certified,
+        loewner_eps_event=loewner.passed,
+        certified=hard_ok and loewner.passed and error.passed,
     )
 
 
@@ -204,8 +198,7 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
     draws above ``eps``; at least 1000 trials are required, which is checked
     before anything is computed.
     """
-    if trials < 1000:
-        raise ParamRange(f"trials must be at least 1000, got {trials}")
+    check_integer("trials", trials, 1000)
     spectrum = neighbor_spectrum(pair)
     certificate = dp_certificate(spectrum, eps, delta, k)
     losses = privacy_loss_samples(spectrum, k, trials, seed)

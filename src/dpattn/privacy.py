@@ -42,8 +42,8 @@ import numpy as np
 from . import rng
 from .attention import RequirementCheck
 from .dataset import NeighborPair, neighbor_deviation
-from .errors import ParamRange, SingularMatrix
-from .linalg import relative_tol, whitened_eigenvalues
+from .errors import ParamRange, SingularMatrix, check_integer
+from .linalg import relative_tol
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
 _Z99 = statistics.NormalDist().inv_cdf(0.99)
@@ -60,8 +60,7 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> float:
         raise ParamRange(f"eps must lie in (0, 1), got {eps}")
     if not 0.0 < delta < 1.0:
         raise ParamRange(f"delta must lie in (0, 1), got {delta}")
-    if k < 1:
-        raise ParamRange(f"k must be at least 1, got {k}")
+    check_integer("k", k, 1)
     log_inv = math.log(1.0 / delta)
     return 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
 
@@ -107,22 +106,9 @@ class PrivacySpectrum:
         return PrivacySpectrum(1.0 / self.eigenvalues[::-1])
 
 
-def privacy_spectrum(sigma1, sigma2) -> PrivacySpectrum:
-    """Spectrum of ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}`` for positive definite inputs.
-
-    Computed as the eigenvalues of the similar matrix
-    ``sigma2^{-1/2} sigma1 sigma2^{-1/2}`` (:func:`~dpattn.linalg.whitened_eigenvalues`,
-    two solves on the kept Cholesky factor of ``sigma2``).  Raises
-    :class:`SingularMatrix` when either input is singular: ``sigma2`` at the
-    Cholesky floor of :attr:`~dpattn.linalg.SymMatrix.cholesky`, ``sigma1`` at
-    the :class:`PrivacySpectrum` floor (the smallest eigenvalue at most 1e-9
-    times ``max(1, largest)``).
-    """
-    return PrivacySpectrum(whitened_eigenvalues(sigma1, sigma2))
-
-
 def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
-    """The eigenvalues other than 1 of ``privacy_spectrum(gram(base), gram(perturbed))``.
+    """The eigenvalues other than 1 of the comparison ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``
+    of ``sigma1 = gram(base)`` and ``sigma2 = gram(perturbed)``.
 
     The pair differs in one column, so the Gram matrices differ by rank at most two.
     Whitened by the base's kept Gram matrix, the perturbed one has the eigenvalues
@@ -139,8 +125,7 @@ def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
 
 def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
     """Closed-form mean ``(k/2) * sum_j (lam_j - 1 - ln(lam_j))``; non-negative."""
-    if k < 0:
-        raise ParamRange(f"k must be non-negative, got {k}")
+    check_integer("k", k, 0)
     lam = spectrum.eigenvalues
     return 0.5 * k * float((lam - 1.0 - np.log(lam)).sum())
 
@@ -153,10 +138,8 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
     run extends a shorter one.  Exactly zero when the spectrum is all ones or
     ``k == 0``.
     """
-    if trials < 0:
-        raise ParamRange(f"trials must be non-negative, got {trials}")
-    if k < 0:
-        raise ParamRange(f"k must be non-negative, got {k}")
+    check_integer("trials", trials, 0)
+    check_integer("k", k, 0)
     lam = spectrum.eigenvalues
     entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
     chi = rng.chi_squares(k, (trials, lam.size), rng.generator(entropy))
@@ -181,8 +164,7 @@ def tail_bound(spectrum: PrivacySpectrum, k: int, t: float) -> float:
     """
     if not t > 0:
         raise ParamRange(f"t must be positive, got {t}")
-    if k < 0:
-        raise ParamRange(f"k must be non-negative, got {k}")
+    check_integer("k", k, 0)
     dev = spectrum.deviation_frob
     nu, alpha = math.sqrt(k) * dev, 2.0 * dev
     if nu == 0.0:

@@ -1,10 +1,61 @@
-"""Shared random-instance constructors for the test suite."""
+"""Shared random-instance constructors and reference oracles for the test suite."""
 
 import math
 
 import numpy as np
 
-from dpattn import SingularMatrix, loewner_within, rng, whitened_eigenvalues
+from dpattn import DimMismatch, ParamRange, PrivacySpectrum, SingularMatrix, rng
+from dpattn.linalg import as_sym, relative_tol, spectrum_within
+
+
+def is_psd(m):
+    """True iff the minimum eigenvalue is at least -1e-9 times the spectral norm."""
+    w = np.linalg.eigvalsh(as_sym(m).values)
+    return bool(w.min() >= -relative_tol(w))
+
+
+def whitened_eigenvalues(a, b):
+    """Eigenvalues of ``b^{-1/2} a b^{-1/2}``, descending.
+
+    Taken from the similar matrix ``L^{-1} a L^{-T}``, two solves on the kept
+    factor ``L`` of ``b`` (``SymMatrix.cholesky``).  These are also the
+    eigenvalues of ``a^{1/2} b^{-1} a^{1/2}``; swapping the arguments gives
+    their reciprocals.  Raises ``SingularMatrix`` when ``b`` fails the Cholesky
+    floor and ``DimMismatch`` when the shapes differ.
+    """
+    a = as_sym(a)
+    b = as_sym(b)
+    if a.dim != b.dim:
+        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+    chol = b.cholesky
+    m = np.linalg.solve(chol, np.linalg.solve(chol, a.values).T)
+    return np.linalg.eigvalsh(0.5 * m + 0.5 * m.T)[::-1]
+
+
+def loewner_within(a, b, eps):
+    """The two-sided spectral sandwich ``(1-eps) b <= a <= (1+eps) b``, by
+    ``spectrum_within`` on :func:`whitened_eigenvalues`.  Scale-invariant; raises
+    ``SingularMatrix`` when ``b`` fails the Cholesky floor."""
+    if eps < 0:
+        raise ParamRange(f"eps must be non-negative, got {eps}")
+    return spectrum_within(whitened_eigenvalues(a, b), eps)
+
+
+def privacy_spectrum(sigma1, sigma2):
+    """The ``PrivacySpectrum`` of any two positive definite covariances: the eigenvalues
+    of ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``, taken as :func:`whitened_eigenvalues`
+    of ``(sigma1, sigma2)``.  Raises ``SingularMatrix`` when either input is singular:
+    ``sigma2`` at the Cholesky floor, ``sigma1`` at the ``PrivacySpectrum`` floor."""
+    return PrivacySpectrum(whitened_eigenvalues(sigma1, sigma2))
+
+
+def chain_spectrum(a, b):
+    """The ``mu`` that ``perturbation_chain_check(a, b, mu, ...)`` takes: the eigenvalues
+    of ``a^{-1/2} b a^{-1/2}``, or ``None`` when ``a`` has no Cholesky factor."""
+    try:
+        return whitened_eigenvalues(b, a)
+    except SingularMatrix:
+        return None
 
 
 def rand_orthogonal(gen, n):
@@ -136,7 +187,6 @@ def loewner_event(a, b, eps):
         return loewner_within(a, b, eps)
     except SingularMatrix:
         return False
-
 
 
 def check_named(checks, name):

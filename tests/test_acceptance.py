@@ -21,19 +21,18 @@ from dpattn import (
     expected_privacy_loss,
     generate_good_dataset,
     gram,
-    loewner_within,
     make_neighbor,
     gaussian_sampling_mechanism,
     perturbation_chain_check,
     privacy_loss_samples,
-    privacy_spectrum,
     required_samples,
     sensitivity_bound,
     sensitivity_budget,
     sensitivity_measured,
     wilson_upper,
 )
-from helpers import chain_pair, conversion_holds, rand_orthogonal, whitened_error
+from helpers import (chain_pair, chain_spectrum, conversion_holds, loewner_within,
+                     privacy_spectrum, rand_orthogonal, whitened_error)
 
 
 def report(name, ok, detail=""):
@@ -229,8 +228,8 @@ def test_criterion_5_sensitivity_lemma():
 
 
 def test_criterion_6_perturbation_chain():
-    # 1000 constructed pairs per activation meeting the preconditions: all
-    # four chain stages must pass with zero violations.
+    # 1000 constructed pairs per activation inside the sandwich: all five
+    # chain checks must pass with zero violations.
     failures = 0
     for kind, seed in ((Activation.EXP, 6_000), (Activation.COSH, 6_001)):
         gen = np.random.default_rng(seed)
@@ -239,7 +238,8 @@ def test_criterion_6_perturbation_chain():
             eps = float(gen.uniform(0.01, 0.1))
             r = float(gen.uniform(0.01, 0.1))
             base, perturbed = chain_pair(gen, n, eps, r)
-            if not perturbation_chain_check(base, perturbed, eps, r, kind).all_passed:
+            mu = chain_spectrum(base, perturbed)
+            if not perturbation_chain_check(base, perturbed, mu, eps, r, kind).all_passed:
                 failures += 1
     report(
         "criterion_6_perturbation_chain",

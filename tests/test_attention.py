@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dpattn import (
     Activation,
+    DimMismatch,
     Overflow,
     ParamRange,
-    PreconditionFailed,
     RequirementCheck,
     SymMatrix,
     attention_matrix,
@@ -15,7 +16,7 @@ from dpattn import (
     perturbation_chain_check,
     theoretical_error_bound,
 )
-from helpers import chain_pair, rand_psd
+from helpers import chain_pair, chain_spectrum, rand_psd
 
 
 class TestEntrywiseActivation:
@@ -93,20 +94,35 @@ class TestSeriesInequalities:
         assert np.all(np.abs(np.cosh(x) - 1.0) <= x * x)
 
 
+def chain(a, b, eps, r, kind=Activation.EXP):
+    """The chain on ``(a, b)`` with the spectrum of ``b`` whitened by ``a``."""
+    return perturbation_chain_check(a, b, chain_spectrum(a, b), eps, r, kind)
+
+
 class TestPerturbationChain:
     def test_trivial_pair_passes(self):
         m = SymMatrix(0.01 * np.eye(2))
-        report = perturbation_chain_check(m, m, eps=0.05, r=0.05, kind=Activation.EXP)
+        report = chain(m, m, eps=0.05, r=0.05)
         assert report.all_passed
         by_name = {s.name: s for s in report.stages}
+        assert by_name["loewner"].measured == 0.0
         assert by_name["activation_ratio"].measured == 0.0
         assert by_name["normalizer_ratio"].measured == 0.0
         assert by_name["attention_bound"].measured == 0.0
 
+    def test_maps_are_the_attention_matrices(self):
+        gen = np.random.default_rng(5)
+        base, perturbed = chain_pair(gen, 4, 0.05, 0.05)
+        report = chain(base, perturbed, 0.05, 0.05, Activation.COSH)
+        for m, att in ((base, report.attention_base), (perturbed, report.attention_perturbed)):
+            assert np.array_equal(att, attention_matrix(m, Activation.COSH))
+        assert report.stages[-1].measured == \
+            np.abs(report.attention_base - report.attention_perturbed).max()
+
     def test_upper_boundary_pair_passes(self):
         base = SymMatrix(0.05 * np.eye(2))
         perturbed = SymMatrix(base.values / 1.05)
-        report = perturbation_chain_check(base, perturbed, 0.05, 0.05, Activation.EXP)
+        report = chain(base, perturbed, 0.05, 0.05)
         assert report.all_passed
 
     def test_lower_boundary_entry_stage_reported_honestly(self):
@@ -116,10 +132,11 @@ class TestPerturbationChain:
         # of the chain still holds.
         base = SymMatrix(0.05 * np.eye(2))
         perturbed = SymMatrix(base.values / (1.0 - 0.05))
-        report = perturbation_chain_check(base, perturbed, 0.05, 0.05, Activation.EXP)
+        report = chain(base, perturbed, 0.05, 0.05)
         by_name = {s.name: s for s in report.stages}
         assert not by_name["entry_range"].passed
         assert by_name["entry_range"].measured == pytest.approx(0.05 / 0.95, rel=1e-12)
+        assert by_name["loewner"].passed
         assert by_name["activation_ratio"].passed
         assert by_name["normalizer_ratio"].passed
         assert by_name["attention_bound"].passed
@@ -128,42 +145,75 @@ class TestPerturbationChain:
         # the lower boundary pair, whose entry stage fails
         base = SymMatrix(0.05 * np.eye(2))
         perturbed = SymMatrix(base.values / (1.0 - 0.05))
-        report = perturbation_chain_check(base, perturbed, 0.05, 0.05, Activation.EXP)
+        report = chain(base, perturbed, 0.05, 0.05)
         assert [s.name for s in report.stages] == [
-            "entry_range", "activation_ratio", "normalizer_ratio", "attention_bound"]
+            "loewner", "entry_range", "activation_ratio", "normalizer_ratio", "attention_bound"]
         for stage in report.stages:
             assert type(stage) is RequirementCheck and not stage.warning_only
+        for stage in report.stages[1:]:
             assert stage.passed == (stage.measured <= stage.required)
+        assert report.stages[0].required == 0.05
         assert report.stages[-1].required == theoretical_error_bound(0.05, 0.05)
         assert report.all_passed == all(s.passed for s in report.stages) is False
 
+    def test_loewner_within_its_tolerance(self):
+        # spectrum_within's 1e-9 tolerance: the check passes a measured level
+        # just above eps, and fails one past the tolerance
+        m = SymMatrix(0.01 * np.eye(2))
+        for excess, passed in ((5e-10, True), (2e-9, False)):
+            mu = np.full(2, 1.0 / (1.0 + 0.05 + excess))
+            report = perturbation_chain_check(m, m, mu, 0.05, 0.05, Activation.EXP)
+            assert report.stages[0].passed is passed
+            assert report.stages[0].measured == pytest.approx(0.05 + excess, abs=1e-15)
+
     def test_entry_bound_precondition(self):
+        # the base exceeds r: no check of the chain names the base's entries,
+        # and the perturbed entries (here the same) fail entry_range
         base = SymMatrix(np.diag([0.2, 0.1]))
-        with pytest.raises(PreconditionFailed) as err:
-            perturbation_chain_check(base, base, 0.05, 0.05, Activation.EXP)
-        assert err.value.requirement == "entry_bound"
+        by_name = {s.name: s for s in chain(base, base, 0.05, 0.05).stages}
+        assert not by_name["entry_range"].passed
+        assert by_name["entry_range"].measured == 0.2
+        assert by_name["loewner"].passed
 
     def test_psd_precondition(self):
+        # no Cholesky factor, so no whitened spectrum: the sandwich is undefined
         base = SymMatrix(np.diag([0.05, -0.05]))
-        with pytest.raises(PreconditionFailed) as err:
-            perturbation_chain_check(base, base, 0.05, 0.05, Activation.EXP)
-        assert err.value.requirement == "psd_base"
+        report = chain(base, base, 0.05, 0.05)
+        assert report.stages[0].name == "loewner"
+        assert not report.stages[0].passed and report.stages[0].measured == math.inf
+        assert len(report.stages) == 5
+
+    def test_psd_perturbed_precondition(self):
+        # a positive definite base, a perturbed matrix of rank one: mu has a 0
+        base = SymMatrix(0.01 * np.eye(2))
+        perturbed = SymMatrix([[0.01, 0.0], [0.0, 0.0]])
+        mu = chain_spectrum(base, perturbed)
+        assert mu.min() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by the zero eigenvalue
+            report = perturbation_chain_check(base, perturbed, mu, 0.05, 0.05, Activation.EXP)
+        assert not report.stages[0].passed and report.stages[0].measured == math.inf
 
     def test_loewner_precondition(self):
         base = SymMatrix(0.01 * np.eye(2))
         far = SymMatrix(0.03 * np.eye(2))
-        with pytest.raises(PreconditionFailed) as err:
-            perturbation_chain_check(base, far, 0.05, 0.05, Activation.EXP)
-        assert err.value.requirement == "loewner"
+        report = chain(base, far, 0.05, 0.05)
+        assert not report.stages[0].passed
+        assert report.stages[0].measured == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert not report.all_passed
 
     def test_range_preconditions(self):
         m = SymMatrix(0.01 * np.eye(2))
-        with pytest.raises(PreconditionFailed) as err:
-            perturbation_chain_check(m, m, 0.5, 0.05, Activation.EXP)
-        assert err.value.requirement == "eps_range"
-        with pytest.raises(PreconditionFailed) as err:
-            perturbation_chain_check(m, m, 0.05, 0.5, Activation.EXP)
-        assert err.value.requirement == "r_range"
+        for eps, r in ((0.5, 0.05), (0.05, 0.5), (0.0, 0.05), (0.05, math.nan)):
+            with pytest.raises(ParamRange):
+                chain(m, m, eps, r)
+
+    def test_dimension_mismatch(self):
+        m = SymMatrix(0.01 * np.eye(2))
+        with pytest.raises(DimMismatch):
+            chain(m, SymMatrix(0.01 * np.eye(3)), 0.05, 0.05)
+        with pytest.raises(DimMismatch):
+            perturbation_chain_check(m, m, np.ones(3), 0.05, 0.05, Activation.EXP)
 
     @pytest.mark.parametrize("kind", list(Activation))
     def test_random_constructed_pairs_all_pass(self, kind):
@@ -173,7 +223,7 @@ class TestPerturbationChain:
             eps = float(gen.uniform(0.01, 0.1))
             r = float(gen.uniform(0.01, 0.1))
             base, perturbed = chain_pair(gen, n, eps, r)
-            report = perturbation_chain_check(base, perturbed, eps, r, kind)
+            report = chain(base, perturbed, eps, r, kind)
             assert report.all_passed, [
                 (s.name, s.measured, s.required) for s in report.stages if not s.passed
             ]

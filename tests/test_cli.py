@@ -212,6 +212,15 @@ class TestDpAttention:
         failing = [c["name"] for c in report["requirement_checks"] if not c["passed"]]
         assert "utility" in failing
 
+    def test_missed_sandwich_names_the_loewner_check(self, tmp_path, gen_config, capsys):
+        # every requirement passes (a small utility constant at k = 50), the
+        # release misses the eps sandwich: the chain's check is named
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = self.attention_config(tmp_path, sidecar, k=50, utility_const=1e-3)
+        capsys.readouterr()
+        assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 1
+        assert capsys.readouterr().out.endswith(": not certified (failing: ['loewner'])\n")
+
     def test_k_below_n_writes_false_eps_event(self, tmp_path, gen_config):
         # the release is singular at k < n; the event must still be a JSON bool
         sidecar = make_dataset(tmp_path, gen_config)
@@ -738,7 +747,7 @@ README_OUTPUTS = {
         "demo.csv": "c01ed4d3095c50e40ec04de37545637ff1cef7172182ee80d6e34b731a091db9",
         "demo.json": "d41efe7d0fec4dbed137022049a0e6fac481d978d3a1bc0913b6d4153bd540f7",
         "dp_attention_report.json":
-            "8e54f32bebd15b31d4510515594b1f5b275f366a4bc538da727790e2c9cce04a",
+            "e19bbbd5ad651a0d3b42a90a904cd010f03748d4df2535a62b171ed9535131ef",
         "privacy_report.json": "dc3b9ae73660451052717614fb8c19004ad2d909c4cb56a5e084b9d0838d78a5",
         "privacy_report_samples.npy":
             "9d63df6a9f5734faa72d355b485a9bd2f3a7fa576ce152b51765cc7ee2da757a",

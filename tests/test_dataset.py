@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,11 @@ from dpattn import (
     SingularMatrix,
     generate_good_dataset,
     gram,
-    is_psd,
-    loewner_within,
     make_neighbor,
     sensitivity_bound,
     sensitivity_measured,
-    whitened_eigenvalues,
 )
+from helpers import is_psd, loewner_within, whitened_eigenvalues
 
 
 NON_FINITE_DECLARATIONS = [(np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf)]
@@ -130,6 +130,20 @@ class TestMakeNeighbor:
         with pytest.raises(ParamRange):
             make_neighbor(data, beta=0.1, index=2, seed=0)
 
+    @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, np.float64(1.0), -1])
+    def test_index_must_be_an_integer(self, index):
+        # a bool would select columns by mask, a float would fail as a bare
+        # IndexError
+        data = generate_good_dataset(2, 4, eta=1.0, alpha=1.0, seed=0)
+        with pytest.raises(ParamRange):
+            make_neighbor(data, beta=1e-8, index=index, seed=5)
+
+    def test_numpy_integer_index(self):
+        data = generate_good_dataset(2, 4, eta=1.0, alpha=1.0, seed=0)
+        pair = make_neighbor(data, beta=1e-8, index=np.int64(1), seed=5)
+        assert pair.index == 1
+        assert np.array_equal(pair.perturbed, make_neighbor(data, 1e-8, 1, 5).perturbed)
+
     def test_beta_must_be_positive(self):
         data = generate_good_dataset(2, 2, eta=1.0, alpha=1.0, seed=0)
         with pytest.raises(ParamRange):
@@ -208,8 +222,21 @@ class TestSensitivity:
         bound = sensitivity_bound(eta=1.0, alpha=1.01, beta=0.01, n=2)
         assert measured.spectral <= bound.spectral_bound
 
+    @pytest.mark.parametrize("eta, alpha, beta, n", [
+        (math.nan, 1.0, 1.0, 2), (math.inf, 1.0, 1.0, 2), (0.0, 1.0, 1.0, 2),
+        (-1.0, 1.0, 1.0, 2),
+        (1.0, math.nan, 1.0, 2), (1.0, math.inf, 1.0, 2), (1.0, 0.0, 1.0, 2),
+        (1.0, -1.0, 1.0, 2),
+        (1.0, 1.0, math.nan, 2), (1.0, 1.0, math.inf, 2), (1.0, 1.0, -1.0, 2),
+        (1.0, 1.0, 1.0, 0), (1.0, 1.0, 1.0, -1), (1.0, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, True),
+    ])
+    def test_bound_param_range(self, eta, alpha, beta, n):
+        with pytest.raises(ParamRange):
+            sensitivity_bound(eta, alpha, beta, n)
+
     def test_bound_values(self):
         assert sensitivity_bound(1.0, 1.0, 0.0, 5) == (0.0, 0.0)
+        assert sensitivity_bound(1.0, 1.0, 1.0, np.int64(4)) == (2.0, 4.0)
         bound = sensitivity_bound(1.0, 1.01, 0.01, 2)
         assert bound.spectral_bound == pytest.approx(0.0202, rel=1e-12)
         assert bound.frobenius_bound == pytest.approx(0.0202 * np.sqrt(2.0), rel=1e-12)

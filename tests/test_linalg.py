@@ -9,12 +9,10 @@ from dpattn import (
     SingularMatrix,
     SymMatrix,
     gaussian_sampling_mechanism,
-    is_psd,
-    loewner_within,
-    whitened_eigenvalues,
 )
 from dpattn.linalg import rank_two_eigenvalues
-from helpers import rand_pd, relative_frobenius_distance
+from helpers import (is_psd, loewner_within, rand_pd, relative_frobenius_distance,
+                     whitened_eigenvalues)
 
 
 class TestSymMatrix:

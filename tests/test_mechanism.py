@@ -13,11 +13,10 @@ from dpattn import (
     required_samples,
     rng,
     utility_radius,
-    whitened_eigenvalues,
 )
 from dpattn.mechanism import bartlett_factors
 from helpers import (bartlett_block, direct_gaussian_samples, rand_orthogonal, rand_pd,
-                     relative_frobenius_distance, whitened_error)
+                     relative_frobenius_distance, whitened_eigenvalues, whitened_error)
 
 
 class TestSampleGaussian:

@@ -8,6 +8,7 @@ import pytest
 import dpattn
 from dpattn import (
     Activation,
+    ChainReport,
     Dataset,
     DpAttentionReport,
     DpParams,
@@ -25,9 +26,9 @@ from dpattn import (
     make_neighbor,
     mechanism,
     neighbor_spectrum,
+    perturbation_chain_check,
     pipeline,
     privacy,
-    privacy_spectrum,
     rng,
     privacy_loss_samples,
     required_samples,
@@ -38,9 +39,11 @@ from dpattn import (
     wilson_upper,
 )
 from dpattn.cli import _jsonable
-from helpers import check_named, conversion_holds, loewner_event
+from helpers import check_named, conversion_holds, loewner_event, privacy_spectrum
 
 EXPECTED_CHECK_NAMES = ["entry_bound", "eta_below_r", "sensitivity", "utility"]
+CHAIN_CHECK_NAMES = ["loewner", "entry_range", "activation_ratio", "normalizer_ratio",
+                     "attention_bound"]
 
 
 def fast_params(seed=0, k=None, gamma=0.3):
@@ -193,6 +196,16 @@ class TestDpAttention:
                 seen.add(report.certified)
         assert seen == {True, False}
 
+    def test_missed_sandwich_is_not_certified(self):
+        # a small utility constant passes every hard check at k = 50, where
+        # the release misses the eps sandwich while the attention bound holds
+        params = dataclasses.replace(fast_params(k=50), utility_const=1e-3)
+        report = dp_attention(fast_dataset(), 1e-8, params)
+        assert all(c.passed for c in report.requirement_checks)
+        assert check_named(report.chain, "attention_bound").passed
+        assert not check_named(report.chain, "loewner").passed
+        assert not report.certified
+
     def test_eta_warning_does_not_gate(self):
         # eta = 0.04 < r = 0.05 keeps the warning green; flip it by raising
         # eta above r while keeping entries under r is impossible (the
@@ -280,6 +293,29 @@ class TestDpAttention:
                             for d in (shared, fresh))
                         assert shared_doc == fresh_doc
 
+    def test_chain_states_the_report_scalars(self):
+        # 240 releases: the chain's loewner check is the eps event and the
+        # whitening oracle on the actual matrices, and its attention_bound
+        # check carries measured_error and error_bound bit for bit
+        seen = set()
+        for n in (2, 4, 8):
+            data = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
+            for k in (n, 50, 5000, 1_196_713):
+                for kind in Activation:
+                    for seed in range(10):
+                        params = DpParams(eps=0.05, delta=0.01, gamma=0.05, k=k, r=0.1,
+                                          kind=kind, utility_const=1.0, seed=seed)
+                        report = dp_attention(data, 1e-8, params)
+                        assert [c.name for c in report.chain] == CHAIN_CHECK_NAMES
+                        loewner = check_named(report.chain, "loewner")
+                        oracle = loewner_event(report.gram_matrix, report.released, 0.05)
+                        assert loewner.passed is report.loewner_eps_event is oracle
+                        error = check_named(report.chain, "attention_bound")
+                        assert error.measured == report.measured_error
+                        assert error.required == report.error_bound
+                        seen.add(loewner.passed)
+        assert seen == {True, False}
+
     def test_conversion_holds_across_seeds(self):
         data = fast_dataset()
         for seed in range(10):
@@ -361,6 +397,13 @@ class TestVerifyNeighborPrivacy:
         assert report.empirical_rate == exceed / 1000
         assert report.wilson_upper == wilson_upper(exceed, 1000)
 
+    @pytest.mark.parametrize("k, trials", [(2.5, 1000), (True, 1000), (50.0, 1000),
+                                           (50, 1000.5), (50, 1000.0)])
+    def test_k_and_trials_must_be_integers(self, k, trials):
+        pair = make_neighbor(fast_dataset(), beta=1e-8, index=1, seed=4)
+        with pytest.raises(ParamRange):
+            verify_neighbor_privacy(pair, eps=0.05, delta=0.01, k=k, trials=trials, seed=0)
+
     def test_minimum_trials(self, monkeypatch):
         # checked before the spectrum is computed
         calls = []
@@ -377,15 +420,14 @@ PUBLIC_NAMES = {
     "Activation", "CertificateReport", "ChainReport", "Dataset", "DimMismatch",
     "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible", "InvalidMatrix",
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
-    "ParamRange", "PreconditionFailed", "PrivacySpectrum", "RequirementCheck",
+    "ParamRange", "PrivacySpectrum", "RequirementCheck",
     "SensitivityBound", "SensitivityMeasurement", "SingularMatrix", "SymMatrix",
     "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
     "expected_privacy_loss", "gaussian_sampling_mechanism", "generate_good_dataset", "gram",
-    "is_psd", "loewner_within", "make_neighbor", "neighbor_spectrum",
-    "perturbation_chain_check", "privacy_loss_samples", "privacy_spectrum", "required_samples",
+    "make_neighbor", "neighbor_spectrum",
+    "perturbation_chain_check", "privacy_loss_samples", "required_samples",
     "sensitivity_bound", "sensitivity_budget", "sensitivity_measured", "tail_bound",
-    "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy",
-    "whitened_eigenvalues", "wilson_upper",
+    "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy", "wilson_upper",
 }
 
 
@@ -404,6 +446,8 @@ def test_array_dataclasses_compare_by_identity():
     pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
     makers = {
         SymMatrix: lambda: SymMatrix(np.eye(2)),
+        ChainReport: lambda: perturbation_chain_check(
+            np.eye(2) / 20, np.eye(2) / 20, np.ones(2), 0.05, 0.05, Activation.EXP),
         Dataset: fast_dataset,
         NeighborPair: lambda: make_neighbor(data, beta=1e-8, index=1, seed=4),
         PrivacySpectrum: lambda: privacy_spectrum(gram(data), gram(data)),

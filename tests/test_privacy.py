@@ -20,7 +20,6 @@ from dpattn import (
     make_neighbor,
     neighbor_spectrum,
     privacy_loss_samples,
-    privacy_spectrum,
     rng,
     sensitivity_budget,
     tail_bound,
@@ -28,7 +27,7 @@ from dpattn import (
     wilson_upper,
 )
 from dpattn.cli import read_matrix_csv, write_matrix_csv
-from helpers import direct_loss_samples, rand_orthogonal, rand_pd
+from helpers import direct_loss_samples, privacy_spectrum, rand_orthogonal, rand_pd
 
 
 class TestSensitivityBudget:
@@ -59,6 +58,36 @@ class TestSensitivityBudget:
         for eps, delta, k in ((0.0, 0.1, 1), (1.0, 0.1, 1), (0.1, 0.0, 1), (0.1, 0.1, 0)):
             with pytest.raises(ParamRange):
                 sensitivity_budget(eps, delta, k)
+
+
+NON_INTEGER_KS = [2.5, 50.0, True, np.float64(50.0), math.nan]
+
+
+@pytest.mark.parametrize("k", NON_INTEGER_KS)
+def test_k_must_be_an_integer(k):
+    # every function of this module that takes the sample count
+    spec = PrivacySpectrum(np.array([1.1, 0.9]))
+    for call in (lambda: sensitivity_budget(0.05, 0.01, k),
+                 lambda: expected_privacy_loss(spec, k),
+                 lambda: tail_bound(spec, k, 0.025),
+                 lambda: privacy_loss_samples(spec, k, 10, 0),
+                 lambda: dp_certificate(spec, 0.05, 0.01, k)):
+        with pytest.raises(ParamRange):
+            call()
+
+
+def test_numpy_integer_k_gives_the_same_bits():
+    spec = PrivacySpectrum(np.array([1.1, 0.9]))
+    assert sensitivity_budget(0.05, 0.01, np.int64(50)) == sensitivity_budget(0.05, 0.01, 50)
+    assert np.array_equal(privacy_loss_samples(spec, np.int64(50), 10, 0),
+                          privacy_loss_samples(spec, 50, 10, 0))
+
+
+@pytest.mark.parametrize("trials", [1000.5, 10.0, True])
+def test_trials_must_be_an_integer(trials):
+    spec = PrivacySpectrum(np.array([1.1, 0.9]))
+    with pytest.raises(ParamRange):
+        privacy_loss_samples(spec, 50, trials, 0)
 
 
 class TestPrivacySpectrum:
