@@ -86,10 +86,6 @@ class ChainReport:
     attention_perturbed: np.ndarray
     stages: tuple[RequirementCheck, ...]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(stage.passed for stage in self.stages)
-
 
 def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -> ChainReport:
     """Measure every link of the attention perturbation bound on the pair ``(a, b)``.

@@ -89,10 +89,8 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     guarantees the spectral floor without rejection sampling; the extra
     columns only add PSD mass.  Deterministic for a fixed seed.
     """
-    if n < 1:
-        raise ParamRange(f"n must be at least 1, got {n}")
-    if d < n:
-        raise ParamRange(f"d must be at least n, got n={n}, d={d}")
+    check_integer("n", n, 1)
+    check_integer("d", d, n)
     if not (0 < eta < np.inf and 0 < alpha < np.inf):
         raise ParamRange(
             f"eta and alpha must be positive and finite, got eta={eta}, alpha={alpha}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, ParamRange, SingularMatrix
+from .errors import NotPsd, ParamRange, SingularMatrix, check_integer
 from .linalg import SymMatrix, as_sym, relative_tol
 
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
@@ -64,6 +64,9 @@ def bartlett_factors(n: int, k: int, seed, trials: int):
     bounds a stacked product ``T T^T``; the stacks continue the same two
     generators, so no value depends on the stack size.
     """
+    check_integer("n", n, 1)
+    check_integer("k", k, 1)
+    check_integer("trials", trials, 0)
     m = min(n, k)
     diag, below, count = _bartlett_layout(n, m)
     entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
@@ -73,7 +76,7 @@ def bartlett_factors(n: int, k: int, seed, trials: int):
         rows = min(step, trials - start)
         factors = np.zeros((rows, n, m))
         factors[:, diag, diag] = np.sqrt(rng.chi_squares(k - diag, (rows, m), chis))
-        factors[:, below] = rng.normal_rows(normals, rows, count)
+        factors[:, below] = normals.standard_normal((rows, count))
         yield factors
 
 
@@ -106,8 +109,7 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     checked for :class:`NotPsd`.
     """
     sigma = as_sym(sigma)
-    if k < 1:
-        raise ParamRange(f"k must be at least 1, got {k}")
+    check_integer("k", k, 1)
     try:
         factor, definite = sigma.cholesky, True
     except SingularMatrix:
@@ -130,12 +132,10 @@ def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
     ``scale`` is the empirically calibrated leading constant (1.0 by default
     throughout the package).
     """
-    if n < 1:
-        raise ParamRange(f"n must be at least 1, got {n}")
+    check_integer("n", n, 1)
     if not 0.0 < gamma < 1.0:
         raise ParamRange(f"gamma must lie in (0, 1), got {gamma}")
-    if k < 1:
-        raise ParamRange(f"k must be at least 1, got {k}")
+    check_integer("k", k, 1)
     if not 0.0 < scale < math.inf:
         raise ParamRange(f"scale must be positive and finite, got {scale}")
     mass = n * n + math.log(1.0 / gamma)

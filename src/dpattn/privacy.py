@@ -215,9 +215,9 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
 
 def wilson_upper(successes: int, trials: int) -> float:
     """One-sided 99% Wilson score upper confidence bound for a binomial rate."""
-    if trials < 1:
-        raise ParamRange(f"trials must be at least 1, got {trials}")
-    if not 0 <= successes <= trials:
+    check_integer("trials", trials, 1)
+    check_integer("successes", successes, 0)
+    if successes > trials:
         raise ParamRange(f"successes {successes} out of range for {trials} trials")
     p = successes / trials
     z2 = _Z99 * _Z99

@@ -1,4 +1,4 @@
-"""Deterministic random stream: ``philox-boxmuller-v5``.
+"""Deterministic random stream: ``philox-v6``.
 
 Every random draw in the library flows through one named stream so that any
 result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
@@ -15,21 +15,12 @@ running the same numpy build:
   one keeps ``(t, s)`` apart from ``(t, s, 0)``, so distinct tuples get
   distinct ``(key, counter)`` pairs, and ``MAX_SEED`` is the largest value
   whose word still fits its slot;
-* uniforms: ``Generator.random()``, 53-bit doubles in ``[0, 1)``;
-* normals: consecutive uniform pairs ``(u1, u2)`` mapped through the
-  Box-Muller transform::
-
-      radius = sqrt(-2 * ln(1 - u1))
-      z1 = radius * cos(2 * pi * u2)
-      z2 = radius * sin(2 * pi * u2)
-
-  consumed in order; a block of rows gives each row its own pairs, so for an
-  odd row length one surplus value per row is dropped;
+* normals: ``Generator.standard_normal``, numpy's ziggurat sampler;
 * chi-square variates: ``2 * Generator.standard_gamma(df / 2)``, bit-equal to
   ``Generator.chisquare(df)`` and exactly zero at ``df == 0``; ``df`` may be
   an array, one degree of freedom per variate.  numpy does not promise to
-  keep its gamma sampler stable across versions, so these values are
-  reproducible only on the same numpy build.
+  keep either sampler stable across versions, so normals and chi-squares
+  are reproducible only on the same numpy build.
 
 Successive draws from one generator continue its stream, so a block drawn in
 several pieces equals the block drawn at once.
@@ -61,9 +52,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParamRange
+from .errors import ParamRange, check_integer
 
-STREAM_VERSION = "philox-boxmuller-v5"
+STREAM_VERSION = "philox-v6"
 MAX_SEED = 2**32 - 2
 MAX_WORDS = 8
 
@@ -126,29 +117,11 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
     """Draw ``count`` i.i.d. standard normals from the named stream.
 
     The stream position is a pure function of ``entropy``; two calls with the
-    same arguments return bit-identical arrays.
+    same arguments return bit-identical arrays, and a shorter request is a
+    prefix of a longer one.
     """
-    return normal_rows(generator(entropy), 1, count)[0]
-
-
-def normal_rows(gen: np.random.Generator, rows: int, count: int) -> np.ndarray:
-    """The next ``(rows, count)`` block of standard normals from ``gen``, row by row.
-
-    Each row maps its own ``count + (count & 1)`` uniforms through Box-Muller
-    and drops the surplus of an odd ``count``, so row 0 equals
-    :func:`standard_normals` and a later call continues with the next row.
-    """
-    if count < 0:
-        raise ParamRange(f"count must be non-negative, got {count}")
-    paired = count + (count & 1)
-    u = gen.random((rows, paired))
-    # 1 - u lies in (0, 1], so the log is finite.
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    theta = (2.0 * np.pi) * u[:, 1::2]
-    z = np.empty((rows, paired))
-    z[:, 0::2] = radius * np.cos(theta)
-    z[:, 1::2] = radius * np.sin(theta)
-    return z[:, :count]
+    check_integer("count", count, 0)
+    return generator(entropy).standard_normal(count)
 
 
 def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray:

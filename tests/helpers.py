@@ -149,19 +149,16 @@ def bartlett_block(n, k, seed, trials):
     Trial ``t``'s ``T_jj`` is the root of entry ``(t, j)`` of one ``(trials, m)`` numpy
     ``chisquare`` block (``k - j`` degrees of freedom) on substream
     ``(TAG_MECHANISM, *seed, 0)``.  Its ``count`` entries below the diagonal take, in row
-    order, the normals ``[t * paired, t * paired + count)`` of
-    ``(TAG_MECHANISM, *seed, 1)``, where ``paired`` rounds ``count`` up to even: each
-    trial reads its own Box-Muller pairs.
+    order, the normals ``[t * count, (t + 1) * count)`` of ``(TAG_MECHANISM, *seed, 1)``.
     """
     m = min(n, k)
     entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
     chi = rng.generator((*entropy, 0)).chisquare(k - np.arange(m), size=(trials, m))
     count = m * n - m * (m + 1) // 2
-    paired = count + count % 2
-    stream = rng.standard_normals(trials * paired, (*entropy, 1))
+    stream = rng.standard_normals(trials * count, (*entropy, 1))
     factors = np.zeros((trials, n, m))
     for t in range(trials):
-        normals = iter(stream[t * paired:])
+        normals = iter(stream[t * count:(t + 1) * count])
         for i in range(n):
             for j in range(min(i + 1, m)):
                 factors[t, i, j] = math.sqrt(chi[t, j]) if i == j else next(normals)

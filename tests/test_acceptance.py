@@ -239,7 +239,8 @@ def test_criterion_6_perturbation_chain():
             r = float(gen.uniform(0.01, 0.1))
             base, perturbed = chain_pair(gen, n, eps, r)
             mu = chain_spectrum(base, perturbed)
-            if not perturbation_chain_check(base, perturbed, mu, eps, r, kind).all_passed:
+            chain = perturbation_chain_check(base, perturbed, mu, eps, r, kind)
+            if not all(s.passed for s in chain.stages):
                 failures += 1
     report(
         "criterion_6_perturbation_chain",

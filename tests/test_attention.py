@@ -103,7 +103,7 @@ class TestPerturbationChain:
     def test_trivial_pair_passes(self):
         m = SymMatrix(0.01 * np.eye(2))
         report = chain(m, m, eps=0.05, r=0.05)
-        assert report.all_passed
+        assert all(s.passed for s in report.stages)
         by_name = {s.name: s for s in report.stages}
         assert by_name["loewner"].measured == 0.0
         assert by_name["activation_ratio"].measured == 0.0
@@ -123,7 +123,7 @@ class TestPerturbationChain:
         base = SymMatrix(0.05 * np.eye(2))
         perturbed = SymMatrix(base.values / 1.05)
         report = chain(base, perturbed, 0.05, 0.05)
-        assert report.all_passed
+        assert all(s.passed for s in report.stages)
 
     def test_lower_boundary_entry_stage_reported_honestly(self):
         # With the whitened spectrum pinned at 1 - eps, the perturbed entries
@@ -154,7 +154,7 @@ class TestPerturbationChain:
             assert stage.passed == (stage.measured <= stage.required)
         assert report.stages[0].required == 0.05
         assert report.stages[-1].required == theoretical_error_bound(0.05, 0.05)
-        assert report.all_passed == all(s.passed for s in report.stages) is False
+        assert not all(s.passed for s in report.stages)
 
     def test_loewner_within_its_tolerance(self):
         # spectrum_within's 1e-9 tolerance: the check passes a measured level
@@ -200,7 +200,7 @@ class TestPerturbationChain:
         report = chain(base, far, 0.05, 0.05)
         assert not report.stages[0].passed
         assert report.stages[0].measured == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert not report.all_passed
+        assert not all(s.passed for s in report.stages)
 
     def test_range_preconditions(self):
         m = SymMatrix(0.01 * np.eye(2))
@@ -224,6 +224,6 @@ class TestPerturbationChain:
             r = float(gen.uniform(0.01, 0.1))
             base, perturbed = chain_pair(gen, n, eps, r)
             report = chain(base, perturbed, eps, r, kind)
-            assert report.all_passed, [
+            assert all(s.passed for s in report.stages), [
                 (s.name, s.measured, s.required) for s in report.stages if not s.passed
             ]

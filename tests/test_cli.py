@@ -460,7 +460,7 @@ class TestBenchUtility:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_blocked_run_equals_one_block(self, tmp_path, monkeypatch, n):
         # n = 3 has an odd count of normals per factor: a stack boundary must
-        # not shift the Box-Muller pairs
+        # not shift the normals
         cfg = self.bench_config(tmp_path, n=n, ks=[1, 4, 5, 100_000], trials=7, cond=10.0)
         assert run(["bench-utility", "--config", cfg, "--out", tmp_path / "one"]) == 0
         sizes = []
@@ -744,14 +744,14 @@ def readme_configs():
 # draw, stable across versions.
 README_OUTPUTS = {
     "2.4.6": {
-        "demo.csv": "c01ed4d3095c50e40ec04de37545637ff1cef7172182ee80d6e34b731a091db9",
+        "demo.csv": "ecbdd558b0f3cb3515da561260c67bd8e5973118fa3be70a682990538d2c2b7e",
         "demo.json": "d41efe7d0fec4dbed137022049a0e6fac481d978d3a1bc0913b6d4153bd540f7",
         "dp_attention_report.json":
-            "e19bbbd5ad651a0d3b42a90a904cd010f03748d4df2535a62b171ed9535131ef",
-        "privacy_report.json": "dc3b9ae73660451052717614fb8c19004ad2d909c4cb56a5e084b9d0838d78a5",
+            "93e9f3876ff766603ec17cf27c4c1dd8499fa03df22c2ac65af3dd3fdbe987db",
+        "privacy_report.json": "81d86fba3f2d2eac73a05262222661f7663beee3a79eca151e621e0f9ce3a766",
         "privacy_report_samples.npy":
-            "9d63df6a9f5734faa72d355b485a9bd2f3a7fa576ce152b51765cc7ee2da757a",
-        "bench_utility.csv": "104e03e51192842ae32ede1a3a744df0d862f94e2323a0b2be79184001a5beb0",
+            "467a8166a87e060effc3f30551780ba447d287cc2c3fb9ff9fae813375eaeab4",
+        "bench_utility.csv": "74c8ab0e2dfa6b661735d55435a855e96d84b3543e87902d77f2370f893b16ef",
     },
 }
 

@@ -73,6 +73,13 @@ class TestGenerateGoodDataset:
         with pytest.raises(ParamRange):
             generate_good_dataset(2, 4, eta=eta, alpha=alpha, seed=0)
 
+    @pytest.mark.parametrize("n,d,name", [(2.5, 4, "n"), (True, 4, "n"), (2, 4.5, "d"),
+                                          (1, True, "d")])
+    def test_counts_must_be_integers(self, n, d, name):
+        # 2.5 and 4.5 used to end in a bare TypeError
+        with pytest.raises(ParamRange, match=f"{name} must be an integer"):
+            generate_good_dataset(n, d, eta=0.01, alpha=0.11, seed=1)
+
     def test_deterministic(self):
         a = generate_good_dataset(3, 9, eta=0.02, alpha=0.2, seed=123)
         b = generate_good_dataset(3, 9, eta=0.02, alpha=0.2, seed=123)

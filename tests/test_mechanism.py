@@ -108,6 +108,12 @@ class TestGaussianSamplingMechanism:
         with pytest.raises(ParamRange):
             gaussian_sampling_mechanism(SymMatrix.identity(2), 0, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_k_must_be_an_integer(self, k):
+        # 2.5 used to draw chi-square(2.5 - j) diagonals, and a bool a bare TypeError
+        with pytest.raises(ParamRange, match="k must be an integer"):
+            gaussian_sampling_mechanism(SymMatrix.identity(2), k, seed=0)
+
     def test_unbiasedness(self):
         sigma = np.diag([2.0, 1.0])
         k = 1000
@@ -224,15 +230,23 @@ class TestBartlettRelease:
     def test_variates_do_not_grow_with_k(self, monkeypatch):
         drawn = []
 
-        def counted(draw):
-            def wrapper(*args):
-                out = draw(*args)
-                drawn.append(out.size)
-                return out
-            return wrapper
+        class Counted:
+            """A generator whose every draw records how many variates it returned."""
 
-        for name in ("normal_rows", "chi_squares"):
-            monkeypatch.setattr(rng, name, counted(getattr(rng, name)))
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                draw = getattr(self.gen, name)
+
+                def wrapper(*args, **kwargs):
+                    out = draw(*args, **kwargs)
+                    drawn.append(np.size(out))
+                    return out
+                return wrapper
+
+        generator = rng.generator
+        monkeypatch.setattr(rng, "generator", lambda entropy: Counted(generator(entropy)))
         n = 4
         for k in (1, 2, 3, 10**3, 10**9):
             drawn.clear()
@@ -272,6 +286,18 @@ class TestBartlettFactors:
         with pytest.raises(ValueError):
             below[0, 0] = True
 
+    @pytest.mark.parametrize("n,k,trials,name", [
+        (0, 3, 2, "n"), (2.5, 3, 2, "n"), (3, 0, 2, "k"), (3, -2, 2, "k"), (3, 2.5, 2, "k"),
+        (3, True, 2, "k"), (3, 5, -1, "trials"), (3, 5, 2.5, "trials"), (3, 5, True, "trials")])
+    def test_counts_must_be_integers(self, n, k, trials, name):
+        # k = 0 used to yield 3 x 0 factors, n = 0 end in a ZeroDivisionError, trials = -1
+        # yield nothing and trials = 2.5 end in a bare TypeError
+        with pytest.raises(ParamRange, match=f"{name} must be an integer"):
+            list(bartlett_factors(n, k, 0, trials))
+
+    def test_zero_trials_yield_nothing(self):
+        assert list(bartlett_factors(3, 5, 0, 0)) == []
+
     def test_stacks_bound_the_product(self, monkeypatch):
         monkeypatch.setattr(mechanism, "_BLOCK_ENTRIES", 2 * 9)
         stacks = list(bartlett_factors(3, 50, 1, 5))
@@ -309,6 +335,13 @@ class TestUtilityRadius:
         with pytest.raises(ParamRange):
             utility_radius(4, 0.1, 10, scale)
 
+    @pytest.mark.parametrize("n,k,name", [(2.5, 10, "n"), (True, 10, "n"), (2, 2.5, "k"),
+                                          (2, True, "k")])
+    def test_counts_must_be_integers(self, n, k, name):
+        # utility_radius(2.5, 0.05, 2.5, 1.0) used to return 5.62
+        with pytest.raises(ParamRange, match=f"{name} must be an integer"):
+            utility_radius(n, 0.05, k, 1.0)
+
 
 class TestRequiredSamples:
     def test_definitional_minimality(self):
@@ -329,6 +362,11 @@ class TestRequiredSamples:
     def test_param_validation(self):
         with pytest.raises(ParamRange):
             required_samples(4, 0.1, 0.0, 1.0)
+
+    def test_n_must_be_an_integer(self):
+        # its range check goes through utility_radius; 2.5 used to give 94,298
+        with pytest.raises(ParamRange, match="n must be an integer"):
+            required_samples(2.5, 0.05, 0.01, 1.0)
 
     @pytest.mark.parametrize("radius_target,scale", [
         (0.004, math.nan), (0.004, math.inf), (math.nan, 1.0)])

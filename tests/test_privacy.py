@@ -506,6 +506,23 @@ class TestWilsonUpper:
         for s, n in ((0, 1000), (13, 1000), (990, 1000)):
             assert wilson_upper(s, n) >= s / n
 
+    @pytest.mark.parametrize("successes,trials,name", [
+        (1.5, 10, "successes"), (True, 10, "successes"), (1, 10.0, "trials"),
+        (1, True, "trials")])
+    def test_counts_must_be_integers(self, successes, trials, name):
+        # (1.5, 10) used to give 0.518 and (True, 10) 0.467
+        with pytest.raises(ParamRange, match=f"{name} must be an integer"):
+            wilson_upper(successes, trials)
+
+    def test_range_violations(self):
+        with pytest.raises(ParamRange, match="trials must be an integer of at least 1, got 0"):
+            wilson_upper(0, 0)
+        with pytest.raises(ParamRange, match="successes 11 out of range for 10 trials"):
+            wilson_upper(11, 10)
+        with pytest.raises(ParamRange, match="successes must be an integer of at least 0"):
+            wilson_upper(-1, 10)
+        assert wilson_upper(np.int64(3), np.int64(10)) == wilson_upper(3, 10)
+
 
 def _boundary_spectrum(gen, n, target):
     """Eigenvalues 1 + c*u with max of the two Frobenius deviations == target."""

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dpattn import Activation, DpParams, ParamRange, dp_attention, generate_good_dataset, rng
-from dpattn.rng import (MAX_SEED, STREAM_VERSION, chi_squares, generator, normal_rows,
-                        normalize_entropy, standard_normals)
+from dpattn.rng import (MAX_SEED, STREAM_VERSION, chi_squares, generator, normalize_entropy,
+                        standard_normals)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,8 +27,13 @@ class TestStandardNormals:
         assert not np.array_equal(a, c)
 
     def test_odd_count_is_prefix_of_even(self):
-        # an odd request drops the surplus Box-Muller output, nothing else
-        assert np.array_equal(standard_normals(7, (1, 2)), standard_normals(8, (1, 2))[:7])
+        # a shorter request is a prefix of a longer one, whatever their parity
+        longest = standard_normals(9, (1, 2))
+        for count in range(9):
+            assert np.array_equal(standard_normals(count, (1, 2)), longest[:count])
+
+    def test_is_numpy_standard_normal(self):
+        assert np.array_equal(standard_normals(11, (1, 2)), generator((1, 2)).standard_normal(11))
 
     def test_zero_count(self):
         assert standard_normals(0, (1,)).shape == (0,)
@@ -45,8 +50,19 @@ class TestStandardNormals:
             standard_normals(10, (-1, 2))
         with pytest.raises(ParamRange):
             standard_normals(10, ())
-        with pytest.raises(ParamRange):
-            standard_normals(-1, (1,))
+
+    def test_negative_count_rejected(self):
+        # a bool is an int too, and 2.5 used to end in a bare TypeError
+        for count in (-1, 2.5, True):
+            with pytest.raises(ParamRange, match="count must be an integer"):
+                standard_normals(count, (1,))
+
+    def test_later_calls_continue_the_block(self):
+        # what keeps a blocked Bartlett run equal to one block: pieces of a
+        # row-major block drawn one after another from one generator
+        gen = generator((3, 1))
+        pieces = [gen.standard_normal((rows, 3)) for rows in (1, 1, 3, 2)]
+        assert np.array_equal(np.concatenate(pieces), standard_normals(21, (3, 1)).reshape(7, 3))
 
     def test_normalize_entropy_accepts_plain_int(self):
         assert normalize_entropy(5) == (5,)
@@ -157,28 +173,6 @@ class TestChiSquares:
         gen = generator((3, 1, 0))
         pieces = [chi_squares(df, (rows, 3), gen) for rows in (1, 4, 2)]
         assert np.array_equal(np.concatenate(pieces), chi_squares(df, (7, 3), generator((3, 1, 0))))
-
-
-class TestNormalRows:
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 6])
-    def test_each_row_reads_its_own_pairs(self, count):
-        # row t holds normals [t * paired, t * paired + count) of the stream,
-        # so an odd count drops one surplus value per row
-        paired = count + (count & 1)
-        stream = standard_normals(5 * paired, (3, 1))
-        rows = normal_rows(generator((3, 1)), 5, count)
-        assert rows.shape == (5, count)
-        assert np.array_equal(rows, stream.reshape(5, paired)[:, :count])
-        assert np.array_equal(rows[0], standard_normals(count, (3, 1)))
-
-    def test_later_calls_continue_the_block(self):
-        gen = generator((3, 1))
-        pieces = [normal_rows(gen, rows, 3) for rows in (1, 1, 3, 2)]
-        assert np.array_equal(np.concatenate(pieces), normal_rows(generator((3, 1)), 7, 3))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ParamRange):
-            normal_rows(generator((1,)), 2, -1)
 
 
 def test_readme_names_the_stream_version():
