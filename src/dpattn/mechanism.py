@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,31 +54,41 @@ def _bartlett_layout(n: int, m: int) -> tuple[np.ndarray, np.ndarray, int]:
     return diag, below, int(below.sum())
 
 
-def bartlett_factors(n: int, k: int, seed, trials: int):
-    """Yield the ``n x min(n, k)`` Bartlett factors ``T`` of ``trials`` releases under ``seed``.
+def _bartlett_streams(seed) -> tuple[np.random.Generator, np.random.Generator]:
+    """The two generators of the Bartlett factors under ``seed``: the diagonal's
+    chi-squares on ``(TAG_MECHANISM, *seed, 0)`` and the normals below it on
+    ``(TAG_MECHANISM, *seed, 1)`` (see :mod:`rng`)."""
+    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
+    return rng.generator((*entropy, 0)), rng.generator((*entropy, 1))
 
-    Trial ``t`` is row ``t`` of one block on the substreams
-    ``(TAG_MECHANISM, *seed, 0)`` (the diagonal's chi-squares) and
-    ``(TAG_MECHANISM, *seed, 1)`` (the normals below it; see :mod:`rng`), so
-    trial 0 is the factor of the single release under ``seed``.  The block
-    comes in stacks of at most ``max(1, _BLOCK_ENTRIES // n^2)`` trials, which
-    bounds a stacked product ``T T^T``; the stacks continue the same two
-    generators, so no value depends on the stack size.
+
+def bartlett_factors(n: int, k: int, seed, trials: int) -> Iterator[np.ndarray]:
+    """The ``n x min(n, k)`` Bartlett factors ``T`` of ``trials`` releases under ``seed``.
+
+    Trial ``t`` is row ``t`` of one block on the two substreams of
+    :func:`_bartlett_streams`, so trial 0 is the factor of the single release
+    under ``seed``.  Each stack takes one array draw per substream, so a block
+    costs O(1) numpy calls per stack, not per trial.  The block comes in stacks
+    of at most ``max(1, _BLOCK_ENTRIES // n^2)`` trials, which bounds a stacked
+    product ``T T^T``; the stacks continue the same two generators, so no value
+    depends on the stack size.  The arguments are checked at the call, before
+    any stack is drawn.
     """
     check_integer("n", n, 1)
     check_integer("k", k, 1)
     check_integer("trials", trials, 0)
     m = min(n, k)
     diag, below, count = _bartlett_layout(n, m)
-    entropy = (rng.TAG_MECHANISM, *rng.normalize_entropy(seed))
-    chis, normals = rng.generator((*entropy, 0)), rng.generator((*entropy, 1))
-    step = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, trials, step):
-        rows = min(step, trials - start)
+    chis, normals = _bartlett_streams(seed)
+
+    def stack(rows: int) -> np.ndarray:
         factors = np.zeros((rows, n, m))
         factors[:, diag, diag] = np.sqrt(rng.chi_squares(k - diag, (rows, m), chis))
         factors[:, below] = normals.standard_normal((rows, count))
-        yield factors
+        return factors
+
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    return (stack(min(step, trials - start)) for start in range(0, trials, step))
 
 
 def frobenius_from_identity(grams: np.ndarray) -> list[float]:
@@ -95,9 +106,12 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     ``n x m`` lower-trapezoidal Bartlett factor, ``m = min(n, k)``:
     ``T_jj = sqrt(chi2(k - j))`` and ``T_ij ~ N(0, 1)`` for ``i > j``.  It is
     the transposed R factor of the QR decomposition of the ``k x n`` standard
-    normal sample matrix, so the law is exact for ``k < n`` too.  Output is
-    bit-reproducible for fixed ``(sigma, k, seed)``; the stream layout is
-    documented in :mod:`rng`.
+    normal sample matrix, so the law is exact for ``k < n`` too.  ``T`` is
+    trial 0 of :func:`bartlett_factors` under ``seed``, bit for bit, but drawn
+    directly: ``m`` scalar chi-square draws and one draw of the normals below
+    the diagonal, since numpy's array sampler costs more in set-up than
+    ``m <= n`` variates do.  Output is bit-reproducible for fixed
+    ``(sigma, k, seed)``; the stream layout is documented in :mod:`rng`.
 
     Since ``L^{-1} sigma_hat L^{-T} = T T^T / k``, the release whitened by
     ``L`` is ``whitened = T T^T / k`` whatever ``sigma`` is, and
@@ -118,7 +132,13 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
         if w.min() < -tol:
             raise NotPsd("covariance must be PSD")
         factor, definite = v * np.sqrt(np.where(w > tol, w, 0.0)), False
-    bartlett = next(bartlett_factors(sigma.dim, k, seed, 1))[0]
+    n, m = sigma.dim, min(sigma.dim, k)
+    _, below, count = _bartlett_layout(n, m)
+    chis, normals = _bartlett_streams(seed)
+    bartlett = np.zeros((n, m))
+    for j in range(m):
+        bartlett[j, j] = math.sqrt(rng.chi_squares(k - j, None, chis))
+    bartlett[below] = normals.standard_normal(count)
     root = factor @ bartlett
     sigma_hat = SymMatrix(root @ root.T / k)
     whitened = SymMatrix(bartlett @ bartlett.T / k) if definite else None

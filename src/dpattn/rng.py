@@ -18,7 +18,9 @@ running the same numpy build:
 * normals: ``Generator.standard_normal``, numpy's ziggurat sampler;
 * chi-square variates: ``2 * Generator.standard_gamma(df / 2)``, bit-equal to
   ``Generator.chisquare(df)`` and exactly zero at ``df == 0``; ``df`` may be
-  an array, one degree of freedom per variate.  numpy does not promise to
+  an array, one degree of freedom per variate.  A number ``df`` with no
+  shape draws one variate through numpy's scalar sampler, with the same
+  bits as an array draw at that position.  numpy does not promise to
   keep either sampler stable across versions, so normals and chi-squares
   are reproducible only on the same numpy build.
 
@@ -38,8 +40,9 @@ Stream layouts:
   ``(TAG_MECHANISM, seed, 0)``; a ``(trials, count)`` block of its
   below-diagonal entries ``T_ij`` (``i > j``, ``j < m``), standard normals
   in row-major order, on ``(TAG_MECHANISM, seed, 1)``.  A single release is
-  trial 0; bench-utility keys the trials of its ``i``-th ``k`` by
-  ``(seed, i)``.
+  trial 0, drawn by ``m`` scalar chi-square calls in order of ``j`` and one
+  call for its ``count`` normals, with the same bits as the block's row 0;
+  bench-utility keys the trials of its ``i``-th ``k`` by ``(seed, i)``.
 
 The domain tags below keep unrelated operations on disjoint streams even when
 they share a user-facing seed.
@@ -48,6 +51,7 @@ they share a user-facing seed.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -124,15 +128,22 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
     return generator(entropy).standard_normal(count)
 
 
-def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray:
-    """Array of independent chi-square(``df``) variates, the next ones from ``gen``.
+def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray | float:
+    """Independent chi-square(``df``) variates, the next ones from ``gen``.
 
-    ``df`` is a scalar or an array that broadcasts to ``shape``.  Drawn in
-    row-major order, so the leading rows of a larger ``shape`` equal a
-    smaller request with the same trailing dimensions, and a later call
-    continues with the next rows.
+    ``df`` is a non-negative finite number, or an array of them that
+    broadcasts to ``shape``.  ``shape=None`` with a number ``df`` draws one
+    variate and returns it as a ``float``: numpy's scalar sampler, with the
+    same bits as the first entry of a block, and without the broadcast and
+    array checks of its array path.  A block is drawn in row-major order, so
+    the leading rows of a larger ``shape`` equal a smaller request with the
+    same trailing dimensions, and a later call continues with the next rows.
     """
-    df = np.asarray(df, dtype=float)
-    if (df < 0).any():
-        raise ParamRange(f"df must be non-negative, got {df}")
+    if isinstance(df, (int, float, np.number)):
+        admissible = 0.0 <= df < math.inf
+    else:
+        df = np.asarray(df, dtype=float)
+        admissible = ((df >= 0) & (df < math.inf)).all()
+    if not admissible:
+        raise ParamRange(f"df must be non-negative and finite, got {df}")
     return 2.0 * gen.standard_gamma(df / 2.0, size=shape)

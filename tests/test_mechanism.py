@@ -254,6 +254,35 @@ class TestBartlettRelease:
             m = min(n, k)
             assert sum(drawn) == m * n - m * (m - 1) // 2
 
+    def test_release_draws_by_scalar_calls(self, monkeypatch):
+        # a release draws m scalar chi-squares and one normal block: no array-shaped
+        # standard_gamma call, whose broadcast and checks cost more than the draws
+        calls = []
+
+        class Recorded:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def __getattr__(self, name):
+                draw = getattr(self.gen, name)
+
+                def wrapper(*args, **kwargs):
+                    out = draw(*args, **kwargs)
+                    calls.append((name, np.shape(out)))
+                    return out
+                return wrapper
+
+        generator = rng.generator
+        monkeypatch.setattr(rng, "generator", lambda entropy: Recorded(generator(entropy)))
+        n = 5
+        for k in (1, 2, 3, 5, 1_196_713):
+            calls.clear()
+            gaussian_sampling_mechanism(SymMatrix(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])), k, 3)
+            m = min(n, k)
+            gammas = [shape for name, shape in calls if name == "standard_gamma"]
+            assert gammas == [()] * m
+            assert len(calls) <= m + 1
+
 
 def block_of(n, k, seed, trials):
     return np.concatenate(list(bartlett_factors(n, k, seed, trials)))
@@ -270,11 +299,20 @@ class TestBartlettFactors:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_trial_zero_is_the_release(self, n):
-        for k in (1, n, 1_196_713):
+        # the release draws its factor by scalar calls and the block by array calls;
+        # they are one stream, also at 1 < k < n (m = k) and on a non-identity covariance
+        sigma = SymMatrix(rand_pd(np.random.default_rng(n), n))
+        for k in sorted({1, 2, 3, n, 1_196_713}):
             factor = block_of(n, k, (4, 2), 3)[0]
+            whitened = SymMatrix(factor @ factor.T / k).values
             release = gaussian_sampling_mechanism(SymMatrix.identity(n), k, (4, 2))
-            assert np.array_equal(release.whitened.values, SymMatrix(factor @ factor.T / k).values)
-            assert np.array_equal(release.sigma_hat.values, release.whitened.values)
+            assert release.whitened.values.tobytes() == whitened.tobytes()
+            assert release.sigma_hat.values.tobytes() == whitened.tobytes()
+            release = gaussian_sampling_mechanism(sigma, k, (4, 2))
+            root = sigma.cholesky @ factor
+            assert release.whitened.values.tobytes() == whitened.tobytes()
+            assert (release.sigma_hat.values.tobytes()
+                    == SymMatrix(root @ root.T / k).values.tobytes())
 
     def test_layout_is_kept_read_only(self):
         diag, below, count = mechanism._bartlett_layout(5, 3)
@@ -294,6 +332,13 @@ class TestBartlettFactors:
         # yield nothing and trials = 2.5 end in a bare TypeError
         with pytest.raises(ParamRange, match=f"{name} must be an integer"):
             list(bartlett_factors(n, k, 0, trials))
+
+    def test_counts_checked_at_the_call(self):
+        # checked before the first stack is drawn, not on the first next()
+        with pytest.raises(ParamRange, match="n must be an integer"):
+            bartlett_factors(0, 5, 1, 3)
+        with pytest.raises(ParamRange, match="trials must be an integer"):
+            bartlett_factors(3, 5, 1, -1)
 
     def test_zero_trials_yield_nothing(self):
         assert list(bartlett_factors(3, 5, 0, 0)) == []

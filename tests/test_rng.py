@@ -168,6 +168,27 @@ class TestChiSquares:
         with pytest.raises(ParamRange):
             chi_squares(np.array([4, 0, -1]), (3,), generator((1,)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     np.float64("nan"), np.float64("inf")])
+    def test_non_finite_df_rejected(self, bad):
+        # nan used to give [nan, nan], and an inf entry inf
+        for shape in ((2,), None):
+            with pytest.raises(ParamRange, match="finite"):
+                chi_squares(bad, shape, generator((1,)))
+        with pytest.raises(ParamRange, match="finite"):
+            chi_squares(np.array([4.0, bad]), (2,), generator((1,)))
+
+    def test_one_variate_is_a_float_of_the_block(self):
+        # shape None: numpy's scalar sampler, the first entry of the block's bits
+        for df in (1, 6, 1_196_713):
+            one = chi_squares(df, None, generator((4, 2)))
+            assert type(one) is float
+            assert one == chi_squares(df, (3,), generator((4, 2)))[0]
+        gen = generator((3, 5, 0))
+        df = [1_196_713, 1_196_712, 3]
+        assert ([chi_squares(d, None, gen) for d in df]
+                == chi_squares(np.array(df), (3,), generator((3, 5, 0)))).all()
+
     def test_later_calls_continue_the_block(self):
         df = np.array([9, 8, 7])
         gen = generator((3, 1, 0))
