@@ -12,7 +12,7 @@ its attention maps, its error, its bound and its sandwich event from it on
 every release.
 
 Throughout this module the matrix infinity-norm means the entrywise
-max-absolute value.  ``eps`` and ``r`` are accepted on ``(0, 0.1]``.
+max-absolute value.  ``eps`` and ``r`` are finite reals in ``(0, 0.1]``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, Overflow, ParamRange
+from .errors import DimMismatch, Overflow, ParamRange, check_real
 from .linalg import as_sym, spectrum_within
 
 
@@ -35,8 +35,10 @@ class Activation(Enum):
 
 
 def entrywise_activation(m, kind: Activation) -> np.ndarray:
-    """Apply the activation to every entry of the symmetric ``m``; the result is finite
-    and exactly symmetric."""
+    """Apply the activation ``kind``, an :class:`Activation`, to every entry of the
+    symmetric ``m``; the result is finite and exactly symmetric."""
+    if not isinstance(kind, Activation):
+        raise ParamRange(f"kind must be an Activation, got {kind!r}")
     vals = as_sym(m).values
     with np.errstate(over="ignore"):
         out = np.exp(vals) if kind is Activation.EXP else np.cosh(vals)
@@ -51,15 +53,10 @@ def attention_matrix(m, kind: Activation) -> np.ndarray:
     return act / act.sum(axis=1)[:, None]
 
 
-def _check_ratio(name: str, value: float) -> None:
-    if not 0.0 < value <= 0.1:
-        raise ParamRange(f"{name} must lie in (0, 0.1], got {value}")
-
-
 def theoretical_error_bound(eps: float, r: float) -> float:
     """The guaranteed attention error level ``4 * (1 + eps + 2r) * r``."""
-    _check_ratio("eps", eps)
-    _check_ratio("r", r)
+    check_real("eps", eps, 0, 0.1, "(]")
+    check_real("r", r, 0, 0.1, "(]")
     return 4.0 * (1.0 + eps + 2.0 * r) * r
 
 
@@ -93,10 +90,11 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     ``mu`` is the spectrum of ``b`` whitened by ``a``, the eigenvalues of
     ``a^{-1/2} b a^{-1/2}`` (:func:`~dpattn.pipeline.dp_attention` reads them off
     the release's ``T T^T / k``), or ``None`` when ``a`` has no Cholesky factor;
-    nothing here factors a matrix.  ``eps`` and ``r`` outside ``(0, 0.1]`` raise
-    :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is the
-    caller's requirement and is not checked here.  A failed link does not stop the
-    chain: every check is measured and reported.
+    nothing here factors a matrix.  ``eps`` and ``r`` that are not reals in ``(0, 0.1]``,
+    and a ``kind`` that is not an :class:`Activation`, raise :class:`ParamRange`.  The
+    base's own entry bound ``max |a_ij| <= r`` is the caller's requirement and is not
+    checked here.  A failed link does not stop the chain: every check is measured and
+    reported.
 
     Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import Infeasible, ParamRange, check_integer
+from .errors import Infeasible, ParamRange, check_integer, check_real
 from .linalg import SymMatrix, rank_two_eigenvalues
 
 GOODNESS_TOL = 1e-9
@@ -27,9 +27,8 @@ GOODNESS_TOL = 1e-9
 def _goodness(arr: np.ndarray, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
     """The Gram matrix ``g = arr arr^T`` of the 2-d ``arr`` and whether
     ``g >= (eta - GOODNESS_TOL) I`` and every column norm is at most ``alpha + GOODNESS_TOL``."""
-    if not (0 < eta < np.inf and 0 < alpha < np.inf):
-        raise ParamRange(
-            f"eta and alpha must be positive and finite, got eta={eta}, alpha={alpha}")
+    check_real("eta", eta, 0, np.inf, "()")
+    check_real("alpha", alpha, 0, np.inf, "()")
     g = arr @ arr.T
     min_eig = float(np.linalg.eigvalsh(g).min())
     good = (min_eig >= eta - GOODNESS_TOL
@@ -41,9 +40,9 @@ def _goodness(arr: np.ndarray, eta: float, alpha: float) -> tuple[np.ndarray, bo
 class Dataset:
     """Immutable matrix with declared goodness parameters ``(eta, alpha)``.
 
-    Construction validates the declaration: d >= n, the Gram spectral floor,
-    and the column-norm cap (at tolerance ``GOODNESS_TOL``).  It keeps the
-    Gram matrix ``gram_matrix``.
+    Construction validates the declaration: ``eta`` and ``alpha`` are reals in
+    ``(0, inf)``, d >= n, the Gram spectral floor and the column-norm cap (at
+    tolerance ``GOODNESS_TOL``).  It keeps the Gram matrix ``gram_matrix``.
     """
 
     x: np.ndarray
@@ -91,9 +90,8 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     """
     check_integer("n", n, 1)
     check_integer("d", d, n)
-    if not (0 < eta < np.inf and 0 < alpha < np.inf):
-        raise ParamRange(
-            f"eta and alpha must be positive and finite, got eta={eta}, alpha={alpha}")
+    check_real("eta", eta, 0, np.inf, "()")
+    check_real("alpha", alpha, 0, np.inf, "()")
     if alpha < np.sqrt(eta):
         raise Infeasible(
             f"columns of norm <= alpha = {alpha} cannot reach a spectral floor of "
@@ -120,8 +118,8 @@ def _check_index(index, d: int) -> None:
 class NeighborPair:
     """A dataset and a perturbation of exactly one of its columns.
 
-    Invariants checked on construction: all other columns are bit-identical
-    and the changed column moved by 2-norm at most ``beta``.
+    Invariants checked on construction: ``beta`` is a real in ``[0, inf)``, all other
+    columns are bit-identical and the changed column moved by 2-norm at most ``beta``.
     """
 
     base: Dataset
@@ -137,8 +135,7 @@ class NeighborPair:
             )
         if not np.isfinite(arr).all():
             raise ParamRange("perturbed entries must be finite")
-        if not 0 <= self.beta < np.inf:
-            raise ParamRange(f"beta must be non-negative and finite, got {self.beta}")
+        check_real("beta", self.beta, 0, np.inf, "[)")
         _check_index(self.index, self.base.d)
         others = [j for j in range(self.base.d) if j != self.index]
         if not np.array_equal(self.base.x[:, others], arr[:, others]):
@@ -153,13 +150,12 @@ class NeighborPair:
 def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     """Perturb one column along a random direction, staying inside the alpha ball.
 
-    The step length is ``min(beta, slack)`` where ``slack`` is the largest
-    move along the drawn direction that keeps the column norm at most
-    ``alpha``; the bound derivation needs both columns inside the ball, so the
-    perturbation is projected rather than allowed to leave it.
+    The step length, for ``beta`` in ``(0, inf)``, is ``min(beta, slack)`` where
+    ``slack`` is the largest move along the drawn direction that keeps the column
+    norm at most ``alpha``; the bound derivation needs both columns inside the ball,
+    so the perturbation is projected rather than allowed to leave it.
     """
-    if not 0 < beta < np.inf:
-        raise ParamRange(f"beta must be positive and finite, got {beta}")
+    check_real("beta", beta, 0, np.inf, "()")
     _check_index(index, data.d)
     direction = rng.standard_normals(data.n, (rng.TAG_NEIGHBOR, *rng.normalize_entropy(seed)))
     norm = float(np.linalg.norm(direction))
@@ -238,9 +234,9 @@ def sensitivity_bound(eta: float, alpha: float, beta: float, n: int) -> Sensitiv
     and at most two of those eigenvalues are nonzero, each at most ``||D||_2`` in
     magnitude.  Hence ``||D||_F^2 <= 2 ||D||_2^2``.
     """
-    if not (0 < eta < np.inf and 0 < alpha < np.inf and 0 <= beta < np.inf):
-        raise ParamRange("eta and alpha must be positive and finite and beta non-negative and "
-                         f"finite, got eta={eta}, alpha={alpha}, beta={beta}")
+    check_real("eta", eta, 0, np.inf, "()")
+    check_real("alpha", alpha, 0, np.inf, "()")
+    check_real("beta", beta, 0, np.inf, "[)")
     check_integer("n", n, 1)
     spectral = 2.0 * alpha * beta / eta
     return SensitivityBound(spectral, float(np.sqrt(n)) * spectral)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its one integer test."""
+"""Exception types shared across the package, and the two tests every scalar parameter
+passes: :func:`check_integer` and :func:`check_real`."""
 
 import numpy as np
+
+_REALS = (int, float, np.integer, np.floating)  # the types check_real takes, bool aside
 
 
 class DpAttnError(Exception):
@@ -40,3 +43,15 @@ def check_integer(name: str, value, minimum: int) -> None:
     ``int`` or numpy integer, but not a ``bool``, which is an ``int`` too."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise ParamRange(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float, closed: str) -> None:
+    """Raise :class:`ParamRange` unless ``value`` is a real in the interval from ``low`` to
+    ``high`` with the brackets ``closed`` (``"(]"`` is ``low < value <= high``): an ``int``,
+    ``float``, numpy integer or numpy float, but not a ``bool``.  ``nan`` fails every
+    comparison and an infinite end is open, so a real that passes is finite."""
+    if (isinstance(value, bool) or not isinstance(value, _REALS)
+            or not (low <= value if closed[0] == "[" else low < value)
+            or not (value <= high if closed[1] == "]" else value < high)):
+        raise ParamRange(f"{name} must be a finite real in {closed[0]}{low}, {high}{closed[1]}, "
+                         f"got {value!r}")

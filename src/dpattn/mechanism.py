@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, ParamRange, SingularMatrix, check_integer
+from .errors import NotPsd, SingularMatrix, check_integer, check_real
 from .linalg import SymMatrix, as_sym, relative_tol
 
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
@@ -148,16 +148,14 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
 def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
     """High-probability whitened deviation level for the mechanism.
 
-    ``scale * (sqrt((n^2 + ln(1/gamma)) / k) + (n^2 + ln(1/gamma)) / k)``.
-    ``scale`` is the empirically calibrated leading constant (1.0 by default
-    throughout the package).
+    ``scale * (sqrt((n^2 + ln(1/gamma)) / k) + (n^2 + ln(1/gamma)) / k)`` for ``gamma``
+    in ``(0, 1)``.  ``scale``, in ``(0, inf)``, is the empirically calibrated leading
+    constant (1.0 by default throughout the package).
     """
     check_integer("n", n, 1)
-    if not 0.0 < gamma < 1.0:
-        raise ParamRange(f"gamma must lie in (0, 1), got {gamma}")
+    check_real("gamma", gamma, 0, 1, "()")
     check_integer("k", k, 1)
-    if not 0.0 < scale < math.inf:
-        raise ParamRange(f"scale must be positive and finite, got {scale}")
+    check_real("scale", scale, 0, math.inf, "()")
     mass = n * n + math.log(1.0 / gamma)
     return scale * (math.sqrt(mass / k) + mass / k)
 
@@ -168,8 +166,7 @@ def required_samples(n: int, gamma: float, radius_target: float, scale: float) -
     The radius is strictly decreasing in ``k``, so an analytic starting point
     plus a local integer walk gives the exact minimizer.
     """
-    if not radius_target > 0:
-        raise ParamRange(f"radius_target must be positive, got {radius_target}")
+    check_real("radius_target", radius_target, 0, math.inf, "()")
     utility_radius(n, gamma, 1, scale)  # validates n, gamma and scale
     mass = n * n + math.log(1.0 / gamma)
     # Solve y + y^2 = target/scale for y = sqrt(mass / k).

@@ -25,7 +25,7 @@ import numpy as np
 
 from .attention import Activation, RequirementCheck, perturbation_chain_check
 from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
-from .errors import ParamRange, check_integer
+from .errors import ParamRange, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
 from .privacy import (CertificateReport, dp_certificate, neighbor_spectrum, privacy_loss_samples,
@@ -39,7 +39,8 @@ class DpParams:
     ``eps``/``delta`` are the privacy parameters, ``gamma`` the allowed
     utility failure probability, ``k`` the mechanism sample count, ``r`` the
     entrywise logit bound, ``utility_const`` the calibrated constant in the
-    utility radius.  Ranges are validated on construction.
+    utility radius.  Construction checks every range: ``eps``, ``delta`` and ``r`` in
+    ``(0, 0.1]``, ``gamma`` in ``(0, 1)`` and ``utility_const`` in ``(0, inf)``.
     """
 
     eps: float
@@ -52,20 +53,14 @@ class DpParams:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.eps <= 0.1:
-            raise ParamRange(f"eps must lie in (0, 0.1], got {self.eps}")
-        if not 0.0 < self.delta <= 0.1:
-            raise ParamRange(f"delta must lie in (0, 0.1], got {self.delta}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ParamRange(f"gamma must lie in (0, 1), got {self.gamma}")
+        check_real("eps", self.eps, 0, 0.1, "(]")
+        check_real("delta", self.delta, 0, 0.1, "(]")
+        check_real("gamma", self.gamma, 0, 1, "()")
         check_integer("k", self.k, 1)
-        if not 0.0 < self.r <= 0.1:
-            raise ParamRange(f"r must lie in (0, 0.1], got {self.r}")
+        check_real("r", self.r, 0, 0.1, "(]")
         if not isinstance(self.kind, Activation):
             raise ParamRange(f"kind must be an Activation, got {self.kind!r}")
-        if not 0.0 < self.utility_const < math.inf:
-            raise ParamRange(
-                f"utility_const must be positive and finite, got {self.utility_const}")
+        check_real("utility_const", self.utility_const, 0, math.inf, "()")
         check_integer("seed", self.seed, 0)
 
 

@@ -42,7 +42,7 @@ import numpy as np
 from . import rng
 from .attention import RequirementCheck
 from .dataset import NeighborPair, neighbor_deviation
-from .errors import ParamRange, SingularMatrix, check_integer
+from .errors import ParamRange, SingularMatrix, check_integer, check_real
 from .linalg import relative_tol
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
@@ -53,13 +53,11 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> float:
     """Admissible whitened Frobenius deviation between neighboring releases.
 
     ``0.1 * min(eps / sqrt(k log(1/delta)), eps / log(1/delta))`` for privacy
-    parameters ``(eps, delta)`` and ``k``; the certificate and the end-to-end
-    pipeline both use it.
+    parameters ``(eps, delta)``, reals in ``(0, 1)``, and ``k``; the certificate and the
+    end-to-end pipeline both use it.
     """
-    if not 0.0 < eps < 1.0:
-        raise ParamRange(f"eps must lie in (0, 1), got {eps}")
-    if not 0.0 < delta < 1.0:
-        raise ParamRange(f"delta must lie in (0, 1), got {delta}")
+    check_real("eps", eps, 0, 1, "()")
+    check_real("delta", delta, 0, 1, "()")
     check_integer("k", k, 1)
     log_inv = math.log(1.0 / delta)
     return 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
@@ -159,11 +157,10 @@ def tail_bound(spectrum: PrivacySpectrum, k: int, t: float) -> float:
     ``max(exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)))`` with the sub-exponential
     parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``,
     ``F = spectrum.deviation_frob``; the max of the two branches equals the
-    usual piecewise sub-exponential bound.  A point mass at the mean (``F == 0``
-    or ``k == 0``) gives 0 for any t > 0.
+    usual piecewise sub-exponential bound.  ``t`` is a real in ``(0, inf)``.  A point
+    mass at the mean (``F == 0`` or ``k == 0``) gives 0 for any ``t``.
     """
-    if not t > 0:
-        raise ParamRange(f"t must be positive, got {t}")
+    check_real("t", t, 0, math.inf, "()")
     check_integer("k", k, 0)
     dev = spectrum.deviation_frob
     nu, alpha = math.sqrt(k) * dev, 2.0 * dev

@@ -7,9 +7,9 @@ running the same numpy build:
 * bit generator: numpy's Philox-4x64 (a counter-based generator with a
   published fixed algorithm), keyed directly by the entropy words, with no
   seeding hash.  The entropy tuple ``(domain_tag, seed, *extra)`` has at
-  most ``MAX_WORDS = 8`` values, each in ``[0, MAX_SEED]``.  Value ``i``
-  plus one fills the ``i``-th 32-bit slot of a 256-bit integer, low slot
-  first, and a slot with no value is 0.  The low 128 bits ``K`` are the
+  most ``MAX_WORDS = 8`` values, each an integer in ``[0, MAX_SEED]``.
+  Value ``i`` plus one fills the ``i``-th 32-bit slot of a 256-bit integer,
+  low slot first, and a slot with no value is 0.  The low 128 bits ``K`` are the
   Philox key and the high 128 bits ``H`` the high half of the starting
   counter: the state of ``Philox(key=K, counter=H << 128)``.  The offset by
   one keeps ``(t, s)`` apart from ``(t, s, 0)``, so distinct tuples get
@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParamRange, check_integer
+from .errors import ParamRange, check_integer, check_real
 
 STREAM_VERSION = "philox-v6"
 MAX_SEED = 2**32 - 2
@@ -69,18 +69,20 @@ TAG_PRIVACY = 4
 
 
 def normalize_entropy(entropy) -> tuple[int, ...]:
-    """Coerce a seed (int or tuple of ints) into a validated entropy tuple."""
-    if isinstance(entropy, (int, np.integer)):
-        entropy = (int(entropy),)
+    """A seed, one word or a non-empty sequence of them, as a tuple of ``int``.  Each word
+    passes :func:`~dpattn.errors.check_integer` and is at most ``MAX_SEED``, so a ``bool``,
+    a float or a string raises :class:`ParamRange`."""
     try:
-        out = tuple(int(e) for e in entropy)
-    except (TypeError, ValueError):
-        raise ParamRange(f"seed entropy must be an int or a sequence of ints, got {entropy!r}")
-    if not out:
+        words = tuple(entropy)
+    except TypeError:  # not a sequence: one word
+        words = (entropy,)
+    if not words:
         raise ParamRange("seed entropy must not be empty")
-    if any(not 0 <= e <= MAX_SEED for e in out):
-        raise ParamRange(f"seed entropy values must lie in [0, {MAX_SEED}], got {out}")
-    return out
+    for word in words:
+        check_integer("seed word", word, 0)
+        if word > MAX_SEED:
+            raise ParamRange(f"seed word must be at most {MAX_SEED}, got {word}")
+    return tuple(int(word) for word in words)
 
 
 @functools.cache
@@ -131,19 +133,18 @@ def standard_normals(count: int, entropy: Sequence[int]) -> np.ndarray:
 def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray | float:
     """Independent chi-square(``df``) variates, the next ones from ``gen``.
 
-    ``df`` is a non-negative finite number, or an array of them that
-    broadcasts to ``shape``.  ``shape=None`` with a number ``df`` draws one
-    variate and returns it as a ``float``: numpy's scalar sampler, with the
-    same bits as the first entry of a block, and without the broadcast and
-    array checks of its array path.  A block is drawn in row-major order, so
-    the leading rows of a larger ``shape`` equal a smaller request with the
-    same trailing dimensions, and a later call continues with the next rows.
+    ``df`` is a real in ``[0, inf)``, or an integer or float array of them that
+    broadcasts to ``shape``.  ``shape=None`` with a number ``df`` draws one variate
+    and returns it as a ``float``: numpy's scalar sampler, with the same bits as
+    the first entry of a block, and without the broadcast and array checks of its
+    array path.  A block is drawn in row-major order, so the leading rows of a
+    larger ``shape`` equal a smaller request with the same trailing dimensions,
+    and a later call continues with the next rows.
     """
     if isinstance(df, (int, float, np.number)):
-        admissible = 0.0 <= df < math.inf
+        check_real("df", df, 0, math.inf, "[)")
     else:
-        df = np.asarray(df, dtype=float)
-        admissible = ((df >= 0) & (df < math.inf)).all()
-    if not admissible:
-        raise ParamRange(f"df must be non-negative and finite, got {df}")
+        df = np.asarray(df)
+        if df.dtype.kind not in "iuf" or not ((df >= 0) & (df < math.inf)).all():
+            raise ParamRange(f"df must be a non-negative finite integer or float array, got {df!r}")
     return 2.0 * gen.standard_gamma(df / 2.0, size=shape)

@@ -1,0 +1,155 @@
+"""Every scalar parameter passes one of two tests: ``check_integer`` or ``check_real``.
+
+``REALS`` names each real parameter of the library with a call that sets it and
+keeps every other argument valid, the values at its interval's closed ends, which
+are accepted, and the values at its open ends or just outside its closed ones,
+which are rejected.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dpattn import (
+    Activation,
+    Dataset,
+    DpParams,
+    NeighborPair,
+    ParamRange,
+    PrivacySpectrum,
+    SymMatrix,
+    attention_matrix,
+    dp_attention,
+    entrywise_activation,
+    generate_good_dataset,
+    make_neighbor,
+    perturbation_chain_check,
+    required_samples,
+    rng,
+    sensitivity_bound,
+    sensitivity_budget,
+    tail_bound,
+    theoretical_error_bound,
+    utility_radius,
+)
+from dpattn.errors import check_real
+
+DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
+SPECTRUM = PrivacySpectrum([1.01, 0.99])
+ABOVE_TENTH = math.nextafter(0.1, 1.0)
+BELOW_ZERO = -5e-324
+
+
+def _params(**changed) -> DpParams:
+    return DpParams(**{**dict(eps=0.05, delta=0.01, gamma=0.3, k=10, r=0.05,
+                              kind=Activation.EXP, utility_const=1.0, seed=0), **changed})
+
+
+# label -> (parameter name, call with the value, accepted ends, rejected values)
+REALS = {
+    "theoretical_error_bound-eps": (
+        "eps", lambda v: theoretical_error_bound(v, 0.05), [0.1], [0, ABOVE_TENTH]),
+    "theoretical_error_bound-r": (
+        "r", lambda v: theoretical_error_bound(0.05, v), [0.1], [0, ABOVE_TENTH]),
+    "Dataset-eta": ("eta", lambda v: Dataset(DATA.x, eta=v, alpha=0.11), [], [0]),
+    "Dataset-alpha": ("alpha", lambda v: Dataset(DATA.x, eta=0.01, alpha=v), [], [0]),
+    "generate_good_dataset-eta": (
+        "eta", lambda v: generate_good_dataset(2, 3, v, 0.11, 1), [], [0]),
+    "generate_good_dataset-alpha": (
+        "alpha", lambda v: generate_good_dataset(2, 3, 0.01, v, 1), [], [0]),
+    "NeighborPair-beta": ("beta", lambda v: NeighborPair(DATA, DATA.x, v, 0), [0], [BELOW_ZERO]),
+    "make_neighbor-beta": ("beta", lambda v: make_neighbor(DATA, v, 0, 1), [], [0]),
+    "sensitivity_bound-eta": ("eta", lambda v: sensitivity_bound(v, 0.11, 1e-3, 2), [], [0]),
+    "sensitivity_bound-alpha": ("alpha", lambda v: sensitivity_bound(0.01, v, 1e-3, 2), [], [0]),
+    "sensitivity_bound-beta": (
+        "beta", lambda v: sensitivity_bound(0.01, 0.11, v, 2), [0], [BELOW_ZERO]),
+    "dp_attention-beta": ("beta", lambda v: dp_attention(DATA, v, _params()), [0], [BELOW_ZERO]),
+    "utility_radius-gamma": ("gamma", lambda v: utility_radius(2, v, 10, 1.0), [], [0, 1]),
+    "utility_radius-scale": ("scale", lambda v: utility_radius(2, 0.3, 10, v), [], [0]),
+    "required_samples-radius_target": (
+        "radius_target", lambda v: required_samples(2, 0.3, v, 1.0), [], [0]),
+    "DpParams-eps": ("eps", lambda v: _params(eps=v), [0.1], [0, ABOVE_TENTH]),
+    "DpParams-delta": ("delta", lambda v: _params(delta=v), [0.1], [0, ABOVE_TENTH]),
+    "DpParams-gamma": ("gamma", lambda v: _params(gamma=v), [], [0, 1]),
+    "DpParams-r": ("r", lambda v: _params(r=v), [0.1], [0, ABOVE_TENTH]),
+    "DpParams-utility_const": ("utility_const", lambda v: _params(utility_const=v), [], [0]),
+    "sensitivity_budget-eps": ("eps", lambda v: sensitivity_budget(v, 0.01, 10), [], [0, 1]),
+    "sensitivity_budget-delta": ("delta", lambda v: sensitivity_budget(0.05, v, 10), [], [0, 1]),
+    "tail_bound-t": ("t", lambda v: tail_bound(SPECTRUM, 10, v), [], [0]),
+    "chi_squares-df": (
+        "df", lambda v: rng.chi_squares(v, None, rng.generator((1,))), [0], [BELOW_ZERO]),
+}
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, math.nan, math.inf, -math.inf, "0.05"],
+                         ids=repr)
+@pytest.mark.parametrize("label", REALS)
+def test_a_bool_non_finite_or_string_real_is_rejected(label, bad):
+    # a bool used to be read as 1.0, and t or radius_target used to take inf
+    name, call, _, _ = REALS[label]
+    with pytest.raises(ParamRange, match=f"^{name} must be"):
+        call(bad)
+
+
+@pytest.mark.parametrize("label", REALS)
+def test_closed_ends_are_accepted_and_open_ends_rejected(label):
+    name, call, accepted, rejected = REALS[label]
+    for value in accepted:
+        call(value)
+    for value in rejected:
+        with pytest.raises(ParamRange, match=f"^{name} must be"):
+            call(value)
+
+
+def test_check_real_takes_python_and_numpy_reals():
+    for value in (0.05, np.float64(0.05), np.float32(0.05), 1, np.int64(1), np.uint8(1)):
+        check_real("x", value, 0, 1, "(]")
+    with pytest.raises(ParamRange, match=r"^x must be a finite real in \[0, inf\), got True$"):
+        check_real("x", True, 0, math.inf, "[)")
+    for value in (1 + 0j, np.complex128(0.5), None, np.array(0.5)):
+        with pytest.raises(ParamRange):
+            check_real("x", value, 0, 1, "[]")
+
+
+@pytest.mark.parametrize("seed", [True, (1, 2.9), "12", (3, np.False_), 7.0], ids=repr)
+def test_seed_words_are_integers(seed):
+    # True keyed the stream of 1, (1, 2.9) that of (1, 2) and '12' that of (1, 2)
+    with pytest.raises(ParamRange, match="seed word must be an integer"):
+        rng.normalize_entropy(seed)
+    with pytest.raises(ParamRange, match="seed word must be an integer"):
+        generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=seed)
+
+
+def test_accepted_seeds_keep_their_words():
+    assert rng.normalize_entropy(np.uint32(7)) == (7,)
+    words = rng.normalize_entropy([1, np.int64(rng.MAX_SEED)])
+    assert words == (1, rng.MAX_SEED) and all(type(w) is int for w in words)
+    assert np.array_equal(rng.standard_normals(5, (np.int64(3), 4)),
+                          rng.standard_normals(5, (3, 4)))
+    with pytest.raises(ParamRange, match="seed word must be at most"):
+        rng.normalize_entropy((1, rng.MAX_SEED + 1))
+
+
+@pytest.mark.parametrize("kind", ["exp", "cosh", None, 0], ids=repr)
+def test_kind_must_be_an_activation(kind):
+    # anything but Activation.EXP used to give the cosh map
+    m = SymMatrix.diagonal([0.05, 0.05])
+    calls = (lambda: entrywise_activation(m, kind), lambda: attention_matrix(m, kind),
+             lambda: perturbation_chain_check(m, m, np.ones(2), 0.05, 0.05, kind))
+    for call in calls:
+        with pytest.raises(ParamRange, match="kind must be an Activation"):
+            call()
+
+
+@pytest.mark.parametrize("df", [np.array([True, False]), [True, False], np.array(["1", "2"]),
+                                np.array([1, 2], dtype=object)], ids=repr)
+def test_array_df_is_an_integer_or_float_array(df):
+    # a bool array used to be drawn as df 0 and 1
+    with pytest.raises(ParamRange, match="df must be a non-negative finite integer or float array"):
+        rng.chi_squares(df, (2,), rng.generator((1,)))
+
+
+def test_integer_array_df_draws_as_float():
+    drawn = rng.chi_squares(np.array([3, 4]), (2,), rng.generator((1,)))
+    assert np.array_equal(drawn, rng.chi_squares(np.array([3.0, 4.0]), (2,), rng.generator((1,))))
