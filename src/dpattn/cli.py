@@ -12,8 +12,11 @@ dataset sidecar and verify-privacy's inline ``neighbor`` object declare their
 keys in one table, ``key -> (check, default)``; the default ``REQUIRED``
 marks a mandatory key.  One validator reports unknown keys, then missing
 keys, then the first value in table order that fails its check, by name and
-before any file is read.  Numbers must be finite, output names non-empty;
-seeds lie in ``[0, rng.MAX_SEED]``.  Matrices and bench-utility's table are
+before any file is read.  Every config number passes
+:func:`~dpattn.errors.check_integer` or :func:`~dpattn.errors.check_real` on the
+interval of the library call that takes it, and a failure reports the library's
+message; a real is read as a ``float``.  Output names are non-empty; seeds lie
+in ``[0, rng.MAX_SEED]``.  Matrices and bench-utility's table are
 CSV with shortest round-trip floats, so write/read cycles are bit-exact;
 verify-privacy's privacy-loss draws are one float64 ``.npy`` array in trial
 order.  Reports are JSON documents, ``schema_version`` 3: ``schema_version``
@@ -44,7 +47,7 @@ import numpy as np
 from . import rng
 from .attention import Activation
 from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
-from .errors import DpAttnError
+from .errors import DpAttnError, ParamRange, check_integer, check_real
 from .linalg import SymMatrix, relative_tol
 from .mechanism import bartlett_factors, frobenius_from_identity
 from .pipeline import DpParams, dp_attention, verify_neighbor_privacy
@@ -69,7 +72,7 @@ def _load_json(path: Path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -88,29 +91,15 @@ def _validate(doc: dict, table: dict) -> dict:
             for key, (check, default) in table.items()}
 
 
-def _integer(minimum: int, maximum: int | None = None):
+def _checked(test, *bounds):
+    """``test``, :func:`check_integer` or :func:`check_real`, on the value with ``bounds``;
+    a real is returned as a ``float``."""
     def check(key, value):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if value < minimum:
-            raise ConfigError(f"{key} must be at least {minimum}, got {value}")
-        if maximum is not None and value > maximum:
-            raise ConfigError(f"{key} must be at most {maximum}, got {value}")
-        return value
-    return check
-
-
-def _number(requirement: str, out_of_range):
-    """A finite number; ``out_of_range(value)`` is true where ``requirement`` fails."""
-    def check(key, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-        value = float(value)
-        if out_of_range(value):
-            raise ConfigError(f"{key} must {requirement}, got {value}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-        return value
+        try:
+            test(key, value, *bounds)
+        except ParamRange as exc:
+            raise ConfigError(str(exc))
+        return float(value) if test is check_real else value
     return check
 
 
@@ -135,10 +124,10 @@ def _choice(*options: str):
 
 
 def _positive_ints(key, value):
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in value
-    ):
+    if not isinstance(value, list):
         raise ConfigError(f"{key} must be a list of positive integers, got {value!r}")
+    for i, element in enumerate(value):
+        _COUNT(f"{key}[{i}]", element)
     return value
 
 
@@ -154,11 +143,13 @@ def _object(table: dict):
     return check
 
 
-_COUNT = _integer(1)
-_SEED = _integer(0, rng.MAX_SEED)
-_POSITIVE = _number("be positive", lambda x: x <= 0)
-_TENTH = _number("lie in (0, 0.1]", lambda x: not 0.0 < x <= 0.1)
-_UNIT = _number("lie in (0, 1.0)", lambda x: not 0.0 < x < 1.0)
+# The library's intervals for the same values, so that a config fails here, before any
+# file is read, where the library call would fail later.
+_COUNT = _checked(check_integer, 1)
+_SEED = _checked(check_integer, 0, rng.MAX_SEED)
+_POSITIVE = _checked(check_real, 0, math.inf, "()")
+_TENTH = _checked(check_real, 0, 0.1, "(]")
+_UNIT = _checked(check_real, 0, 1, "()")
 
 _SIDECAR = {
     "schema_version": (_unchecked, REQUIRED), "kind": (_choice("dataset"), REQUIRED),
@@ -171,7 +162,7 @@ _GEN_DATASET = {
 }
 _DP_ATTENTION = {
     "dataset": (_string, REQUIRED),
-    "beta": (_number("be non-negative", lambda x: x < 0), REQUIRED),
+    "beta": (_checked(check_real, 0, math.inf, "[)"), REQUIRED),
     "f": (_choice(*(a.value for a in Activation)), REQUIRED),
     "eps": (_TENTH, REQUIRED), "delta": (_TENTH, REQUIRED), "gamma": (_UNIT, REQUIRED),
     "k": (_COUNT, REQUIRED), "r": (_TENTH, REQUIRED), "utility_const": (_POSITIVE, REQUIRED),
@@ -182,17 +173,17 @@ _DP_ATTENTION = {
 # takes top-level ones.
 _VERIFY_PRIVACY = {
     "dataset": (_string, REQUIRED), "eps": (_UNIT, REQUIRED), "delta": (_UNIT, REQUIRED),
-    "k": (_COUNT, REQUIRED), "trials": (_integer(1000), REQUIRED), "seed": (_SEED, REQUIRED),
-    "report": (_name, "privacy_report"),
+    "k": (_COUNT, REQUIRED), "trials": (_checked(check_integer, 1000), REQUIRED),
+    "seed": (_SEED, REQUIRED), "report": (_name, "privacy_report"),
 }
-_NEIGHBOR = {"beta": (_POSITIVE, REQUIRED), "index": (_integer(0), REQUIRED),
+_NEIGHBOR = {"beta": (_POSITIVE, REQUIRED), "index": (_checked(check_integer, 0), REQUIRED),
              "seed": (_SEED, REQUIRED)}
 _INLINE_PAIR = {"neighbor": (_object(_NEIGHBOR), REQUIRED)}
 _FILE_PAIR = {"perturbed_csv": (_string, REQUIRED), "beta": _NEIGHBOR["beta"],
               "index": _NEIGHBOR["index"]}
 _BENCH_UTILITY = {
     "n": (_COUNT, REQUIRED), "ks": (_positive_ints, REQUIRED), "trials": (_COUNT, REQUIRED),
-    "seed": (_SEED, REQUIRED), "cond": (_number("be at least 1", lambda x: x < 1.0), 1.0),
+    "seed": (_SEED, REQUIRED), "cond": (_checked(check_real, 1, math.inf, "[)"), 1.0),
     "report": (_name, "bench_utility.csv"),
 }
 

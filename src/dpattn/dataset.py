@@ -41,7 +41,7 @@ class Dataset:
     """Immutable matrix with declared goodness parameters ``(eta, alpha)``.
 
     Construction validates the declaration: ``eta`` and ``alpha`` are reals in
-    ``(0, inf)``, d >= n, the Gram spectral floor and the column-norm cap (at
+    ``(0, inf)``, 1 <= n <= d, the Gram spectral floor and the column-norm cap (at
     tolerance ``GOODNESS_TOL``).  It keeps the Gram matrix ``gram_matrix``.
     """
 
@@ -57,8 +57,8 @@ class Dataset:
         if not np.isfinite(arr).all():
             raise ParamRange("dataset entries must be finite")
         n, d = arr.shape
-        if d < n:
-            raise ParamRange(f"dataset requires d >= n, got n={n}, d={d}")
+        if not 1 <= n <= d:
+            raise ParamRange(f"dataset requires 1 <= n <= d, got n={n}, d={d}")
         g, good = _goodness(arr, self.eta, self.alpha)
         if not good:
             raise Infeasible(
@@ -92,6 +92,7 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     check_integer("d", d, n)
     check_real("eta", eta, 0, np.inf, "()")
     check_real("alpha", alpha, 0, np.inf, "()")
+    entropy = (rng.TAG_DATASET, *rng.normalize_entropy(seed))
     if alpha < np.sqrt(eta):
         raise Infeasible(
             f"columns of norm <= alpha = {alpha} cannot reach a spectral floor of "
@@ -100,18 +101,11 @@ def generate_good_dataset(n: int, d: int, eta: float, alpha: float, seed) -> Dat
     x = np.zeros((n, d))
     x[:, :n] = np.sqrt(eta) * np.eye(n)
     if d > n:
-        extra = rng.standard_normals(n * (d - n), (rng.TAG_DATASET, *rng.normalize_entropy(seed)))
-        extra = extra.reshape(n, d - n)
+        extra = rng.standard_normals(n * (d - n), entropy).reshape(n, d - n)
         col_norms = np.linalg.norm(extra, axis=0)
         col_norms[col_norms == 0.0] = 1.0
         x[:, n:] = extra / col_norms * min(alpha, float(np.sqrt(eta)))
     return Dataset(x=x, eta=eta, alpha=alpha)
-
-
-def _check_index(index, d: int) -> None:
-    check_integer("index", index, 0)
-    if index >= d:
-        raise ParamRange(f"index {index} out of range for d = {d}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +130,7 @@ class NeighborPair:
         if not np.isfinite(arr).all():
             raise ParamRange("perturbed entries must be finite")
         check_real("beta", self.beta, 0, np.inf, "[)")
-        _check_index(self.index, self.base.d)
+        check_integer("index", self.index, 0, self.base.d - 1)
         others = [j for j in range(self.base.d) if j != self.index]
         if not np.array_equal(self.base.x[:, others], arr[:, others]):
             raise ParamRange("neighbor pair may differ in exactly one column")
@@ -156,7 +150,7 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     so the perturbation is projected rather than allowed to leave it.
     """
     check_real("beta", beta, 0, np.inf, "()")
-    _check_index(index, data.d)
+    check_integer("index", index, 0, data.d - 1)
     direction = rng.standard_normals(data.n, (rng.TAG_NEIGHBOR, *rng.normalize_entropy(seed)))
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:

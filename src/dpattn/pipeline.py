@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng
 from .attention import Activation, RequirementCheck, perturbation_chain_check
 from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
 from .errors import ParamRange, check_integer, check_real
@@ -40,7 +41,8 @@ class DpParams:
     utility failure probability, ``k`` the mechanism sample count, ``r`` the
     entrywise logit bound, ``utility_const`` the calibrated constant in the
     utility radius.  Construction checks every range: ``eps``, ``delta`` and ``r`` in
-    ``(0, 0.1]``, ``gamma`` in ``(0, 1)`` and ``utility_const`` in ``(0, inf)``.
+    ``(0, 0.1]``, ``gamma`` in ``(0, 1)``, ``utility_const`` in ``(0, inf)``, ``k`` at
+    least 1 and ``seed`` in ``[0, rng.MAX_SEED]``.
     """
 
     eps: float
@@ -61,7 +63,7 @@ class DpParams:
         if not isinstance(self.kind, Activation):
             raise ParamRange(f"kind must be an Activation, got {self.kind!r}")
         check_real("utility_const", self.utility_const, 0, math.inf, "()")
-        check_integer("seed", self.seed, 0)
+        check_integer("seed", self.seed, 0, rng.MAX_SEED)
 
 
 @dataclass(frozen=True, eq=False)

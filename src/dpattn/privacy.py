@@ -213,9 +213,7 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
 def wilson_upper(successes: int, trials: int) -> float:
     """One-sided 99% Wilson score upper confidence bound for a binomial rate."""
     check_integer("trials", trials, 1)
-    check_integer("successes", successes, 0)
-    if successes > trials:
-        raise ParamRange(f"successes {successes} out of range for {trials} trials")
+    check_integer("successes", successes, 0, trials)
     p = successes / trials
     z2 = _Z99 * _Z99
     center = p + z2 / (2.0 * trials)

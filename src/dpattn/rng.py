@@ -70,7 +70,7 @@ TAG_PRIVACY = 4
 
 def normalize_entropy(entropy) -> tuple[int, ...]:
     """A seed, one word or a non-empty sequence of them, as a tuple of ``int``.  Each word
-    passes :func:`~dpattn.errors.check_integer` and is at most ``MAX_SEED``, so a ``bool``,
+    passes :func:`~dpattn.errors.check_integer` with the maximum ``MAX_SEED``, so a ``bool``,
     a float or a string raises :class:`ParamRange`."""
     try:
         words = tuple(entropy)
@@ -79,9 +79,7 @@ def normalize_entropy(entropy) -> tuple[int, ...]:
     if not words:
         raise ParamRange("seed entropy must not be empty")
     for word in words:
-        check_integer("seed word", word, 0)
-        if word > MAX_SEED:
-            raise ParamRange(f"seed word must be at most {MAX_SEED}, got {word}")
+        check_integer("seed word", word, 0, MAX_SEED)
     return tuple(int(word) for word in words)
 
 

@@ -13,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpattn import (Activation, Dataset, DpParams, SymMatrix, cli, dp_attention,
-                    gaussian_sampling_mechanism, make_neighbor, mechanism, rng,
+from dpattn import (Activation, Dataset, DpParams, NeighborPair, ParamRange, SymMatrix, cli,
+                    dp_attention, gaussian_sampling_mechanism, generate_good_dataset,
+                    make_neighbor, mechanism, rng, sensitivity_bound, sensitivity_budget,
                     verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
+from dpattn.errors import DpAttnError
 from dpattn.mechanism import bartlett_factors
 from helpers import bartlett_block
 
@@ -159,6 +161,23 @@ class TestGenDataset:
         assert run(["gen-dataset", "--config", cfg, "--out", tmp_path]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_eta_beyond_the_double_range_exit_two(self, tmp_path, capsys):
+        # a 401-digit eta used to end in "OverflowError: int too large to convert to float"
+        cfg = write_config(tmp_path / "big.json", {"name": "big", "n": 2, "d": 2,
+                                                   "eta": 10**400, "alpha": 1.0, "seed": 0})
+        assert run(["gen-dataset", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: eta must be a finite real in (0, inf), got 1000")
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_integer_literal_beyond_the_digit_limit_exit_two(self, tmp_path, capsys):
+        # json raises a bare ValueError for an integer of more than 4300 digits
+        cfg = tmp_path / "long.json"
+        cfg.write_text('{"name": "long", "n": 2, "d": 2, "eta": 1' + "0" * 5000
+                       + ', "alpha": 1.0, "seed": 0}')
+        assert run(["gen-dataset", "--config", cfg, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestDpAttention:
     def attention_config(self, tmp_path, sidecar, **overrides):
@@ -249,6 +268,18 @@ class TestDpAttention:
     def test_missing_dataset_file(self, tmp_path, gen_config):
         cfg = self.attention_config(tmp_path, tmp_path / "nothere.json")
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 2
+
+    def test_integer_valued_real_writes_the_same_report(self, tmp_path, gen_config):
+        # a config real is read as a float, so 1 and 1.0 give the same bytes
+        sidecar = make_dataset(tmp_path, gen_config)
+        reports = []
+        for const in (1, 1.0):
+            cfg = self.attention_config(tmp_path, sidecar, utility_const=const)
+            out = tmp_path / f"out-{const!r}"
+            assert run(["dp-attention", "--config", cfg, "--out", out]) == 0
+            reports.append((out / "dp_attention_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert b'"utility_const": 1.0,' in reports[0]
 
     def test_bad_f_kind(self, tmp_path, gen_config):
         sidecar = make_dataset(tmp_path, gen_config)
@@ -528,98 +559,105 @@ SINGLE_FAULTS = [
     ("gen-dataset", "config", "name", 1, "name must be a string, got 1"),
     ("gen-dataset", "config", "name", "", "name must be a non-empty string, got ''"),
     ("gen-dataset", "config", "n", DROP, "missing config keys: ['n']"),
-    ("gen-dataset", "config", "n", 1.5, "n must be an integer, got 1.5"),
-    ("gen-dataset", "config", "n", 0, "n must be at least 1, got 0"),
+    ("gen-dataset", "config", "n", 1.5, "n must be an integer of at least 1, got 1.5"),
+    ("gen-dataset", "config", "n", 0, "n must be an integer of at least 1, got 0"),
     ("gen-dataset", "config", "d", DROP, "missing config keys: ['d']"),
-    ("gen-dataset", "config", "d", 1.5, "d must be an integer, got 1.5"),
-    ("gen-dataset", "config", "d", 0, "d must be at least 1, got 0"),
+    ("gen-dataset", "config", "d", 1.5, "d must be an integer of at least 1, got 1.5"),
+    ("gen-dataset", "config", "d", 0, "d must be an integer of at least 1, got 0"),
     ("gen-dataset", "config", "eta", DROP, "missing config keys: ['eta']"),
-    ("gen-dataset", "config", "eta", "x", "eta must be a number, got 'x'"),
-    ("gen-dataset", "config", "eta", 0, "eta must be positive, got 0.0"),
-    ("gen-dataset", "config", "eta", NAN, "eta must be finite, got nan"),
-    ("gen-dataset", "config", "eta", INF, "eta must be finite, got inf"),
+    ("gen-dataset", "config", "eta", "x", "eta must be a finite real in (0, inf), got 'x'"),
+    ("gen-dataset", "config", "eta", 0, "eta must be a finite real in (0, inf), got 0"),
+    ("gen-dataset", "config", "eta", NAN, "eta must be a finite real in (0, inf), got nan"),
+    ("gen-dataset", "config", "eta", INF, "eta must be a finite real in (0, inf), got inf"),
     ("gen-dataset", "config", "alpha", DROP, "missing config keys: ['alpha']"),
-    ("gen-dataset", "config", "alpha", "x", "alpha must be a number, got 'x'"),
-    ("gen-dataset", "config", "alpha", 0, "alpha must be positive, got 0.0"),
-    ("gen-dataset", "config", "alpha", NAN, "alpha must be finite, got nan"),
-    ("gen-dataset", "config", "alpha", INF, "alpha must be finite, got inf"),
+    ("gen-dataset", "config", "alpha", "x", "alpha must be a finite real in (0, inf), got 'x'"),
+    ("gen-dataset", "config", "alpha", 0, "alpha must be a finite real in (0, inf), got 0"),
+    ("gen-dataset", "config", "alpha", NAN, "alpha must be a finite real in (0, inf), got nan"),
+    ("gen-dataset", "config", "alpha", INF, "alpha must be a finite real in (0, inf), got inf"),
     ("gen-dataset", "config", "seed", DROP, "missing config keys: ['seed']"),
-    ("gen-dataset", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("gen-dataset", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("gen-dataset", "config", "seed", 1.5, "seed must be an integer in [0, 4294967294], got 1.5"),
+    ("gen-dataset", "config", "seed", -1, "seed must be an integer in [0, 4294967294], got -1"),
     ("gen-dataset", "config", "seed", 4294967295,
-     "seed must be at most 4294967294, got 4294967295"),
+     "seed must be an integer in [0, 4294967294], got 4294967295"),
     ("gen-dataset", "config", "seed", 4294967296,
-     "seed must be at most 4294967294, got 4294967296"),
+     "seed must be an integer in [0, 4294967294], got 4294967296"),
     ("dp-attention", "config", "extra", 1, "unknown config keys: ['extra']"),
     ("dp-attention", "config", "dataset", DROP, "missing config keys: ['dataset']"),
     ("dp-attention", "config", "dataset", 1, "dataset must be a string, got 1"),
     ("dp-attention", "config", "beta", DROP, "missing config keys: ['beta']"),
-    ("dp-attention", "config", "beta", "x", "beta must be a number, got 'x'"),
-    ("dp-attention", "config", "beta", -1, "beta must be non-negative, got -1.0"),
-    ("dp-attention", "config", "beta", NAN, "beta must be finite, got nan"),
-    ("dp-attention", "config", "beta", INF, "beta must be finite, got inf"),
+    ("dp-attention", "config", "beta", "x", "beta must be a finite real in [0, inf), got 'x'"),
+    ("dp-attention", "config", "beta", -1, "beta must be a finite real in [0, inf), got -1"),
+    ("dp-attention", "config", "beta", NAN, "beta must be a finite real in [0, inf), got nan"),
+    ("dp-attention", "config", "beta", INF, "beta must be a finite real in [0, inf), got inf"),
     ("dp-attention", "config", "eps", DROP, "missing config keys: ['eps']"),
-    ("dp-attention", "config", "eps", "x", "eps must be a number, got 'x'"),
-    ("dp-attention", "config", "eps", 0.2, "eps must lie in (0, 0.1], got 0.2"),
-    ("dp-attention", "config", "eps", NAN, "eps must lie in (0, 0.1], got nan"),
-    ("dp-attention", "config", "eps", INF, "eps must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "eps", "x", "eps must be a finite real in (0, 0.1], got 'x'"),
+    ("dp-attention", "config", "eps", 0.2, "eps must be a finite real in (0, 0.1], got 0.2"),
+    ("dp-attention", "config", "eps", NAN, "eps must be a finite real in (0, 0.1], got nan"),
+    ("dp-attention", "config", "eps", INF, "eps must be a finite real in (0, 0.1], got inf"),
     ("dp-attention", "config", "delta", DROP, "missing config keys: ['delta']"),
-    ("dp-attention", "config", "delta", "x", "delta must be a number, got 'x'"),
-    ("dp-attention", "config", "delta", 0.2, "delta must lie in (0, 0.1], got 0.2"),
-    ("dp-attention", "config", "delta", NAN, "delta must lie in (0, 0.1], got nan"),
-    ("dp-attention", "config", "delta", INF, "delta must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "delta", "x", "delta must be a finite real in (0, 0.1], got 'x'"),
+    ("dp-attention", "config", "delta", 0.2, "delta must be a finite real in (0, 0.1], got 0.2"),
+    ("dp-attention", "config", "delta", NAN, "delta must be a finite real in (0, 0.1], got nan"),
+    ("dp-attention", "config", "delta", INF, "delta must be a finite real in (0, 0.1], got inf"),
     ("dp-attention", "config", "gamma", DROP, "missing config keys: ['gamma']"),
-    ("dp-attention", "config", "gamma", "x", "gamma must be a number, got 'x'"),
-    ("dp-attention", "config", "gamma", 1.0, "gamma must lie in (0, 1.0), got 1.0"),
-    ("dp-attention", "config", "gamma", NAN, "gamma must lie in (0, 1.0), got nan"),
-    ("dp-attention", "config", "gamma", INF, "gamma must lie in (0, 1.0), got inf"),
+    ("dp-attention", "config", "gamma", "x", "gamma must be a finite real in (0, 1), got 'x'"),
+    ("dp-attention", "config", "gamma", 1.0, "gamma must be a finite real in (0, 1), got 1.0"),
+    ("dp-attention", "config", "gamma", NAN, "gamma must be a finite real in (0, 1), got nan"),
+    ("dp-attention", "config", "gamma", INF, "gamma must be a finite real in (0, 1), got inf"),
     ("dp-attention", "config", "k", DROP, "missing config keys: ['k']"),
-    ("dp-attention", "config", "k", 1.5, "k must be an integer, got 1.5"),
-    ("dp-attention", "config", "k", 0, "k must be at least 1, got 0"),
+    ("dp-attention", "config", "k", 1.5, "k must be an integer of at least 1, got 1.5"),
+    ("dp-attention", "config", "k", 0, "k must be an integer of at least 1, got 0"),
     ("dp-attention", "config", "r", DROP, "missing config keys: ['r']"),
-    ("dp-attention", "config", "r", "x", "r must be a number, got 'x'"),
-    ("dp-attention", "config", "r", 0, "r must lie in (0, 0.1], got 0.0"),
-    ("dp-attention", "config", "r", NAN, "r must lie in (0, 0.1], got nan"),
-    ("dp-attention", "config", "r", INF, "r must lie in (0, 0.1], got inf"),
+    ("dp-attention", "config", "r", "x", "r must be a finite real in (0, 0.1], got 'x'"),
+    ("dp-attention", "config", "r", 0, "r must be a finite real in (0, 0.1], got 0"),
+    ("dp-attention", "config", "r", NAN, "r must be a finite real in (0, 0.1], got nan"),
+    ("dp-attention", "config", "r", INF, "r must be a finite real in (0, 0.1], got inf"),
     ("dp-attention", "config", "f", DROP, "missing config keys: ['f']"),
     ("dp-attention", "config", "f", 1, "f must be a string, got 1"),
     ("dp-attention", "config", "f", "tanh", "f must be one of ['exp', 'cosh'], got 'tanh'"),
     ("dp-attention", "config", "utility_const", DROP, "missing config keys: ['utility_const']"),
-    ("dp-attention", "config", "utility_const", "x", "utility_const must be a number, got 'x'"),
-    ("dp-attention", "config", "utility_const", 0, "utility_const must be positive, got 0.0"),
-    ("dp-attention", "config", "utility_const", NAN, "utility_const must be finite, got nan"),
-    ("dp-attention", "config", "utility_const", INF, "utility_const must be finite, got inf"),
+    ("dp-attention", "config", "utility_const", "x",
+     "utility_const must be a finite real in (0, inf), got 'x'"),
+    ("dp-attention", "config", "utility_const", 0,
+     "utility_const must be a finite real in (0, inf), got 0"),
+    ("dp-attention", "config", "utility_const", NAN,
+     "utility_const must be a finite real in (0, inf), got nan"),
+    ("dp-attention", "config", "utility_const", INF,
+     "utility_const must be a finite real in (0, inf), got inf"),
     ("dp-attention", "config", "seed", DROP, "missing config keys: ['seed']"),
-    ("dp-attention", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("dp-attention", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("dp-attention", "config", "seed", 1.5, "seed must be an integer in [0, 4294967294], got 1.5"),
+    ("dp-attention", "config", "seed", -1, "seed must be an integer in [0, 4294967294], got -1"),
     ("dp-attention", "config", "seed", 4294967295,
-     "seed must be at most 4294967294, got 4294967295"),
+     "seed must be an integer in [0, 4294967294], got 4294967295"),
     ("dp-attention", "config", "report", 1, "report must be a string, got 1"),
     ("dp-attention", "config", "report", "", "report must be a non-empty string, got ''"),
     ("verify-privacy", "config", "extra", 1, "unknown config keys: ['extra']"),
     ("verify-privacy", "config", "dataset", DROP, "missing config keys: ['dataset']"),
     ("verify-privacy", "config", "dataset", 1, "dataset must be a string, got 1"),
     ("verify-privacy", "config", "eps", DROP, "missing config keys: ['eps']"),
-    ("verify-privacy", "config", "eps", "x", "eps must be a number, got 'x'"),
-    ("verify-privacy", "config", "eps", 1.0, "eps must lie in (0, 1.0), got 1.0"),
-    ("verify-privacy", "config", "eps", NAN, "eps must lie in (0, 1.0), got nan"),
-    ("verify-privacy", "config", "eps", INF, "eps must lie in (0, 1.0), got inf"),
+    ("verify-privacy", "config", "eps", "x", "eps must be a finite real in (0, 1), got 'x'"),
+    ("verify-privacy", "config", "eps", 1.0, "eps must be a finite real in (0, 1), got 1.0"),
+    ("verify-privacy", "config", "eps", NAN, "eps must be a finite real in (0, 1), got nan"),
+    ("verify-privacy", "config", "eps", INF, "eps must be a finite real in (0, 1), got inf"),
     ("verify-privacy", "config", "delta", DROP, "missing config keys: ['delta']"),
-    ("verify-privacy", "config", "delta", "x", "delta must be a number, got 'x'"),
-    ("verify-privacy", "config", "delta", 1.0, "delta must lie in (0, 1.0), got 1.0"),
-    ("verify-privacy", "config", "delta", NAN, "delta must lie in (0, 1.0), got nan"),
-    ("verify-privacy", "config", "delta", INF, "delta must lie in (0, 1.0), got inf"),
+    ("verify-privacy", "config", "delta", "x", "delta must be a finite real in (0, 1), got 'x'"),
+    ("verify-privacy", "config", "delta", 1.0, "delta must be a finite real in (0, 1), got 1.0"),
+    ("verify-privacy", "config", "delta", NAN, "delta must be a finite real in (0, 1), got nan"),
+    ("verify-privacy", "config", "delta", INF, "delta must be a finite real in (0, 1), got inf"),
     ("verify-privacy", "config", "k", DROP, "missing config keys: ['k']"),
-    ("verify-privacy", "config", "k", 1.5, "k must be an integer, got 1.5"),
-    ("verify-privacy", "config", "k", 0, "k must be at least 1, got 0"),
+    ("verify-privacy", "config", "k", 1.5, "k must be an integer of at least 1, got 1.5"),
+    ("verify-privacy", "config", "k", 0, "k must be an integer of at least 1, got 0"),
     ("verify-privacy", "config", "trials", DROP, "missing config keys: ['trials']"),
-    ("verify-privacy", "config", "trials", 1.5, "trials must be an integer, got 1.5"),
-    ("verify-privacy", "config", "trials", 999, "trials must be at least 1000, got 999"),
+    ("verify-privacy", "config", "trials", 1.5,
+     "trials must be an integer of at least 1000, got 1.5"),
+    ("verify-privacy", "config", "trials", 999,
+     "trials must be an integer of at least 1000, got 999"),
     ("verify-privacy", "config", "seed", DROP, "missing config keys: ['seed']"),
-    ("verify-privacy", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("verify-privacy", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("verify-privacy", "config", "seed", 1.5,
+     "seed must be an integer in [0, 4294967294], got 1.5"),
+    ("verify-privacy", "config", "seed", -1, "seed must be an integer in [0, 4294967294], got -1"),
     ("verify-privacy", "config", "seed", 4294967295,
-     "seed must be at most 4294967294, got 4294967295"),
+     "seed must be an integer in [0, 4294967294], got 4294967295"),
     ("verify-privacy", "config", "neighbor", DROP,
      "missing config keys: ['beta', 'index', 'perturbed_csv']"),
     ("verify-privacy", "config", "neighbor", 1, "neighbor must be an object"),
@@ -628,46 +666,53 @@ SINGLE_FAULTS = [
      "missing config keys: ['perturbed_csv']"),
     ("verify-privacy-file", "config", "perturbed_csv", 1, "perturbed_csv must be a string, got 1"),
     ("verify-privacy-file", "config", "beta", DROP, "missing config keys: ['beta']"),
-    ("verify-privacy-file", "config", "beta", "x", "beta must be a number, got 'x'"),
-    ("verify-privacy-file", "config", "beta", 0, "beta must be positive, got 0.0"),
-    ("verify-privacy-file", "config", "beta", NAN, "beta must be finite, got nan"),
-    ("verify-privacy-file", "config", "beta", INF, "beta must be finite, got inf"),
+    ("verify-privacy-file", "config", "beta", "x",
+     "beta must be a finite real in (0, inf), got 'x'"),
+    ("verify-privacy-file", "config", "beta", 0, "beta must be a finite real in (0, inf), got 0"),
+    ("verify-privacy-file", "config", "beta", NAN,
+     "beta must be a finite real in (0, inf), got nan"),
+    ("verify-privacy-file", "config", "beta", INF,
+     "beta must be a finite real in (0, inf), got inf"),
     ("verify-privacy-file", "config", "index", DROP, "missing config keys: ['index']"),
-    ("verify-privacy-file", "config", "index", 1.5, "index must be an integer, got 1.5"),
-    ("verify-privacy-file", "config", "index", -1, "index must be at least 0, got -1"),
+    ("verify-privacy-file", "config", "index", 1.5,
+     "index must be an integer of at least 0, got 1.5"),
+    ("verify-privacy-file", "config", "index", -1,
+     "index must be an integer of at least 0, got -1"),
     ("verify-privacy", "neighbor", "extra", 1, "unknown config keys: ['extra']"),
     ("verify-privacy", "neighbor", "beta", DROP, "missing config keys: ['beta']"),
-    ("verify-privacy", "neighbor", "beta", "x", "beta must be a number, got 'x'"),
-    ("verify-privacy", "neighbor", "beta", 0, "beta must be positive, got 0.0"),
-    ("verify-privacy", "neighbor", "beta", NAN, "beta must be finite, got nan"),
-    ("verify-privacy", "neighbor", "beta", INF, "beta must be finite, got inf"),
+    ("verify-privacy", "neighbor", "beta", "x", "beta must be a finite real in (0, inf), got 'x'"),
+    ("verify-privacy", "neighbor", "beta", 0, "beta must be a finite real in (0, inf), got 0"),
+    ("verify-privacy", "neighbor", "beta", NAN, "beta must be a finite real in (0, inf), got nan"),
+    ("verify-privacy", "neighbor", "beta", INF, "beta must be a finite real in (0, inf), got inf"),
     ("verify-privacy", "neighbor", "index", DROP, "missing config keys: ['index']"),
-    ("verify-privacy", "neighbor", "index", 1.5, "index must be an integer, got 1.5"),
-    ("verify-privacy", "neighbor", "index", -1, "index must be at least 0, got -1"),
+    ("verify-privacy", "neighbor", "index", 1.5, "index must be an integer of at least 0, got 1.5"),
+    ("verify-privacy", "neighbor", "index", -1, "index must be an integer of at least 0, got -1"),
     ("verify-privacy", "neighbor", "seed", DROP, "missing config keys: ['seed']"),
-    ("verify-privacy", "neighbor", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("verify-privacy", "neighbor", "seed", -1, "seed must be at least 0, got -1"),
+    ("verify-privacy", "neighbor", "seed", 1.5,
+     "seed must be an integer in [0, 4294967294], got 1.5"),
+    ("verify-privacy", "neighbor", "seed", -1,
+     "seed must be an integer in [0, 4294967294], got -1"),
     ("verify-privacy", "neighbor", "seed", 4294967295,
-     "seed must be at most 4294967294, got 4294967295"),
+     "seed must be an integer in [0, 4294967294], got 4294967295"),
     ("bench-utility", "config", "extra", 1, "unknown config keys: ['extra']"),
     ("bench-utility", "config", "n", DROP, "missing config keys: ['n']"),
-    ("bench-utility", "config", "n", 1.5, "n must be an integer, got 1.5"),
-    ("bench-utility", "config", "n", 0, "n must be at least 1, got 0"),
+    ("bench-utility", "config", "n", 1.5, "n must be an integer of at least 1, got 1.5"),
+    ("bench-utility", "config", "n", 0, "n must be an integer of at least 1, got 0"),
     ("bench-utility", "config", "ks", DROP, "missing config keys: ['ks']"),
     ("bench-utility", "config", "ks", "x", "ks must be a list of positive integers, got 'x'"),
-    ("bench-utility", "config", "ks", [0], "ks must be a list of positive integers, got [0]"),
+    ("bench-utility", "config", "ks", [0], "ks[0] must be an integer of at least 1, got 0"),
     ("bench-utility", "config", "trials", DROP, "missing config keys: ['trials']"),
-    ("bench-utility", "config", "trials", 1.5, "trials must be an integer, got 1.5"),
-    ("bench-utility", "config", "trials", 0, "trials must be at least 1, got 0"),
+    ("bench-utility", "config", "trials", 1.5, "trials must be an integer of at least 1, got 1.5"),
+    ("bench-utility", "config", "trials", 0, "trials must be an integer of at least 1, got 0"),
     ("bench-utility", "config", "seed", DROP, "missing config keys: ['seed']"),
-    ("bench-utility", "config", "seed", 1.5, "seed must be an integer, got 1.5"),
-    ("bench-utility", "config", "seed", -1, "seed must be at least 0, got -1"),
+    ("bench-utility", "config", "seed", 1.5, "seed must be an integer in [0, 4294967294], got 1.5"),
+    ("bench-utility", "config", "seed", -1, "seed must be an integer in [0, 4294967294], got -1"),
     ("bench-utility", "config", "seed", 4294967295,
-     "seed must be at most 4294967294, got 4294967295"),
-    ("bench-utility", "config", "cond", "x", "cond must be a number, got 'x'"),
-    ("bench-utility", "config", "cond", 0.5, "cond must be at least 1, got 0.5"),
-    ("bench-utility", "config", "cond", NAN, "cond must be finite, got nan"),
-    ("bench-utility", "config", "cond", INF, "cond must be finite, got inf"),
+     "seed must be an integer in [0, 4294967294], got 4294967295"),
+    ("bench-utility", "config", "cond", "x", "cond must be a finite real in [1, inf), got 'x'"),
+    ("bench-utility", "config", "cond", 0.5, "cond must be a finite real in [1, inf), got 0.5"),
+    ("bench-utility", "config", "cond", NAN, "cond must be a finite real in [1, inf), got nan"),
+    ("bench-utility", "config", "cond", INF, "cond must be a finite real in [1, inf), got inf"),
     ("bench-utility", "config", "report", 1, "report must be a string, got 1"),
     ("bench-utility", "config", "report", "", "report must be a non-empty string, got ''"),
     ("dp-attention", "sidecar", "extra", 1, "unknown config keys: ['extra']"),
@@ -678,21 +723,21 @@ SINGLE_FAULTS = [
     ("dp-attention", "sidecar", "csv", DROP, "missing config keys: ['csv']"),
     ("dp-attention", "sidecar", "csv", 1, "csv must be a string, got 1"),
     ("dp-attention", "sidecar", "n", DROP, "missing config keys: ['n']"),
-    ("dp-attention", "sidecar", "n", 1.5, "n must be an integer, got 1.5"),
-    ("dp-attention", "sidecar", "n", 0, "n must be at least 1, got 0"),
+    ("dp-attention", "sidecar", "n", 1.5, "n must be an integer of at least 1, got 1.5"),
+    ("dp-attention", "sidecar", "n", 0, "n must be an integer of at least 1, got 0"),
     ("dp-attention", "sidecar", "d", DROP, "missing config keys: ['d']"),
-    ("dp-attention", "sidecar", "d", 1.5, "d must be an integer, got 1.5"),
-    ("dp-attention", "sidecar", "d", 0, "d must be at least 1, got 0"),
+    ("dp-attention", "sidecar", "d", 1.5, "d must be an integer of at least 1, got 1.5"),
+    ("dp-attention", "sidecar", "d", 0, "d must be an integer of at least 1, got 0"),
     ("dp-attention", "sidecar", "eta", DROP, "missing config keys: ['eta']"),
-    ("dp-attention", "sidecar", "eta", "x", "eta must be a number, got 'x'"),
-    ("dp-attention", "sidecar", "eta", 0, "eta must be positive, got 0.0"),
-    ("dp-attention", "sidecar", "eta", NAN, "eta must be finite, got nan"),
-    ("dp-attention", "sidecar", "eta", INF, "eta must be finite, got inf"),
+    ("dp-attention", "sidecar", "eta", "x", "eta must be a finite real in (0, inf), got 'x'"),
+    ("dp-attention", "sidecar", "eta", 0, "eta must be a finite real in (0, inf), got 0"),
+    ("dp-attention", "sidecar", "eta", NAN, "eta must be a finite real in (0, inf), got nan"),
+    ("dp-attention", "sidecar", "eta", INF, "eta must be a finite real in (0, inf), got inf"),
     ("dp-attention", "sidecar", "alpha", DROP, "missing config keys: ['alpha']"),
-    ("dp-attention", "sidecar", "alpha", "x", "alpha must be a number, got 'x'"),
-    ("dp-attention", "sidecar", "alpha", 0, "alpha must be positive, got 0.0"),
-    ("dp-attention", "sidecar", "alpha", NAN, "alpha must be finite, got nan"),
-    ("dp-attention", "sidecar", "alpha", INF, "alpha must be finite, got inf"),
+    ("dp-attention", "sidecar", "alpha", "x", "alpha must be a finite real in (0, inf), got 'x'"),
+    ("dp-attention", "sidecar", "alpha", 0, "alpha must be a finite real in (0, inf), got 0"),
+    ("dp-attention", "sidecar", "alpha", NAN, "alpha must be a finite real in (0, inf), got nan"),
+    ("dp-attention", "sidecar", "alpha", INF, "alpha must be a finite real in (0, inf), got inf"),
     ("dp-attention", "sidecar", "seed", DROP, "missing config keys: ['seed']"),
     ("verify-privacy", "config", "beta", 0.9, "unknown config keys: ['beta']"),
     ("verify-privacy", "config", "perturbed_csv", "demo.csv",
@@ -700,6 +745,73 @@ SINGLE_FAULTS = [
     ("verify-privacy", "config", "report", 1, "report must be a string, got 1"),
     ("verify-privacy", "config", "report", "", "report must be a non-empty string, got ''"),
 ]
+
+
+DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
+PAIR = make_neighbor(DATA, beta=1e-9, index=1, seed=5)
+
+
+def dp_params(**changed):
+    return DpParams(**{**dict(eps=0.05, delta=0.01, gamma=0.3, k=10, r=0.05,
+                              kind=Activation.EXP, utility_const=1.0, seed=0), **changed})
+
+
+# label -> (table, key, library call that checks the same value, the finite ends of
+# the key's interval).  Keys a library call also checks but that are left out, as
+# their tables differ from the library on purpose:
+# - gen-dataset's d is at least 1, generate_good_dataset's at least n: each key is
+#   checked alone;
+# - the perturbed_csv form's beta shares the inline neighbor's entry, positive as
+#   make_neighbor's, where NeighborPair's is non-negative;
+# - a seed the library reads as a stream word is named "seed word" in its message;
+# - bench-utility's trials is at least 1, bartlett_factors' at least 0.
+# The tables' index has no upper end, since d is read only after the config is
+# checked; the library's message names [0, d - 1] where the table's says "of at least 0".
+SHARED_KEYS = {
+    "dp-attention-eps": (cli._DP_ATTENTION, "eps", lambda v: dp_params(eps=v), (0, 0.1)),
+    "dp-attention-delta": (cli._DP_ATTENTION, "delta", lambda v: dp_params(delta=v), (0, 0.1)),
+    "dp-attention-gamma": (cli._DP_ATTENTION, "gamma", lambda v: dp_params(gamma=v), (0, 1)),
+    "dp-attention-k": (cli._DP_ATTENTION, "k", lambda v: dp_params(k=v), (1,)),
+    "dp-attention-r": (cli._DP_ATTENTION, "r", lambda v: dp_params(r=v), (0, 0.1)),
+    "dp-attention-utility_const": (
+        cli._DP_ATTENTION, "utility_const", lambda v: dp_params(utility_const=v), (0,)),
+    "dp-attention-seed": (
+        cli._DP_ATTENTION, "seed", lambda v: dp_params(seed=v), (0, rng.MAX_SEED)),
+    "dp-attention-beta": (
+        cli._DP_ATTENTION, "beta", lambda v: sensitivity_bound(0.01, 0.11, v, 2), (0,)),
+    "verify-privacy-eps": (
+        cli._VERIFY_PRIVACY, "eps", lambda v: sensitivity_budget(v, 0.01, 50), (0, 1)),
+    "verify-privacy-delta": (
+        cli._VERIFY_PRIVACY, "delta", lambda v: sensitivity_budget(0.05, v, 50), (0, 1)),
+    "verify-privacy-k": (
+        cli._VERIFY_PRIVACY, "k", lambda v: sensitivity_budget(0.05, 0.01, v), (1,)),
+    "verify-privacy-trials": (
+        cli._VERIFY_PRIVACY, "trials",
+        lambda v: verify_neighbor_privacy(PAIR, 0.05, 0.01, 50, v, 3), (1000,)),
+    "neighbor-beta": (cli._NEIGHBOR, "beta", lambda v: make_neighbor(DATA, v, 1, 5), (0,)),
+    "neighbor-index": (cli._NEIGHBOR, "index", lambda v: make_neighbor(DATA, 1e-9, v, 5), (0,)),
+    "perturbed_csv-index": (
+        cli._FILE_PAIR, "index", lambda v: NeighborPair(DATA, DATA.x, 1e-3, v), (0,)),
+    "gen-dataset-n": (
+        cli._GEN_DATASET, "n", lambda v: generate_good_dataset(v, 3, 0.01, 0.11, 1), (1,)),
+    "gen-dataset-eta": (
+        cli._GEN_DATASET, "eta", lambda v: generate_good_dataset(2, 3, v, 0.11, 1), (0,)),
+    "gen-dataset-alpha": (
+        cli._GEN_DATASET, "alpha", lambda v: generate_good_dataset(2, 3, 0.01, v, 1), (0,)),
+    "sidecar-eta": (cli._SIDECAR, "eta", lambda v: Dataset(DATA.x, v, 0.11), (0,)),
+    "sidecar-alpha": (cli._SIDECAR, "alpha", lambda v: Dataset(DATA.x, 0.01, v), (0,)),
+}
+
+
+def range_outcome(check, value):
+    """None when ``check(value)`` raises no range error, else the error's message."""
+    try:
+        check(value)
+    except (cli.ConfigError, ParamRange) as exc:
+        return str(exc)
+    except DpAttnError:  # the value is in range; the call failed on another condition
+        pass
+    return None
 
 
 def fault_id(case):
@@ -803,6 +915,18 @@ class TestConfigTables:
                     "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("label", SHARED_KEYS)
+    def test_table_agrees_with_the_library(self, label):
+        table, key, library, ends = SHARED_KEYS[label]
+        values = [0.05, "0.05", True, NAN, INF, -INF, 10**400]
+        for end, outward in zip(ends, (-1, 1)):
+            values += [end, math.nextafter(end, outward * INF), end + outward]
+        for value in values:
+            expected = range_outcome(library, value)
+            if key == "index" and expected is not None:
+                expected = expected.replace(f"in [0, {DATA.d - 1}]", "of at least 0")
+            assert range_outcome(lambda v: table[key][0](key, v), value) == expected, value
 
     def test_seed_bound_is_the_stream_bound(self):
         assert cli._SEED("seed", rng.MAX_SEED) == rng.MAX_SEED

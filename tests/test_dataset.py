@@ -80,6 +80,12 @@ class TestGenerateGoodDataset:
         with pytest.raises(ParamRange, match=f"{name} must be an integer"):
             generate_good_dataset(n, d, eta=0.01, alpha=0.11, seed=1)
 
+    @pytest.mark.parametrize("seed", [True, -1, "x", 2**40, 1.5], ids=repr)
+    def test_square_case_checks_its_seed(self, seed):
+        # the seed was read only when d > n, so d == n took any seed
+        with pytest.raises(ParamRange, match="^seed word must be an integer"):
+            generate_good_dataset(2, 2, eta=0.01, alpha=0.11, seed=seed)
+
     def test_deterministic(self):
         a = generate_good_dataset(3, 9, eta=0.02, alpha=0.2, seed=123)
         b = generate_good_dataset(3, 9, eta=0.02, alpha=0.2, seed=123)
@@ -98,6 +104,12 @@ class TestDatasetValidation:
     def test_rejects_narrow(self):
         with pytest.raises(ParamRange):
             Dataset(x=np.eye(3)[:, :2], eta=0.1, alpha=1.0)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+    def test_rejects_zero_rows(self, shape):
+        # used to end in a bare ValueError from the minimum of no eigenvalues
+        with pytest.raises(ParamRange, match=r"^dataset requires 1 <= n <= d, got n=0"):
+            Dataset(x=np.empty(shape), eta=0.01, alpha=0.11)
 
     def test_immutable(self):
         data = generate_good_dataset(2, 2, eta=1.0, alpha=1.0, seed=0)
@@ -134,7 +146,7 @@ class TestMakeNeighbor:
 
     def test_index_out_of_range(self):
         data = generate_good_dataset(2, 2, eta=1.0, alpha=1.0, seed=0)
-        with pytest.raises(ParamRange):
+        with pytest.raises(ParamRange, match=r"^index must be an integer in \[0, 1\], got 2$"):
             make_neighbor(data, beta=0.1, index=2, seed=0)
 
     @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, np.float64(1.0), -1])

@@ -7,6 +7,8 @@ which are rejected.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from dpattn import (
     theoretical_error_bound,
     utility_radius,
 )
-from dpattn.errors import check_real
+from dpattn.errors import check_integer, check_real
 
 DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
 SPECTRUM = PrivacySpectrum([1.01, 0.99])
@@ -82,11 +84,12 @@ REALS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, np.True_, math.nan, math.inf, -math.inf, "0.05"],
-                         ids=repr)
+@pytest.mark.parametrize("bad", [True, np.True_, math.nan, math.inf, -math.inf, "0.05",
+                                 pytest.param(10**400, id="10**400")], ids=repr)
 @pytest.mark.parametrize("label", REALS)
 def test_a_bool_non_finite_or_string_real_is_rejected(label, bad):
-    # a bool used to be read as 1.0, and t or radius_target used to take inf
+    # a bool used to be read as 1.0, t or radius_target used to take inf, and a
+    # Python int beyond the double range ended in a bare OverflowError
     name, call, _, _ = REALS[label]
     with pytest.raises(ParamRange, match=f"^{name} must be"):
         call(bad)
@@ -112,6 +115,39 @@ def test_check_real_takes_python_and_numpy_reals():
             check_real("x", value, 0, 1, "[]")
 
 
+def test_check_integer_takes_an_inclusive_maximum():
+    check_integer("x", 3, 0, 3)
+    with pytest.raises(ParamRange, match=r"^x must be an integer in \[0, 3\], got 4$"):
+        check_integer("x", 4, 0, 3)
+    with pytest.raises(ParamRange, match=r"^x must be an integer of at least 0, got -1$"):
+        check_integer("x", -1, 0)
+
+
+def test_python_ints_must_lie_in_the_double_range():
+    largest = int(sys.float_info.max)
+    check_integer("x", largest, 0)
+    check_real("x", largest, 0, math.inf, "()")
+    with pytest.raises(ParamRange, match="^x must be an integer of at least 0, got "):
+        check_integer("x", largest + 1, 0)
+    for low, value in ((0, largest + 1), (-math.inf, -largest - 1)):
+        with pytest.raises(ParamRange, match="^x must be a finite real in "):
+            check_real("x", value, low, math.inf, "()")
+    # numpy integers always fit, and are compared without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in (np.uint64(2**64 - 1), np.int64(-2**63)):
+            check_integer("x", value, -2**63)
+            check_real("x", value, -math.inf, math.inf, "()")
+
+
+def test_counts_beyond_the_double_range_are_rejected():
+    # each ended in "OverflowError: int too large to convert to float"
+    for call in (lambda: sensitivity_budget(0.05, 0.01, 10**400),
+                 lambda: dp_attention(DATA, 0.0, _params(k=10**400))):
+        with pytest.raises(ParamRange, match="^k must be an integer of at least 1, got 1000"):
+            call()
+
+
 @pytest.mark.parametrize("seed", [True, (1, 2.9), "12", (3, np.False_), 7.0], ids=repr)
 def test_seed_words_are_integers(seed):
     # True keyed the stream of 1, (1, 2.9) that of (1, 2) and '12' that of (1, 2)
@@ -127,7 +163,7 @@ def test_accepted_seeds_keep_their_words():
     assert words == (1, rng.MAX_SEED) and all(type(w) is int for w in words)
     assert np.array_equal(rng.standard_normals(5, (np.int64(3), 4)),
                           rng.standard_normals(5, (3, 4)))
-    with pytest.raises(ParamRange, match="seed word must be at most"):
+    with pytest.raises(ParamRange, match=r"seed word must be an integer in \[0, 4294967294\]"):
         rng.normalize_entropy((1, rng.MAX_SEED + 1))
 
 
