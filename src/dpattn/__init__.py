@@ -21,12 +21,9 @@ from .dataset import (
     Dataset,
     NeighborPair,
     SensitivityBound,
-    SensitivityMeasurement,
     generate_good_dataset,
-    gram,
     make_neighbor,
     sensitivity_bound,
-    sensitivity_measured,
 )
 from .errors import (
     DimMismatch,

@@ -168,16 +168,6 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     return NeighborPair(base=data, perturbed=perturbed, beta=beta, index=index)
 
 
-def gram(x) -> SymMatrix:
-    """The Gram matrix ``X X^T``; PSD by construction.  A :class:`Dataset` keeps its own."""
-    if isinstance(x, Dataset):
-        return x.gram_matrix
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 2:
-        raise ParamRange(f"expected a 2-d matrix, got shape {arr.shape}")
-    return SymMatrix(arr @ arr.T)
-
-
 def neighbor_deviation(pair: NeighborPair) -> np.ndarray:
     """The eigenvalues of ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` that can be
     nonzero, descending, where ``X`` is the base and ``Xt`` the perturbed matrix.
@@ -188,28 +178,7 @@ def neighbor_deviation(pair: NeighborPair) -> np.ndarray:
     not positive definite.
     """
     col = pair.base.column(pair.index)
-    return rank_two_eigenvalues(gram(pair.base), col, pair.perturbed[:, pair.index] - col)
-
-
-class SensitivityMeasurement(NamedTuple):
-    spectral: float
-    frobenius: float
-
-
-def sensitivity_measured(pair: NeighborPair) -> SensitivityMeasurement:
-    """Whitened Gram deviation of a neighbor pair.
-
-    Returns the spectral and Frobenius norms of
-    ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I`` where ``X`` is the base and
-    ``Xt`` the perturbed matrix: ``max |mu|`` and ``sqrt(mu_1^2 + mu_2^2)`` of its nonzero
-    eigenvalues ``mu`` (:func:`neighbor_deviation`).  Raises :class:`SingularMatrix` when
-    the base Gram matrix is not positive definite.
-    """
-    mu = neighbor_deviation(pair)
-    return SensitivityMeasurement(
-        spectral=float(np.abs(mu).max()),
-        frobenius=float(np.sqrt((mu * mu).sum())),
-    )
+    return rank_two_eigenvalues(pair.base.gram_matrix, col, pair.perturbed[:, pair.index] - col)
 
 
 class SensitivityBound(NamedTuple):

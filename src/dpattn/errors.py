@@ -46,12 +46,15 @@ class Infeasible(DpAttnError):
 def check_integer(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Raise :class:`ParamRange` unless ``value`` is an integer of at least ``minimum`` and,
     unless ``maximum`` is ``None``, at most ``maximum``: an ``int`` in the double range or a
-    numpy integer, but not a ``bool``, which is an ``int`` too."""
+    numpy integer, but not a ``bool``, which is an ``int`` too.  A value that fails only the
+    double range gets a message naming that range."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum
-            or maximum is not None and value > maximum
-            or isinstance(value, int) and value > _DOUBLE_MAX):
+            or maximum is not None and value > maximum):
         bounds = f"of at least {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
         raise ParamRange(f"{name} must be an integer {bounds}, got {value!r}")
+    if isinstance(value, int) and value > _DOUBLE_MAX:
+        raise ParamRange(f"{name} must be an integer in the double range (at most "
+                         f"{_DOUBLE_MAX!r}), got {value!r}")
 
 
 def check_real(name: str, value, low: float, high: float, closed: str) -> None:

@@ -75,18 +75,6 @@ class SymMatrix:
         chol.flags.writeable = False
         return chol
 
-    @classmethod
-    def identity(cls, n: int) -> "SymMatrix":
-        return cls(np.eye(n))
-
-    @classmethod
-    def diagonal(cls, entries) -> "SymMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=float)))
-
-    @classmethod
-    def zeros(cls, n: int) -> "SymMatrix":
-        return cls(np.zeros((n, n)))
-
 
 def as_sym(m) -> SymMatrix:
     """Coerce an array-like into a :class:`SymMatrix` (no-op if it is one)."""

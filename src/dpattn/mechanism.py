@@ -70,8 +70,8 @@ def bartlett_factors(n: int, k: int, seed, trials: int) -> Iterator[np.ndarray]:
     under ``seed``.  Each stack takes one array draw per substream, so a block
     costs O(1) numpy calls per stack, not per trial.  The block comes in stacks
     of at most ``max(1, _BLOCK_ENTRIES // n^2)`` trials, which bounds a stacked
-    product ``T T^T``; the stacks continue the same two generators, so no value
-    depends on the stack size.  The arguments are checked at the call, before
+    product ``T T^T``; the stacks continue the same two generators, so no drawn
+    value depends on the stack size.  The arguments are checked at the call, before
     any stack is drawn.
     """
     check_integer("n", n, 1)

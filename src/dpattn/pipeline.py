@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rng
 from .attention import Activation, RequirementCheck, perturbation_chain_check
-from .dataset import Dataset, NeighborPair, gram, sensitivity_bound
+from .dataset import Dataset, NeighborPair, sensitivity_bound
 from .errors import ParamRange, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
@@ -129,7 +129,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     ``mu`` to the chain.  Both are false when the Gram matrix is singular.  The
     attention maps, the error and its bound are the chain's.
     """
-    base = gram(data)
+    base = data.gram_matrix
     budget_used = sensitivity_budget(params.eps, params.delta, params.k)
     sens_frob = sensitivity_bound(data.eta, data.alpha, beta, data.n).frobenius_bound
     rho = utility_radius(data.n, params.gamma, params.k, params.utility_const)

@@ -106,7 +106,7 @@ class PrivacySpectrum:
 
 def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
     """The eigenvalues other than 1 of the comparison ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``
-    of ``sigma1 = gram(base)`` and ``sigma2 = gram(perturbed)``.
+    of the Gram matrices ``sigma1 = X X^T`` of the base and ``sigma2 = Xt Xt^T`` of the perturbed.
 
     The pair differs in one column, so the Gram matrices differ by rank at most two.
     Whitened by the base's kept Gram matrix, the perturbed one has the eigenvalues

@@ -1,8 +1,9 @@
 """Deterministic random stream: ``philox-v6``.
 
-Every random draw in the library flows through one named stream so that any
-result is reproducible from ``(domain tag, seed, ...)`` alone, on any machine
-running the same numpy build:
+Every random draw in the library flows through one named stream, so every draw is
+reproducible from ``(domain tag, seed, ...)`` alone on the same numpy build; a result
+that also passes through BLAS or LAPACK (a release, a bench-utility row norm) needs the
+same BLAS kernel too, since kernels round differently.  The stream:
 
 * bit generator: numpy's Philox-4x64 (a counter-based generator with a
   published fixed algorithm), keyed directly by the entropy words, with no

@@ -1,11 +1,51 @@
-"""Shared random-instance constructors and reference oracles for the test suite."""
+"""Shared random-instance constructors, reference oracles and the BLAS kernel name for the
+test suite."""
 
+import ctypes
+import glob
 import math
+import os
+from typing import NamedTuple
 
 import numpy as np
 
-from dpattn import DimMismatch, ParamRange, PrivacySpectrum, SingularMatrix, rng
+from dpattn import DimMismatch, ParamRange, PrivacySpectrum, SingularMatrix, SymMatrix, rng
+from dpattn.dataset import neighbor_deviation
 from dpattn.linalg import as_sym, relative_tol, spectrum_within
+
+
+def blas_core():
+    """The kernel name, such as ``SkylakeX`` or ``Haswell``, of the OpenBLAS bundled with
+    numpy (``numpy.libs/libscipy_openblas64_*.so``), or ``None`` when that library or its
+    ``scipy_openblas_get_corename64_`` is missing."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def gram_of(x):
+    """The Gram matrix ``X X^T`` of a raw 2-d array, as a ``SymMatrix``."""
+    return SymMatrix(x @ x.T)
+
+
+class SensitivityMeasurement(NamedTuple):
+    spectral: float
+    frobenius: float
+
+
+def sensitivity_measured(pair):
+    """Whitened Gram deviation of a neighbor pair: the spectral and Frobenius norms of
+    ``D = (X X^T)^{-1/2} Xt Xt^T (X X^T)^{-1/2} - I``, ``max |mu|`` and
+    ``sqrt(mu_1^2 + mu_2^2)`` of its nonzero eigenvalues ``mu`` (``neighbor_deviation``).
+    Raises ``SingularMatrix`` when the base Gram matrix is not positive definite."""
+    mu = neighbor_deviation(pair)
+    return SensitivityMeasurement(spectral=float(np.abs(mu).max()),
+                                  frobenius=float(np.sqrt((mu * mu).sum())))
 
 
 def is_psd(m):

@@ -20,7 +20,6 @@ from dpattn import (
     dp_certificate,
     expected_privacy_loss,
     generate_good_dataset,
-    gram,
     make_neighbor,
     gaussian_sampling_mechanism,
     perturbation_chain_check,
@@ -28,11 +27,10 @@ from dpattn import (
     required_samples,
     sensitivity_bound,
     sensitivity_budget,
-    sensitivity_measured,
     wilson_upper,
 )
-from helpers import (chain_pair, chain_spectrum, conversion_holds, loewner_within,
-                     privacy_spectrum, rand_orthogonal, whitened_error)
+from helpers import (chain_pair, chain_spectrum, conversion_holds, gram_of, loewner_within,
+                     privacy_spectrum, rand_orthogonal, sensitivity_measured, whitened_error)
 
 
 def report(name, ok, detail=""):
@@ -117,7 +115,7 @@ def test_criterion_3_privacy_tail():
     eps, delta, k, n = 0.5, 0.05, 50, 4
     budget_used = sensitivity_budget(eps, delta, k)
     lam = 1.0 + (1.0 - 1e-9) * budget_used / math.sqrt(n)
-    spectrum = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
+    spectrum = privacy_spectrum(SymMatrix(np.diag([lam] * n)), SymMatrix(np.eye(n)))
     cert = dp_certificate(spectrum, eps, delta, k)
     trials = 100_000
     exceed = int((privacy_loss_samples(spectrum, k, trials, seed=7) > eps).sum())
@@ -169,7 +167,7 @@ def test_criterion_4_closed_form_mean():
         n = int(gen.integers(2, 7))
         k = int(gen.integers(5, 51))
         lam = gen.uniform(0.85, 1.2, n)
-        spectrum = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
+        spectrum = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
         samples = privacy_loss_samples(spectrum, k, trials=100_000, seed=i)
         mean = expected_privacy_loss(spectrum, k)
         se = samples.std(ddof=1) / math.sqrt(samples.size)
@@ -185,7 +183,7 @@ def test_criterion_4_closed_form_mean():
         k = int(gen.integers(1, 1000))
         budget_used = sensitivity_budget(eps, delta, k)
         lam = _boundary_spectrum(gen, n, budget_used)
-        spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
+        spec = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
         assert spec.deviation_frob <= budget_used * (1 + 1e-9)
         assert spec.reverse.deviation_frob <= budget_used * (1 + 1e-9)
         if expected_privacy_loss(spec, k) > eps / 2.0:
@@ -218,7 +216,8 @@ def test_criterion_5_sensitivity_lemma():
             violations += 1
         if measured.frobenius > bound.frobenius_bound:
             violations += 1
-        if not loewner_within(gram(pair.perturbed), gram(data), bound.spectral_bound + 1e-9):
+        perturbed = gram_of(pair.perturbed)
+        if not loewner_within(perturbed, data.gram_matrix, bound.spectral_bound + 1e-9):
             violations += 1
     report(
         "criterion_5_sensitivity_lemma",

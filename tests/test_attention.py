@@ -22,11 +22,11 @@ from helpers import chain_pair, chain_spectrum, rand_psd
 class TestEntrywiseActivation:
     def test_zero_matrix(self):
         for kind in Activation:
-            out = entrywise_activation(SymMatrix.zeros(2), kind)
+            out = entrywise_activation(SymMatrix(np.zeros((2, 2))), kind)
             assert np.array_equal(out, np.ones((2, 2)))
 
     def test_closed_form(self):
-        out = entrywise_activation(SymMatrix.diagonal([math.log(2.0), 0.0]), Activation.EXP)
+        out = entrywise_activation(SymMatrix(np.diag([math.log(2.0), 0.0])), Activation.EXP)
         assert np.allclose(out, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
     def test_symmetry_exact(self):
@@ -42,7 +42,7 @@ class TestEntrywiseActivation:
 
 class TestAttentionMatrix:
     def test_uniform_for_zero_logits(self):
-        out = attention_matrix(SymMatrix.zeros(4), Activation.EXP)
+        out = attention_matrix(SymMatrix(np.zeros((4, 4))), Activation.EXP)
         assert np.allclose(out, np.full((4, 4), 0.25))
 
     def test_single_row(self):

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from dpattn import (
+    Activation,
     Dataset,
+    DpParams,
     Infeasible,
     NeighborPair,
     ParamRange,
     SingularMatrix,
+    dp_attention,
     generate_good_dataset,
-    gram,
     make_neighbor,
     sensitivity_bound,
-    sensitivity_measured,
 )
-from helpers import is_psd, loewner_within, whitened_eigenvalues
+from helpers import gram_of, is_psd, loewner_within, sensitivity_measured, whitened_eigenvalues
 
 
 NON_FINITE_DECLARATIONS = [(np.nan, 1.0), (np.inf, 1.0), (0.01, np.nan), (0.01, np.inf)]
@@ -199,24 +200,29 @@ class TestNeighborPairValidation:
 
 
 class TestGram:
+    """A ``Dataset`` keeps its Gram matrix ``X X^T``, and a release reads that one."""
+
     def test_identity(self):
-        assert np.array_equal(gram(np.eye(2)).values, np.eye(2))
+        data = Dataset(np.eye(2), eta=1.0, alpha=1.0)
+        assert np.array_equal(data.gram_matrix.values, np.eye(2))
 
     def test_closed_form(self):
-        assert np.array_equal(
-            gram(np.array([[1.0, 1.0], [0.0, 0.0]])).values, [[2.0, 0.0], [0.0, 0.0]]
-        )
+        data = Dataset(np.array([[1.0, 1.0], [0.0, 1.0]]), eta=0.3, alpha=1.5)
+        assert np.array_equal(data.gram_matrix.values, [[2.0, 1.0], [1.0, 1.0]])
 
     def test_random_good_dataset_is_psd(self):
         data = generate_good_dataset(3, 6, eta=0.1, alpha=0.5, seed=8)
-        g = gram(data)
+        g = data.gram_matrix
         assert is_psd(g)
         assert np.linalg.eigvalsh(g.values).min() >= data.eta - 1e-9
 
     def test_dataset_keeps_its_gram_and_floor(self):
         data = generate_good_dataset(3, 6, eta=0.1, alpha=0.5, seed=8)
-        assert gram(data) is data.gram_matrix
-        assert np.array_equal(gram(data.x).values, data.gram_matrix.values)
+        # a release reads the kept matrix: re-forming X X^T would give a new object
+        params = DpParams(eps=0.05, delta=0.01, gamma=0.3, k=400_000, r=0.1,
+                          kind=Activation.EXP, utility_const=1.0, seed=0)
+        assert dp_attention(data, 1e-9, params).gram_matrix is data.gram_matrix
+        assert np.array_equal(gram_of(data.x).values, data.gram_matrix.values)
         assert np.linalg.eigvalsh(data.gram_matrix.values).min() >= data.eta - 1e-9
 
 
@@ -279,7 +285,7 @@ class TestSensitivity:
                 pair = make_neighbor(data, beta, index, seed)
                 measured = sensitivity_measured(pair)
                 assert measured.frobenius <= 2.0 * np.sqrt(2.0) * alpha * beta / eta
-                dev = whitened_eigenvalues(gram(pair.perturbed), gram(data)) - 1.0
+                dev = whitened_eigenvalues(gram_of(pair.perturbed), data.gram_matrix) - 1.0
                 assert measured.spectral == pytest.approx(np.abs(dev).max(), rel=0, abs=tol)
                 assert measured.frobenius == pytest.approx(np.linalg.norm(dev), rel=0, abs=tol)
 
@@ -316,8 +322,8 @@ def test_sensitivity_bounds_hold_on_generated_pairs():
                         or measured.frobenius > bound.frobenius_bound):
                     violations += 1
                 assert loewner_within(
-                    gram(pair.perturbed), gram(data), bound.spectral_bound + 1e-9
+                    gram_of(pair.perturbed), data.gram_matrix, bound.spectral_bound + 1e-9
                 )
-                assert np.linalg.eigvalsh(gram(data).values).min() >= eta - 1e-9
+                assert np.linalg.eigvalsh(data.gram_matrix.values).min() >= eta - 1e-9
     assert count == 500
     assert violations == 0

@@ -127,8 +127,12 @@ def test_python_ints_must_lie_in_the_double_range():
     largest = int(sys.float_info.max)
     check_integer("x", largest, 0)
     check_real("x", largest, 0, math.inf, "()")
-    with pytest.raises(ParamRange, match="^x must be an integer of at least 0, got "):
+    beyond = r"^x must be an integer in the double range \(at most 1\.7976931348623157e\+308\)"
+    with pytest.raises(ParamRange, match=beyond):
         check_integer("x", largest + 1, 0)
+    # a value that also fails a stated end gets the usual message
+    with pytest.raises(ParamRange, match=r"^x must be an integer in \[0, 3\], got "):
+        check_integer("x", largest + 1, 0, 3)
     for low, value in ((0, largest + 1), (-math.inf, -largest - 1)):
         with pytest.raises(ParamRange, match="^x must be a finite real in "):
             check_real("x", value, low, math.inf, "()")
@@ -141,11 +145,14 @@ def test_python_ints_must_lie_in_the_double_range():
 
 
 def test_counts_beyond_the_double_range_are_rejected():
-    # each ended in "OverflowError: int too large to convert to float"
+    # each ended in "OverflowError: int too large to convert to float"; the message names
+    # the double range, the one end 10**400 fails
     for call in (lambda: sensitivity_budget(0.05, 0.01, 10**400),
                  lambda: dp_attention(DATA, 0.0, _params(k=10**400))):
-        with pytest.raises(ParamRange, match="^k must be an integer of at least 1, got 1000"):
+        with pytest.raises(ParamRange) as info:
             call()
+        assert str(info.value) == ("k must be an integer in the double range "
+                                   f"(at most 1.7976931348623157e+308), got {10**400}")
 
 
 @pytest.mark.parametrize("seed", [True, (1, 2.9), "12", (3, np.False_), 7.0], ids=repr)
@@ -170,7 +177,7 @@ def test_accepted_seeds_keep_their_words():
 @pytest.mark.parametrize("kind", ["exp", "cosh", None, 0], ids=repr)
 def test_kind_must_be_an_activation(kind):
     # anything but Activation.EXP used to give the cosh map
-    m = SymMatrix.diagonal([0.05, 0.05])
+    m = SymMatrix(np.diag([0.05, 0.05]))
     calls = (lambda: entrywise_activation(m, kind), lambda: attention_matrix(m, kind),
              lambda: perturbation_chain_check(m, m, np.ones(2), 0.05, 0.05, kind))
     for call in calls:

@@ -44,7 +44,7 @@ class TestSampleGaussian:
 class TestGaussianSamplingMechanism:
     def test_zero_covariance(self):
         for k in (2, 10):
-            out = gaussian_sampling_mechanism(SymMatrix.zeros(3), k, seed=0)
+            out = gaussian_sampling_mechanism(SymMatrix(np.zeros((3, 3))), k, seed=0)
             assert np.array_equal(out.sigma_hat.values, np.zeros((3, 3)))
             assert out.whitened is None
 
@@ -70,16 +70,16 @@ class TestGaussianSamplingMechanism:
     def test_rejects_indefinite(self):
         for k in (1, 5):
             with pytest.raises(NotPsd):
-                gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, -1.0]), k, seed=0)
+                gaussian_sampling_mechanism(SymMatrix(np.diag([1.0, -1.0])), k, seed=0)
 
     def test_single_sample_is_rank_one(self):
-        out = gaussian_sampling_mechanism(SymMatrix.identity(2), 1, seed=3)
+        out = gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 1, seed=3)
         eigs = np.linalg.eigvalsh(out.sigma_hat.values)
         assert abs(eigs[0]) <= 1e-12
         assert np.linalg.matrix_rank(out.whitened.values) == 1
 
     def test_relative_error_at_large_k(self):
-        out = gaussian_sampling_mechanism(SymMatrix.identity(2), 100_000, seed=1)
+        out = gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 100_000, seed=1)
         assert whitened_error(out) <= 0.1
 
     def test_deterministic_bit_identical(self):
@@ -106,13 +106,13 @@ class TestGaussianSamplingMechanism:
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParamRange):
-            gaussian_sampling_mechanism(SymMatrix.identity(2), 0, seed=0)
+            gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 0, seed=0)
 
     @pytest.mark.parametrize("k", [2.5, True])
     def test_k_must_be_an_integer(self, k):
         # 2.5 used to draw chi-square(2.5 - j) diagonals, and a bool a bare TypeError
         with pytest.raises(ParamRange, match="k must be an integer"):
-            gaussian_sampling_mechanism(SymMatrix.identity(2), k, seed=0)
+            gaussian_sampling_mechanism(SymMatrix(np.eye(2)), k, seed=0)
 
     def test_unbiasedness(self):
         sigma = np.diag([2.0, 1.0])
@@ -131,7 +131,7 @@ class TestGaussianSamplingMechanism:
         gen = np.random.default_rng(2)
         sigma = SymMatrix(rand_pd(gen, 3, eig_low=0.3, eig_high=3.0))
         errs_id = [
-            whitened_error(gaussian_sampling_mechanism(SymMatrix.identity(3), 100, seed=(1, t)))
+            whitened_error(gaussian_sampling_mechanism(SymMatrix(np.eye(3)), 100, seed=(1, t)))
             for t in range(500)
         ]
         errs_pd = [
@@ -177,16 +177,16 @@ class TestRelFrobError:
 
     def test_whitened_is_none_exactly_when_error_is_nan(self):
         for floor, defined in ((1e-9, False), (2e-9, True)):
-            out = gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, floor]), 10, 0)
+            out = gaussian_sampling_mechanism(SymMatrix(np.diag([1.0, floor])), 10, 0)
             assert (out.whitened is not None) is defined
             assert math.isfinite(whitened_error(out)) is defined
 
     def test_nan_at_the_singularity_floor(self):
         # the Cholesky floor: for a diagonal sigma the pivots are its entries, so an
         # entry at most 1e-9 times the largest
-        assert gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 1e-9]), 10, 0).whitened is None
+        assert gaussian_sampling_mechanism(SymMatrix(np.diag([1.0, 1e-9])), 10, 0).whitened is None
         assert math.isfinite(
-            whitened_error(gaussian_sampling_mechanism(SymMatrix.diagonal([1.0, 2e-9]), 10, 0)))
+            whitened_error(gaussian_sampling_mechanism(SymMatrix(np.diag([1.0, 2e-9])), 10, 0)))
 
 
 class TestBartlettRelease:
@@ -250,7 +250,7 @@ class TestBartlettRelease:
         n = 4
         for k in (1, 2, 3, 10**3, 10**9):
             drawn.clear()
-            gaussian_sampling_mechanism(SymMatrix.identity(n), k, seed=5)
+            gaussian_sampling_mechanism(SymMatrix(np.eye(n)), k, seed=5)
             m = min(n, k)
             assert sum(drawn) == m * n - m * (m - 1) // 2
 
@@ -305,7 +305,7 @@ class TestBartlettFactors:
         for k in sorted({1, 2, 3, n, 1_196_713}):
             factor = block_of(n, k, (4, 2), 3)[0]
             whitened = SymMatrix(factor @ factor.T / k).values
-            release = gaussian_sampling_mechanism(SymMatrix.identity(n), k, (4, 2))
+            release = gaussian_sampling_mechanism(SymMatrix(np.eye(n)), k, (4, 2))
             assert release.whitened.values.tobytes() == whitened.tobytes()
             assert release.sigma_hat.values.tobytes() == whitened.tobytes()
             release = gaussian_sampling_mechanism(sigma, k, (4, 2))

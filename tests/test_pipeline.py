@@ -21,7 +21,6 @@ from dpattn import (
     dataset,
     dp_attention,
     generate_good_dataset,
-    gram,
     linalg,
     make_neighbor,
     mechanism,
@@ -33,13 +32,13 @@ from dpattn import (
     privacy_loss_samples,
     required_samples,
     sensitivity_bound,
-    sensitivity_measured,
     utility_radius,
     verify_neighbor_privacy,
     wilson_upper,
 )
 from dpattn.cli import _jsonable
-from helpers import check_named, conversion_holds, loewner_event, privacy_spectrum
+from helpers import (check_named, conversion_holds, loewner_event, privacy_spectrum,
+                     sensitivity_measured)
 
 EXPECTED_CHECK_NAMES = ["entry_bound", "eta_below_r", "sensitivity", "utility"]
 CHAIN_CHECK_NAMES = ["loewner", "entry_range", "activation_ratio", "normalizer_ratio",
@@ -421,12 +420,12 @@ PUBLIC_NAMES = {
     "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible", "InvalidMatrix",
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
     "ParamRange", "PrivacySpectrum", "RequirementCheck",
-    "SensitivityBound", "SensitivityMeasurement", "SingularMatrix", "SymMatrix",
+    "SensitivityBound", "SingularMatrix", "SymMatrix",
     "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
-    "expected_privacy_loss", "gaussian_sampling_mechanism", "generate_good_dataset", "gram",
+    "expected_privacy_loss", "gaussian_sampling_mechanism", "generate_good_dataset",
     "make_neighbor", "neighbor_spectrum",
     "perturbation_chain_check", "privacy_loss_samples", "required_samples",
-    "sensitivity_bound", "sensitivity_budget", "sensitivity_measured", "tail_bound",
+    "sensitivity_bound", "sensitivity_budget", "tail_bound",
     "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy", "wilson_upper",
 }
 
@@ -450,7 +449,7 @@ def test_array_dataclasses_compare_by_identity():
             np.eye(2) / 20, np.eye(2) / 20, np.ones(2), 0.05, 0.05, Activation.EXP),
         Dataset: fast_dataset,
         NeighborPair: lambda: make_neighbor(data, beta=1e-8, index=1, seed=4),
-        PrivacySpectrum: lambda: privacy_spectrum(gram(data), gram(data)),
+        PrivacySpectrum: lambda: privacy_spectrum(data.gram_matrix, data.gram_matrix),
         DpAttentionReport: lambda: dp_attention(data, 1e-9, fast_params()),
         NeighborPrivacyReport: lambda: verify_neighbor_privacy(
             pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0),

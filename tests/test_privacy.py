@@ -16,7 +16,6 @@ from dpattn import (
     dp_certificate,
     expected_privacy_loss,
     generate_good_dataset,
-    gram,
     make_neighbor,
     neighbor_spectrum,
     privacy_loss_samples,
@@ -27,7 +26,7 @@ from dpattn import (
     wilson_upper,
 )
 from dpattn.cli import read_matrix_csv, write_matrix_csv
-from helpers import direct_loss_samples, privacy_spectrum, rand_orthogonal, rand_pd
+from helpers import direct_loss_samples, gram_of, privacy_spectrum, rand_orthogonal, rand_pd
 
 
 class TestSensitivityBudget:
@@ -92,17 +91,17 @@ def test_trials_must_be_an_integer(trials):
 
 class TestPrivacySpectrum:
     def test_equal_covariances(self):
-        spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
+        spec = privacy_spectrum(SymMatrix(np.eye(3)), SymMatrix(np.eye(3)))
         assert np.allclose(spec.eigenvalues, 1.0)
         assert spec.deviation_frob <= 1e-12
         assert spec.reverse.deviation_frob <= 1e-12
 
     def test_scaled_identity(self):
-        spec = privacy_spectrum(SymMatrix(2.0 * np.eye(2)), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(2.0 * np.eye(2)), SymMatrix(np.eye(2)))
         assert np.allclose(spec.eigenvalues, [2.0, 2.0])
 
     def test_diagonal(self):
-        spec = privacy_spectrum(SymMatrix.diagonal([1.1, 0.9]), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.diag([1.1, 0.9])), SymMatrix(np.eye(2)))
         assert np.allclose(spec.eigenvalues, [1.1, 0.9], atol=1e-12)
 
     def test_swap_gives_reciprocals(self):
@@ -139,14 +138,14 @@ class TestPrivacySpectrum:
 
     def test_singular_input(self):
         with pytest.raises(SingularMatrix):
-            privacy_spectrum(SymMatrix.diagonal([1.0, 0.0]), SymMatrix.identity(2))
+            privacy_spectrum(SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.eye(2)))
         with pytest.raises(SingularMatrix):
-            privacy_spectrum(SymMatrix.identity(2), SymMatrix.diagonal([1.0, 0.0]))
+            privacy_spectrum(SymMatrix(np.eye(2)), SymMatrix(np.diag([1.0, 0.0])))
 
     def test_near_singular_first_input(self):
         # sigma1's smallest eigenvalue lies below the 1e-9 relative floor
         with pytest.raises(SingularMatrix):
-            privacy_spectrum(SymMatrix.diagonal([1.0, 1e-10]), SymMatrix.identity(2))
+            privacy_spectrum(SymMatrix(np.diag([1.0, 1e-10])), SymMatrix(np.eye(2)))
 
     def test_singularity_floor_is_scale_relative(self):
         gen = np.random.default_rng(43)
@@ -156,11 +155,11 @@ class TestPrivacySpectrum:
             lam = privacy_spectrum(SymMatrix(c * s1), SymMatrix(c * s2)).eigenvalues
             assert np.allclose(lam, reference, rtol=1e-12, atol=0.0)
             with pytest.raises(SingularMatrix):
-                privacy_spectrum(SymMatrix.diagonal([c, 1e-10 * c]), SymMatrix(c * np.eye(2)))
+                privacy_spectrum(SymMatrix(np.diag([c, 1e-10 * c])), SymMatrix(c * np.eye(2)))
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(3))
+            privacy_spectrum(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
 
     def test_floor_is_relative_to_one_or_the_largest(self):
         # the smallest eigenvalue must exceed 1e-9 * max(1, largest)
@@ -178,7 +177,7 @@ class TestPrivacySpectrum:
     def test_huge_entry_is_below_the_floor(self):
         # whitening does not overflow, and 1 lies below 1e-9 * 1e308
         with pytest.raises(SingularMatrix):
-            privacy_spectrum(SymMatrix.diagonal([1e308, 1.0]), SymMatrix.identity(2))
+            privacy_spectrum(SymMatrix(np.diag([1e308, 1.0])), SymMatrix(np.eye(2)))
 
     def test_reverse_is_the_reciprocal_spectrum(self):
         gen = np.random.default_rng(47)
@@ -190,18 +189,18 @@ class TestPrivacySpectrum:
 
 class TestExpectedPrivacyLoss:
     def test_zero_at_identity_spectrum(self):
-        spec = privacy_spectrum(SymMatrix.identity(4), SymMatrix.identity(4))
+        spec = privacy_spectrum(SymMatrix(np.eye(4)), SymMatrix(np.eye(4)))
         assert expected_privacy_loss(spec, 100) <= 1e-10
 
     def test_closed_form_oracle(self):
-        spec = privacy_spectrum(SymMatrix.diagonal([1.1, 0.9]), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.diag([1.1, 0.9])), SymMatrix(np.eye(2)))
         expected = 5.0 * ((1.1 - 1.0 - math.log(1.1)) + (0.9 - 1.0 - math.log(0.9)))
         got = expected_privacy_loss(spec, 10)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.05025, abs=1e-5)
 
     def test_linear_in_k(self):
-        spec = privacy_spectrum(SymMatrix.diagonal([1.2, 0.8]), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.diag([1.2, 0.8])), SymMatrix(np.eye(2)))
         assert expected_privacy_loss(spec, 20) == pytest.approx(
             2.0 * expected_privacy_loss(spec, 10), rel=1e-15
         )
@@ -210,12 +209,12 @@ class TestExpectedPrivacyLoss:
         gen = np.random.default_rng(43)
         for _ in range(50):
             lam = gen.uniform(0.3, 3.0, int(gen.integers(1, 6)))
-            spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(lam.size))
+            spec = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(lam.size)))
             assert expected_privacy_loss(spec, int(gen.integers(1, 100))) >= 0.0
 
 
 def diagonal_spectrum(lam):
-    return privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(len(lam)))
+    return privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(len(lam))))
 
 
 def neighbor_pairs(n, beta, tmp_path):
@@ -243,7 +242,7 @@ class TestNeighborSpectrum:
         tol = 32 * n * np.finfo(float).eps
         for pair in neighbor_pairs(n, beta, tmp_path):
             fast = neighbor_spectrum(pair).eigenvalues
-            full = privacy_spectrum(gram(pair.base), gram(pair.perturbed)).eigenvalues
+            full = privacy_spectrum(pair.base.gram_matrix, gram_of(pair.perturbed)).eigenvalues
             assert fast.shape == (2,)
             assert np.abs(fast - full[[0, -1]]).max() <= tol
             assert np.abs(full[1:-1] - 1.0).max() <= tol
@@ -254,7 +253,7 @@ class TestNeighborSpectrum:
             data = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=3)
             pair = make_neighbor(data, beta=1e-3, index=n, seed=5)
             fast = neighbor_spectrum(pair).eigenvalues
-            full = privacy_spectrum(gram(pair.base), gram(pair.perturbed)).eigenvalues
+            full = privacy_spectrum(pair.base.gram_matrix, gram_of(pair.perturbed)).eigenvalues
             assert fast.shape == (n,)
             assert np.abs(fast - full).max() <= 1e-14
 
@@ -291,14 +290,14 @@ class TestNeighborSpectrum:
         pairs.append(NeighborPair(base=data, perturbed=perturbed, beta=0.2, index=0))
         for pair in pairs:
             with pytest.raises(SingularMatrix):
-                privacy_spectrum(gram(pair.base), gram(pair.perturbed))
+                privacy_spectrum(pair.base.gram_matrix, gram_of(pair.perturbed))
             with pytest.raises(SingularMatrix):
                 neighbor_spectrum(pair)
 
 
 class TestPrivacyLossSample:
     def test_identity_pair_is_exactly_zero(self):
-        spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
+        spec = privacy_spectrum(SymMatrix(np.eye(3)), SymMatrix(np.eye(3)))
         for seed in (0, 1, 77):
             assert np.all(privacy_loss_samples(spec, 10, 100, seed) == 0.0)
 
@@ -363,13 +362,13 @@ class TestSubExpParams:
     derives from a spectrum's Frobenius deviation ``F``."""
 
     def test_identity_spectrum(self):
-        spec = privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)))
         assert spec.deviation_frob <= 1e-12 and expected_privacy_loss(spec, 50) <= 1e-12
         assert tail_bound(spec, 50, 1e-6) <= 1e-12
 
     def test_reference_values(self):
         # nu = sqrt(2) sets the bound at t = 1, alpha = 2 sqrt(0.02) at t = 10
-        spec = privacy_spectrum(SymMatrix.diagonal([1.1, 0.9]), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.diag([1.1, 0.9])), SymMatrix(np.eye(2)))
         assert tail_bound(spec, 100, 1.0) == pytest.approx(math.exp(-1.0 / 4.0), rel=1e-10)
         assert tail_bound(spec, 100, 10.0) == pytest.approx(
             math.exp(-10.0 / (4.0 * math.sqrt(0.02))), rel=1e-10)
@@ -382,7 +381,7 @@ class TestSubExpParams:
             n = int(gen.integers(2, 6))
             k = int(gen.integers(1, 200))
             lam = gen.uniform(0.7, 1.4, n)
-            spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
+            spec = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
             for c in (0.25, 0.5, 1.0):
                 t = c * k * spec.deviation_frob
                 assert tail_bound(spec, k, t) == pytest.approx(
@@ -417,7 +416,7 @@ class TestTailBound:
 
 class TestDpCertificate:
     def test_equal_pair_granted(self):
-        spec = privacy_spectrum(SymMatrix.identity(3), SymMatrix.identity(3))
+        spec = privacy_spectrum(SymMatrix(np.eye(3)), SymMatrix(np.eye(3)))
         cert = dp_certificate(spec, 0.5, 0.05, 50)
         assert cert.granted
         assert [c.name for c in cert.checks] == ["sensitivity", "mean", "tail"]
@@ -438,8 +437,8 @@ class TestDpCertificate:
         eps, delta, k, n = 0.5, 0.05, 50, 2
         budget = sensitivity_budget(eps, delta, k)
         lam = 1.0 - 0.999 * budget / math.sqrt(n)
-        fwd = privacy_spectrum(SymMatrix.diagonal([lam] * n), SymMatrix.identity(n))
-        rev = privacy_spectrum(SymMatrix.identity(n), SymMatrix.diagonal([lam] * n))
+        fwd = privacy_spectrum(SymMatrix(np.diag([lam] * n)), SymMatrix(np.eye(n)))
+        rev = privacy_spectrum(SymMatrix(np.eye(n)), SymMatrix(np.diag([lam] * n)))
         assert fwd.deviation_frob <= budget < rev.deviation_frob
         certs = [dp_certificate(spec, eps, delta, k) for spec in (fwd, rev)]
         for cert in certs:
@@ -478,7 +477,7 @@ class TestMcPrivacyVerify:
     """The Monte-Carlo exceedance count of ``Z > eps`` and its Wilson bound."""
 
     def test_equal_pair_rate_zero(self):
-        spec = privacy_spectrum(SymMatrix.identity(2), SymMatrix.identity(2))
+        spec = privacy_spectrum(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)))
         exceed = int((privacy_loss_samples(spec, 20, 1000, 0) > 0.1).sum())
         assert exceed == 0
         assert wilson_upper(exceed, 1000) < 0.01
@@ -555,7 +554,7 @@ class TestMeanBoundAtBudgetBoundary:
             k = int(gen.integers(1, 1000))
             delta_used = sensitivity_budget(eps, delta, k)
             lam = _boundary_spectrum(gen, n, delta_used)
-            spec = privacy_spectrum(SymMatrix.diagonal(lam), SymMatrix.identity(n))
+            spec = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
             assert spec.deviation_frob <= delta_used * (1 + 1e-9)
             assert spec.reverse.deviation_frob <= delta_used * (1 + 1e-9)
             assert expected_privacy_loss(spec, k) <= eps / 2.0
