@@ -18,7 +18,7 @@ from dpattn import (Activation, Dataset, DpParams, NeighborPair, ParamRange, Sym
                     make_neighbor, mechanism, rng, sensitivity_bound, sensitivity_budget,
                     verify_neighbor_privacy)
 from dpattn.cli import read_matrix_csv, write_matrix_csv
-from dpattn.errors import DpAttnError, check_integer
+from dpattn.errors import DpAttnError
 from dpattn.mechanism import bartlett_factors
 from helpers import bartlett_block, blas_core
 
@@ -168,15 +168,6 @@ class TestGenDataset:
         assert run(["gen-dataset", "--config", cfg, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith(
             "config error: eta must be a finite real in (0, inf), got 1000")
-        assert not any((tmp_path / "out").iterdir())
-
-    def test_count_beyond_the_double_range_names_that_range(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "big.json", {"name": "big", "n": 10**400, "d": 2,
-                                                   "eta": 1.0, "alpha": 1.0, "seed": 0})
-        assert run(["gen-dataset", "--config", cfg, "--out", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: n must be an integer in the double range "
-            f"(at most 1.7976931348623157e+308), got {10**400}\n")
         assert not any((tmp_path / "out").iterdir())
 
     def test_integer_literal_beyond_the_digit_limit_exit_two(self, tmp_path, capsys):
@@ -570,6 +561,8 @@ SINGLE_FAULTS = [
     ("gen-dataset", "config", "n", DROP, "missing config keys: ['n']"),
     ("gen-dataset", "config", "n", 1.5, "n must be an integer of at least 1, got 1.5"),
     ("gen-dataset", "config", "n", 0, "n must be an integer of at least 1, got 0"),
+    ("gen-dataset", "config", "n", 10**400, "n must be an integer in the double range "
+     f"(at most 1.7976931348623157e+308), got {10**400}"),
     ("gen-dataset", "config", "d", DROP, "missing config keys: ['d']"),
     ("gen-dataset", "config", "d", 1.5, "d must be an integer of at least 1, got 1.5"),
     ("gen-dataset", "config", "d", 0, "d must be an integer of at least 1, got 0"),
@@ -939,7 +932,12 @@ class TestConfigTables:
             expected = range_outcome(library, value)
             if key == "index" and expected is not None:
                 # the table knows no dataset, so it checks index with no maximum
-                expected = range_outcome(lambda v: check_integer(key, v, 0), value)
+                expected = expected.replace(f"in [0, {DATA.d - 1}]", "of at least 0")
+                if value == 10**400:
+                    # the library's maximum d - 1 names [0, d - 1] first; with no
+                    # maximum the one bound this value fails is the double range
+                    expected = (f"{key} must be an integer in the double range "
+                                f"(at most 1.7976931348623157e+308), got {value}")
             assert range_outcome(lambda v: table[key][0](key, v), value) == expected, value
 
     def test_seed_bound_is_the_stream_bound(self):
