@@ -26,10 +26,8 @@ from .dataset import (
     sensitivity_bound,
 )
 from .errors import (
-    DimMismatch,
     DpAttnError,
     Infeasible,
-    InvalidMatrix,
     NotPsd,
     Overflow,
     ParamRange,

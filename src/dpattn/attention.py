@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, Overflow, ParamRange, check_real
+from .errors import Overflow, ParamRange, check_array, check_real
 from .linalg import as_sym, spectrum_within
 
 
@@ -90,11 +90,11 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     ``mu`` is the spectrum of ``b`` whitened by ``a``, the eigenvalues of
     ``a^{-1/2} b a^{-1/2}`` (:func:`~dpattn.pipeline.dp_attention` reads them off
     the release's ``T T^T / k``), or ``None`` when ``a`` has no Cholesky factor;
-    nothing here factors a matrix.  ``eps`` and ``r`` that are not reals in ``(0, 0.1]``,
-    and a ``kind`` that is not an :class:`Activation`, raise :class:`ParamRange`.  The
-    base's own entry bound ``max |a_ij| <= r`` is the caller's requirement and is not
-    checked here.  A failed link does not stop the chain: every check is measured and
-    reported.
+    nothing here factors a matrix.  ``eps`` or ``r`` not a real in ``(0, 0.1]``, a ``kind``
+    not an :class:`Activation`, a ``mu`` not a finite vector of length ``n`` and a pair of
+    different sizes raise :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is
+    the caller's requirement and is not checked here.  A failed link does not stop the
+    chain: every check is measured and reported.
 
     Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 
@@ -118,10 +118,10 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     the excess honestly (see the tests for the boundary case).
     """
     att_bound = theoretical_error_bound(eps, r)  # validates eps and r first
-    a = as_sym(a)
-    b = as_sym(b)
-    if a.dim != b.dim or (mu is not None and np.shape(mu) != (a.dim,)):
-        raise DimMismatch(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
+    a, b = as_sym(a), as_sym(b)
+    mu = None if mu is None else check_array("mu", mu, 1)
+    if a.dim != b.dim or (mu is not None and mu.shape != (a.dim,)):
+        raise ParamRange(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu

@@ -192,8 +192,7 @@ _BENCH_UTILITY = {
 # matrix / report io
 
 def write_matrix_csv(path: Path, arr: np.ndarray) -> None:
-    rows = np.atleast_2d(np.asarray(arr, dtype=float))
-    lines = [",".join(repr(float(v)) for v in row) for row in rows]
+    lines = [",".join(repr(float(v)) for v in row) for row in arr]
     path.write_text("\n".join(lines) + "\n")
 
 

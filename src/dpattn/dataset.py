@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import Infeasible, ParamRange, check_integer, check_real
+from .errors import Infeasible, ParamRange, check_array, check_integer, check_real
 from .linalg import SymMatrix, rank_two_eigenvalues
 
 GOODNESS_TOL = 1e-9
@@ -51,20 +51,14 @@ class Dataset:
     gram_matrix: SymMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.array(self.x, dtype=float, copy=True)
-        if arr.ndim != 2:
-            raise ParamRange(f"dataset must be a 2-d matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ParamRange("dataset entries must be finite")
+        arr = check_array("x", self.x, 2)
         n, d = arr.shape
         if not 1 <= n <= d:
             raise ParamRange(f"dataset requires 1 <= n <= d, got n={n}, d={d}")
         g, good = _goodness(arr, self.eta, self.alpha)
         if not good:
-            raise Infeasible(
-                f"dataset does not satisfy the declared (eta={self.eta}, alpha={self.alpha}) bounds"
-            )
-        arr.flags.writeable = False
+            raise Infeasible(f"dataset does not satisfy the declared (eta={self.eta}, "
+                             f"alpha={self.alpha}) bounds")
         object.__setattr__(self, "x", arr)
         object.__setattr__(self, "gram_matrix", SymMatrix(g))
 
@@ -122,13 +116,10 @@ class NeighborPair:
     index: int
 
     def __post_init__(self):
-        arr = np.array(self.perturbed, dtype=float, copy=True)
+        arr = check_array("perturbed", self.perturbed, 2)
         if arr.shape != self.base.x.shape:
-            raise ParamRange(
-                f"perturbed matrix shape {arr.shape} does not match base {self.base.x.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ParamRange("perturbed entries must be finite")
+            raise ParamRange(f"perturbed matrix shape {arr.shape} does not match base "
+                             f"{self.base.x.shape}")
         check_real("beta", self.beta, 0, np.inf, "[)")
         check_integer("index", self.index, 0, self.base.d - 1)
         others = [j for j in range(self.base.d) if j != self.index]
@@ -137,7 +128,6 @@ class NeighborPair:
         moved = float(np.linalg.norm(self.base.x[:, self.index] - arr[:, self.index]))
         if moved > self.beta + 1e-12 * max(1.0, self.beta):
             raise ParamRange(f"changed column moved by {moved}, more than beta = {self.beta}")
-        arr.flags.writeable = False
         object.__setattr__(self, "perturbed", arr)
 
 

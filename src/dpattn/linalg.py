@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidMatrix, SingularMatrix
+from .errors import ParamRange, SingularMatrix, check_array
 
 
 def relative_tol(values: np.ndarray) -> float:
@@ -32,21 +32,19 @@ class SymMatrix:
     Input is symmetrized on construction, ``M / 2 + M.T / 2``, so covariance
     accumulation round-off never leaks asymmetry into later spectral code; halving
     before the sum keeps every finite entry finite, where ``(M + M.T) / 2`` would
-    overflow above about 9e307.
-    Entries must be finite; the backing array is marked read-only.  The lower
-    Cholesky factor :attr:`cholesky` is computed on first use and kept, since
-    the matrix cannot change: the release and :func:`rank_two_eigenvalues` of
-    one ``SymMatrix`` both read that one factor.
+    overflow above about 9e307.  ``values`` must pass :func:`~dpattn.errors.check_array`
+    as a square, non-empty 2-d array (else :class:`ParamRange`), and is kept read-only.
+    The lower Cholesky factor :attr:`cholesky` is computed on first use and kept, since
+    the matrix cannot change: the release and :func:`rank_two_eigenvalues` of one
+    ``SymMatrix`` both read that one factor.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise InvalidMatrix(f"expected a non-empty square matrix, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise InvalidMatrix("matrix entries must be finite")
+        arr = check_array("values", self.values, 2)
+        if arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise ParamRange(f"expected a non-empty square matrix, got shape {arr.shape}")
         sym = 0.5 * arr + 0.5 * arr.T
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
@@ -78,9 +76,7 @@ class SymMatrix:
 
 def as_sym(m) -> SymMatrix:
     """Coerce an array-like into a :class:`SymMatrix` (no-op if it is one)."""
-    if isinstance(m, SymMatrix):
-        return m
-    return SymMatrix(np.asarray(m, dtype=float))
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 _RANK_TWO = np.array([[0.0, 1.0], [1.0, 1.0]])

@@ -92,10 +92,10 @@ def bartlett_factors(n: int, k: int, seed, trials: int) -> Iterator[np.ndarray]:
 
 
 def frobenius_from_identity(grams: np.ndarray) -> list[float]:
-    """``||G - I||_F`` of each matrix ``G`` of the stack ``grams``: ``sqrt(row @ row)`` of the
-    flattened ``G - I``, the ravel-dot ``np.linalg.norm`` takes (a batched-axis sum differs)."""
-    n = grams.shape[-1]
-    return [math.sqrt(row @ row) for row in (grams - np.eye(n)).reshape(-1, n * n)]
+    """``||G - I||_F`` of each matrix ``G`` of the stack ``grams``, by numpy's own sum over
+    each matrix, whose bits depend on neither the BLAS kernel nor the matrix's place in
+    the stack, as a BLAS dot's (``np.linalg.norm``'s) do."""
+    return np.sqrt(((grams - np.eye(grams.shape[-1])) ** 2).sum(axis=(-2, -1))).tolist()
 
 
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:

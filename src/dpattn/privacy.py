@@ -42,7 +42,7 @@ import numpy as np
 from . import rng
 from .attention import RequirementCheck
 from .dataset import NeighborPair, neighbor_deviation
-from .errors import ParamRange, SingularMatrix, check_integer, check_real
+from .errors import ParamRange, SingularMatrix, check_array, check_integer, check_real
 from .linalg import relative_tol
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
@@ -80,17 +80,13 @@ class PrivacySpectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float, copy=True)
-        if lam.ndim != 1 or lam.size < 1:
+        lam = check_array("eigenvalues", self.eigenvalues, 1)
+        if lam.size < 1:
             raise ParamRange(f"eigenvalues must be a non-empty vector, got shape {lam.shape}")
-        if not np.isfinite(lam).all():
-            raise ParamRange(f"eigenvalues must be finite, got {lam}")
         floor = relative_tol(np.append(lam, 1.0))
         if lam.min() <= floor:
-            raise SingularMatrix(
-                f"minimum comparison eigenvalue {lam.min():.3e} is at most {floor:.3e}"
-            )
-        lam.flags.writeable = False
+            raise SingularMatrix(f"minimum comparison eigenvalue {lam.min():.3e} is at most "
+                                 f"{floor:.3e}")
         object.__setattr__(self, "eigenvalues", lam)
 
     @property

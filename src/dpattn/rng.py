@@ -2,7 +2,7 @@
 
 Every random draw in the library flows through one named stream, so every draw is
 reproducible from ``(domain tag, seed, ...)`` alone on the same numpy build; a result
-that also passes through BLAS or LAPACK (a release, a bench-utility row norm) needs the
+that also passes through BLAS or LAPACK (a release, a bench-utility matmul) needs the
 same BLAS kernel too, since kernels round differently.  The stream:
 
 * bit generator: numpy's Philox-4x64 (a counter-based generator with a

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dpattn import DimMismatch, ParamRange, PrivacySpectrum, SingularMatrix, SymMatrix, rng
+from dpattn import ParamRange, PrivacySpectrum, SingularMatrix, SymMatrix, rng
 from dpattn.dataset import neighbor_deviation
 from dpattn.linalg import as_sym, relative_tol, spectrum_within
 
@@ -61,12 +61,12 @@ def whitened_eigenvalues(a, b):
     factor ``L`` of ``b`` (``SymMatrix.cholesky``).  These are also the
     eigenvalues of ``a^{1/2} b^{-1} a^{1/2}``; swapping the arguments gives
     their reciprocals.  Raises ``SingularMatrix`` when ``b`` fails the Cholesky
-    floor and ``DimMismatch`` when the shapes differ.
+    floor and ``ParamRange`` when the shapes differ.
     """
     a = as_sym(a)
     b = as_sym(b)
     if a.dim != b.dim:
-        raise DimMismatch(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise ParamRange(f"dimension mismatch: {a.dim} vs {b.dim}")
     chol = b.cholesky
     m = np.linalg.solve(chol, np.linalg.solve(chol, a.values).T)
     return np.linalg.eigvalsh(0.5 * m + 0.5 * m.T)[::-1]
@@ -211,7 +211,7 @@ def relative_frobenius_distance(sigma, sigma_hat):
     Computed from the actual matrices through :func:`whitened_eigenvalues`:
     the whitened matrix is symmetric, so its deviation from ``I`` has the
     Frobenius norm of its eigenvalues minus one.  Raises ``SingularMatrix``
-    when ``sigma`` is singular and ``DimMismatch`` when the shapes differ.
+    when ``sigma`` is singular and ``ParamRange`` when the shapes differ.
     """
     return float(np.linalg.norm(whitened_eigenvalues(sigma_hat, sigma) - 1.0))
 

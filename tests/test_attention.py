@@ -6,7 +6,6 @@ import pytest
 
 from dpattn import (
     Activation,
-    DimMismatch,
     Overflow,
     ParamRange,
     RequirementCheck,
@@ -210,9 +209,9 @@ class TestPerturbationChain:
 
     def test_dimension_mismatch(self):
         m = SymMatrix(0.01 * np.eye(2))
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             chain(m, SymMatrix(0.01 * np.eye(3)), 0.05, 0.05)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             perturbation_chain_check(m, m, np.ones(3), 0.05, 0.05, Activation.EXP)
 
     @pytest.mark.parametrize("kind", list(Activation))

@@ -414,6 +414,11 @@ class TestVerifyPrivacy:
         assert "denied (failing: ['sensitivity'" in capsys.readouterr().out
 
 
+def frobenius_oracle(gram):
+    """``||G - I||_F`` of one matrix, by numpy's sum over all its squared entries."""
+    return float(np.sqrt(((gram - np.eye(len(gram))) ** 2).sum(axis=(-2, -1))))
+
+
 class TestBenchUtility:
     def bench_config(self, tmp_path, **overrides):
         doc = {"n": 3, "ks": [100, 200], "trials": 3, "seed": 1, "cond": 4.0}
@@ -479,8 +484,8 @@ class TestBenchUtility:
             release = gaussian_sampling_mechanism(sigma, k, (seed, ki))
             errors = [math.nan] * trials
             if release.whitened is not None:  # the direct formula, bit for bit
-                errors = [float(np.linalg.norm(f @ f.T / k - np.eye(n))) for f in block]
-                assert errors[0] == float(np.linalg.norm(release.whitened.values - np.eye(n)))
+                errors = [frobenius_oracle(f @ f.T / k) for f in block]
+                assert errors[0] == frobenius_oracle(release.whitened.values)
                 assert np.array_equal(release.whitened.values,
                                       SymMatrix(block[0] @ block[0].T / k).values)
             expected += [[str(n), str(k), str(t), repr(e)] for t, e in enumerate(errors)]
@@ -855,8 +860,8 @@ def readme_configs():
 
 # SHA-256 of every file the README's four configs write, by numpy build and
 # OpenBLAS kernel: numpy does not promise to keep its gamma sampler, behind
-# every chi-square draw, stable across versions, and a BLAS reduction rounds
-# differently per kernel (bench_utility.csv's row norms on an AVX2 kernel).
+# every chi-square draw, stable across versions, and BLAS rounds differently per
+# kernel (older kernels than Haswell move the attention report and bench_utility.csv).
 NUMPY_2_4_6_SKYLAKEX = {
     "demo.csv": "ecbdd558b0f3cb3515da561260c67bd8e5973118fa3be70a682990538d2c2b7e",
     "demo.json": "d41efe7d0fec4dbed137022049a0e6fac481d978d3a1bc0913b6d4153bd540f7",
@@ -864,13 +869,12 @@ NUMPY_2_4_6_SKYLAKEX = {
     "privacy_report.json": "81d86fba3f2d2eac73a05262222661f7663beee3a79eca151e621e0f9ce3a766",
     "privacy_report_samples.npy":
         "467a8166a87e060effc3f30551780ba447d287cc2c3fb9ff9fae813375eaeab4",
-    "bench_utility.csv": "74c8ab0e2dfa6b661735d55435a855e96d84b3543e87902d77f2370f893b16ef",
+    "bench_utility.csv": "4b29ce03b4dec213eae504016dfd8fe4d7ebe95954f385887cb030cd374b4b97",
 }
 README_OUTPUTS = {
     ("2.4.6", "SkylakeX"): NUMPY_2_4_6_SKYLAKEX,
     # OPENBLAS_CORETYPE=Zen also runs, and names, the Haswell kernel
-    ("2.4.6", "Haswell"): NUMPY_2_4_6_SKYLAKEX | {
-        "bench_utility.csv": "b1593bb37449bf60964de08daf9827f29592935cdc83bee6ca72d7e1ae594941"},
+    ("2.4.6", "Haswell"): NUMPY_2_4_6_SKYLAKEX,
 }
 
 

@@ -1,9 +1,11 @@
-"""Every scalar parameter passes one of two tests: ``check_integer`` or ``check_real``.
+"""Every parameter passes one of three tests: ``check_integer``, ``check_real`` or
+``check_array``.
 
 ``REALS`` names each real parameter of the library with a call that sets it and
 keeps every other argument valid, the values at its interval's closed ends, which
 are accepted, and the values at its open ends or just outside its closed ones,
-which are rejected.
+which are rejected.  ``ARRAYS`` does the same for each array argument, with a
+valid value and no ends.
 """
 
 import math
@@ -24,6 +26,7 @@ from dpattn import (
     attention_matrix,
     dp_attention,
     entrywise_activation,
+    gaussian_sampling_mechanism,
     generate_good_dataset,
     make_neighbor,
     perturbation_chain_check,
@@ -35,7 +38,7 @@ from dpattn import (
     theoretical_error_bound,
     utility_radius,
 )
-from dpattn.errors import check_integer, check_real
+from dpattn.errors import check_array, check_integer, check_real
 
 DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
 SPECTRUM = PrivacySpectrum([1.01, 0.99])
@@ -153,6 +156,82 @@ def test_counts_beyond_the_double_range_are_rejected():
             call()
         assert str(info.value) == ("k must be an integer in the double range "
                                    f"(at most 1.7976931348623157e+308), got {10**400}")
+    # past Python's 4300-digit limit on printing an int, formatting the message ended in
+    # a bare ValueError; the value is named by its length instead
+    for call, message in (
+            (lambda: check_integer("k", 10**5000, 1),
+             "k must be an integer in the double range (at most 1.7976931348623157e+308), "
+             "got an int of more than 4300 digits"),
+            (lambda: check_real("x", 10**5000, 0, math.inf, "()"),
+             "x must be a finite real in (0, inf), got an int of more than 4300 digits")):
+        with pytest.raises(ParamRange) as info:
+            call()
+        assert str(info.value) == message
+
+
+MATRIX = SymMatrix(np.diag([0.05, 0.05]))
+
+# label -> (parameter name, dimensions, call with the value, a valid value)
+ARRAYS = {
+    "SymMatrix": ("values", 2, SymMatrix, np.eye(2)),
+    "entrywise_activation": (
+        "values", 2, lambda v: entrywise_activation(v, Activation.EXP), np.eye(2)),
+    "gaussian_sampling_mechanism": (
+        "values", 2, lambda v: gaussian_sampling_mechanism(v, 10, 1), np.eye(2)),
+    "Dataset": ("x", 2, lambda v: Dataset(v, eta=0.01, alpha=0.11), DATA.x),
+    "NeighborPair": ("perturbed", 2, lambda v: NeighborPair(DATA, v, 0.0, 0), DATA.x),
+    "PrivacySpectrum": ("eigenvalues", 1, PrivacySpectrum, SPECTRUM.eigenvalues),
+    "perturbation_chain_check-mu": (
+        "mu", 1, lambda v: perturbation_chain_check(MATRIX, MATRIX, v, 0.05, 0.05,
+                                                    Activation.EXP), np.ones(2)),
+}
+
+
+def _with_entry(good, entry):
+    bad = good.copy()
+    bad.flat[-1] = entry
+    return bad
+
+
+# name -> the valid value made malformed
+MALFORMED = {
+    "ragged": lambda good: [good[0], good[1:]],
+    "numeric-strings": lambda good: good.astype(str),
+    "words": lambda good: np.full(good.shape, "one"),
+    "bools": lambda good: good != 0,
+    "complex": lambda good: good + 0j,
+    "objects": lambda good: good.astype(object),
+    "wrong-ndim": lambda good: good[None],
+    "nan": lambda good: _with_entry(good, math.nan),
+    "inf": lambda good: _with_entry(good, -math.inf),
+}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("label", ARRAYS)
+def test_a_malformed_array_is_rejected_by_name(label, malformed):
+    # a ragged or word array ended in a bare ValueError, a numeric string array was
+    # read as numbers, and a non-finite matrix was an InvalidMatrix at two entry points
+    name, ndim, call, good = ARRAYS[label]
+    with pytest.raises(ParamRange, match=f"^{name} must be a {ndim}-d array of finite reals, "):
+        call(MALFORMED[malformed](good))
+
+
+@pytest.mark.parametrize("label", ARRAYS)
+def test_an_array_may_be_given_as_nested_lists(label):
+    # a list mu ended in "AttributeError: 'list' object has no attribute 'min'"
+    _, _, call, good = ARRAYS[label]
+    call(good.tolist())
+
+
+def test_check_array_returns_a_read_only_float_copy():
+    value = np.array([[1, 2], [3, 4]])
+    arr = check_array("x", value, 2)
+    assert arr.dtype == np.float64 and not arr.flags.writeable
+    assert np.array_equal(arr, value) and not np.shares_memory(arr, value)
+    with pytest.raises(ParamRange, match=r"^x must be a 1-d array of finite reals, got a "
+                                         r"int64 array of shape \(2, 2\)$"):
+        check_array("x", value, 1)
 
 
 @pytest.mark.parametrize("seed", [True, (1, 2.9), "12", (3, np.False_), 7.0], ids=repr)

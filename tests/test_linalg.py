@@ -3,8 +3,6 @@ import pytest
 from scipy import linalg as sla
 
 from dpattn import (
-    DimMismatch,
-    InvalidMatrix,
     ParamRange,
     SingularMatrix,
     SymMatrix,
@@ -22,17 +20,17 @@ class TestSymMatrix:
         assert m.values[0, 1] == 1.0
 
     def test_rejects_non_square(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(ParamRange):
             SymMatrix(np.zeros((2, 3)))
 
     def test_rejects_empty(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(ParamRange):
             SymMatrix(np.zeros((0, 0)))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(ParamRange):
             SymMatrix([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(ParamRange):
             SymMatrix([[np.inf]])
 
     def test_symmetrizing_keeps_the_largest_finite_entries(self):
@@ -148,7 +146,7 @@ class TestWhitenedEigenvalues:
         assert got.tolist() == [1e308, 1.0]
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             whitened_eigenvalues(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
 
 
@@ -178,7 +176,7 @@ class TestLoewnerWithin:
             loewner_within(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)), -0.1)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             loewner_within(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)), 0.1)
 
     def test_scale_consistency(self):
@@ -214,5 +212,5 @@ class TestRelativeFrobeniusDistance:
             relative_frobenius_distance(SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.eye(2)))
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             relative_frobenius_distance(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))

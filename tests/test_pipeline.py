@@ -416,8 +416,8 @@ class TestVerifyNeighborPrivacy:
 
 
 PUBLIC_NAMES = {
-    "Activation", "CertificateReport", "ChainReport", "Dataset", "DimMismatch",
-    "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible", "InvalidMatrix",
+    "Activation", "CertificateReport", "ChainReport", "Dataset",
+    "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible",
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
     "ParamRange", "PrivacySpectrum", "RequirementCheck",
     "SensitivityBound", "SingularMatrix", "SymMatrix",

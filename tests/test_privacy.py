@@ -6,7 +6,6 @@ from scipy import stats
 
 from dpattn import (
     Dataset,
-    DimMismatch,
     NeighborPair,
     ParamRange,
     PrivacySpectrum,
@@ -158,7 +157,7 @@ class TestPrivacySpectrum:
                 privacy_spectrum(SymMatrix(np.diag([c, 1e-10 * c])), SymMatrix(c * np.eye(2)))
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(ParamRange):
             privacy_spectrum(SymMatrix(np.eye(2)), SymMatrix(np.eye(3)))
 
     def test_floor_is_relative_to_one_or_the_largest(self):
