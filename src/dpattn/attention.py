@@ -8,8 +8,8 @@ attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
 :func:`perturbation_chain_check` measures every link of that bound on a
 concrete pair, from the spectral sandwich to the attention error, and is the
 package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` takes
-its attention maps, its error, its bound and its sandwich event from it on
-every release.
+its attention maps, its error, its bound and its sandwich event from it, run
+without its argument checks, on every release.
 
 Throughout this module the matrix infinity-norm means the entrywise
 max-absolute value.  ``eps`` and ``r`` are finite reals in ``(0, 0.1]``.
@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Overflow, ParamRange, check_array, check_real
-from .linalg import as_sym, spectrum_within
+from .linalg import SymMatrix, as_sym, spectrum_within
 
 
 class Activation(Enum):
@@ -37,11 +37,20 @@ class Activation(Enum):
 def entrywise_activation(m, kind: Activation) -> np.ndarray:
     """Apply the activation ``kind``, an :class:`Activation`, to every entry of the
     symmetric ``m``; the result is finite and exactly symmetric."""
+    _check_kind(kind)
+    return _activation(as_sym(m).values, kind)
+
+
+def _check_kind(kind) -> None:
     if not isinstance(kind, Activation):
         raise ParamRange(f"kind must be an Activation, got {kind!r}")
-    vals = as_sym(m).values
+
+
+def _activation(values: np.ndarray, kind: Activation) -> np.ndarray:
+    """:func:`entrywise_activation` of a checked symmetric array, without checking it again;
+    a non-finite result still raises :class:`Overflow`."""
     with np.errstate(over="ignore"):
-        out = np.exp(vals) if kind is Activation.EXP else np.cosh(vals)
+        out = np.exp(values) if kind is Activation.EXP else np.cosh(values)
     if not np.isfinite(out).all():
         raise Overflow(f"entrywise {kind.value} exceeds double range")
     return out
@@ -57,6 +66,11 @@ def theoretical_error_bound(eps: float, r: float) -> float:
     """The guaranteed attention error level ``4 * (1 + eps + 2r) * r``."""
     check_real("eps", eps, 0, 0.1, "(]")
     check_real("r", r, 0, 0.1, "(]")
+    return _error_bound(eps, r)
+
+
+def _error_bound(eps: float, r: float) -> float:
+    """:func:`theoretical_error_bound` without its checks, for checked ``eps`` and ``r``."""
     return 4.0 * (1.0 + eps + 2.0 * r) * r
 
 
@@ -94,7 +108,9 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     not an :class:`Activation`, a ``mu`` not a finite vector of length ``n`` and a pair of
     different sizes raise :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is
     the caller's requirement and is not checked here.  A failed link does not stop the
-    chain: every check is measured and reported.
+    chain: every check is measured and reported.  The arguments are checked here,
+    once, and the chain then runs unchecked; :func:`~dpattn.pipeline.dp_attention`
+    runs that unchecked chain directly, on values it has checked or made itself.
 
     Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 
@@ -117,24 +133,34 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     the attainable entry bound degrades to ``r / (1 - eps)`` and stage 2 reports
     the excess honestly (see the tests for the boundary case).
     """
-    att_bound = theoretical_error_bound(eps, r)  # validates eps and r first
+    theoretical_error_bound(eps, r)  # validates eps and r first
     a, b = as_sym(a), as_sym(b)
     mu = None if mu is None else check_array("mu", mu, 1)
     if a.dim != b.dim or (mu is not None and mu.shape != (a.dim,)):
         raise ParamRange(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
+    _check_kind(kind)
+    return _chain(a, b, mu, eps, r, kind)
+
+
+def _chain(a: SymMatrix, b: SymMatrix, mu: np.ndarray | None, eps: float, r: float,
+           kind: Activation) -> ChainReport:
+    """:func:`perturbation_chain_check` without its checks, for a pair, ``mu``, ``eps``,
+    ``r`` and ``kind`` the caller has checked; an activation out of the double range
+    still raises :class:`Overflow`."""
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu
         sandwich = spectrum_within(inv, eps)
         deviation = float(np.abs(inv - 1.0).max())
 
-    act_a = entrywise_activation(a, kind)
-    act_b = entrywise_activation(b, kind)
+    act_a = _activation(a.values, kind)
+    act_b = _activation(b.values, kind)
     sums_a = act_a.sum(axis=1)
     sums_b = act_b.sum(axis=1)
     att_a = act_a / sums_a[:, None]
     att_b = act_b / sums_b[:, None]
 
+    att_bound = _error_bound(eps, r)
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
     entry_max = float(np.abs(b.values).max())
     entry_bound = (1.0 + eps) * r

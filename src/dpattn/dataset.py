@@ -12,13 +12,15 @@ which is what hands the pair to the privacy analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import rng
-from .errors import Infeasible, ParamRange, check_array, check_integer, check_real
+from .errors import (Infeasible, ParamRange, check_array, check_instance, check_integer,
+                     check_real)
 from .linalg import SymMatrix, rank_two_eigenvalues
 
 GOODNESS_TOL = 1e-9
@@ -116,6 +118,7 @@ class NeighborPair:
     index: int
 
     def __post_init__(self):
+        check_instance("base", self.base, Dataset)
         arr = check_array("perturbed", self.perturbed, 2)
         if arr.shape != self.base.x.shape:
             raise ParamRange(f"perturbed matrix shape {arr.shape} does not match base "
@@ -139,6 +142,7 @@ def make_neighbor(data: Dataset, beta: float, index: int, seed) -> NeighborPair:
     norm at most ``alpha``; the bound derivation needs both columns inside the ball,
     so the perturbation is projected rather than allowed to leave it.
     """
+    check_instance("data", data, Dataset)
     check_real("beta", beta, 0, np.inf, "()")
     check_integer("index", index, 0, data.d - 1)
     direction = rng.standard_normals(data.n, (rng.TAG_NEIGHBOR, *rng.normalize_entropy(seed)))
@@ -192,4 +196,4 @@ def sensitivity_bound(eta: float, alpha: float, beta: float, n: int) -> Sensitiv
     check_real("beta", beta, 0, np.inf, "[)")
     check_integer("n", n, 1)
     spectral = 2.0 * alpha * beta / eta
-    return SensitivityBound(spectral, float(np.sqrt(n)) * spectral)
+    return SensitivityBound(spectral, math.sqrt(n) * spectral)

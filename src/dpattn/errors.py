@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the three tests every parameter passes,
-each raising :class:`ParamRange` by name: :func:`check_integer` for integers and
+"""Exception types shared across the package, and the tests every parameter passes, each
+raising :class:`ParamRange` by name: :func:`check_integer` for integers and
 :func:`check_real` for reals, in the library and a JSON config alike, which hold a value to
 the double range (a Python ``int`` beyond ``sys.float_info.max``, about 1.8e308, which
-``float()`` may not convert, fails), and :func:`check_array` for arrays."""
+``float()`` may not convert, fails), :func:`check_array` for arrays and
+:func:`check_instance` for the package's own types (a ``Dataset``, ``DpParams``,
+``NeighborPair`` or ``PrivacySpectrum``)."""
 
 import sys
 
@@ -89,3 +91,10 @@ def check_array(name: str, value, ndim: int) -> np.ndarray:
         else:
             got = f"a {arr.dtype.name} array of shape {arr.shape}"
     raise ParamRange(f"{name} must be a {ndim}-d array of finite reals, got {got}")
+
+
+def check_instance(name: str, value, cls: type) -> None:
+    """Raise :class:`ParamRange` unless ``value`` is a ``cls``: the message names the
+    parameter, the type it must be and the type it is, never its value."""
+    if not isinstance(value, cls):
+        raise ParamRange(f"{name} must be a {cls.__name__}, got a {type(value).__name__}")

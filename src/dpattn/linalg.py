@@ -34,6 +34,8 @@ class SymMatrix:
     before the sum keeps every finite entry finite, where ``(M + M.T) / 2`` would
     overflow above about 9e307.  ``values`` must pass :func:`~dpattn.errors.check_array`
     as a square, non-empty 2-d array (else :class:`ParamRange`), and is kept read-only.
+    A product with its own transpose that the library forms itself comes from
+    :func:`_scaled_gram` instead, which neither checks nor symmetrizes it.
     The lower Cholesky factor :attr:`cholesky` is computed on first use and kept, since
     the matrix cannot change: the release and :func:`rank_two_eigenvalues` of one
     ``SymMatrix`` both read that one factor.
@@ -72,6 +74,22 @@ class SymMatrix:
             )
         chol.flags.writeable = False
         return chol
+
+
+def _scaled_gram(root: np.ndarray, k) -> SymMatrix:
+    """``SymMatrix(root @ root.T / k)`` for a finite float ``root`` and a count ``k`` the
+    caller has checked, kept as computed.  numpy forms a product with its own transpose
+    as one triangle and its mirror, so it is exactly symmetric and the constructor's
+    halving sum would return it unchanged, but for entries below twice the smallest
+    normal double, about 4.5e-308, whose halves may round.  A product that overflows
+    goes to the constructor, which rejects it by its own message."""
+    values = root @ root.T / k
+    if not np.isfinite(values).all():
+        return SymMatrix(values)
+    values.flags.writeable = False
+    matrix = object.__new__(SymMatrix)
+    object.__setattr__(matrix, "values", values)
+    return matrix
 
 
 def as_sym(m) -> SymMatrix:

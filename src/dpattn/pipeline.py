@@ -9,6 +9,14 @@ normalizer ratios and the attention deviation against
 ``4 * (1 + eps + 2r) * r``.  Nothing is taken on trust: each requirement and
 each link is evaluated numerically and recorded in the report.
 
+Its inputs are checked once.  A :class:`~dpattn.dataset.Dataset` and a
+:class:`DpParams` check every field when they are made; :func:`dp_attention`
+checks what arrives at the call, the types of ``data`` and ``params`` and
+``beta`` (through :func:`~dpattn.dataset.sensitivity_bound`).  From there it runs
+the unchecked cores of the bounds and of the chain, which re-check nothing, and
+the mechanism builds its release and whitened draw without the ``SymMatrix``
+constructor's check.  Each public function keeps its own checks.
+
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
 the privacy loss with its Wilson upper bound, both from one
@@ -24,13 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .attention import Activation, RequirementCheck, perturbation_chain_check
+from .attention import Activation, RequirementCheck, _chain, _check_kind
 from .dataset import Dataset, NeighborPair, sensitivity_bound
-from .errors import ParamRange, check_integer, check_real
+from .errors import check_instance, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
-from .mechanism import gaussian_sampling_mechanism, utility_radius
-from .privacy import (CertificateReport, dp_certificate, neighbor_spectrum, privacy_loss_samples,
-                      sensitivity_budget, wilson_upper)
+from .mechanism import _utility_radius, gaussian_sampling_mechanism
+from .privacy import (CertificateReport, _sensitivity_budget, dp_certificate, neighbor_spectrum,
+                      privacy_loss_samples, wilson_upper)
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,7 @@ class DpParams:
         check_real("gamma", self.gamma, 0, 1, "()")
         check_integer("k", self.k, 1)
         check_real("r", self.r, 0, 0.1, "(]")
-        if not isinstance(self.kind, Activation):
-            raise ParamRange(f"kind must be an Activation, got {self.kind!r}")
+        _check_kind(self.kind)
         check_real("utility_const", self.utility_const, 0, math.inf, "()")
         check_integer("seed", self.seed, 0, rng.MAX_SEED)
 
@@ -117,11 +124,14 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
 
     ``eta_below_r`` is advisory only: a :class:`Dataset`'s Gram diagonal is
     at least ``eta - 1e-9``, so ``entry_bound`` already implies it up to that
-    tolerance.  What :class:`Dataset` and :class:`DpParams` validate on
-    construction (``d >= n``, the Gram floor ``eta``, the ranges of ``r``,
-    ``eps`` and ``delta``) cannot fail here and is not re-checked.  A failed
-    hard requirement does not abort the run; the full report is produced with
-    ``certified=False`` and the failing check named.
+    tolerance.  ``data`` not a :class:`Dataset`, ``params`` not a
+    :class:`DpParams` or ``beta`` not a real in ``[0, inf)`` raise
+    :class:`ParamRange`.  What :class:`Dataset` and :class:`DpParams` validate on
+    construction (``d >= n``, the Gram floor ``eta``, every parameter's range)
+    is not re-checked, and neither is what the release computes: the bounds and
+    the chain run as unchecked cores.  A failed hard requirement does not abort
+    the run; the full report is produced with ``certified=False`` and the
+    failing check named.
 
     Both sandwich events are read off the spectrum ``mu`` of the mechanism's
     whitened release ``T T^T / k``, its one ``eigvalsh``: ``mu`` within ``rho``,
@@ -129,10 +139,12 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     ``mu`` to the chain.  Both are false when the Gram matrix is singular.  The
     attention maps, the error and its bound are the chain's.
     """
+    check_instance("data", data, Dataset)
+    check_instance("params", params, DpParams)
     base = data.gram_matrix
-    budget_used = sensitivity_budget(params.eps, params.delta, params.k)
     sens_frob = sensitivity_bound(data.eta, data.alpha, beta, data.n).frobenius_bound
-    rho = utility_radius(data.n, params.gamma, params.k, params.utility_const)
+    budget_used = _sensitivity_budget(params.eps, params.delta, params.k)
+    rho = _utility_radius(data.n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
 
     checks = (
@@ -151,7 +163,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     # rho <= 0.1 * eps makes the implication exact up to rounding, and both
     # events are evaluated instead of trusting it.
     rho_event = mu is not None and spectrum_within(mu, rho)
-    chain = perturbation_chain_check(base, mech.sigma_hat, mu, params.eps, params.r, params.kind)
+    chain = _chain(base, mech.sigma_hat, mu, params.eps, params.r, params.kind)
     loewner, error = chain.stages[0], chain.stages[-1]
 
     hard_ok = all(c.passed for c in checks if not c.warning_only)

@@ -42,7 +42,8 @@ import numpy as np
 from . import rng
 from .attention import RequirementCheck
 from .dataset import NeighborPair, neighbor_deviation
-from .errors import ParamRange, SingularMatrix, check_array, check_integer, check_real
+from .errors import (ParamRange, SingularMatrix, check_array, check_instance, check_integer,
+                     check_real)
 from .linalg import relative_tol
 
 # One-sided 99% normal quantile for the Wilson upper confidence bound.
@@ -59,6 +60,11 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> float:
     check_real("eps", eps, 0, 1, "()")
     check_real("delta", delta, 0, 1, "()")
     check_integer("k", k, 1)
+    return _sensitivity_budget(eps, delta, k)
+
+
+def _sensitivity_budget(eps: float, delta: float, k: int) -> float:
+    """:func:`sensitivity_budget` without its checks, for checked ``eps``, ``delta`` and ``k``."""
     log_inv = math.log(1.0 / delta)
     return 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
 
@@ -114,11 +120,13 @@ def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
     ``lam`` fails the :class:`PrivacySpectrum` floor.  A singular perturbed Gram matrix
     shows as ``1 + mu`` near 0, and is caught before the division.
     """
+    check_instance("pair", pair, NeighborPair)
     return PrivacySpectrum(1.0 + neighbor_deviation(pair)).reverse
 
 
 def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
     """Closed-form mean ``(k/2) * sum_j (lam_j - 1 - ln(lam_j))``; non-negative."""
+    check_instance("spectrum", spectrum, PrivacySpectrum)
     check_integer("k", k, 0)
     lam = spectrum.eigenvalues
     return 0.5 * k * float((lam - 1.0 - np.log(lam)).sum())
@@ -132,6 +140,7 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
     run extends a shorter one.  Exactly zero when the spectrum is all ones or
     ``k == 0``.
     """
+    check_instance("spectrum", spectrum, PrivacySpectrum)
     check_integer("trials", trials, 0)
     check_integer("k", k, 0)
     lam = spectrum.eigenvalues
@@ -156,6 +165,7 @@ def tail_bound(spectrum: PrivacySpectrum, k: int, t: float) -> float:
     usual piecewise sub-exponential bound.  ``t`` is a real in ``(0, inf)``.  A point
     mass at the mean (``F == 0`` or ``k == 0``) gives 0 for any ``t``.
     """
+    check_instance("spectrum", spectrum, PrivacySpectrum)
     check_real("t", t, 0, math.inf, "()")
     check_integer("k", k, 0)
     dev = spectrum.deviation_frob
@@ -192,7 +202,8 @@ def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
     and ``tail`` (against ``delta``), each passing when the worse ordering's
     value is at most the required one.
     """
-    budget_used = sensitivity_budget(eps, delta, k)  # validates eps, delta and k first
+    check_instance("spectrum", spectrum, PrivacySpectrum)
+    budget_used = sensitivity_budget(eps, delta, k)  # validates eps, delta and k
     both = (spectrum, spectrum.reverse)
     checks = tuple(
         RequirementCheck(name, measured <= required, measured, required)

@@ -262,6 +262,8 @@ class TestSensitivity:
     def test_bound_values(self):
         assert sensitivity_bound(1.0, 1.0, 0.0, 5) == (0.0, 0.0)
         assert sensitivity_bound(1.0, 1.0, 1.0, np.int64(4)) == (2.0, 4.0)
+        # an n past the int64 range ended in a bare TypeError from np.sqrt
+        assert sensitivity_bound(1.0, 1.0, 1.0, 10**20) == (2.0, 2e10)
         bound = sensitivity_bound(1.0, 1.01, 0.01, 2)
         assert bound.spectral_bound == pytest.approx(0.0202, rel=1e-12)
         assert bound.frobenius_bound == pytest.approx(0.0202 * np.sqrt(2.0), rel=1e-12)

@@ -1,11 +1,12 @@
-"""Every parameter passes one of three tests: ``check_integer``, ``check_real`` or
-``check_array``.
+"""Every parameter passes one of four tests: ``check_integer``, ``check_real``,
+``check_array`` or ``check_instance``.
 
 ``REALS`` names each real parameter of the library with a call that sets it and
 keeps every other argument valid, the values at its interval's closed ends, which
 are accepted, and the values at its open ends or just outside its closed ones,
 which are rejected.  ``ARRAYS`` does the same for each array argument, with a
-valid value and no ends.
+valid value and no ends, and ``INSTANCES`` for each argument of one of the
+package's own types.
 """
 
 import math
@@ -25,11 +26,15 @@ from dpattn import (
     SymMatrix,
     attention_matrix,
     dp_attention,
+    dp_certificate,
     entrywise_activation,
+    expected_privacy_loss,
     gaussian_sampling_mechanism,
     generate_good_dataset,
     make_neighbor,
+    neighbor_spectrum,
     perturbation_chain_check,
+    privacy_loss_samples,
     required_samples,
     rng,
     sensitivity_bound,
@@ -37,6 +42,7 @@ from dpattn import (
     tail_bound,
     theoretical_error_bound,
     utility_radius,
+    verify_neighbor_privacy,
 )
 from dpattn.errors import check_array, check_integer, check_real
 
@@ -222,6 +228,35 @@ def test_an_array_may_be_given_as_nested_lists(label):
     # a list mu ended in "AttributeError: 'list' object has no attribute 'min'"
     _, _, call, good = ARRAYS[label]
     call(good.tolist())
+
+
+# label -> (parameter name, its type, call with the value)
+INSTANCES = {
+    "dp_attention-data": ("data", Dataset, lambda v: dp_attention(v, 0.0, _params())),
+    "dp_attention-params": ("params", DpParams, lambda v: dp_attention(DATA, 0.0, v)),
+    "verify_neighbor_privacy": (
+        "pair", NeighborPair, lambda v: verify_neighbor_privacy(v, 0.05, 0.01, 10, 1000, 0)),
+    "neighbor_spectrum": ("pair", NeighborPair, neighbor_spectrum),
+    "NeighborPair": ("base", Dataset, lambda v: NeighborPair(v, DATA.x, 0.0, 0)),
+    "make_neighbor": ("data", Dataset, lambda v: make_neighbor(v, 1e-3, 0, 1)),
+    "dp_certificate": ("spectrum", PrivacySpectrum, lambda v: dp_certificate(v, 0.05, 0.01, 10)),
+    "expected_privacy_loss": ("spectrum", PrivacySpectrum, lambda v: expected_privacy_loss(v, 10)),
+    "tail_bound": ("spectrum", PrivacySpectrum, lambda v: tail_bound(v, 10, 0.025)),
+    "privacy_loss_samples": (
+        "spectrum", PrivacySpectrum, lambda v: privacy_loss_samples(v, 10, 5, 0)),
+}
+
+
+@pytest.mark.parametrize("value", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None],
+                         ids=["ndarray", "list", "None"])
+@pytest.mark.parametrize("label", INSTANCES)
+def test_a_wrong_type_is_rejected_by_name(label, value):
+    # each ended in a bare AttributeError, such as neighbor_spectrum(np.eye(2))'s
+    # "'NoneType' object has no attribute 'column'"
+    name, cls, call = INSTANCES[label]
+    with pytest.raises(ParamRange, match=f"^{name} must be a {cls.__name__}, "
+                                         f"got a {type(value).__name__}$"):
+        call(value)
 
 
 def test_check_array_returns_a_read_only_float_copy():

@@ -104,6 +104,12 @@ class TestGaussianSamplingMechanism:
             if k >= n:
                 assert min_eig > 0.0
 
+    def test_an_overflowing_release_is_rejected(self):
+        # the release skips the SymMatrix check, but not on a non-finite product
+        with np.errstate(over="ignore"), pytest.raises(
+                ParamRange, match="^values must be a 2-d array of finite reals, got a non-finite"):
+            gaussian_sampling_mechanism(SymMatrix(np.diag([1e300, 1e300])), 10**10, seed=1)
+
     def test_k_must_be_positive(self):
         with pytest.raises(ParamRange):
             gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 0, seed=0)

@@ -20,6 +20,7 @@ from dpattn import (
     attention,
     dataset,
     dp_attention,
+    gaussian_sampling_mechanism,
     generate_good_dataset,
     linalg,
     make_neighbor,
@@ -260,9 +261,12 @@ class TestDpAttention:
     def test_no_eigh_and_one_eigvalsh(self, monkeypatch):
         # eigvalsh: the whitened release; cholesky: the mechanism's factor of
         # the Gram matrix, which the Gram matrix keeps, so a second release on
-        # the Dataset makes none.
+        # the Dataset makes none.  No array is checked: the Dataset was checked
+        # when it was made, and the release, its whitened draw and their
+        # spectrum mu are the release's own.  Two generators: the two Bartlett
+        # substreams.
         data = fast_dataset()
-        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0}
+        calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0, "check_array": 0, "generator": 0}
 
         def counting(name, solve):
             def counted(*args, **kwargs):
@@ -270,13 +274,18 @@ class TestDpAttention:
                 return solve(*args, **kwargs)
             return counted
 
-        for name in calls:
+        for name in ("eigh", "eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        for module in (linalg, attention):
+            monkeypatch.setattr(module, "check_array", counting("check_array", module.check_array))
+        monkeypatch.setattr(rng, "generator", counting("generator", rng.generator))
         dp_attention(data, 1e-8, fast_params())
-        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 1}
-        calls.update(eigh=0, eigvalsh=0, cholesky=0)
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 1, "check_array": 0,
+                         "generator": 2}
+        calls.update(dict.fromkeys(calls, 0))
         dp_attention(data, 1e-8, fast_params(seed=1))
-        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 0, "check_array": 0,
+                         "generator": 2}
 
     def test_shared_dataset_matches_fresh_datasets(self):
         # the kept factor changes no byte of any report
@@ -295,7 +304,9 @@ class TestDpAttention:
     def test_chain_states_the_report_scalars(self):
         # 240 releases: the chain's loewner check is the eps event and the
         # whitening oracle on the actual matrices, and its attention_bound
-        # check carries measured_error and error_bound bit for bit
+        # check carries measured_error and error_bound bit for bit.  The
+        # release runs the chain and builds its matrices unchecked; the checked
+        # entry points give the same bits.
         seen = set()
         for n in (2, 4, 8):
             data = generate_good_dataset(n, 2 * n, eta=0.01, alpha=0.11, seed=n)
@@ -312,6 +323,18 @@ class TestDpAttention:
                         error = check_named(report.chain, "attention_bound")
                         assert error.measured == report.measured_error
                         assert error.required == report.error_bound
+                        whitened = gaussian_sampling_mechanism(data.gram_matrix, k,
+                                                               seed).whitened
+                        checked = perturbation_chain_check(
+                            report.gram_matrix, report.released,
+                            np.linalg.eigvalsh(whitened.values), 0.05, 0.1, kind)
+                        assert checked.stages == report.chain
+                        assert checked.attention_base.tobytes() == \
+                            report.attention_base.tobytes()
+                        assert checked.attention_perturbed.tobytes() == \
+                            report.attention_released.tobytes()
+                        assert SymMatrix(report.released.values).values.tobytes() == \
+                            report.released.values.tobytes()
                         seen.add(loewner.passed)
         assert seen == {True, False}
 
