@@ -11,12 +11,16 @@ scale, so the checks give the same answer for ``c * m`` at any scale ``c > 0``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ParamRange, SingularMatrix, check_array
+
+# The smallest magnitude whose half, 0.5 * x, is exact: twice the smallest normal double.
+_HALVES_EXACTLY = 2 * np.finfo(float).tiny
 
 
 def relative_tol(values: np.ndarray) -> float:
@@ -34,11 +38,11 @@ class SymMatrix:
     before the sum keeps every finite entry finite, where ``(M + M.T) / 2`` would
     overflow above about 9e307.  ``values`` must pass :func:`~dpattn.errors.check_array`
     as a square, non-empty 2-d array (else :class:`ParamRange`), and is kept read-only.
-    A product with its own transpose that the library forms itself comes from
-    :func:`_scaled_gram` instead, which neither checks nor symmetrizes it.
-    The lower Cholesky factor :attr:`cholesky` is computed on first use and kept, since
-    the matrix cannot change: the release and :func:`rank_two_eigenvalues` of one
-    ``SymMatrix`` both read that one factor.
+    :meth:`scaled_gram` builds the same matrix, bit for bit, from a product with its own
+    transpose that the library forms itself, without the array check.  The lower Cholesky
+    factor :attr:`cholesky` is computed on first use and kept, since the matrix cannot
+    change: the release and :func:`rank_two_eigenvalues` of one ``SymMatrix`` both read
+    that one factor.
     """
 
     values: np.ndarray
@@ -50,6 +54,26 @@ class SymMatrix:
         sym = 0.5 * arr + 0.5 * arr.T
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
+
+    @classmethod
+    def scaled_gram(cls, root: np.ndarray, k) -> SymMatrix:
+        """``SymMatrix(root @ root.T / k)``, bit for bit, for a 2-d float ``root`` and a
+        count ``k`` that the caller has checked, without the constructor's array check and
+        symmetrizing sum.  numpy forms a product with its own transpose exactly symmetric:
+        BLAS ``syrk`` computes one triangle and numpy mirrors it, and its own loop sums the
+        same products in the same order for ``(i, j)`` and ``(j, i)``.  Halving such a matrix
+        and summing returns every entry that is at least twice the smallest normal double in
+        magnitude, so a product with all its entries there is kept as computed.  Any other
+        product (an overflow, a zero or a tinier entry) goes to the constructor, which
+        rejects a non-finite one by its own message."""
+        values = root @ root.T / k
+        magnitudes = np.abs(values)
+        if not (magnitudes.min() >= _HALVES_EXACTLY and magnitudes.max() < math.inf):
+            return cls(values)
+        values.flags.writeable = False
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", values)
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -74,22 +98,6 @@ class SymMatrix:
             )
         chol.flags.writeable = False
         return chol
-
-
-def _scaled_gram(root: np.ndarray, k) -> SymMatrix:
-    """``SymMatrix(root @ root.T / k)`` for a finite float ``root`` and a count ``k`` the
-    caller has checked, kept as computed.  numpy forms a product with its own transpose
-    as one triangle and its mirror, so it is exactly symmetric and the constructor's
-    halving sum would return it unchanged, but for entries below twice the smallest
-    normal double, about 4.5e-308, whose halves may round.  A product that overflows
-    goes to the constructor, which rejects it by its own message."""
-    values = root @ root.T / k
-    if not np.isfinite(values).all():
-        return SymMatrix(values)
-    values.flags.writeable = False
-    matrix = object.__new__(SymMatrix)
-    object.__setattr__(matrix, "values", values)
-    return matrix
 
 
 def as_sym(m) -> SymMatrix:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .errors import NotPsd, SingularMatrix, check_integer, check_real
-from .linalg import SymMatrix, _scaled_gram, as_sym, relative_tol
+from .linalg import SymMatrix, as_sym, relative_tol
 
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
 
@@ -136,11 +136,11 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     _, below, count = _bartlett_layout(n, m)
     chis, normals = _bartlett_streams(seed)
     bartlett = np.zeros((n, m))
-    for j in range(m):  # k - j >= 1: k is checked above and j < m <= k
-        bartlett[j, j] = math.sqrt(rng._chi_squares(k - j, None, chis))
+    for j in range(m):
+        bartlett[j, j] = math.sqrt(rng.chi_squares(k - j, None, chis))
     bartlett[below] = normals.standard_normal(count)
-    sigma_hat = _scaled_gram(factor @ bartlett, k)
-    whitened = _scaled_gram(bartlett, k) if definite else None
+    sigma_hat = SymMatrix.scaled_gram(factor @ bartlett, k)
+    whitened = SymMatrix.scaled_gram(bartlett, k) if definite else None
     return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened)
 
 

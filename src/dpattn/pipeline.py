@@ -155,7 +155,9 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
         RequirementCheck("utility", rho <= 0.1 * params.eps, rho, 0.1 * params.eps),
     )
 
-    mech = gaussian_sampling_mechanism(base, params.k, params.seed)
+    # The checked seed as its one-word sequence: the same stream, and normalize_entropy
+    # takes a sequence without raising and catching tuple()'s TypeError on an int.
+    mech = gaussian_sampling_mechanism(base, params.k, (params.seed,))
     mu = None if mech.whitened is None else np.linalg.eigvalsh(mech.whitened.values)
     # The mechanism's guarantee is relative closeness of the release to the
     # input at level rho (spectrum mu); the attention bound needs the inverted

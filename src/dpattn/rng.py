@@ -73,13 +73,10 @@ def normalize_entropy(entropy) -> tuple[int, ...]:
     """A seed, one word or a non-empty sequence of them, as a tuple of ``int``.  Each word
     passes :func:`~dpattn.errors.check_integer` with the maximum ``MAX_SEED``, so a ``bool``,
     a float or a string raises :class:`ParamRange`."""
-    if isinstance(entropy, (int, np.integer)):  # one word, without tuple()'s TypeError
+    try:
+        words = tuple(entropy)
+    except TypeError:  # not a sequence: one word
         words = (entropy,)
-    else:
-        try:
-            words = tuple(entropy)
-        except TypeError:  # not a sequence: one word
-            words = (entropy,)
     if not words:
         raise ParamRange("seed entropy must not be empty")
     for word in words:
@@ -149,9 +146,4 @@ def chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray | float:
         df = np.asarray(df)
         if df.dtype.kind not in "iuf" or not ((df >= 0) & (df < math.inf)).all():
             raise ParamRange(f"df must be a non-negative finite integer or float array, got {df!r}")
-    return _chi_squares(df, shape, gen)
-
-
-def _chi_squares(df, shape, gen: np.random.Generator) -> np.ndarray | float:
-    """:func:`chi_squares` without its check, for a ``df`` the caller has checked."""
     return 2.0 * gen.standard_gamma(df / 2.0, size=shape)

@@ -40,6 +40,18 @@ class TestSymMatrix:
         m = SymMatrix([[big, -big], [big, big]])
         assert np.array_equal(m.values, [[big, 0.0], [0.0, big]])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-155, 1e150, 0.0])
+    def test_scaled_gram_is_the_constructor_on_the_product(self, scale):
+        # normal products are kept as computed; subnormal and zero ones take the
+        # constructor's sum, which rounds a subnormal's half
+        rs = np.random.default_rng(7)
+        for n, m in ((1, 1), (4, 4), (5, 3), (33, 17), (64, 64)):
+            root = scale * rs.standard_normal((n, m))
+            for k in (1, 3, 1196713):
+                gram = SymMatrix.scaled_gram(root, k)
+                assert gram.values.tobytes() == SymMatrix(root @ root.T / k).values.tobytes()
+                assert not gram.values.flags.writeable
+
     def test_values_read_only(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
