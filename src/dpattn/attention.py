@@ -9,7 +9,9 @@ attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
 concrete pair, from the spectral sandwich to the attention error, and is the
 package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` takes
 its attention maps, its error, its bound and its sandwich event from it, run
-without its argument checks, on every release.
+without its argument checks, on every release.  The check takes its pair as
+:class:`~dpattn.linalg.SymMatrix` inputs, the unchecked core as two arrays: the
+Gram matrix's ``values`` and the release, a read-only array.
 
 Throughout this module the matrix infinity-norm means the entrywise
 max-absolute value.  ``eps`` and ``r`` are finite reals in ``(0, 0.1]``.
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import Overflow, ParamRange, check_array, check_real
-from .linalg import SymMatrix, as_sym, spectrum_within
+from .linalg import as_sym, spectrum_within
 
 
 class Activation(Enum):
@@ -139,22 +141,22 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     if a.dim != b.dim or (mu is not None and mu.shape != (a.dim,)):
         raise ParamRange(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
     _check_kind(kind)
-    return _chain(a, b, mu, eps, r, kind)
+    return _chain(a.values, b.values, mu, eps, r, kind)
 
 
-def _chain(a: SymMatrix, b: SymMatrix, mu: np.ndarray | None, eps: float, r: float,
+def _chain(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float, r: float,
            kind: Activation) -> ChainReport:
-    """:func:`perturbation_chain_check` without its checks, for a pair, ``mu``, ``eps``,
-    ``r`` and ``kind`` the caller has checked; an activation out of the double range
-    still raises :class:`Overflow`."""
+    """:func:`perturbation_chain_check` without its checks, for finite, symmetric,
+    same-size arrays ``a`` and ``b``, ``mu``, ``eps``, ``r`` and ``kind`` the caller has
+    checked; an activation out of the double range still raises :class:`Overflow`."""
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu
         sandwich = spectrum_within(inv, eps)
         deviation = float(np.abs(inv - 1.0).max())
 
-    act_a = _activation(a.values, kind)
-    act_b = _activation(b.values, kind)
+    act_a = _activation(a, kind)
+    act_b = _activation(b, kind)
     sums_a = act_a.sum(axis=1)
     sums_b = act_b.sum(axis=1)
     att_a = act_a / sums_a[:, None]
@@ -162,7 +164,7 @@ def _chain(a: SymMatrix, b: SymMatrix, mu: np.ndarray | None, eps: float, r: flo
 
     att_bound = _error_bound(eps, r)
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
-    entry_max = float(np.abs(b.values).max())
+    entry_max = float(np.abs(b).max())
     entry_bound = (1.0 + eps) * r
     act_ratio = float((np.abs(act_a - act_b) / np.minimum(act_a, act_b)).max())
     sum_ratio = float((np.abs(sums_a - sums_b) / np.minimum(sums_a, sums_b)).max())

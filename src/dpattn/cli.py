@@ -49,7 +49,7 @@ from .attention import Activation
 from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError, ParamRange, check_integer, check_real
 from .linalg import SymMatrix, relative_tol
-from .mechanism import bartlett_factors, frobenius_from_identity
+from .mechanism import bartlett_factors, whitened_errors
 from .pipeline import DpParams, dp_attention, verify_neighbor_privacy
 
 SCHEMA_VERSION = 3
@@ -319,7 +319,7 @@ def cmd_bench_utility(cfg: dict, out_dir: Path, config_dir: Path) -> int:
         errors = [math.nan] * trials
         if defined:
             errors = [err for factors in bartlett_factors(n, k, (seed, ki), trials)
-                      for err in frobenius_from_identity(factors @ factors.mT / k)]
+                      for err in whitened_errors(factors, k)]
         lines.extend(f"{n},{k},{t},{err!r}" for t, err in enumerate(errors))
         lines.append(f"{n},{k},median,{statistics.median(errors)!r}")
     path = out_dir / v["report"]

@@ -28,13 +28,15 @@ GOODNESS_TOL = 1e-9
 
 def _goodness(arr: np.ndarray, eta: float, alpha: float) -> tuple[np.ndarray, bool]:
     """The Gram matrix ``g = arr arr^T`` of the 2-d ``arr`` and whether
-    ``g >= (eta - GOODNESS_TOL) I`` and every column norm is at most ``alpha + GOODNESS_TOL``."""
+    ``g >= eta (1 - GOODNESS_TOL) I`` and every column norm is at most
+    ``alpha (1 + GOODNESS_TOL)``: tolerances relative to the declared values, so the
+    test gives the same answer for ``(c arr, c^2 eta, c alpha)`` at any scale ``c > 0``."""
     check_real("eta", eta, 0, np.inf, "()")
     check_real("alpha", alpha, 0, np.inf, "()")
     g = arr @ arr.T
     min_eig = float(np.linalg.eigvalsh(g).min())
-    good = (min_eig >= eta - GOODNESS_TOL
-            and np.linalg.norm(arr, axis=0).max() <= alpha + GOODNESS_TOL)
+    good = (min_eig >= eta * (1.0 - GOODNESS_TOL)
+            and np.linalg.norm(arr, axis=0).max() <= alpha * (1.0 + GOODNESS_TOL))
     return g, bool(good)
 
 
@@ -44,7 +46,8 @@ class Dataset:
 
     Construction validates the declaration: ``eta`` and ``alpha`` are reals in
     ``(0, inf)``, 1 <= n <= d, the Gram spectral floor and the column-norm cap (at
-    tolerance ``GOODNESS_TOL``).  It keeps the Gram matrix ``gram_matrix``.
+    relative tolerance ``GOODNESS_TOL``, by one ``eigvalsh``, not the Cholesky floor of
+    :attr:`SymMatrix.cholesky`).  It keeps the Gram matrix ``gram_matrix``.
     """
 
     x: np.ndarray

@@ -31,7 +31,7 @@ class ParamRange(DpAttnError):
 
 
 class Overflow(DpAttnError):
-    """A transcendental evaluation exceeded the double-precision range."""
+    """A computed value exceeded the double-precision range."""
 
 
 class Infeasible(DpAttnError):

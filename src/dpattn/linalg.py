@@ -11,16 +11,12 @@ scale, so the checks give the same answer for ``c * m`` at any scale ``c > 0``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ParamRange, SingularMatrix, check_array
-
-# The smallest magnitude whose half, 0.5 * x, is exact: twice the smallest normal double.
-_HALVES_EXACTLY = 2 * np.finfo(float).tiny
 
 
 def relative_tol(values: np.ndarray) -> float:
@@ -31,18 +27,19 @@ def relative_tol(values: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """Immutable dense real symmetric matrix.
+    """Immutable dense real symmetric matrix: the type of a matrix the package checks or
+    factors, a :class:`~dpattn.dataset.Dataset`'s Gram matrix, a caller's covariance or a
+    pair handed to the chain check.  What the package computes (a release, its whitened
+    draw, an attention map) it returns as a read-only array instead.
 
     Input is symmetrized on construction, ``M / 2 + M.T / 2``, so covariance
     accumulation round-off never leaks asymmetry into later spectral code; halving
     before the sum keeps every finite entry finite, where ``(M + M.T) / 2`` would
     overflow above about 9e307.  ``values`` must pass :func:`~dpattn.errors.check_array`
     as a square, non-empty 2-d array (else :class:`ParamRange`), and is kept read-only.
-    :meth:`scaled_gram` builds the same matrix, bit for bit, from a product with its own
-    transpose that the library forms itself, without the array check.  The lower Cholesky
-    factor :attr:`cholesky` is computed on first use and kept, since the matrix cannot
-    change: the release and :func:`rank_two_eigenvalues` of one ``SymMatrix`` both read
-    that one factor.
+    The lower Cholesky factor :attr:`cholesky` is computed on first use and kept, since
+    the matrix cannot change: the release and :func:`rank_two_eigenvalues` of one
+    ``SymMatrix`` both read that one factor.
     """
 
     values: np.ndarray
@@ -55,26 +52,6 @@ class SymMatrix:
         sym.flags.writeable = False
         object.__setattr__(self, "values", sym)
 
-    @classmethod
-    def scaled_gram(cls, root: np.ndarray, k) -> SymMatrix:
-        """``SymMatrix(root @ root.T / k)``, bit for bit, for a 2-d float ``root`` and a
-        count ``k`` that the caller has checked, without the constructor's array check and
-        symmetrizing sum.  numpy forms a product with its own transpose exactly symmetric:
-        BLAS ``syrk`` computes one triangle and numpy mirrors it, and its own loop sums the
-        same products in the same order for ``(i, j)`` and ``(j, i)``.  Halving such a matrix
-        and summing returns every entry that is at least twice the smallest normal double in
-        magnitude, so a product with all its entries there is kept as computed.  Any other
-        product (an overflow, a zero or a tinier entry) goes to the constructor, which
-        rejects a non-finite one by its own message."""
-        values = root @ root.T / k
-        magnitudes = np.abs(values)
-        if not (magnitudes.min() >= _HALVES_EXACTLY and magnitudes.max() < math.inf):
-            return cls(values)
-        values.flags.writeable = False
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "values", values)
-        return matrix
-
     @property
     def dim(self) -> int:
         return self.values.shape[0]
@@ -83,9 +60,11 @@ class SymMatrix:
     def cholesky(self) -> np.ndarray:
         """Lower Cholesky factor ``L`` with ``L L^T = values``, read-only and kept.
 
-        The package's one positive-definiteness test: raises :class:`SingularMatrix`
-        (and keeps nothing) when the factorization fails or a pivot ``L_ii^2`` (at least
-        the smallest eigenvalue) is at most 1e-9 times the largest diagonal entry.
+        The package's positive-definiteness test of every matrix it factors (a
+        :class:`~dpattn.dataset.Dataset` tests its Gram floor by ``eigvalsh`` on
+        construction): raises :class:`SingularMatrix` (and keeps nothing) when the
+        factorization fails or a pivot ``L_ii^2`` (at least the smallest eigenvalue) is at
+        most 1e-9 times the largest diagonal entry.
         """
         try:
             chol = np.linalg.cholesky(self.values)

@@ -23,24 +23,25 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, SingularMatrix, check_integer, check_real
-from .linalg import SymMatrix, as_sym, relative_tol
+from .errors import NotPsd, Overflow, SingularMatrix, check_integer, check_real
+from .linalg import as_sym, relative_tol
 
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MechanismOutput:
     """Covariance estimate released by the mechanism, with diagnostics.
 
-    ``whitened = T T^T / k`` is the release whitened by the input covariance's
-    Cholesky factor ``L``, ``L^{-1} sigma_hat L^{-T}`` (``None`` for a singular
-    input); its Frobenius distance to ``I`` is the release's relative error.
-    At ``k < n`` neither can be positive definite: both have rank at most ``k``.
+    Both are read-only float64 arrays, products with their own transposes, which numpy
+    forms exactly symmetric.  ``whitened = T T^T / k`` is the release whitened by the input
+    covariance's Cholesky factor ``L``, ``L^{-1} sigma_hat L^{-T}`` (``None`` for a singular
+    input); its Frobenius distance to ``I`` is the release's relative error.  At ``k < n``
+    neither can be positive definite: both have rank at most ``k``.
     """
 
-    sigma_hat: SymMatrix
-    whitened: SymMatrix | None
+    sigma_hat: np.ndarray
+    whitened: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=64)
@@ -91,11 +92,13 @@ def bartlett_factors(n: int, k: int, seed, trials: int) -> Iterator[np.ndarray]:
     return (stack(min(step, trials - start)) for start in range(0, trials, step))
 
 
-def frobenius_from_identity(grams: np.ndarray) -> list[float]:
-    """``||G - I||_F`` of each matrix ``G`` of the stack ``grams``, by numpy's own sum over
-    each matrix, whose bits depend on neither the BLAS kernel nor the matrix's place in
-    the stack, as a BLAS dot's (``np.linalg.norm``'s) do."""
-    return np.sqrt(((grams - np.eye(grams.shape[-1])) ** 2).sum(axis=(-2, -1))).tolist()
+def whitened_errors(factors: np.ndarray, k: int) -> list[float]:
+    """The relative error ``||T T^T / k - I||_F`` of the release of each Bartlett factor
+    ``T`` of the stack ``factors``, with ``T T^T / k`` formed as the release forms its
+    ``whitened`` and summed by numpy's own sum over each matrix, whose bits depend on
+    neither the BLAS kernel nor the matrix's place in the stack, as a BLAS dot's do."""
+    whitened = factors @ factors.mT / k
+    return np.sqrt(((whitened - np.eye(factors.shape[-2])) ** 2).sum(axis=(-2, -1))).tolist()
 
 
 def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
@@ -120,7 +123,8 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     covariance, such as zero) is factored by a plain, unkept ``eigh`` as
     ``V sqrt(w)`` with every eigenvalue at most ``relative_tol(w)`` set to 0, so
     a rank-``r`` covariance gives a rank-``r`` factor, and only there is it
-    checked for :class:`NotPsd`.
+    checked for :class:`NotPsd`.  A release beyond the double range raises
+    :class:`Overflow`, and so does a non-finite ``T``, which makes ``L T`` non-finite.
     """
     sigma = as_sym(sigma)
     check_integer("k", k, 1)
@@ -139,8 +143,15 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     for j in range(m):
         bartlett[j, j] = math.sqrt(rng.chi_squares(k - j, None, chis))
     bartlett[below] = normals.standard_normal(count)
-    sigma_hat = SymMatrix.scaled_gram(factor @ bartlett, k)
-    whitened = SymMatrix.scaled_gram(bartlett, k) if definite else None
+    root = factor @ bartlett
+    sigma_hat = root @ root.T / k
+    if not np.isfinite(sigma_hat).all():
+        raise Overflow("the release exceeds the double range")
+    sigma_hat.flags.writeable = False
+    whitened = None
+    if definite:
+        whitened = bartlett @ bartlett.T / k
+        whitened.flags.writeable = False
     return MechanismOutput(sigma_hat=sigma_hat, whitened=whitened)
 
 

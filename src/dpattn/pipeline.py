@@ -13,9 +13,11 @@ Its inputs are checked once.  A :class:`~dpattn.dataset.Dataset` and a
 :class:`DpParams` check every field when they are made; :func:`dp_attention`
 checks what arrives at the call, the types of ``data`` and ``params`` and
 ``beta`` (through :func:`~dpattn.dataset.sensitivity_bound`).  From there it runs
-the unchecked cores of the bounds and of the chain, which re-check nothing, and
-the mechanism builds its release and whitened draw without the ``SymMatrix``
-constructor's check.  Each public function keeps its own checks.
+the unchecked cores of the bounds and of the chain, which re-check nothing.  Inputs
+are :class:`~dpattn.linalg.SymMatrix`, outputs are read-only arrays: the mechanism
+returns its release and whitened draw as arrays, checked only for the double range,
+and the chain takes the Gram matrix's ``values`` and the release.  Each public
+function keeps its own checks.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
@@ -92,15 +94,15 @@ class DpAttentionReport:
     ``measured_error``, ``error_bound`` and ``loewner_eps_event``, copies of the
     ``attention_bound`` check's ``measured`` and ``required`` and of the
     ``loewner`` check's ``passed``, kept while readers of the report still
-    take them from here.  ``released`` is the
-    mechanism's draw as it is: at ``k < n`` it is singular, and rounding may
+    take them from here.  ``released`` is the mechanism's draw as it is, a read-only
+    float64 array like the attention maps: at ``k < n`` it is singular, and rounding may
     leave its smallest eigenvalues just below zero.
     """
 
     params: DpParams
     beta: float
     gram_matrix: SymMatrix
-    released: SymMatrix
+    released: np.ndarray
     attention_base: np.ndarray
     attention_released: np.ndarray
     measured_error: float
@@ -123,7 +125,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     4. ``utility``       rho <= 0.1 * eps
 
     ``eta_below_r`` is advisory only: a :class:`Dataset`'s Gram diagonal is
-    at least ``eta - 1e-9``, so ``entry_bound`` already implies it up to that
+    at least ``eta (1 - 1e-9)``, so ``entry_bound`` already implies it up to that
     tolerance.  ``data`` not a :class:`Dataset`, ``params`` not a
     :class:`DpParams` or ``beta`` not a real in ``[0, inf)`` raise
     :class:`ParamRange`.  What :class:`Dataset` and :class:`DpParams` validate on
@@ -158,14 +160,14 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     # The checked seed as its one-word sequence: the same stream, and normalize_entropy
     # takes a sequence without raising and catching tuple()'s TypeError on an int.
     mech = gaussian_sampling_mechanism(base, params.k, (params.seed,))
-    mu = None if mech.whitened is None else np.linalg.eigvalsh(mech.whitened.values)
+    mu = None if mech.whitened is None else np.linalg.eigvalsh(mech.whitened)
     # The mechanism's guarantee is relative closeness of the release to the
     # input at level rho (spectrum mu); the attention bound needs the inverted
     # sandwich at level eps (spectrum 1/mu), the chain's loewner check.
     # rho <= 0.1 * eps makes the implication exact up to rounding, and both
     # events are evaluated instead of trusting it.
     rho_event = mu is not None and spectrum_within(mu, rho)
-    chain = _chain(base, mech.sigma_hat, mu, params.eps, params.r, params.kind)
+    chain = _chain(base.values, mech.sigma_hat, mu, params.eps, params.r, params.kind)
     loewner, error = chain.stages[0], chain.stages[-1]
 
     hard_ok = all(c.passed for c in checks if not c.warning_only)

@@ -146,7 +146,7 @@ def whitened_error(release):
     Frobenius distance to ``I``, NaN when the input covariance is singular."""
     if release.whitened is None:
         return math.nan
-    return float(np.linalg.norm(release.whitened.values - np.eye(release.whitened.dim)))
+    return float(np.linalg.norm(release.whitened - np.eye(len(release.whitened))))
 
 
 def direct_loss_samples(lam, k, trials, seed):

@@ -39,6 +39,26 @@ class TestCheckGood:
     def test_scaled_diagonal(self):
         Dataset(np.diag([2.0, 2.0]), eta=4.0, alpha=2.0)
 
+    def test_tiny_spectral_floor_violated(self):
+        # Gram eigenvalues {0, 2}: an absolute 1e-9 tolerance accepted eta = 1e-12
+        with pytest.raises(Infeasible):
+            Dataset([[1.0, 0.0], [1.0, 0.0]], eta=1e-12, alpha=1.5)
+
+    def test_tiny_column_cap_violated(self):
+        # a column of norm 1.1e-12 passed alpha = 1e-12 under an absolute tolerance
+        with pytest.raises(Infeasible):
+            Dataset(1.1e-12 * np.eye(2), eta=1e-24, alpha=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1.0, 1e6, 1e150])
+    def test_declaration_is_tested_at_any_scale(self, scale):
+        # the tolerances are relative to eta and alpha
+        x = scale * np.eye(2)
+        Dataset(x, eta=scale**2, alpha=scale)
+        with pytest.raises(Infeasible):
+            Dataset(x, eta=1.01 * scale**2, alpha=scale)
+        with pytest.raises(Infeasible):
+            Dataset(x, eta=scale**2, alpha=0.99 * scale)
+
     def test_param_validation(self):
         with pytest.raises(ParamRange):
             Dataset(np.eye(2), eta=0.0, alpha=1.0)

@@ -7,6 +7,7 @@ from scipy import stats
 from dpattn import (
     NotPsd,
     mechanism,
+    Overflow,
     ParamRange,
     SymMatrix,
     gaussian_sampling_mechanism,
@@ -43,10 +44,14 @@ class TestSampleGaussian:
 
 class TestGaussianSamplingMechanism:
     def test_zero_covariance(self):
-        for k in (2, 10):
-            out = gaussian_sampling_mechanism(SymMatrix(np.zeros((3, 3))), k, seed=0)
-            assert np.array_equal(out.sigma_hat.values, np.zeros((3, 3)))
-            assert out.whitened is None
+        # the read-only zero release has the bits the SymMatrix constructor gives it
+        for n in (1, 3, 4, 5, 33, 64):
+            for k in (1, 2, 3, 10, 17, 1196713):
+                out = gaussian_sampling_mechanism(SymMatrix(np.zeros((n, n))), k, (5, n))
+                assert np.array_equal(out.sigma_hat, np.zeros((n, n)))
+                assert not out.sigma_hat.flags.writeable
+                assert out.sigma_hat.tobytes() == SymMatrix(out.sigma_hat).values.tobytes()
+                assert out.whitened is None
 
     @pytest.mark.parametrize("k", [1, 5])
     def test_singular_fallback_law(self, k):
@@ -60,11 +65,11 @@ class TestGaussianSamplingMechanism:
         for seed in range(2000):
             out = gaussian_sampling_mechanism(sigma, k, seed)
             assert out.whitened is None
-            s = float(v @ out.sigma_hat.values @ v) / float(v @ v) ** 2
-            assert np.abs(out.sigma_hat.values - s * sigma.values).max() <= 1e-12 * max(s, 1.0)
+            s = float(v @ out.sigma_hat @ v) / float(v @ v) ** 2
+            assert np.abs(out.sigma_hat - s * sigma.values).max() <= 1e-12 * max(s, 1.0)
             scale.append(s)
-        again = gaussian_sampling_mechanism(sigma, k, 7).sigma_hat.values
-        assert again.tobytes() == gaussian_sampling_mechanism(sigma, k, 7).sigma_hat.values.tobytes()
+        again = gaussian_sampling_mechanism(sigma, k, 7).sigma_hat
+        assert again.tobytes() == gaussian_sampling_mechanism(sigma, k, 7).sigma_hat.tobytes()
         assert stats.kstest(np.array(scale) * k, stats.chi2(k).cdf).pvalue > 1e-4
 
     def test_rejects_indefinite(self):
@@ -74,9 +79,9 @@ class TestGaussianSamplingMechanism:
 
     def test_single_sample_is_rank_one(self):
         out = gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 1, seed=3)
-        eigs = np.linalg.eigvalsh(out.sigma_hat.values)
+        eigs = np.linalg.eigvalsh(out.sigma_hat)
         assert abs(eigs[0]) <= 1e-12
-        assert np.linalg.matrix_rank(out.whitened.values) == 1
+        assert np.linalg.matrix_rank(out.whitened) == 1
 
     def test_relative_error_at_large_k(self):
         out = gaussian_sampling_mechanism(SymMatrix(np.eye(2)), 100_000, seed=1)
@@ -87,10 +92,10 @@ class TestGaussianSamplingMechanism:
         for k in (2, 500):
             a = gaussian_sampling_mechanism(sigma, k, seed=9)
             b = gaussian_sampling_mechanism(sigma, k, seed=9)
-            assert np.array_equal(a.sigma_hat.values, b.sigma_hat.values)
-            assert np.array_equal(a.whitened.values, b.whitened.values)
+            assert np.array_equal(a.sigma_hat, b.sigma_hat)
+            assert np.array_equal(a.whitened, b.whitened)
             c = gaussian_sampling_mechanism(sigma, k, seed=10)
-            assert not np.array_equal(a.sigma_hat.values, c.sigma_hat.values)
+            assert not np.array_equal(a.sigma_hat, c.sigma_hat)
 
     def test_estimate_is_psd(self):
         gen = np.random.default_rng(12)
@@ -99,16 +104,43 @@ class TestGaussianSamplingMechanism:
             k = int(gen.integers(1, 50))
             sigma = SymMatrix(rand_pd(gen, n))
             out = gaussian_sampling_mechanism(sigma, k, seed=int(gen.integers(1000)))
-            min_eig = np.linalg.eigvalsh(out.sigma_hat.values).min()
+            min_eig = np.linalg.eigvalsh(out.sigma_hat).min()
             assert min_eig >= -1e-12
             if k >= n:
                 assert min_eig > 0.0
 
     def test_an_overflowing_release_is_rejected(self):
-        # the release skips the SymMatrix check, but not on a non-finite product
+        # the release is the mechanism's own product, checked only for the double range
         with np.errstate(over="ignore"), pytest.raises(
-                ParamRange, match="^values must be a 2-d array of finite reals, got a non-finite"):
+                Overflow, match="^the release exceeds the double range$"):
             gaussian_sampling_mechanism(SymMatrix(np.diag([1e300, 1e300])), 10**10, seed=1)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-155, 1e150])
+    def test_release_arrays_are_the_read_only_products(self, scale):
+        # sigma_hat = (L T)(L T)^T / k and whitened = T T^T / k as numpy forms them:
+        # exactly symmetric, read-only float64.  The SymMatrix constructor keeps every
+        # bit of a normal-scale product; at subnormal scale its halving may round, and
+        # the release keeps the product's own bits.  Near overflow it is rejected.
+        rs = np.random.default_rng(7)
+        for n in (1, 4, 5, 33, 64):
+            sigma = SymMatrix(scale**2 * rand_pd(rs, n))
+            for k in (1, 3, 17, 1196713):
+                release = gaussian_sampling_mechanism(sigma, k, (5, n))
+                factor = block_of(n, k, (5, n), 1)[0]
+                root = sigma.cholesky @ factor
+                for values, product in ((release.sigma_hat, root @ root.T / k),
+                                        (release.whitened, factor @ factor.T / k)):
+                    assert values.dtype == np.float64 and not values.flags.writeable
+                    assert np.array_equal(values, values.T)
+                    assert values.tobytes() == product.tobytes()
+                assert release.whitened.tobytes() == SymMatrix(release.whitened).values.tobytes()
+                if scale != 1e-155:
+                    assert (release.sigma_hat.tobytes()
+                            == SymMatrix(release.sigma_hat).values.tobytes())
+            huge = SymMatrix(sigma.values / np.abs(sigma.values).max() * 1e300)
+            # inf - inf inside the product is an invalid value on some BLAS kernels
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Overflow):
+                gaussian_sampling_mechanism(huge, 10**10, 0)
 
     def test_k_must_be_positive(self):
         with pytest.raises(ParamRange):
@@ -124,7 +156,7 @@ class TestGaussianSamplingMechanism:
         sigma = np.diag([2.0, 1.0])
         k = 1000
         estimates = np.array([
-            gaussian_sampling_mechanism(SymMatrix(sigma), k, seed=s).sigma_hat.values
+            gaussian_sampling_mechanism(SymMatrix(sigma), k, seed=s).sigma_hat
             for s in range(200)
         ])
         mean = estimates.mean(axis=0)
@@ -177,7 +209,7 @@ class TestRelFrobError:
             for seed in range(5):
                 sigma = self.conditioned(6, cond)
                 out = gaussian_sampling_mechanism(sigma, k, seed=seed)
-                mu = np.linalg.eigvalsh(out.whitened.values)[::-1]
+                mu = np.linalg.eigvalsh(out.whitened)[::-1]
                 oracle = whitened_eigenvalues(out.sigma_hat, sigma)
                 assert np.abs(mu - oracle).max() <= 1e-9 * np.abs(oracle).max()
 
@@ -219,7 +251,7 @@ class TestBartlettRelease:
             return (samples.T @ samples / k)[upper]
 
         bartlett = np.array([
-            gaussian_sampling_mechanism(sigma, k, seed=(1, t)).sigma_hat.values[upper]
+            gaussian_sampling_mechanism(sigma, k, seed=(1, t)).sigma_hat[upper]
             for t in range(draws)
         ])
         direct = np.array([direct_release((2, t)) for t in range(draws)])
@@ -312,12 +344,12 @@ class TestBartlettFactors:
             factor = block_of(n, k, (4, 2), 3)[0]
             whitened = SymMatrix(factor @ factor.T / k).values
             release = gaussian_sampling_mechanism(SymMatrix(np.eye(n)), k, (4, 2))
-            assert release.whitened.values.tobytes() == whitened.tobytes()
-            assert release.sigma_hat.values.tobytes() == whitened.tobytes()
+            assert release.whitened.tobytes() == whitened.tobytes()
+            assert release.sigma_hat.tobytes() == whitened.tobytes()
             release = gaussian_sampling_mechanism(sigma, k, (4, 2))
             root = sigma.cholesky @ factor
-            assert release.whitened.values.tobytes() == whitened.tobytes()
-            assert (release.sigma_hat.values.tobytes()
+            assert release.whitened.tobytes() == whitened.tobytes()
+            assert (release.sigma_hat.tobytes()
                     == SymMatrix(root @ root.T / k).values.tobytes())
 
     def test_layout_is_kept_read_only(self):

@@ -12,6 +12,7 @@ from dpattn import (
     Dataset,
     DpAttentionReport,
     DpParams,
+    MechanismOutput,
     NeighborPair,
     NeighborPrivacyReport,
     ParamRange,
@@ -180,7 +181,7 @@ class TestDpAttention:
         # k < n, both in the report, is what makes the release singular
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(k=1))
         assert report.params.k < report.gram_matrix.dim
-        assert np.linalg.matrix_rank(report.released.values) == report.params.k
+        assert np.linalg.matrix_rank(report.released) == report.params.k
         assert not report.loewner_eps_event
         assert not report.certified
 
@@ -223,7 +224,7 @@ class TestDpAttention:
     def test_deterministic_report(self):
         a = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(seed=5))
         b = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(seed=5))
-        assert np.array_equal(a.released.values, b.released.values)
+        assert np.array_equal(a.released, b.released)
         assert a.measured_error == b.measured_error
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
@@ -250,7 +251,10 @@ class TestDpAttention:
 
     @pytest.mark.parametrize("k", [1, 2, 10, 10**6])
     def test_events_false_on_a_singular_gram(self, k):
-        data = Dataset(x=np.full((3, 6), 0.02), eta=1e-15, alpha=0.11)
+        # the Gram matrix meets its declared floor but fails the Cholesky floor
+        x = np.zeros((3, 6))
+        x[:, :3] = np.diag([0.1, 1e-7, 1e-7])
+        data = Dataset(x=x, eta=1e-14, alpha=0.11)
         report = dp_attention(data, 1e-8, fast_params(k=k))
         assert report.loewner_rho_event is False
         assert report.loewner_eps_event is False
@@ -327,14 +331,14 @@ class TestDpAttention:
                                                                seed).whitened
                         checked = perturbation_chain_check(
                             report.gram_matrix, report.released,
-                            np.linalg.eigvalsh(whitened.values), 0.05, 0.1, kind)
+                            np.linalg.eigvalsh(whitened), 0.05, 0.1, kind)
                         assert checked.stages == report.chain
                         assert checked.attention_base.tobytes() == \
                             report.attention_base.tobytes()
                         assert checked.attention_perturbed.tobytes() == \
                             report.attention_released.tobytes()
-                        assert SymMatrix(report.released.values).values.tobytes() == \
-                            report.released.values.tobytes()
+                        assert SymMatrix(report.released).values.tobytes() == \
+                            report.released.tobytes()
                         seen.add(loewner.passed)
         assert seen == {True, False}
 
@@ -468,6 +472,7 @@ def test_array_dataclasses_compare_by_identity():
     pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
     makers = {
         SymMatrix: lambda: SymMatrix(np.eye(2)),
+        MechanismOutput: lambda: gaussian_sampling_mechanism(np.eye(2), 3, 0),
         ChainReport: lambda: perturbation_chain_check(
             np.eye(2) / 20, np.eye(2) / 20, np.ones(2), 0.05, 0.05, Activation.EXP),
         Dataset: fast_dataset,
