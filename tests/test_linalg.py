@@ -40,6 +40,25 @@ class TestSymMatrix:
         m = SymMatrix([[big, -big], [big, big]])
         assert np.array_equal(m.values, [[big, 0.0], [0.0, big]])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-155, 1e150, 0.0])
+    def test_scaled_gram_is_the_constructor_on_the_product(self, scale):
+        # a scaled Gram product root @ root.T / k, the form of every release, is exactly
+        # symmetric, so the constructor keeps its bits at normal and zero scale; at
+        # subnormal scale it rounds a subnormal's half, by at most one subnormal step
+        rs = np.random.default_rng(7)
+        tiny = np.finfo(float).smallest_subnormal
+        for n, m in ((1, 1), (4, 4), (5, 3), (33, 17), (64, 64)):
+            root = scale * rs.standard_normal((n, m))
+            for k in (1, 3, 1196713):
+                product = root @ root.T / k
+                gram = SymMatrix(product)
+                assert np.array_equal(product, product.T)
+                assert not gram.values.flags.writeable
+                if scale == 1e-155:
+                    assert np.abs(gram.values - product).max() <= tiny
+                else:
+                    assert gram.values.tobytes() == product.tobytes()
+
     def test_values_read_only(self):
         m = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
