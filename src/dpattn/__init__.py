@@ -49,13 +49,11 @@ from .pipeline import (
 )
 from .privacy import (
     CertificateReport,
-    PrivacySpectrum,
+    PrivacyLoss,
     dp_certificate,
-    expected_privacy_loss,
-    neighbor_spectrum,
+    neighbor_loss,
     privacy_loss_samples,
     sensitivity_budget,
-    tail_bound,
     wilson_upper,
 )
 

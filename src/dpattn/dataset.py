@@ -112,7 +112,9 @@ class NeighborPair:
     """A dataset and a perturbation of exactly one of its columns.
 
     Invariants checked on construction: ``beta`` is a real in ``[0, inf)``, all other
-    columns are bit-identical and the changed column moved by 2-norm at most ``beta``.
+    columns are bit-identical and the changed column moved by 2-norm at most ``beta``, up
+    to the column's own rounding, 4 machine epsilons of its larger norm (``math.hypot``'s,
+    which squares nothing into underflow): ``col + step * d`` rounds at the column's scale.
     """
 
     base: Dataset
@@ -131,8 +133,9 @@ class NeighborPair:
         others = [j for j in range(self.base.d) if j != self.index]
         if not np.array_equal(self.base.x[:, others], arr[:, others]):
             raise ParamRange("neighbor pair may differ in exactly one column")
-        moved = float(np.linalg.norm(self.base.x[:, self.index] - arr[:, self.index]))
-        if moved > self.beta + 1e-12 * max(1.0, self.beta):
+        old, new = self.base.x[:, self.index], arr[:, self.index]
+        moved = math.hypot(*(old - new))
+        if moved > self.beta + 4 * np.finfo(float).eps * max(math.hypot(*old), math.hypot(*new)):
             raise ParamRange(f"changed column moved by {moved}, more than beta = {self.beta}")
         object.__setattr__(self, "perturbed", arr)
 

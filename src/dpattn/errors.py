@@ -4,7 +4,7 @@ raising :class:`ParamRange` by name: :func:`check_integer` for integers and
 the double range (a Python ``int`` beyond ``sys.float_info.max``, about 1.8e308, which
 ``float()`` may not convert, fails), :func:`check_array` for arrays and
 :func:`check_instance` for the package's own types (a ``Dataset``, ``DpParams``,
-``NeighborPair`` or ``PrivacySpectrum``)."""
+``NeighborPair`` or ``PrivacyLoss``)."""
 
 import sys
 

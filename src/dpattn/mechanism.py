@@ -143,8 +143,9 @@ def gaussian_sampling_mechanism(sigma, k: int, seed) -> MechanismOutput:
     for j in range(m):
         bartlett[j, j] = math.sqrt(rng.chi_squares(k - j, None, chis))
     bartlett[below] = normals.standard_normal(count)
-    root = factor @ bartlett
-    sigma_hat = root @ root.T / k
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises Overflow below
+        root = factor @ bartlett
+        sigma_hat = root @ root.T / k
     if not np.isfinite(sigma_hat).all():
         raise Overflow("the release exceeds the double range")
     sigma_hat.flags.writeable = False

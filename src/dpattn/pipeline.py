@@ -22,7 +22,7 @@ function keeps its own checks.
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
 the privacy loss with its Wilson upper bound, both from one
-:class:`PrivacySpectrum`.  It takes only the privacy parameters ``eps``,
+:class:`~dpattn.privacy.PrivacyLoss`.  It takes only the privacy parameters ``eps``,
 ``delta``, ``k`` and a seed; :class:`DpParams` belongs to :func:`dp_attention`.
 """
 
@@ -39,7 +39,7 @@ from .dataset import Dataset, NeighborPair, sensitivity_bound
 from .errors import check_instance, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
 from .mechanism import _utility_radius, gaussian_sampling_mechanism
-from .privacy import (CertificateReport, _sensitivity_budget, dp_certificate, neighbor_spectrum,
+from .privacy import (CertificateReport, _sensitivity_budget, dp_certificate, neighbor_loss,
                       privacy_loss_samples, wilson_upper)
 
 
@@ -203,18 +203,18 @@ def verify_neighbor_privacy(pair: NeighborPair, eps: float, delta: float, k: int
                             trials: int, seed: int) -> NeighborPrivacyReport:
     """Certificate and empirical exceedance rate for one neighbor pair.
 
-    Both covariances are the Gram matrices of the pair; their spectrum, the at
-    most two eigenvalues other than 1 (:func:`neighbor_spectrum`), is computed
-    once and feeds both sides.  ``eps`` and ``delta`` lie in ``(0, 1)``.  The
+    Both covariances are the Gram matrices of the pair; the law of their privacy loss,
+    from the at most two eigenvalues other than 1 (:func:`~dpattn.privacy.neighbor_loss`),
+    is built once and feeds both sides.  ``eps`` and ``delta`` lie in ``(0, 1)``.  The
     Monte-Carlo side draws the privacy loss ``trials`` times from the privacy
     stream of ``seed``, at most two chi-squares per trial, and counts the
     draws above ``eps``; at least 1000 trials are required, which is checked
     before anything is computed.
     """
     check_integer("trials", trials, 1000)
-    spectrum = neighbor_spectrum(pair)
-    certificate = dp_certificate(spectrum, eps, delta, k)
-    losses = privacy_loss_samples(spectrum, k, trials, seed)
+    loss = neighbor_loss(pair, k)
+    certificate = dp_certificate(loss, eps, delta)
+    losses = privacy_loss_samples(loss, trials, seed)
     exceed = int((losses > eps).sum())
     return NeighborPrivacyReport(
         certificate=certificate,

@@ -18,10 +18,12 @@ chi-squared sum
 with closed-form mean ``E[Z] = (k/2) * sum_j (lam_j - 1 - ln(lam_j))``.  Z is
 sub-exponential with parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``
 where ``F = ||comparison - I||_F``, giving the Bernstein-type tail
-(:func:`tail_bound`)
 
     Pr[Z - E[Z] > t] <= max( exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)) ).
 
+The pair ``(lam, k)`` fixes the law of Z, so it is one type, :class:`PrivacyLoss`,
+checked once when it is built; the mean, the tail and the reverse ordering are its
+members, and :func:`neighbor_loss` builds it for a neighbor pair.
 ``(eps, delta)``-differential privacy follows whenever ``Pr[Z > eps] <= delta``
 for both orderings of the pair; :func:`dp_certificate` checks the sufficient
 conditions (``F`` within the sensitivity budget, ``E[Z] <= eps/2``,
@@ -70,20 +72,20 @@ def _sensitivity_budget(eps: float, delta: float, k: int) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PrivacySpectrum:
-    """Spectrum of the whitened comparison of two covariances.
+class PrivacyLoss:
+    """The law of the privacy loss ``Z`` of ``k`` samples, checked once when it is built.
 
-    ``eigenvalues`` are the (descending) eigenvalues of
-    ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``; construction raises
-    :class:`ParamRange` unless they form a non-empty vector of finite values,
-    and :class:`SingularMatrix` unless the smallest exceeds 1e-9 times
-    ``max(1, largest)``.  The reverse ordering (real input ``sigma2``,
-    neighbor ``sigma1``) has the spectrum ``1/lam``, :attr:`reverse`.  An
-    eigenvalue 1 adds nothing to the loss, its mean or either deviation, so a
-    spectrum may leave such eigenvalues out (:func:`neighbor_spectrum` does).
+    ``eigenvalues`` are the (descending) eigenvalues ``lam`` of
+    ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``.  Construction raises :class:`ParamRange`
+    unless they form a non-empty vector of finite values, then :class:`SingularMatrix`
+    unless the smallest exceeds 1e-9 times ``max(1, largest)``, then :class:`ParamRange`
+    unless ``k`` is an integer of at least 0 (``k == 0`` is the point mass at 0).  An
+    eigenvalue 1 adds nothing to Z, its mean or either deviation, so a spectrum may leave
+    such eigenvalues out (:func:`neighbor_loss` does).
     """
 
     eigenvalues: np.ndarray
+    k: int
 
     def __post_init__(self):
         lam = check_array("eigenvalues", self.eigenvalues, 1)
@@ -93,57 +95,72 @@ class PrivacySpectrum:
         if lam.min() <= floor:
             raise SingularMatrix(f"minimum comparison eigenvalue {lam.min():.3e} is at most "
                                  f"{floor:.3e}")
+        check_integer("k", self.k, 0)
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def deviation_frob(self) -> float:
-        """``||comparison - I||_F = sqrt(sum (lam - 1)^2)``."""
+        """``F = ||comparison - I||_F = sqrt(sum (lam - 1)^2)``."""
         return math.sqrt(float(((self.eigenvalues - 1.0) ** 2).sum()))
 
     @property
-    def reverse(self) -> "PrivacySpectrum":
-        """The reverse ordering's spectrum, ``1/lam`` (descending)."""
-        return PrivacySpectrum(1.0 / self.eigenvalues[::-1])
+    def reverse(self) -> "PrivacyLoss":
+        """The reverse ordering's loss: spectrum ``1/lam`` (descending), the same ``k``."""
+        return PrivacyLoss(1.0 / self.eigenvalues[::-1], self.k)
+
+    @property
+    def mean(self) -> float:
+        """Closed-form ``E[Z] = (k/2) * sum_j (lam_j - 1 - ln(lam_j))``; non-negative."""
+        lam = self.eigenvalues
+        return 0.5 * self.k * float((lam - 1.0 - np.log(lam)).sum())
+
+    def tail(self, t: float) -> float:
+        """Bernstein-type tail level for ``Pr[Z - E[Z] > t]``.
+
+        ``max(exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)))`` with the sub-exponential
+        parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``, ``F =``
+        :attr:`deviation_frob`; the max of the two branches equals the usual piecewise
+        sub-exponential bound.  ``t`` is a real in ``(0, inf)``.  A point mass at the
+        mean (``F == 0`` or ``k == 0``) gives 0 for any ``t``.
+        """
+        check_real("t", t, 0, math.inf, "()")
+        dev = self.deviation_frob
+        nu, alpha = math.sqrt(self.k) * dev, 2.0 * dev
+        if nu == 0.0:
+            return 0.0
+        return max(math.exp(-t * t / (2.0 * nu**2)), math.exp(-t / (2.0 * alpha)))
 
 
-def neighbor_spectrum(pair: NeighborPair) -> PrivacySpectrum:
-    """The eigenvalues other than 1 of the comparison ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``
-    of the Gram matrices ``sigma1 = X X^T`` of the base and ``sigma2 = Xt Xt^T`` of the perturbed.
+def neighbor_loss(pair: NeighborPair, k: int) -> PrivacyLoss:
+    """The privacy loss of ``k`` samples for a neighbor pair: the eigenvalues other than 1
+    of the comparison ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}`` of the Gram matrices
+    ``sigma1 = X X^T`` of the base and ``sigma2 = Xt Xt^T`` of the perturbed.
 
     The pair differs in one column, so the Gram matrices differ by rank at most two.
     Whitened by the base's kept Gram matrix, the perturbed one has the eigenvalues
     ``1 + mu`` with ``mu`` from :func:`~dpattn.dataset.neighbor_deviation`, and the
-    comparison has their reciprocals ``lam = 1 / (1 + mu)``, the :attr:`~PrivacySpectrum.reverse`
+    comparison has their reciprocals ``lam = 1 / (1 + mu)``, the :attr:`~PrivacyLoss.reverse`
     of the spectrum ``1 + mu``: no ``n x n`` eigendecomposition and no second Gram
     product.  Raises :class:`SingularMatrix` when the base Gram matrix is not positive
     definite (see :func:`~dpattn.linalg.rank_two_eigenvalues`), or when ``1 + mu`` or
-    ``lam`` fails the :class:`PrivacySpectrum` floor.  A singular perturbed Gram matrix
+    ``lam`` fails the :class:`PrivacyLoss` floor.  A singular perturbed Gram matrix
     shows as ``1 + mu`` near 0, and is caught before the division.
     """
     check_instance("pair", pair, NeighborPair)
-    return PrivacySpectrum(1.0 + neighbor_deviation(pair)).reverse
+    return PrivacyLoss(1.0 + neighbor_deviation(pair), k).reverse
 
 
-def expected_privacy_loss(spectrum: PrivacySpectrum, k: int) -> float:
-    """Closed-form mean ``(k/2) * sum_j (lam_j - 1 - ln(lam_j))``; non-negative."""
-    check_instance("spectrum", spectrum, PrivacySpectrum)
-    check_integer("k", k, 0)
-    lam = spectrum.eigenvalues
-    return 0.5 * k * float((lam - 1.0 - np.log(lam)).sum())
+def privacy_loss_samples(loss: PrivacyLoss, trials: int, seed) -> np.ndarray:
+    """``trials`` independent draws of the privacy loss ``Z`` with the law ``loss``.
 
-
-def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -> np.ndarray:
-    """``trials`` independent draws of the privacy-loss variable Z.
-
-    One ``(trials, spectrum.eigenvalues.size)`` block of chi-square(k) variates
+    One ``(trials, loss.eigenvalues.size)`` block of chi-square(k) variates
     from the privacy stream of ``seed``; row ``t`` gives trial ``t``, so a longer
     run extends a shorter one.  Exactly zero when the spectrum is all ones or
     ``k == 0``.
     """
-    check_instance("spectrum", spectrum, PrivacySpectrum)
+    check_instance("loss", loss, PrivacyLoss)
     check_integer("trials", trials, 0)
-    check_integer("k", k, 0)
-    lam = spectrum.eigenvalues
+    lam, k = loss.eigenvalues, loss.k
     entropy = (rng.TAG_PRIVACY, *rng.normalize_entropy(seed))
     chi = rng.chi_squares(k, (trials, lam.size), rng.generator(entropy))
     # Summed in order, not ``chi @ (lam - 1)``: BLAS may round a row differently
@@ -154,27 +171,6 @@ def privacy_loss_samples(spectrum: PrivacySpectrum, k: int, trials: int, seed) -
     for j in range(1, lam.size):
         weighted += chi[:, j] * (lam[j] - 1.0)
     return 0.5 * (weighted - k * float(np.log(lam).sum()))
-
-
-def tail_bound(spectrum: PrivacySpectrum, k: int, t: float) -> float:
-    """Bernstein-type tail level for ``Pr[Z - E[Z] > t]`` of ``k`` samples under ``spectrum``.
-
-    ``max(exp(-t^2 / (2 nu^2)), exp(-t / (2 alpha)))`` with the sub-exponential
-    parameters ``nu = sqrt(k) * F`` and ``alpha = 2 * F``,
-    ``F = spectrum.deviation_frob``; the max of the two branches equals the
-    usual piecewise sub-exponential bound.  ``t`` is a real in ``(0, inf)``.  A point
-    mass at the mean (``F == 0`` or ``k == 0``) gives 0 for any ``t``.
-    """
-    check_instance("spectrum", spectrum, PrivacySpectrum)
-    check_real("t", t, 0, math.inf, "()")
-    check_integer("k", k, 0)
-    dev = spectrum.deviation_frob
-    nu, alpha = math.sqrt(k) * dev, 2.0 * dev
-    if nu == 0.0:
-        return 0.0
-    gauss_branch = math.exp(-t * t / (2.0 * nu**2))
-    linear_branch = math.exp(-t / (2.0 * alpha))
-    return max(gauss_branch, linear_branch)
 
 
 @dataclass(frozen=True)
@@ -189,31 +185,30 @@ class CertificateReport:
     granted: bool
 
 
-def dp_certificate(spectrum: PrivacySpectrum, eps: float, delta: float,
-                   k: int) -> CertificateReport:
+def dp_certificate(loss: PrivacyLoss, eps: float, delta: float) -> CertificateReport:
     """Check the sufficient conditions for ``(eps, delta)``-privacy of one release.
 
     Neighboring is symmetric, so both orderings of the pair are checked:
-    ``spectrum`` and its reverse ``1/lam``.  Grants iff, for both, the
+    ``loss`` and its :attr:`~PrivacyLoss.reverse`.  Grants iff, for both, the
     whitened deviation is within the sensitivity budget, the
     closed-form mean satisfies ``E[Z] <= eps/2``, and the sub-exponential
     tail at ``eps/2`` is at most ``delta``: the checks ``sensitivity`` (the
     deviation against :func:`sensitivity_budget`), ``mean`` (against ``eps/2``)
     and ``tail`` (against ``delta``), each passing when the worse ordering's
-    value is at most the required one.
+    value is at most the required one.  The budget needs ``loss.k`` of at least 1.
     """
-    check_instance("spectrum", spectrum, PrivacySpectrum)
-    budget_used = sensitivity_budget(eps, delta, k)  # validates eps, delta and k
-    both = (spectrum, spectrum.reverse)
+    check_instance("loss", loss, PrivacyLoss)
+    budget_used = sensitivity_budget(eps, delta, loss.k)  # validates eps, delta and k >= 1
+    both = (loss, loss.reverse)
     checks = tuple(
         RequirementCheck(name, measured <= required, measured, required)
         for name, measured, required in (
             ("sensitivity", max(s.deviation_frob for s in both), budget_used),
-            ("mean", max(expected_privacy_loss(s, k) for s in both), eps / 2.0),
-            ("tail", max(tail_bound(s, k, eps / 2.0) for s in both), delta),
+            ("mean", max(s.mean for s in both), eps / 2.0),
+            ("tail", max(s.tail(eps / 2.0) for s in both), delta),
         )
     )
-    return CertificateReport(eps=eps, delta=delta, k=k, checks=checks,
+    return CertificateReport(eps=eps, delta=delta, k=loss.k, checks=checks,
                              granted=all(c.passed for c in checks))
 
 

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from dpattn import ParamRange, PrivacySpectrum, SingularMatrix, SymMatrix, rng
+from dpattn import ParamRange, PrivacyLoss, SingularMatrix, SymMatrix, rng
 from dpattn.dataset import neighbor_deviation
 from dpattn.linalg import as_sym, relative_tol, spectrum_within
 
@@ -81,12 +81,13 @@ def loewner_within(a, b, eps):
     return spectrum_within(whitened_eigenvalues(a, b), eps)
 
 
-def privacy_spectrum(sigma1, sigma2):
-    """The ``PrivacySpectrum`` of any two positive definite covariances: the eigenvalues
-    of ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``, taken as :func:`whitened_eigenvalues`
-    of ``(sigma1, sigma2)``.  Raises ``SingularMatrix`` when either input is singular:
-    ``sigma2`` at the Cholesky floor, ``sigma1`` at the ``PrivacySpectrum`` floor."""
-    return PrivacySpectrum(whitened_eigenvalues(sigma1, sigma2))
+def privacy_loss(sigma1, sigma2, k=0):
+    """The ``PrivacyLoss`` of ``k`` samples for any two positive definite covariances: the
+    eigenvalues of ``sigma1^{1/2} sigma2^{-1} sigma1^{1/2}``, taken as
+    :func:`whitened_eigenvalues` of ``(sigma1, sigma2)``.  Raises ``SingularMatrix`` when
+    either input is singular: ``sigma2`` at the Cholesky floor, ``sigma1`` at the
+    ``PrivacyLoss`` floor."""
+    return PrivacyLoss(whitened_eigenvalues(sigma1, sigma2), k)
 
 
 def chain_spectrum(a, b):

@@ -18,7 +18,6 @@ from dpattn import (
     cli,
     dp_attention,
     dp_certificate,
-    expected_privacy_loss,
     generate_good_dataset,
     make_neighbor,
     gaussian_sampling_mechanism,
@@ -30,7 +29,7 @@ from dpattn import (
     wilson_upper,
 )
 from helpers import (chain_pair, chain_spectrum, conversion_holds, gram_of, loewner_within,
-                     privacy_spectrum, rand_orthogonal, sensitivity_measured, whitened_error)
+                     privacy_loss, rand_orthogonal, sensitivity_measured, whitened_error)
 
 
 def report(name, ok, detail=""):
@@ -115,10 +114,10 @@ def test_criterion_3_privacy_tail():
     eps, delta, k, n = 0.5, 0.05, 50, 4
     budget_used = sensitivity_budget(eps, delta, k)
     lam = 1.0 + (1.0 - 1e-9) * budget_used / math.sqrt(n)
-    spectrum = privacy_spectrum(SymMatrix(np.diag([lam] * n)), SymMatrix(np.eye(n)))
-    cert = dp_certificate(spectrum, eps, delta, k)
+    loss = privacy_loss(SymMatrix(np.diag([lam] * n)), SymMatrix(np.eye(n)), k)
+    cert = dp_certificate(loss, eps, delta)
     trials = 100_000
-    exceed = int((privacy_loss_samples(spectrum, k, trials, seed=7) > eps).sum())
+    exceed = int((privacy_loss_samples(loss, trials, seed=7) > eps).sum())
     rate, upper = exceed / trials, wilson_upper(exceed, trials)
     elapsed = time.perf_counter() - start
     ok = (
@@ -167,9 +166,9 @@ def test_criterion_4_closed_form_mean():
         n = int(gen.integers(2, 7))
         k = int(gen.integers(5, 51))
         lam = gen.uniform(0.85, 1.2, n)
-        spectrum = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
-        samples = privacy_loss_samples(spectrum, k, trials=100_000, seed=i)
-        mean = expected_privacy_loss(spectrum, k)
+        loss = privacy_loss(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)), k)
+        samples = privacy_loss_samples(loss, trials=100_000, seed=i)
+        mean = loss.mean
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         pull = abs(samples.mean() - mean) / se
         worst_pull = max(worst_pull, pull)
@@ -183,10 +182,10 @@ def test_criterion_4_closed_form_mean():
         k = int(gen.integers(1, 1000))
         budget_used = sensitivity_budget(eps, delta, k)
         lam = _boundary_spectrum(gen, n, budget_used)
-        spec = privacy_spectrum(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)))
-        assert spec.deviation_frob <= budget_used * (1 + 1e-9)
-        assert spec.reverse.deviation_frob <= budget_used * (1 + 1e-9)
-        if expected_privacy_loss(spec, k) > eps / 2.0:
+        loss = privacy_loss(SymMatrix(np.diag(lam)), SymMatrix(np.eye(n)), k)
+        assert loss.deviation_frob <= budget_used * (1 + 1e-9)
+        assert loss.reverse.deviation_frob <= budget_used * (1 + 1e-9)
+        if loss.mean > eps / 2.0:
             violations += 1
     ok = worst_pull <= 4.0 and violations == 0
     report(

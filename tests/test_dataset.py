@@ -212,6 +212,28 @@ class TestNeighborPairValidation:
         with pytest.raises(ParamRange):
             NeighborPair(base=data, perturbed=perturbed, beta=0.01, index=1)
 
+    @pytest.mark.parametrize("beta, move", [(1e-14, 5e-13), (1e-14, 9e-13), (0.0, 9e-13),
+                                            (0.0, 1e-15)])
+    def test_rejects_a_small_move_past_a_tiny_beta(self, beta, move):
+        # the tolerance is a few ulps of the column (about 1e-16 here), not 1e-12
+        data = generate_good_dataset(4, 8, eta=0.01, alpha=0.11, seed=7)
+        perturbed = data.x.copy()
+        perturbed[0, 5] += move
+        with pytest.raises(ParamRange, match="more than beta"):
+            NeighborPair(base=data, perturbed=perturbed, beta=beta, index=5)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1.0, 1e6, 1e150])
+    def test_make_neighbor_pairs_pass_at_any_scale(self, scale):
+        # make_neighbor's own pairs pass NeighborPair at every scale; at scale 1e6 and
+        # beta 1e-2 (the README dataset scaled by 1e6), 46 of 200 (index, seed) pairs were
+        # rejected when the tolerance was 1e-12 * max(1, beta), below the column's rounding
+        data = generate_good_dataset(4, 8, eta=0.01 * scale**2, alpha=0.11 * scale, seed=7)
+        for exponent in range(-16, 1):
+            for index in range(8):
+                for seed in range(5):
+                    pair = make_neighbor(data, 10.0**exponent * scale, index, seed)
+                    assert not np.array_equal(pair.perturbed, data.x)
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_rejects_non_finite_beta(self, beta):
         data = generate_good_dataset(2, 3, eta=1.0, alpha=1.1, seed=0)

@@ -22,24 +22,22 @@ from dpattn import (
     DpParams,
     NeighborPair,
     ParamRange,
-    PrivacySpectrum,
+    PrivacyLoss,
     SymMatrix,
     attention_matrix,
     dp_attention,
     dp_certificate,
     entrywise_activation,
-    expected_privacy_loss,
     gaussian_sampling_mechanism,
     generate_good_dataset,
     make_neighbor,
-    neighbor_spectrum,
+    neighbor_loss,
     perturbation_chain_check,
     privacy_loss_samples,
     required_samples,
     rng,
     sensitivity_bound,
     sensitivity_budget,
-    tail_bound,
     theoretical_error_bound,
     utility_radius,
     verify_neighbor_privacy,
@@ -47,7 +45,7 @@ from dpattn import (
 from dpattn.errors import check_array, check_integer, check_real
 
 DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
-SPECTRUM = PrivacySpectrum([1.01, 0.99])
+LOSS = PrivacyLoss([1.01, 0.99], 10)
 ABOVE_TENTH = math.nextafter(0.1, 1.0)
 BELOW_ZERO = -5e-324
 
@@ -87,7 +85,8 @@ REALS = {
     "DpParams-utility_const": ("utility_const", lambda v: _params(utility_const=v), [], [0]),
     "sensitivity_budget-eps": ("eps", lambda v: sensitivity_budget(v, 0.01, 10), [], [0, 1]),
     "sensitivity_budget-delta": ("delta", lambda v: sensitivity_budget(0.05, v, 10), [], [0, 1]),
-    "tail_bound-t": ("t", lambda v: tail_bound(SPECTRUM, 10, v), [], [0]),
+    # PrivacyLoss.tail, the sub-exponential tail bound
+    "tail_bound-t": ("t", lambda v: LOSS.tail(v), [], [0]),
     "chi_squares-df": (
         "df", lambda v: rng.chi_squares(v, None, rng.generator((1,))), [0], [BELOW_ZERO]),
 }
@@ -186,7 +185,8 @@ ARRAYS = {
         "values", 2, lambda v: gaussian_sampling_mechanism(v, 10, 1), np.eye(2)),
     "Dataset": ("x", 2, lambda v: Dataset(v, eta=0.01, alpha=0.11), DATA.x),
     "NeighborPair": ("perturbed", 2, lambda v: NeighborPair(DATA, v, 0.0, 0), DATA.x),
-    "PrivacySpectrum": ("eigenvalues", 1, PrivacySpectrum, SPECTRUM.eigenvalues),
+    # a PrivacyLoss's comparison spectrum
+    "PrivacySpectrum": ("eigenvalues", 1, lambda v: PrivacyLoss(v, 10), LOSS.eigenvalues),
     "perturbation_chain_check-mu": (
         "mu", 1, lambda v: perturbation_chain_check(MATRIX, MATRIX, v, 0.05, 0.05,
                                                     Activation.EXP), np.ones(2)),
@@ -236,14 +236,12 @@ INSTANCES = {
     "dp_attention-params": ("params", DpParams, lambda v: dp_attention(DATA, 0.0, v)),
     "verify_neighbor_privacy": (
         "pair", NeighborPair, lambda v: verify_neighbor_privacy(v, 0.05, 0.01, 10, 1000, 0)),
-    "neighbor_spectrum": ("pair", NeighborPair, neighbor_spectrum),
+    # neighbor_loss, the loss of the neighbor spectrum
+    "neighbor_spectrum": ("pair", NeighborPair, lambda v: neighbor_loss(v, 10)),
     "NeighborPair": ("base", Dataset, lambda v: NeighborPair(v, DATA.x, 0.0, 0)),
     "make_neighbor": ("data", Dataset, lambda v: make_neighbor(v, 1e-3, 0, 1)),
-    "dp_certificate": ("spectrum", PrivacySpectrum, lambda v: dp_certificate(v, 0.05, 0.01, 10)),
-    "expected_privacy_loss": ("spectrum", PrivacySpectrum, lambda v: expected_privacy_loss(v, 10)),
-    "tail_bound": ("spectrum", PrivacySpectrum, lambda v: tail_bound(v, 10, 0.025)),
-    "privacy_loss_samples": (
-        "spectrum", PrivacySpectrum, lambda v: privacy_loss_samples(v, 10, 5, 0)),
+    "dp_certificate": ("loss", PrivacyLoss, lambda v: dp_certificate(v, 0.05, 0.01)),
+    "privacy_loss_samples": ("loss", PrivacyLoss, lambda v: privacy_loss_samples(v, 5, 0)),
 }
 
 
@@ -251,12 +249,21 @@ INSTANCES = {
                          ids=["ndarray", "list", "None"])
 @pytest.mark.parametrize("label", INSTANCES)
 def test_a_wrong_type_is_rejected_by_name(label, value):
-    # each ended in a bare AttributeError, such as neighbor_spectrum(np.eye(2))'s
-    # "'NoneType' object has no attribute 'column'"
+    # each ended in a bare AttributeError, such as "'NoneType' object has no attribute
+    # 'column'" for a None pair
     name, cls, call = INSTANCES[label]
     with pytest.raises(ParamRange, match=f"^{name} must be a {cls.__name__}, "
                                          f"got a {type(value).__name__}$"):
         call(value)
+
+
+@pytest.mark.parametrize("k", [True, 10.0, -1, pytest.param(10**5000, id="10**5000")],
+                         ids=repr)
+def test_a_privacy_loss_takes_a_count(k):
+    # k is checked once, when the loss is built; 0 is the point mass at 0
+    with pytest.raises(ParamRange, match="^k must be an integer "):
+        PrivacyLoss(LOSS.eigenvalues, k)
+    assert PrivacyLoss(LOSS.eigenvalues, 0).k == 0
 
 
 def test_check_array_returns_a_read_only_float_copy():

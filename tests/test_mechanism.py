@@ -115,6 +115,12 @@ class TestGaussianSamplingMechanism:
                 Overflow, match="^the release exceeds the double range$"):
             gaussian_sampling_mechanism(SymMatrix(np.diag([1e300, 1e300])), 10**10, seed=1)
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_release_warns_nothing(self):
+        # numpy's RuntimeWarning used to reach stderr ahead of the Overflow
+        with pytest.raises(Overflow, match="^the release exceeds the double range$"):
+            gaussian_sampling_mechanism(SymMatrix(np.diag([1e300, 1e300])), 10**10, seed=1)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-155, 1e150])
     def test_release_arrays_are_the_read_only_products(self, scale):
         # sigma_hat = (L T)(L T)^T / k and whitened = T T^T / k as numpy forms them:

@@ -16,7 +16,7 @@ from dpattn import (
     NeighborPair,
     NeighborPrivacyReport,
     ParamRange,
-    PrivacySpectrum,
+    PrivacyLoss,
     SymMatrix,
     attention,
     dataset,
@@ -26,7 +26,7 @@ from dpattn import (
     linalg,
     make_neighbor,
     mechanism,
-    neighbor_spectrum,
+    neighbor_loss,
     perturbation_chain_check,
     pipeline,
     privacy,
@@ -39,7 +39,7 @@ from dpattn import (
     wilson_upper,
 )
 from dpattn.cli import _jsonable
-from helpers import (check_named, conversion_holds, loewner_event, privacy_spectrum,
+from helpers import (check_named, conversion_holds, loewner_event, privacy_loss,
                      sensitivity_measured)
 
 EXPECTED_CHECK_NAMES = ["entry_bound", "eta_below_r", "sensitivity", "utility"]
@@ -366,20 +366,20 @@ class TestVerifyNeighborPrivacy:
         assert not check_named(report.certificate.checks, "sensitivity").passed
 
     def test_spectrum_computed_once(self, monkeypatch):
-        # one rank-two spectrum feeds both sides, and the draws are one
+        # one loss of the rank-two spectrum feeds both sides, and the draws are one
         # (trials, 2) chi-square block whatever n is
         calls, shapes = [], []
         chi_squares = rng.chi_squares
 
-        def counted(pair):
+        def counted(pair, k):
             calls.append(pair)
-            return neighbor_spectrum(pair)
+            return neighbor_loss(pair, k)
 
         def drawn(df, shape, gen):
             shapes.append(shape)
             return chi_squares(df, shape, gen)
 
-        monkeypatch.setattr(pipeline, "neighbor_spectrum", counted)
+        monkeypatch.setattr(pipeline, "neighbor_loss", counted)
         monkeypatch.setattr(rng, "chi_squares", drawn)
         data = generate_good_dataset(8, 16, eta=0.01, alpha=0.11, seed=7)
         pair = make_neighbor(data, beta=1e-8, index=1, seed=4)
@@ -396,9 +396,9 @@ class TestVerifyNeighborPrivacy:
         assert np.any(short.samples != 0.0)
         # past 7 eigenvalues the column sum no longer matches a row sum's bits,
         # but it still does not depend on the number of trials
-        spec = PrivacySpectrum(np.linspace(1.2, 0.8, 9))
-        short = privacy_loss_samples(spec, 50, 1000, 7)
-        assert np.array_equal(short, privacy_loss_samples(spec, 50, 5000, 7)[:1000])
+        loss = PrivacyLoss(np.linspace(1.2, 0.8, 9), 50)
+        short = privacy_loss_samples(loss, 1000, 7)
+        assert np.array_equal(short, privacy_loss_samples(loss, 5000, 7)[:1000])
         assert np.any(short != 0.0)
 
     def test_base_gram_factored_once(self, monkeypatch):
@@ -433,7 +433,7 @@ class TestVerifyNeighborPrivacy:
     def test_minimum_trials(self, monkeypatch):
         # checked before the spectrum is computed
         calls = []
-        monkeypatch.setattr(pipeline, "neighbor_spectrum", calls.append)
+        monkeypatch.setattr(pipeline, "neighbor_loss", lambda pair, k: calls.append(pair))
         data = fast_dataset()
         pair = NeighborPair(base=data, perturbed=data.x.copy(), beta=0.001, index=0)
         for trials in (999, 0, -1):
@@ -446,13 +446,13 @@ PUBLIC_NAMES = {
     "Activation", "CertificateReport", "ChainReport", "Dataset",
     "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible",
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
-    "ParamRange", "PrivacySpectrum", "RequirementCheck",
+    "ParamRange", "PrivacyLoss", "RequirementCheck",
     "SensitivityBound", "SingularMatrix", "SymMatrix",
     "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
-    "expected_privacy_loss", "gaussian_sampling_mechanism", "generate_good_dataset",
-    "make_neighbor", "neighbor_spectrum",
+    "gaussian_sampling_mechanism", "generate_good_dataset",
+    "make_neighbor", "neighbor_loss",
     "perturbation_chain_check", "privacy_loss_samples", "required_samples",
-    "sensitivity_bound", "sensitivity_budget", "tail_bound",
+    "sensitivity_bound", "sensitivity_budget",
     "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy", "wilson_upper",
 }
 
@@ -477,7 +477,7 @@ def test_array_dataclasses_compare_by_identity():
             np.eye(2) / 20, np.eye(2) / 20, np.ones(2), 0.05, 0.05, Activation.EXP),
         Dataset: fast_dataset,
         NeighborPair: lambda: make_neighbor(data, beta=1e-8, index=1, seed=4),
-        PrivacySpectrum: lambda: privacy_spectrum(data.gram_matrix, data.gram_matrix),
+        PrivacyLoss: lambda: privacy_loss(data.gram_matrix, data.gram_matrix, 50),
         DpAttentionReport: lambda: dp_attention(data, 1e-9, fast_params()),
         NeighborPrivacyReport: lambda: verify_neighbor_privacy(
             pair, eps=0.05, delta=0.01, k=50, trials=1000, seed=0),
