@@ -9,7 +9,7 @@ attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
 concrete pair, from the spectral sandwich to the attention error, and is the
 package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` takes
 its attention maps, its error, its bound and its sandwich event from it, run
-without its argument checks, on every release.  The check takes its pair as
+without its array checks, on every release.  The check takes its pair as
 :class:`~dpattn.linalg.SymMatrix` inputs, the unchecked core as two arrays: the
 Gram matrix's ``values`` and the release, a read-only array.
 
@@ -68,11 +68,6 @@ def theoretical_error_bound(eps: float, r: float) -> float:
     """The guaranteed attention error level ``4 * (1 + eps + 2r) * r``."""
     check_real("eps", eps, 0, 0.1, "(]")
     check_real("r", r, 0, 0.1, "(]")
-    return _error_bound(eps, r)
-
-
-def _error_bound(eps: float, r: float) -> float:
-    """:func:`theoretical_error_bound` without its checks, for checked ``eps`` and ``r``."""
     return 4.0 * (1.0 + eps + 2.0 * r) * r
 
 
@@ -110,9 +105,9 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     not an :class:`Activation`, a ``mu`` not a finite vector of length ``n`` and a pair of
     different sizes raise :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is
     the caller's requirement and is not checked here.  A failed link does not stop the
-    chain: every check is measured and reported.  The arguments are checked here,
-    once, and the chain then runs unchecked; :func:`~dpattn.pipeline.dp_attention`
-    runs that unchecked chain directly, on values it has checked or made itself.
+    chain: every check is measured and reported.  The arguments are checked here, then
+    :func:`_chain` runs; :func:`~dpattn.pipeline.dp_attention` calls it directly, on values
+    it has checked or made itself, and its bound checks ``eps`` and ``r`` again.
 
     Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 
@@ -146,9 +141,9 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
 
 def _chain(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float, r: float,
            kind: Activation) -> ChainReport:
-    """:func:`perturbation_chain_check` without its checks, for finite, symmetric,
-    same-size arrays ``a`` and ``b``, ``mu``, ``eps``, ``r`` and ``kind`` the caller has
-    checked; an activation out of the double range still raises :class:`Overflow`."""
+    """:func:`perturbation_chain_check` without its array checks, for finite, symmetric,
+    same-size arrays ``a`` and ``b``, ``mu`` and ``kind`` the caller has checked; its bound
+    checks ``eps`` and ``r``.  An activation beyond the double range raises :class:`Overflow`."""
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu
@@ -162,7 +157,7 @@ def _chain(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float, r: f
     att_a = act_a / sums_a[:, None]
     att_b = act_b / sums_b[:, None]
 
-    att_bound = _error_bound(eps, r)
+    att_bound = theoretical_error_bound(eps, r)
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
     entry_max = float(np.abs(b).max())
     entry_bound = (1.0 + eps) * r

@@ -17,16 +17,18 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import rng
-from .errors import NotPsd, Overflow, SingularMatrix, check_integer, check_real
+from .errors import Infeasible, NotPsd, Overflow, SingularMatrix, check_integer, check_real
 from .linalg import as_sym, relative_tol
 
 _BLOCK_ENTRIES = 1 << 16  # entries of T T^T per stack of bartlett_factors: memory stays bounded
+_MAX_K = int(sys.float_info.max)  # the largest k that utility_radius takes
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +83,12 @@ def bartlett_factors(n: int, k: int, seed, trials: int) -> Iterator[np.ndarray]:
     m = min(n, k)
     diag, below, count = _bartlett_layout(n, m)
     chis, normals = _bartlett_streams(seed)
+    # The release's float(k - j), formed from Python ints: k - diag would be int64.
+    dfs = np.array([float(k - j) for j in range(m)])
 
     def stack(rows: int) -> np.ndarray:
         factors = np.zeros((rows, n, m))
-        factors[:, diag, diag] = np.sqrt(rng.chi_squares(k - diag, (rows, m), chis))
+        factors[:, diag, diag] = np.sqrt(rng.chi_squares(dfs, (rows, m), chis))
         factors[:, below] = normals.standard_normal((rows, count))
         return factors
 
@@ -167,12 +171,6 @@ def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
     check_real("gamma", gamma, 0, 1, "()")
     check_integer("k", k, 1)
     check_real("scale", scale, 0, math.inf, "()")
-    return _utility_radius(n, gamma, k, scale)
-
-
-def _utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
-    """:func:`utility_radius` without its checks, for checked ``n``, ``gamma``, ``k`` and
-    ``scale``."""
     mass = n * n + math.log(1.0 / gamma)
     return scale * (math.sqrt(mass / k) + mass / k)
 
@@ -180,18 +178,26 @@ def _utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
 def required_samples(n: int, gamma: float, radius_target: float, scale: float) -> int:
     """Smallest ``k`` with ``utility_radius(n, gamma, k, scale) <= radius_target``.
 
-    The radius is strictly decreasing in ``k``, so an analytic starting point
-    plus a local integer walk gives the exact minimizer.
+    The radius does not increase with ``k``, in floating point too, so doubling ``k``
+    from 1 brackets the minimum and a bisection finds it: about ``2 log2(k)`` radius
+    evaluations.  Where no ``k`` in the double range reaches ``radius_target``, it raises
+    :class:`Infeasible`.
     """
     check_real("radius_target", radius_target, 0, math.inf, "()")
-    utility_radius(n, gamma, 1, scale)  # validates n, gamma and scale
-    mass = n * n + math.log(1.0 / gamma)
-    # Solve y + y^2 = target/scale for y = sqrt(mass / k).
-    t = radius_target / scale
-    y = (-1.0 + math.sqrt(1.0 + 4.0 * t)) / 2.0
-    k = max(1, math.ceil(mass / (y * y)))
-    while k > 1 and utility_radius(n, gamma, k - 1, scale) <= radius_target:
-        k -= 1
-    while utility_radius(n, gamma, k, scale) > radius_target:
-        k += 1
-    return k
+
+    def reaches(k: int) -> bool:
+        return utility_radius(n, gamma, k, scale) <= radius_target
+
+    if not reaches(_MAX_K):  # validates n, gamma and scale
+        raise Infeasible(f"no k up to {_MAX_K:.3e} reaches radius_target = {radius_target!r}")
+    hi = 1
+    while not reaches(hi):
+        hi = min(2 * hi, _MAX_K)
+    lo = hi // 2  # 0, or the last k that did not reach the target
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

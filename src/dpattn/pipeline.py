@@ -9,15 +9,14 @@ normalizer ratios and the attention deviation against
 ``4 * (1 + eps + 2r) * r``.  Nothing is taken on trust: each requirement and
 each link is evaluated numerically and recorded in the report.
 
-Its inputs are checked once.  A :class:`~dpattn.dataset.Dataset` and a
-:class:`DpParams` check every field when they are made; :func:`dp_attention`
-checks what arrives at the call, the types of ``data`` and ``params`` and
-``beta`` (through :func:`~dpattn.dataset.sensitivity_bound`).  From there it runs
-the unchecked cores of the bounds and of the chain, which re-check nothing.  Inputs
-are :class:`~dpattn.linalg.SymMatrix`, outputs are read-only arrays: the mechanism
-returns its release and whitened draw as arrays, checked only for the double range,
-and the chain takes the Gram matrix's ``values`` and the release.  Each public
-function keeps its own checks.
+A :class:`~dpattn.dataset.Dataset` and a :class:`DpParams` check every field when they
+are made; :func:`dp_attention` checks the types of ``data`` and ``params``, and ``beta``
+(through :func:`~dpattn.dataset.sensitivity_bound`).  The rule: a function whose checks
+are scalar is called as it is, and a private core exists only where the public checks
+would copy an array.  So the bounds are called as they are, and the chain runs as
+:func:`~dpattn.attention._chain`, since :func:`~dpattn.attention.perturbation_chain_check`
+would copy and symmetrize the release.  Inputs are :class:`~dpattn.linalg.SymMatrix` and
+outputs read-only arrays; the chain takes the Gram matrix's ``values`` and the release.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
@@ -38,9 +37,9 @@ from .attention import Activation, RequirementCheck, _chain, _check_kind
 from .dataset import Dataset, NeighborPair, sensitivity_bound
 from .errors import check_instance, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
-from .mechanism import _utility_radius, gaussian_sampling_mechanism
-from .privacy import (CertificateReport, _sensitivity_budget, dp_certificate, neighbor_loss,
-                      privacy_loss_samples, wilson_upper)
+from .mechanism import gaussian_sampling_mechanism, utility_radius
+from .privacy import (CertificateReport, dp_certificate, neighbor_loss, privacy_loss_samples,
+                      sensitivity_budget, wilson_upper)
 
 
 @dataclass(frozen=True)
@@ -130,10 +129,10 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     :class:`DpParams` or ``beta`` not a real in ``[0, inf)`` raise
     :class:`ParamRange`.  What :class:`Dataset` and :class:`DpParams` validate on
     construction (``d >= n``, the Gram floor ``eta``, every parameter's range)
-    is not re-checked, and neither is what the release computes: the bounds and
-    the chain run as unchecked cores.  A failed hard requirement does not abort
-    the run; the full report is produced with ``certified=False`` and the
-    failing check named.
+    is not re-checked here.  The bounds are their public functions, which re-check
+    their scalars; the chain runs as its unchecked core, which copies no array (see
+    the module docstring).  A failed hard requirement does not abort the run; the
+    full report is produced with ``certified=False`` and the failing check named.
 
     Both sandwich events are read off the spectrum ``mu`` of the mechanism's
     whitened release ``T T^T / k``, its one ``eigvalsh``: ``mu`` within ``rho``,
@@ -145,8 +144,8 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     check_instance("params", params, DpParams)
     base = data.gram_matrix
     sens_frob = sensitivity_bound(data.eta, data.alpha, beta, data.n).frobenius_bound
-    budget_used = _sensitivity_budget(params.eps, params.delta, params.k)
-    rho = _utility_radius(data.n, params.gamma, params.k, params.utility_const)
+    budget_used = sensitivity_budget(params.eps, params.delta, params.k)
+    rho = utility_radius(data.n, params.gamma, params.k, params.utility_const)
     entry_max = float(np.abs(base.values).max())
 
     checks = (

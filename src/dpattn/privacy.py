@@ -62,11 +62,6 @@ def sensitivity_budget(eps: float, delta: float, k: int) -> float:
     check_real("eps", eps, 0, 1, "()")
     check_real("delta", delta, 0, 1, "()")
     check_integer("k", k, 1)
-    return _sensitivity_budget(eps, delta, k)
-
-
-def _sensitivity_budget(eps: float, delta: float, k: int) -> float:
-    """:func:`sensitivity_budget` without its checks, for checked ``eps``, ``delta`` and ``k``."""
     log_inv = math.log(1.0 / delta)
     return 0.1 * min(eps / math.sqrt(k * log_inv), eps / log_inv)
 

@@ -140,6 +140,19 @@ class TestPerturbationChain:
         assert by_name["normalizer_ratio"].passed
         assert by_name["attention_bound"].passed
 
+    def test_attention_bound_passes_at_equality(self):
+        # At r = 1/16 every step of 4 (1 + eps + 2r) r is exact, (1 + eps + 1/8) / 4, so
+        # eps = 4 E - 9/8 puts the bound on any error E in [9/32, 49/160]; E does not
+        # depend on eps.
+        base, perturbed = SymMatrix(np.zeros((2, 2))), SymMatrix(np.diag([1.36, 1.36]))
+        error = chain(base, perturbed, 0.05, 0.0625).stages[-1].measured
+        eps = 4.0 * error - 1.125
+        assert 0.0 < eps <= 0.1
+        check = chain(base, perturbed, eps, 0.0625).stages[-1]
+        assert check.name == "attention_bound"
+        assert check.measured == check.required == error
+        assert check.passed
+
     def test_stages_are_requirement_checks(self):
         # the lower boundary pair, whose entry stage fails
         base = SymMatrix(0.05 * np.eye(2))

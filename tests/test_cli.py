@@ -74,6 +74,19 @@ class TestMatrixCsv:
         with pytest.raises(cli.ConfigError):
             read_matrix_csv(path)
 
+    def test_non_float_row_rejected_by_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x,1,2\n")
+        with pytest.raises(cli.ConfigError, match=r"bad\.csv:1: not a comma-separated float row"):
+            read_matrix_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_empty_file_rejected(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match="empty matrix file"):
+            read_matrix_csv(path)
+
 
 class TestArgv:
     @pytest.mark.parametrize("argv", [
@@ -154,6 +167,12 @@ class TestGenDataset:
         )
         assert run(["gen-dataset", "--config", cfg, "--out", tmp_path]) == 2
         assert "extra" in capsys.readouterr().err
+
+    def test_config_not_an_object_exit_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "list.json", [{"name": "demo"}])
+        assert run(["gen-dataset", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "config error: config must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
@@ -269,6 +288,17 @@ class TestDpAttention:
         cfg = self.attention_config(tmp_path, tmp_path / "nothere.json")
         assert run(["dp-attention", "--config", cfg, "--out", tmp_path]) == 2
 
+    def test_sidecar_shape_mismatch_exit_two(self, tmp_path, gen_config, capsys):
+        sidecar = make_dataset(tmp_path, gen_config)
+        (tmp_path / "demo.csv").write_text("1.0,0.0,0.0\n0.0,1.0,0.0\n")
+        doc = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps({**doc, "n": 3, "d": 3}))
+        cfg = self.attention_config(tmp_path, sidecar)
+        assert run(["dp-attention", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {tmp_path / 'demo.csv'}: shape (2, 3) does not match sidecar "
+            "(3, 3)\n")
+
     def test_integer_valued_real_writes_the_same_report(self, tmp_path, gen_config):
         # a config real is read as a float, so 1 and 1.0 give the same bytes
         sidecar = make_dataset(tmp_path, gen_config)
@@ -321,6 +351,25 @@ class TestVerifyPrivacy:
         assert report["certificate"]["granted"] is True
         samples = np.load(tmp_path / "privacy_report_samples.npy", allow_pickle=False)
         assert samples.shape == (1000,)
+
+    def test_missing_perturbed_csv_exit_two(self, tmp_path, gen_config, capsys):
+        sidecar = make_dataset(tmp_path, gen_config)
+        cfg = write_config(tmp_path / "vp.json", {**VALID["verify-privacy-file"],
+                                                  "dataset": sidecar.name,
+                                                  "perturbed_csv": "nothere.csv"})
+        assert run(["verify-privacy", "--config", cfg, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read matrix {tmp_path / 'nothere.csv'}: ")
+
+    def test_perturbed_csv_with_blank_lines_granted(self, tmp_path, gen_config, capsys):
+        sidecar = make_dataset(tmp_path, gen_config)
+        rows = (tmp_path / "demo.csv").read_text().splitlines()
+        (tmp_path / "gaps.csv").write_text("\n" + "\n\n".join(rows) + "\n\n")
+        cfg = write_config(tmp_path / "vp.json", {**VALID["verify-privacy-file"],
+                                                  "dataset": sidecar.name,
+                                                  "perturbed_csv": "gaps.csv"})
+        assert run(["verify-privacy", "--config", cfg, "--out", tmp_path]) == 0
+        assert ": granted, empirical rate 0.0" in capsys.readouterr().out
 
     def test_samples_npy_are_the_library_draws(self, tmp_path, gen_config):
         sidecar = make_dataset(tmp_path, gen_config)
@@ -514,6 +563,16 @@ class TestBenchUtility:
             assert ((tmp_path / str(block) / "bench_utility.csv").read_bytes()
                     == (tmp_path / "one" / "bench_utility.csv").read_bytes())
         assert sizes == [1] * 28 + [3, 3, 1] * 4
+
+    def test_k_beyond_int64(self, tmp_path):
+        # k - j taken in int64 ended this run in an OverflowError traceback, exit 1
+        k = 10**19
+        cfg = self.bench_config(tmp_path, n=4, ks=[k], trials=2, seed=1, cond=1.0)
+        assert run(["bench-utility", "--config", cfg, "--out", tmp_path]) == 0
+        rows = (tmp_path / "bench_utility.csv").read_text().splitlines()[1:]
+        release = gaussian_sampling_mechanism(SymMatrix(np.eye(4)), k, (1, 0))
+        assert rows[0] == f"4,{k},0,{frobenius_oracle(release.whitened)!r}"
+        assert len(rows) == 3
 
     def test_no_eigh_per_run(self, tmp_path, monkeypatch):
         # the covariance's spectrum is geomspace(1, cond, n) by construction: no eigh

@@ -205,6 +205,11 @@ class TestNeighborPairValidation:
         with pytest.raises(ParamRange):
             NeighborPair(base=data, perturbed=perturbed, beta=0.01, index=0)
 
+    def test_rejects_a_perturbed_matrix_of_another_shape(self):
+        data = generate_good_dataset(2, 3, eta=1.0, alpha=1.1, seed=0)
+        with pytest.raises(ParamRange, match=r"shape \(2, 4\) does not match base \(2, 3\)"):
+            NeighborPair(base=data, perturbed=np.zeros((2, 4)), beta=0.01, index=0)
+
     def test_rejects_oversized_move(self):
         data = generate_good_dataset(2, 3, eta=1.0, alpha=1.1, seed=0)
         perturbed = data.x.copy()

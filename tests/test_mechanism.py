@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from dpattn import (
+    Infeasible,
     NotPsd,
     mechanism,
     Overflow,
@@ -344,9 +345,10 @@ class TestBartlettFactors:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_trial_zero_is_the_release(self, n):
         # the release draws its factor by scalar calls and the block by array calls;
-        # they are one stream, also at 1 < k < n (m = k) and on a non-identity covariance
+        # they are one stream, also at 1 < k < n (m = k), on a non-identity covariance and
+        # at k >= 2**63, where the block's k - j once overflowed int64
         sigma = SymMatrix(rand_pd(np.random.default_rng(n), n))
-        for k in sorted({1, 2, 3, n, 1_196_713}):
+        for k in sorted({1, 2, 3, n, 1_196_713, 2**53 + 1, 2**63 - 1, 2**63, 10**19, 10**30}):
             factor = block_of(n, k, (4, 2), 3)[0]
             whitened = SymMatrix(factor @ factor.T / k).values
             release = gaussian_sampling_mechanism(SymMatrix(np.eye(n)), k, (4, 2))
@@ -451,6 +453,42 @@ class TestRequiredSamples:
     def test_param_validation(self):
         with pytest.raises(ParamRange):
             required_samples(4, 0.1, 0.0, 1.0)
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+
+        def radius(*args):
+            calls.append(args)
+            return utility_radius(*args)
+        monkeypatch.setattr(mechanism, "utility_radius", radius)
+        return calls
+
+    def test_readme_value(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert required_samples(4, 0.05, 0.004, 1.0) == 1_196_713
+        assert len(calls) == 43
+        assert calls[0][2] == mechanism._MAX_K
+
+    @pytest.mark.parametrize("exponent", [1, -1, -3, -5, -8, -10, -17, -50, -100, -150])
+    def test_minimum_in_log_k_evaluations(self, monkeypatch, exponent):
+        # above 2**53 adjacent k round to one float, so the radius is flat across runs of
+        # k; a walk from an analytic start took 131,071 steps at 1e-10, and a start that
+        # cancelled to 0 divided by zero at 1e-17
+        target = 10.0**exponent
+        calls = self.counted(monkeypatch)
+        k = required_samples(4, 0.05, target, 1.0)
+        assert len(calls) <= 2 * k.bit_length() + 1
+        monkeypatch.undo()
+        assert utility_radius(4, 0.05, k, 1.0) <= target < utility_radius(4, 0.05, k - 1, 1.0)
+
+    @pytest.mark.parametrize("target", [1e-160, 1e-200, 5e-324])
+    def test_unreachable_target_is_infeasible(self, monkeypatch, target):
+        # no k in the double range reaches it: at most 1.8e308, the radius is about 1e-154
+        calls = self.counted(monkeypatch)
+        with pytest.raises(Infeasible, match=f"radius_target = {target!r}"):
+            required_samples(4, 0.05, target, 1.0)
+        assert len(calls) == 1
 
     def test_n_must_be_an_integer(self):
         # its range check goes through utility_radius; 2.5 used to give 94,298

@@ -169,6 +169,14 @@ class TestDpAttention:
         assert check.measured == check.required
         assert check.passed
 
+    def test_entry_bound_on_r_passes(self):
+        # one row of norm 1/4: the Gram matrix is the single entry 1/16, exactly r
+        data = Dataset(x=np.array([[0.25, 0.0]]), eta=0.0625, alpha=0.25)
+        params = dataclasses.replace(fast_params(), r=0.0625)
+        check = check_named(dp_attention(data, 1e-8, params).requirement_checks, "entry_bound")
+        assert check.measured == check.required == 0.0625
+        assert check.passed
+
     def test_entry_bound_gate_failure(self):
         # eta alone pushes the diagonal above r
         wide = generate_good_dataset(2, 4, eta=0.09, alpha=0.3, seed=1)

@@ -203,6 +203,10 @@ class TestPrivacySpectrum:
                 PrivacyLoss(np.array(lam), 10)
             PrivacyLoss(np.array([*lam[:-1], math.nextafter(lam[-1], 1.0)]), 10)
 
+    def test_empty_spectrum_rejected(self):
+        with pytest.raises(ParamRange, match="non-empty vector, got shape"):
+            PrivacyLoss(np.array([]), 5)
+
     @pytest.mark.parametrize("lam", [[np.nan, 1.0], [np.inf], [1.0, -np.inf]])
     def test_non_finite_rejected(self, lam):
         with pytest.raises(ParamRange):
