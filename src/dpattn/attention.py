@@ -7,11 +7,10 @@ spectrally within a relative factor ``eps`` of each other, the resulting
 attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
 :func:`perturbation_chain_check` measures every link of that bound on a
 concrete pair, from the spectral sandwich to the attention error, and is the
-package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` takes
-its attention maps, its error, its bound and its sandwich event from it, run
-without its array checks, on every release.  The check takes its pair as
-:class:`~dpattn.linalg.SymMatrix` inputs, the unchecked core as two arrays: the
-Gram matrix's ``values`` and the release, a read-only array.
+package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` runs it on
+every release, on the Gram matrix's ``values`` and the read-only release, and takes
+its attention maps, its error, its bound and its sandwich event from it.  It reads
+those arrays as they are and checks only its scalars.
 
 Throughout this module the matrix infinity-norm means the entrywise
 max-absolute value.  ``eps`` and ``r`` are finite reals in ``(0, 0.1]``.
@@ -25,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import Overflow, ParamRange, check_array, check_real
+from .errors import Overflow, ParamRange, check_real
 from .linalg import as_sym, spectrum_within
 
 
@@ -95,19 +94,21 @@ class ChainReport:
     stages: tuple[RequirementCheck, ...]
 
 
-def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -> ChainReport:
+def perturbation_chain_check(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float,
+                             r: float, kind: Activation) -> ChainReport:
     """Measure every link of the attention perturbation bound on the pair ``(a, b)``.
 
-    ``mu`` is the spectrum of ``b`` whitened by ``a``, the eigenvalues of
-    ``a^{-1/2} b a^{-1/2}`` (:func:`~dpattn.pipeline.dp_attention` reads them off
-    the release's ``T T^T / k``), or ``None`` when ``a`` has no Cholesky factor;
-    nothing here factors a matrix.  ``eps`` or ``r`` not a real in ``(0, 0.1]``, a ``kind``
-    not an :class:`Activation`, a ``mu`` not a finite vector of length ``n`` and a pair of
-    different sizes raise :class:`ParamRange`.  The base's own entry bound ``max |a_ij| <= r`` is
-    the caller's requirement and is not checked here.  A failed link does not stop the
-    chain: every check is measured and reported.  The arguments are checked here, then
-    :func:`_chain` runs; :func:`~dpattn.pipeline.dp_attention` calls it directly, on values
-    it has checked or made itself, and its bound checks ``eps`` and ``r`` again.
+    ``a`` and ``b`` are finite, symmetric arrays of one size and ``mu`` is ``None`` or a
+    finite vector of that length, read as they are, neither copied nor checked: the
+    arrays :func:`~dpattn.pipeline.dp_attention` made and checked, the Gram matrix's
+    ``values``, the release and its whitened spectrum.  ``mu`` holds the eigenvalues of
+    ``a^{-1/2} b a^{-1/2}`` (the release's ``T T^T / k``), or is ``None`` when ``a`` has
+    no Cholesky factor; nothing here factors a matrix.  The scalars are checked:
+    ``eps`` or ``r`` not a real in ``(0, 0.1]``, then a ``kind`` not an
+    :class:`Activation`, raise :class:`ParamRange`.  The base's own entry bound
+    ``max |a_ij| <= r`` is the caller's requirement and is not checked here.  A failed
+    link does not stop the chain: every check is measured and reported.  An activation
+    beyond the double range raises :class:`Overflow`.
 
     Checks, in order; each but ``loewner`` passes when ``measured <= required``:
 
@@ -130,20 +131,8 @@ def perturbation_chain_check(a, b, mu, eps: float, r: float, kind: Activation) -
     the attainable entry bound degrades to ``r / (1 - eps)`` and stage 2 reports
     the excess honestly (see the tests for the boundary case).
     """
-    theoretical_error_bound(eps, r)  # validates eps and r first
-    a, b = as_sym(a), as_sym(b)
-    mu = None if mu is None else check_array("mu", mu, 1)
-    if a.dim != b.dim or (mu is not None and mu.shape != (a.dim,)):
-        raise ParamRange(f"dimension mismatch: {a.dim}, {b.dim} and mu {np.shape(mu)}")
+    att_bound = theoretical_error_bound(eps, r)  # validates eps and r first
     _check_kind(kind)
-    return _chain(a.values, b.values, mu, eps, r, kind)
-
-
-def _chain(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float, r: float,
-           kind: Activation) -> ChainReport:
-    """:func:`perturbation_chain_check` without its array checks, for finite, symmetric,
-    same-size arrays ``a`` and ``b``, ``mu`` and ``kind`` the caller has checked; its bound
-    checks ``eps`` and ``r``.  An activation beyond the double range raises :class:`Overflow`."""
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu
@@ -157,7 +146,6 @@ def _chain(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None, eps: float, r: f
     att_a = act_a / sums_a[:, None]
     att_b = act_b / sums_b[:, None]
 
-    att_bound = theoretical_error_bound(eps, r)
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
     entry_max = float(np.abs(b).max())
     entry_bound = (1.0 + eps) * r

@@ -364,7 +364,3 @@ def main(argv: list[str] | None = None) -> int:
     except (DpAttnError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

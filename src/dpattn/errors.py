@@ -2,9 +2,10 @@
 raising :class:`ParamRange` by name: :func:`check_integer` for integers and
 :func:`check_real` for reals, in the library and a JSON config alike, which hold a value to
 the double range (a Python ``int`` beyond ``sys.float_info.max``, about 1.8e308, which
-``float()`` may not convert, fails), :func:`check_array` for arrays and
-:func:`check_instance` for the package's own types (a ``Dataset``, ``DpParams``,
-``NeighborPair`` or ``PrivacyLoss``)."""
+``float()`` may not convert, fails), :func:`check_array` for the arrays a caller hands in
+(a ``SymMatrix``'s values, a ``Dataset``'s ``x``, a ``NeighborPair``'s ``perturbed``, a
+``PrivacyLoss``'s ``eigenvalues``) and :func:`check_instance` for the package's own types
+(a ``Dataset``, ``DpParams``, ``NeighborPair`` or ``PrivacyLoss``)."""
 
 import sys
 

@@ -171,7 +171,7 @@ def utility_radius(n: int, gamma: float, k: int, scale: float) -> float:
     check_real("gamma", gamma, 0, 1, "()")
     check_integer("k", k, 1)
     check_real("scale", scale, 0, math.inf, "()")
-    mass = n * n + math.log(1.0 / gamma)
+    mass = float(n) * n + math.log(1.0 / gamma)
     return scale * (math.sqrt(mass / k) + mass / k)
 
 

@@ -13,10 +13,11 @@ A :class:`~dpattn.dataset.Dataset` and a :class:`DpParams` check every field whe
 are made; :func:`dp_attention` checks the types of ``data`` and ``params``, and ``beta``
 (through :func:`~dpattn.dataset.sensitivity_bound`).  The rule: a function whose checks
 are scalar is called as it is, and a private core exists only where the public checks
-would copy an array.  So the bounds are called as they are, and the chain runs as
-:func:`~dpattn.attention._chain`, since :func:`~dpattn.attention.perturbation_chain_check`
-would copy and symmetrize the release.  Inputs are :class:`~dpattn.linalg.SymMatrix` and
-outputs read-only arrays; the chain takes the Gram matrix's ``values`` and the release.
+would copy an array.  The bounds and the chain check only scalars, so all three are called
+as they are; the one core left is :func:`~dpattn.attention._activation`, which the chain
+shares with :func:`~dpattn.attention.entrywise_activation`.  Inputs are
+:class:`~dpattn.linalg.SymMatrix` and outputs read-only arrays; the chain takes the Gram
+matrix's ``values`` and the release.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .attention import Activation, RequirementCheck, _chain, _check_kind
+from .attention import Activation, RequirementCheck, _check_kind, perturbation_chain_check
 from .dataset import Dataset, NeighborPair, sensitivity_bound
 from .errors import check_instance, check_integer, check_real
 from .linalg import SymMatrix, spectrum_within
@@ -129,10 +130,10 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     :class:`DpParams` or ``beta`` not a real in ``[0, inf)`` raise
     :class:`ParamRange`.  What :class:`Dataset` and :class:`DpParams` validate on
     construction (``d >= n``, the Gram floor ``eta``, every parameter's range)
-    is not re-checked here.  The bounds are their public functions, which re-check
-    their scalars; the chain runs as its unchecked core, which copies no array (see
-    the module docstring).  A failed hard requirement does not abort the run; the
-    full report is produced with ``certified=False`` and the failing check named.
+    is not re-checked here.  The bounds and the chain are their public functions, which
+    check their scalars again and copy no array (see the module docstring).  A failed
+    hard requirement does not abort the run; the full report is produced with
+    ``certified=False`` and the failing check named.
 
     Both sandwich events are read off the spectrum ``mu`` of the mechanism's
     whitened release ``T T^T / k``, its one ``eigvalsh``: ``mu`` within ``rho``,
@@ -166,7 +167,8 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     # rho <= 0.1 * eps makes the implication exact up to rounding, and both
     # events are evaluated instead of trusting it.
     rho_event = mu is not None and spectrum_within(mu, rho)
-    chain = _chain(base.values, mech.sigma_hat, mu, params.eps, params.r, params.kind)
+    chain = perturbation_chain_check(base.values, mech.sigma_hat, mu, params.eps, params.r,
+                                     params.kind)
     loewner, error = chain.stages[0], chain.stages[-1]
 
     hard_ok = all(c.passed for c in checks if not c.warning_only)

@@ -91,8 +91,8 @@ def privacy_loss(sigma1, sigma2, k=0):
 
 
 def chain_spectrum(a, b):
-    """The ``mu`` that ``perturbation_chain_check(a, b, mu, ...)`` takes: the eigenvalues
-    of ``a^{-1/2} b a^{-1/2}``, or ``None`` when ``a`` has no Cholesky factor."""
+    """The ``mu`` that ``perturbation_chain_check(a.values, b.values, mu, ...)`` takes: the
+    eigenvalues of ``a^{-1/2} b a^{-1/2}``, or ``None`` when ``a`` has no Cholesky factor."""
     try:
         return whitened_eigenvalues(b, a)
     except SingularMatrix:
@@ -117,7 +117,7 @@ def rand_psd(gen, n, eig_high=2.0):
 
 
 def chain_pair(gen, n, eps, r):
-    """Construct a (base, perturbed) PSD pair meeting the chain preconditions.
+    """Construct a (base, perturbed) PSD ``SymMatrix`` pair meeting the chain preconditions.
 
     The perturbed matrix has eigenvalues mu, and the base equals
     perturbed^{1/2} S perturbed^{1/2} with the eigenvalues of S drawn inside
@@ -139,7 +139,7 @@ def chain_pair(gen, n, eps, r):
     base = half @ ratio @ half
     base = (base + base.T) / 2.0
     scale = r / np.abs(base).max()
-    return base * scale, perturbed * scale
+    return SymMatrix(base * scale), SymMatrix(perturbed * scale)
 
 
 def whitened_error(release):

@@ -21,13 +21,13 @@ from dpattn import (
     generate_good_dataset,
     make_neighbor,
     gaussian_sampling_mechanism,
-    perturbation_chain_check,
     privacy_loss_samples,
     required_samples,
     sensitivity_bound,
     sensitivity_budget,
     wilson_upper,
 )
+from dpattn.attention import perturbation_chain_check
 from helpers import (chain_pair, chain_spectrum, conversion_holds, gram_of, loewner_within,
                      privacy_loss, rand_orthogonal, sensitivity_measured, whitened_error)
 
@@ -237,7 +237,7 @@ def test_criterion_6_perturbation_chain():
             r = float(gen.uniform(0.01, 0.1))
             base, perturbed = chain_pair(gen, n, eps, r)
             mu = chain_spectrum(base, perturbed)
-            chain = perturbation_chain_check(base, perturbed, mu, eps, r, kind)
+            chain = perturbation_chain_check(base.values, perturbed.values, mu, eps, r, kind)
             if not all(s.passed for s in chain.stages):
                 failures += 1
     report(

@@ -12,9 +12,9 @@ from dpattn import (
     SymMatrix,
     attention_matrix,
     entrywise_activation,
-    perturbation_chain_check,
     theoretical_error_bound,
 )
+from dpattn.attention import perturbation_chain_check
 from helpers import chain_pair, chain_spectrum, rand_psd
 
 
@@ -94,8 +94,8 @@ class TestSeriesInequalities:
 
 
 def chain(a, b, eps, r, kind=Activation.EXP):
-    """The chain on ``(a, b)`` with the spectrum of ``b`` whitened by ``a``."""
-    return perturbation_chain_check(a, b, chain_spectrum(a, b), eps, r, kind)
+    """The chain on the values of ``(a, b)`` with the spectrum of ``b`` whitened by ``a``."""
+    return perturbation_chain_check(a.values, b.values, chain_spectrum(a, b), eps, r, kind)
 
 
 class TestPerturbationChain:
@@ -153,6 +153,30 @@ class TestPerturbationChain:
         assert check.measured == check.required == error
         assert check.passed
 
+    def test_entry_range_passes_at_equality(self):
+        # a perturbed entry on the stage bound (1 + eps) r, as the chain rounds it
+        bound = (1.0 + 0.05) * 0.05
+        base, perturbed = SymMatrix(0.05 * np.eye(2)), SymMatrix(np.diag([bound, 0.05]))
+        check = chain(base, perturbed, 0.05, 0.05).stages[1]
+        assert check.name == "entry_range"
+        assert check.measured == check.required == bound
+        assert check.passed
+
+    @pytest.mark.parametrize("stage, step", [(2, 0.137), (3, 0.258)])
+    def test_ratio_checks_pass_at_equality(self, stage, step):
+        # At r = 1/16 the ratio bound (2 + 2 eps + 4r) r is (2.25 + 2 eps) / 16, exact
+        # for 16 R in [2.25, 2.45], so eps = (16 R - 2.25) / 2 puts it on a ratio R in
+        # [9/64, 49/320].  Against zero logits, diag(s, s) has activation ratio e^s - 1
+        # and normalizer ratio (e^s - 1) / 2, neither depending on eps.
+        base, perturbed = SymMatrix(np.zeros((2, 2))), SymMatrix(np.diag([step, step]))
+        ratio = chain(base, perturbed, 0.05, 0.0625).stages[stage].measured
+        eps = (16.0 * ratio - 2.25) / 2.0
+        assert 0.0 < eps <= 0.1
+        check = chain(base, perturbed, eps, 0.0625).stages[stage]
+        assert check.name == ("activation_ratio", "normalizer_ratio")[stage - 2]
+        assert check.measured == check.required == ratio
+        assert check.passed
+
     def test_stages_are_requirement_checks(self):
         # the lower boundary pair, whose entry stage fails
         base = SymMatrix(0.05 * np.eye(2))
@@ -174,7 +198,8 @@ class TestPerturbationChain:
         m = SymMatrix(0.01 * np.eye(2))
         for excess, passed in ((5e-10, True), (2e-9, False)):
             mu = np.full(2, 1.0 / (1.0 + 0.05 + excess))
-            report = perturbation_chain_check(m, m, mu, 0.05, 0.05, Activation.EXP)
+            report = perturbation_chain_check(m.values, m.values, mu, 0.05, 0.05,
+                                              Activation.EXP)
             assert report.stages[0].passed is passed
             assert report.stages[0].measured == pytest.approx(0.05 + excess, abs=1e-15)
 
@@ -203,7 +228,8 @@ class TestPerturbationChain:
         assert mu.min() == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by the zero eigenvalue
-            report = perturbation_chain_check(base, perturbed, mu, 0.05, 0.05, Activation.EXP)
+            report = perturbation_chain_check(base.values, perturbed.values, mu, 0.05, 0.05,
+                                              Activation.EXP)
         assert not report.stages[0].passed and report.stages[0].measured == math.inf
 
     def test_loewner_precondition(self):
@@ -219,13 +245,6 @@ class TestPerturbationChain:
         for eps, r in ((0.5, 0.05), (0.05, 0.5), (0.0, 0.05), (0.05, math.nan)):
             with pytest.raises(ParamRange):
                 chain(m, m, eps, r)
-
-    def test_dimension_mismatch(self):
-        m = SymMatrix(0.01 * np.eye(2))
-        with pytest.raises(ParamRange):
-            chain(m, SymMatrix(0.01 * np.eye(3)), 0.05, 0.05)
-        with pytest.raises(ParamRange):
-            perturbation_chain_check(m, m, np.ones(3), 0.05, 0.05, Activation.EXP)
 
     @pytest.mark.parametrize("kind", list(Activation))
     def test_random_constructed_pairs_all_pass(self, kind):

@@ -14,6 +14,7 @@ from dpattn import (
     dp_attention,
     generate_good_dataset,
     make_neighbor,
+    rng,
     sensitivity_bound,
 )
 from helpers import gram_of, is_psd, loewner_within, sensitivity_measured, whitened_eigenvalues
@@ -164,6 +165,21 @@ class TestMakeNeighbor:
         pair = make_neighbor(data, beta=5.0, index=2, seed=6)
         assert np.linalg.norm(pair.perturbed[:, 2]) <= data.alpha + 1e-9
         assert np.linalg.norm(pair.perturbed[:, 2] - data.x[:, 2]) <= 5.0
+
+    @pytest.mark.parametrize("beta", [0.25, 5.0])
+    def test_zero_direction_falls_back_to_the_first_axis(self, monkeypatch, beta):
+        # a drawn direction of norm 0 cannot be normalized: the step goes along e_0,
+        # by beta when the slack allows (0.25) and by the slack when it does not (5.0)
+        monkeypatch.setattr(rng, "standard_normals", lambda n, seed: np.zeros(n))
+        data = generate_good_dataset(2, 4, eta=1.0, alpha=2.0, seed=4)
+        pair = make_neighbor(data, beta=beta, index=1, seed=6)
+        assert type(pair) is NeighborPair
+        col = data.column(1)
+        slack = -col[0] + math.sqrt(col[0] ** 2 + data.alpha**2 - float(col @ col))
+        assert (slack > beta) == (beta == 0.25)
+        step = min(beta, slack)
+        assert np.array_equal(pair.perturbed[:, 1], col + step * np.array([1.0, 0.0]))
+        assert np.array_equal(np.delete(pair.perturbed, 1, axis=1), np.delete(data.x, 1, axis=1))
 
     def test_index_out_of_range(self):
         data = generate_good_dataset(2, 2, eta=1.0, alpha=1.0, seed=0)

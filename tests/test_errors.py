@@ -32,7 +32,6 @@ from dpattn import (
     generate_good_dataset,
     make_neighbor,
     neighbor_loss,
-    perturbation_chain_check,
     privacy_loss_samples,
     required_samples,
     rng,
@@ -42,6 +41,7 @@ from dpattn import (
     utility_radius,
     verify_neighbor_privacy,
 )
+from dpattn.attention import perturbation_chain_check
 from dpattn.errors import check_array, check_integer, check_real
 
 DATA = generate_good_dataset(n=2, d=3, eta=0.01, alpha=0.11, seed=1)
@@ -174,8 +174,6 @@ def test_counts_beyond_the_double_range_are_rejected():
         assert str(info.value) == message
 
 
-MATRIX = SymMatrix(np.diag([0.05, 0.05]))
-
 # label -> (parameter name, dimensions, call with the value, a valid value)
 ARRAYS = {
     "SymMatrix": ("values", 2, SymMatrix, np.eye(2)),
@@ -187,9 +185,6 @@ ARRAYS = {
     "NeighborPair": ("perturbed", 2, lambda v: NeighborPair(DATA, v, 0.0, 0), DATA.x),
     # a PrivacyLoss's comparison spectrum
     "PrivacySpectrum": ("eigenvalues", 1, lambda v: PrivacyLoss(v, 10), LOSS.eigenvalues),
-    "perturbation_chain_check-mu": (
-        "mu", 1, lambda v: perturbation_chain_check(MATRIX, MATRIX, v, 0.05, 0.05,
-                                                    Activation.EXP), np.ones(2)),
 }
 
 
@@ -300,7 +295,7 @@ def test_kind_must_be_an_activation(kind):
     # anything but Activation.EXP used to give the cosh map
     m = SymMatrix(np.diag([0.05, 0.05]))
     calls = (lambda: entrywise_activation(m, kind), lambda: attention_matrix(m, kind),
-             lambda: perturbation_chain_check(m, m, np.ones(2), 0.05, 0.05, kind))
+             lambda: perturbation_chain_check(m.values, m.values, np.ones(2), 0.05, 0.05, kind))
     for call in calls:
         with pytest.raises(ParamRange, match="kind must be an Activation"):
             call()

@@ -8,7 +8,7 @@ from dpattn import (
     SymMatrix,
     gaussian_sampling_mechanism,
 )
-from dpattn.linalg import rank_two_eigenvalues
+from dpattn.linalg import rank_two_eigenvalues, spectrum_within
 from helpers import (is_psd, loewner_within, rand_pd, relative_frobenius_distance,
                      whitened_eigenvalues)
 
@@ -211,6 +211,17 @@ class TestLoewnerWithin:
             reference = loewner_within(a, b, eps)
             for c in (1e-10, 1e-8, 1e-3, 7.0, 1e3):
                 assert loewner_within(c * a, c * b, eps) == reference
+
+
+class TestSpectrumWithin:
+    @pytest.mark.parametrize("eps", [0.0, 0.05, 0.1])
+    def test_both_tolerance_ends_are_inside(self, eps):
+        # the two float endpoints pass, and the next float past either fails
+        low, high = 1.0 - eps - 1e-9, 1.0 + eps + 1e-9
+        assert spectrum_within(np.array([low, 1.0]), eps)
+        assert spectrum_within(np.array([1.0, high]), eps)
+        assert not spectrum_within(np.array([np.nextafter(low, 0.0), 1.0]), eps)
+        assert not spectrum_within(np.array([1.0, np.nextafter(high, 2.0)]), eps)
 
 
 class TestRelativeFrobeniusDistance:

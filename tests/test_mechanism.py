@@ -433,6 +433,12 @@ class TestUtilityRadius:
         with pytest.raises(ParamRange, match=f"{name} must be an integer"):
             utility_radius(n, 0.05, k, 1.0)
 
+    def test_n_squared_past_the_double_range_is_infinite(self):
+        # n * n was a Python int, and adding a float to one past the double range ended
+        # in a bare OverflowError
+        assert utility_radius(10**155, 0.5, 1, 1.0) == math.inf
+        assert utility_radius(10**154, 0.5, 1, 1.0) < math.inf
+
 
 class TestRequiredSamples:
     def test_definitional_minimality(self):
@@ -489,6 +495,11 @@ class TestRequiredSamples:
         with pytest.raises(Infeasible, match=f"radius_target = {target!r}"):
             required_samples(4, 0.05, target, 1.0)
         assert len(calls) == 1
+
+    def test_n_squared_past_the_double_range_is_infeasible(self):
+        # the radius is infinite at every k; this ended in a bare OverflowError
+        with pytest.raises(Infeasible, match="no k up to"):
+            required_samples(10**155, 0.5, 1.0, 1.0)
 
     def test_n_must_be_an_integer(self):
         # its range check goes through utility_radius; 2.5 used to give 94,298

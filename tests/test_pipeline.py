@@ -8,7 +8,6 @@ import pytest
 import dpattn
 from dpattn import (
     Activation,
-    ChainReport,
     Dataset,
     DpAttentionReport,
     DpParams,
@@ -27,7 +26,6 @@ from dpattn import (
     make_neighbor,
     mechanism,
     neighbor_loss,
-    perturbation_chain_check,
     pipeline,
     privacy,
     rng,
@@ -38,6 +36,7 @@ from dpattn import (
     verify_neighbor_privacy,
     wilson_upper,
 )
+from dpattn.attention import ChainReport, perturbation_chain_check
 from dpattn.cli import _jsonable
 from helpers import (check_named, conversion_holds, loewner_event, privacy_loss,
                      sensitivity_measured)
@@ -288,7 +287,7 @@ class TestDpAttention:
 
         for name in ("eigh", "eigvalsh", "cholesky"):
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-        for module in (linalg, attention):
+        for module in (linalg, dataset, privacy):
             monkeypatch.setattr(module, "check_array", counting("check_array", module.check_array))
         monkeypatch.setattr(rng, "generator", counting("generator", rng.generator))
         dp_attention(data, 1e-8, fast_params())
@@ -298,6 +297,22 @@ class TestDpAttention:
         dp_attention(data, 1e-8, fast_params(seed=1))
         assert calls == {"eigh": 0, "eigvalsh": 1, "cholesky": 0, "check_array": 0,
                          "generator": 2}
+
+    def test_the_chain_runs_once_by_its_public_name(self, monkeypatch):
+        # a release calls the chain by its public name in attention, the binding a
+        # tracer wraps, once, on the Gram matrix's values and the release
+        calls = []
+        chain = attention.perturbation_chain_check
+
+        def counted(*args):
+            calls.append(args)
+            return chain(*args)
+
+        for module in (attention, pipeline):
+            monkeypatch.setattr(module, "perturbation_chain_check", counted)
+        report = dp_attention(fast_dataset(), 1e-8, fast_params())
+        assert len(calls) == 1
+        assert calls[0][0] is report.gram_matrix.values and calls[0][1] is report.released
 
     def test_shared_dataset_matches_fresh_datasets(self):
         # the kept factor changes no byte of any report
@@ -338,7 +353,7 @@ class TestDpAttention:
                         whitened = gaussian_sampling_mechanism(data.gram_matrix, k,
                                                                seed).whitened
                         checked = perturbation_chain_check(
-                            report.gram_matrix, report.released,
+                            report.gram_matrix.values, report.released,
                             np.linalg.eigvalsh(whitened), 0.05, 0.1, kind)
                         assert checked.stages == report.chain
                         assert checked.attention_base.tobytes() == \
@@ -451,7 +466,7 @@ class TestVerifyNeighborPrivacy:
 
 
 PUBLIC_NAMES = {
-    "Activation", "CertificateReport", "ChainReport", "Dataset",
+    "Activation", "CertificateReport", "Dataset",
     "DpAttentionReport", "DpAttnError", "DpParams", "Infeasible",
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
     "ParamRange", "PrivacyLoss", "RequirementCheck",
@@ -459,7 +474,7 @@ PUBLIC_NAMES = {
     "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
     "gaussian_sampling_mechanism", "generate_good_dataset",
     "make_neighbor", "neighbor_loss",
-    "perturbation_chain_check", "privacy_loss_samples", "required_samples",
+    "privacy_loss_samples", "required_samples",
     "sensitivity_bound", "sensitivity_budget",
     "theoretical_error_bound", "utility_radius", "verify_neighbor_privacy", "wilson_upper",
 }
