@@ -1,18 +1,17 @@
 """Differentially private attention surrogates via Gaussian sampling.
 
-The library computes the row-normalized attention map of a Gram matrix ``X X^T``, releases
-a private surrogate of that Gram matrix by re-sampling its covariance (the Gaussian
-sampling mechanism), and ships a verification harness that measures every step of the
-accompanying analysis: the deterministic attention perturbation chain, which every release
-runs (``attention.perturbation_chain_check``), neighbor sensitivity, mechanism utility
-scaling, and the (eps, delta) privacy tail of the loss variable.
+The library computes the row-normalized attention map of a Gram matrix ``X X^T``
+(``attention_matrix``), releases a private surrogate of that Gram matrix by re-sampling its
+covariance (the Gaussian sampling mechanism), and ships a verification harness that measures
+every step of the accompanying analysis: the deterministic attention perturbation chain,
+which every release runs (``attention.perturbation_chain_check``), neighbor sensitivity,
+mechanism utility scaling, and the (eps, delta) privacy tail of the loss variable.
 """
 
 from .attention import (
     Activation,
     RequirementCheck,
     attention_matrix,
-    entrywise_activation,
     theoretical_error_bound,
 )
 from .dataset import (

@@ -1,16 +1,17 @@
 """Row-normalized attention maps and the deterministic perturbation chain.
 
-The attention map sends a symmetric logit matrix ``M`` to ``diag(s)^{-1} g(M)``
-where ``g`` applies ``exp`` or ``cosh`` entrywise and ``s`` holds the row sums
-of ``g(M)``.  When two PSD logit matrices are entrywise bounded by ``r`` and
-spectrally within a relative factor ``eps`` of each other, the resulting
-attention matrices differ entrywise by at most ``4 * (1 + eps + 2r) * r``.
-:func:`perturbation_chain_check` measures every link of that bound on a
-concrete pair, from the spectral sandwich to the attention error, and is the
-package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` runs it on
-every release, on the Gram matrix's ``values`` and the read-only release, and takes
-its attention maps, its error, its bound and its sandwich event from it.  It reads
-those arrays as they are and checks only its scalars.
+The attention map sends a symmetric logit matrix ``M`` to ``diag(s)^{-1} g(M)`` where ``g``
+applies ``exp`` or ``cosh`` entrywise and ``s`` holds the row sums of ``g(M)``:
+:func:`attention_matrix`, the one public activation, which returns it read-only.  When two
+PSD logit matrices are entrywise bounded by ``r`` and spectrally within a relative factor
+``eps`` of each other, the resulting attention matrices differ entrywise by at most
+``4 * (1 + eps + 2r) * r``.  :func:`perturbation_chain_check` measures every link of that
+bound on a concrete pair, from the spectral sandwich to the attention error, and is the
+package's one attention verifier: :func:`~dpattn.pipeline.dp_attention` runs it on every
+release, on the Gram matrix's ``values`` and the read-only release, and takes its attention
+maps, its error, its bound and its sandwich event from it.  It reads those arrays as they
+are and checks only its scalars.  Both check ``kind`` by
+:func:`~dpattn.errors.check_instance` and apply ``g`` by one core, ``_activation``.
 
 Throughout this module the matrix infinity-norm means the entrywise
 max-absolute value.  ``eps`` and ``r`` are finite reals in ``(0, 0.1]``.
@@ -24,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import Overflow, ParamRange, check_real
+from .errors import Overflow, check_instance, check_real
 from .linalg import as_sym, spectrum_within
 
 
@@ -35,21 +36,10 @@ class Activation(Enum):
     COSH = "cosh"
 
 
-def entrywise_activation(m, kind: Activation) -> np.ndarray:
-    """Apply the activation ``kind``, an :class:`Activation`, to every entry of the
-    symmetric ``m``; the result is finite and exactly symmetric."""
-    _check_kind(kind)
-    return _activation(as_sym(m).values, kind)
-
-
-def _check_kind(kind) -> None:
-    if not isinstance(kind, Activation):
-        raise ParamRange(f"kind must be an Activation, got {kind!r}")
-
-
 def _activation(values: np.ndarray, kind: Activation) -> np.ndarray:
-    """:func:`entrywise_activation` of a checked symmetric array, without checking it again;
-    a non-finite result still raises :class:`Overflow`."""
+    """The activation ``kind`` of every entry of a symmetric array, unchecked, finite and
+    exactly symmetric: the one core of :func:`attention_matrix` and the chain; a non-finite
+    result raises :class:`Overflow`."""
     with np.errstate(over="ignore"):
         out = np.exp(values) if kind is Activation.EXP else np.cosh(values)
     if not np.isfinite(out).all():
@@ -58,9 +48,13 @@ def _activation(values: np.ndarray, kind: Activation) -> np.ndarray:
 
 
 def attention_matrix(m, kind: Activation) -> np.ndarray:
-    """Row-stochastic attention map: each activated row divided by its sum."""
-    act = entrywise_activation(m, kind)
-    return act / act.sum(axis=1)[:, None]
+    """Row-stochastic attention map of the symmetric ``m``, read-only: each row of the
+    activation ``kind``, an :class:`Activation`, divided by its sum."""
+    check_instance("kind", kind, Activation)
+    act = _activation(as_sym(m).values, kind)
+    att = act / act.sum(axis=1)[:, None]
+    att.flags.writeable = False
+    return att
 
 
 def theoretical_error_bound(eps: float, r: float) -> float:
@@ -132,7 +126,7 @@ def perturbation_chain_check(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None
     the excess honestly (see the tests for the boundary case).
     """
     att_bound = theoretical_error_bound(eps, r)  # validates eps and r first
-    _check_kind(kind)
+    check_instance("kind", kind, Activation)
     sandwich, deviation = False, math.inf
     if mu is not None and mu.min() > 0.0:
         inv = 1.0 / mu
@@ -145,6 +139,7 @@ def perturbation_chain_check(a: np.ndarray, b: np.ndarray, mu: np.ndarray | None
     sums_b = act_b.sum(axis=1)
     att_a = act_a / sums_a[:, None]
     att_b = act_b / sums_b[:, None]
+    att_a.flags.writeable = att_b.flags.writeable = False
 
     ratio_bound = (2.0 + 2.0 * eps + 4.0 * r) * r
     entry_max = float(np.abs(b).max())

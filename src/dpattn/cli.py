@@ -48,7 +48,7 @@ from . import rng
 from .attention import Activation
 from .dataset import Dataset, NeighborPair, generate_good_dataset, make_neighbor
 from .errors import DpAttnError, ParamRange, check_integer, check_real
-from .linalg import SymMatrix, relative_tol
+from .linalg import relative_tol
 from .mechanism import bartlett_factors, whitened_errors
 from .pipeline import DpParams, dp_attention, verify_neighbor_privacy
 
@@ -226,8 +226,6 @@ def _jsonable(value):
         return value
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, SymMatrix):
-        value = value.values
     if isinstance(value, np.ndarray):
         return np.where(np.isfinite(value), value, None).tolist()
     if isinstance(value, (list, tuple)):

@@ -5,7 +5,7 @@ the double range (a Python ``int`` beyond ``sys.float_info.max``, about 1.8e308,
 ``float()`` may not convert, fails), :func:`check_array` for the arrays a caller hands in
 (a ``SymMatrix``'s values, a ``Dataset``'s ``x``, a ``NeighborPair``'s ``perturbed``, a
 ``PrivacyLoss``'s ``eigenvalues``) and :func:`check_instance` for the package's own types
-(a ``Dataset``, ``DpParams``, ``NeighborPair`` or ``PrivacyLoss``)."""
+(a ``Dataset``, ``DpParams``, ``NeighborPair``, ``PrivacyLoss`` or ``Activation``)."""
 
 import sys
 
@@ -37,6 +37,11 @@ class Overflow(DpAttnError):
 
 class Infeasible(DpAttnError):
     """The requested construction cannot be realized with the given parameters."""
+
+
+def _a(noun: str) -> str:
+    """``noun`` after its indefinite article: "an" before a vowel letter, else "a"."""
+    return f"{'an' if noun[0] in 'aeiouAEIOU' else 'a'} {noun}"
 
 
 def _rejected(name: str, requirement: str, value) -> ParamRange:
@@ -81,7 +86,7 @@ def check_array(name: str, value, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):  # a ragged nesting
-        got = f"a {type(value).__name__}"
+        got = _a(type(value).__name__)
     else:
         if arr.dtype.kind in "iuf" and arr.ndim == ndim:
             copy = arr.astype(float)
@@ -90,7 +95,7 @@ def check_array(name: str, value, ndim: int) -> np.ndarray:
                 return copy
             got = "a non-finite entry"
         else:
-            got = f"a {arr.dtype.name} array of shape {arr.shape}"
+            got = f"{_a(arr.dtype.name)} array of shape {arr.shape}"
     raise ParamRange(f"{name} must be a {ndim}-d array of finite reals, got {got}")
 
 
@@ -98,4 +103,4 @@ def check_instance(name: str, value, cls: type) -> None:
     """Raise :class:`ParamRange` unless ``value`` is a ``cls``: the message names the
     parameter, the type it must be and the type it is, never its value."""
     if not isinstance(value, cls):
-        raise ParamRange(f"{name} must be a {cls.__name__}, got a {type(value).__name__}")
+        raise ParamRange(f"{name} must be {_a(cls.__name__)}, got {_a(type(value).__name__)}")

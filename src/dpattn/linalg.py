@@ -29,8 +29,8 @@ def relative_tol(values: np.ndarray) -> float:
 class SymMatrix:
     """Immutable dense real symmetric matrix: the type of a matrix the package checks or
     factors, a :class:`~dpattn.dataset.Dataset`'s Gram matrix or a caller's covariance.
-    What the package computes (a release, its whitened draw, an attention map) it returns
-    as a read-only array instead, which the chain check reads as it is.
+    What the package returns (a release, its whitened draw, an attention map, a report's
+    Gram matrix ``values``) is a read-only array instead, which the chain reads as it is.
 
     Input is symmetrized on construction, ``M / 2 + M.T / 2``, so covariance
     accumulation round-off never leaks asymmetry into later spectral code; halving

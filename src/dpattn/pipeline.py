@@ -15,9 +15,9 @@ are made; :func:`dp_attention` checks the types of ``data`` and ``params``, and 
 are scalar is called as it is, and a private core exists only where the public checks
 would copy an array.  The bounds and the chain check only scalars, so all three are called
 as they are; the one core left is :func:`~dpattn.attention._activation`, which the chain
-shares with :func:`~dpattn.attention.entrywise_activation`.  Inputs are
-:class:`~dpattn.linalg.SymMatrix` and outputs read-only arrays; the chain takes the Gram
-matrix's ``values`` and the release.
+shares with :func:`~dpattn.attention.attention_matrix`, and no module imports another's
+private name.  Inputs are :class:`~dpattn.linalg.SymMatrix` and outputs read-only arrays;
+the chain takes the Gram matrix's ``values`` and the release.
 
 :func:`verify_neighbor_privacy` runs the privacy side for one neighbor pair:
 the sufficient-condition certificate plus the Monte-Carlo exceedance rate of
@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .attention import Activation, RequirementCheck, _check_kind, perturbation_chain_check
+from .attention import Activation, RequirementCheck, perturbation_chain_check
 from .dataset import Dataset, NeighborPair, sensitivity_bound
 from .errors import check_instance, check_integer, check_real
-from .linalg import SymMatrix, spectrum_within
+from .linalg import spectrum_within
 from .mechanism import gaussian_sampling_mechanism, utility_radius
 from .privacy import (CertificateReport, dp_certificate, neighbor_loss, privacy_loss_samples,
                       sensitivity_budget, wilson_upper)
@@ -70,7 +70,7 @@ class DpParams:
         check_real("gamma", self.gamma, 0, 1, "()")
         check_integer("k", self.k, 1)
         check_real("r", self.r, 0, 0.1, "(]")
-        _check_kind(self.kind)
+        check_instance("kind", self.kind, Activation)
         check_real("utility_const", self.utility_const, 0, math.inf, "()")
         check_integer("seed", self.seed, 0, rng.MAX_SEED)
 
@@ -94,14 +94,14 @@ class DpAttentionReport:
     ``measured_error``, ``error_bound`` and ``loewner_eps_event``, copies of the
     ``attention_bound`` check's ``measured`` and ``required`` and of the
     ``loewner`` check's ``passed``, kept while readers of the report still
-    take them from here.  ``released`` is the mechanism's draw as it is, a read-only
-    float64 array like the attention maps: at ``k < n`` it is singular, and rounding may
-    leave its smallest eigenvalues just below zero.
+    take them from here.  Every array is read-only float64: ``gram_matrix`` is the Gram
+    matrix's own ``values`` and ``released`` the mechanism's draw as it is, singular at
+    ``k < n``, where rounding may leave its smallest eigenvalues just below zero.
     """
 
     params: DpParams
     beta: float
-    gram_matrix: SymMatrix
+    gram_matrix: np.ndarray
     released: np.ndarray
     attention_base: np.ndarray
     attention_released: np.ndarray
@@ -175,7 +175,7 @@ def dp_attention(data: Dataset, beta: float, params: DpParams) -> DpAttentionRep
     return DpAttentionReport(
         params=params,
         beta=beta,
-        gram_matrix=base,
+        gram_matrix=base.values,
         released=mech.sigma_hat,
         attention_base=chain.attention_base,
         attention_released=chain.attention_perturbed,

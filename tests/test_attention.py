@@ -11,38 +11,47 @@ from dpattn import (
     RequirementCheck,
     SymMatrix,
     attention_matrix,
-    entrywise_activation,
     theoretical_error_bound,
 )
-from dpattn.attention import perturbation_chain_check
+from dpattn.attention import _activation, perturbation_chain_check
 from helpers import chain_pair, chain_spectrum, rand_psd
 
 
 class TestEntrywiseActivation:
+    """The core ``_activation`` that ``attention_matrix`` and the chain share."""
+
     def test_zero_matrix(self):
         for kind in Activation:
-            out = entrywise_activation(SymMatrix(np.zeros((2, 2))), kind)
+            out = _activation(np.zeros((2, 2)), kind)
             assert np.array_equal(out, np.ones((2, 2)))
 
     def test_closed_form(self):
-        out = entrywise_activation(SymMatrix(np.diag([math.log(2.0), 0.0])), Activation.EXP)
+        out = _activation(np.diag([math.log(2.0), 0.0]), Activation.EXP)
         assert np.allclose(out, [[2.0, 1.0], [1.0, 1.0]], atol=1e-15)
 
     def test_symmetry_exact(self):
         gen = np.random.default_rng(3)
         m = SymMatrix(rand_psd(gen, 5) * 0.01)
-        out = entrywise_activation(m, Activation.COSH)
+        out = _activation(m.values, Activation.COSH)
         assert np.array_equal(out, out.T)
 
     def test_overflow(self):
-        with pytest.raises(Overflow):
-            entrywise_activation(SymMatrix(np.full((2, 2), 1000.0)), Activation.EXP)
+        m = SymMatrix(np.full((2, 2), 1000.0))
+        for call in (lambda: _activation(m.values, Activation.EXP),
+                     lambda: attention_matrix(m, Activation.EXP)):
+            with pytest.raises(Overflow):
+                call()
 
 
 class TestAttentionMatrix:
     def test_uniform_for_zero_logits(self):
         out = attention_matrix(SymMatrix(np.zeros((4, 4))), Activation.EXP)
         assert np.allclose(out, np.full((4, 4), 0.25))
+
+    def test_read_only(self):
+        out = attention_matrix(SymMatrix(np.zeros((2, 2))), Activation.COSH)
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 0.0
 
     def test_single_row(self):
         assert np.allclose(attention_matrix(SymMatrix([[12.3]]), Activation.EXP), [[1.0]])
@@ -115,6 +124,8 @@ class TestPerturbationChain:
         report = chain(base, perturbed, 0.05, 0.05, Activation.COSH)
         for m, att in ((base, report.attention_base), (perturbed, report.attention_perturbed)):
             assert np.array_equal(att, attention_matrix(m, Activation.COSH))
+            with pytest.raises(ValueError, match="read-only"):
+                att[0, 0] = 0.0
         assert report.stages[-1].measured == \
             np.abs(report.attention_base - report.attention_perturbed).max()
 

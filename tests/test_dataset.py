@@ -17,6 +17,7 @@ from dpattn import (
     rng,
     sensitivity_bound,
 )
+from dpattn.dataset import GOODNESS_TOL
 from helpers import gram_of, is_psd, loewner_within, sensitivity_measured, whitened_eigenvalues
 
 
@@ -59,6 +60,19 @@ class TestCheckGood:
             Dataset(x, eta=1.01 * scale**2, alpha=scale)
         with pytest.raises(Infeasible):
             Dataset(x, eta=scale**2, alpha=0.99 * scale)
+
+    def test_floor_and_cap_pass_at_equality(self):
+        # 0.5 I has the Gram matrix 0.25 I and column norms 0.5, all exact; these eta
+        # and alpha put the relative floor and cap exactly on them, and the next double
+        # beyond either one fails
+        x = 0.5 * np.eye(2)
+        eta, alpha = 0.25000000025, 0.49999999949999996
+        assert eta * (1.0 - GOODNESS_TOL) == 0.25 and alpha * (1.0 + GOODNESS_TOL) == 0.5
+        Dataset(x, eta=eta, alpha=alpha)
+        with pytest.raises(Infeasible):
+            Dataset(x, eta=math.nextafter(eta, math.inf), alpha=alpha)
+        with pytest.raises(Infeasible):
+            Dataset(x, eta=eta, alpha=math.nextafter(alpha, 0.0))
 
     def test_param_validation(self):
         with pytest.raises(ParamRange):
@@ -243,6 +257,21 @@ class TestNeighborPairValidation:
         with pytest.raises(ParamRange, match="more than beta"):
             NeighborPair(base=data, perturbed=perturbed, beta=beta, index=5)
 
+    def test_a_move_at_the_tolerance_passes(self):
+        # column 0 moves from (0.5, 0) to (0.5, 0.25), by exactly 0.25; at this beta,
+        # beta plus 4 machine epsilons of the larger norm rounds to exactly 0.25, and at
+        # the next double below it to less
+        data = Dataset(0.5 * np.eye(2), eta=0.25, alpha=0.5)
+        perturbed = data.x.copy()
+        perturbed[1, 0] = 0.25
+        beta = 0.2499999999999995
+        slack = 4 * np.finfo(float).eps * math.hypot(0.5, 0.25)
+        assert beta + slack == 0.25 and math.nextafter(beta, 0.0) + slack < 0.25
+        NeighborPair(base=data, perturbed=perturbed, beta=beta, index=0)
+        with pytest.raises(ParamRange, match="more than beta"):
+            NeighborPair(base=data, perturbed=perturbed, beta=math.nextafter(beta, 0.0),
+                         index=0)
+
     @pytest.mark.parametrize("scale", [1e-150, 1e-6, 1.0, 1e6, 1e150])
     def test_make_neighbor_pairs_pass_at_any_scale(self, scale):
         # make_neighbor's own pairs pass NeighborPair at every scale; at scale 1e6 and
@@ -284,7 +313,7 @@ class TestGram:
         # a release reads the kept matrix: re-forming X X^T would give a new object
         params = DpParams(eps=0.05, delta=0.01, gamma=0.3, k=400_000, r=0.1,
                           kind=Activation.EXP, utility_const=1.0, seed=0)
-        assert dp_attention(data, 1e-9, params).gram_matrix is data.gram_matrix
+        assert dp_attention(data, 1e-9, params).gram_matrix is data.gram_matrix.values
         assert np.array_equal(gram_of(data.x).values, data.gram_matrix.values)
         assert np.linalg.eigvalsh(data.gram_matrix.values).min() >= data.eta - 1e-9
 

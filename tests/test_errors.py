@@ -27,7 +27,6 @@ from dpattn import (
     attention_matrix,
     dp_attention,
     dp_certificate,
-    entrywise_activation,
     gaussian_sampling_mechanism,
     generate_good_dataset,
     make_neighbor,
@@ -177,8 +176,9 @@ def test_counts_beyond_the_double_range_are_rejected():
 # label -> (parameter name, dimensions, call with the value, a valid value)
 ARRAYS = {
     "SymMatrix": ("values", 2, SymMatrix, np.eye(2)),
+    # attention_matrix, which applies the entrywise activation to the checked values
     "entrywise_activation": (
-        "values", 2, lambda v: entrywise_activation(v, Activation.EXP), np.eye(2)),
+        "values", 2, lambda v: attention_matrix(v, Activation.EXP), np.eye(2)),
     "gaussian_sampling_mechanism": (
         "values", 2, lambda v: gaussian_sampling_mechanism(v, 10, 1), np.eye(2)),
     "Dataset": ("x", 2, lambda v: Dataset(v, eta=0.01, alpha=0.11), DATA.x),
@@ -225,30 +225,36 @@ def test_an_array_may_be_given_as_nested_lists(label):
     call(good.tolist())
 
 
-# label -> (parameter name, its type, call with the value)
+# label -> (parameter name, its type with its article, call with the value)
 INSTANCES = {
-    "dp_attention-data": ("data", Dataset, lambda v: dp_attention(v, 0.0, _params())),
-    "dp_attention-params": ("params", DpParams, lambda v: dp_attention(DATA, 0.0, v)),
+    "dp_attention-data": ("data", "a Dataset", lambda v: dp_attention(v, 0.0, _params())),
+    "dp_attention-params": ("params", "a DpParams", lambda v: dp_attention(DATA, 0.0, v)),
     "verify_neighbor_privacy": (
-        "pair", NeighborPair, lambda v: verify_neighbor_privacy(v, 0.05, 0.01, 10, 1000, 0)),
+        "pair", "a NeighborPair", lambda v: verify_neighbor_privacy(v, 0.05, 0.01, 10, 1000, 0)),
     # neighbor_loss, the loss of the neighbor spectrum
-    "neighbor_spectrum": ("pair", NeighborPair, lambda v: neighbor_loss(v, 10)),
-    "NeighborPair": ("base", Dataset, lambda v: NeighborPair(v, DATA.x, 0.0, 0)),
-    "make_neighbor": ("data", Dataset, lambda v: make_neighbor(v, 1e-3, 0, 1)),
-    "dp_certificate": ("loss", PrivacyLoss, lambda v: dp_certificate(v, 0.05, 0.01)),
-    "privacy_loss_samples": ("loss", PrivacyLoss, lambda v: privacy_loss_samples(v, 5, 0)),
+    "neighbor_spectrum": ("pair", "a NeighborPair", lambda v: neighbor_loss(v, 10)),
+    "NeighborPair": ("base", "a Dataset", lambda v: NeighborPair(v, DATA.x, 0.0, 0)),
+    "make_neighbor": ("data", "a Dataset", lambda v: make_neighbor(v, 1e-3, 0, 1)),
+    "dp_certificate": ("loss", "a PrivacyLoss", lambda v: dp_certificate(v, 0.05, 0.01)),
+    "privacy_loss_samples": ("loss", "a PrivacyLoss", lambda v: privacy_loss_samples(v, 5, 0)),
+    "DpParams-kind": ("kind", "an Activation", lambda v: _params(kind=v)),
+    "attention_matrix-kind": ("kind", "an Activation", lambda v: attention_matrix(np.eye(2), v)),
+    "perturbation_chain_check-kind": (
+        "kind", "an Activation",
+        lambda v: perturbation_chain_check(np.eye(2) / 20, np.eye(2) / 20, None, 0.05, 0.05, v)),
 }
 
 
-@pytest.mark.parametrize("value", [np.eye(2), [[1.0, 0.0], [0.0, 1.0]], None],
+@pytest.mark.parametrize("value, got", [(np.eye(2), "a ndarray"),
+                                        ([[1.0, 0.0], [0.0, 1.0]], "a list"),
+                                        (None, "a NoneType")],
                          ids=["ndarray", "list", "None"])
 @pytest.mark.parametrize("label", INSTANCES)
-def test_a_wrong_type_is_rejected_by_name(label, value):
+def test_a_wrong_type_is_rejected_by_name(label, value, got):
     # each ended in a bare AttributeError, such as "'NoneType' object has no attribute
-    # 'column'" for a None pair
-    name, cls, call = INSTANCES[label]
-    with pytest.raises(ParamRange, match=f"^{name} must be a {cls.__name__}, "
-                                         f"got a {type(value).__name__}$"):
+    # 'column'" for a None pair; the article agrees with the noun ("a int" before)
+    name, required, call = INSTANCES[label]
+    with pytest.raises(ParamRange, match=f"^{name} must be {required}, got {got}$"):
         call(value)
 
 
@@ -266,9 +272,22 @@ def test_check_array_returns_a_read_only_float_copy():
     arr = check_array("x", value, 2)
     assert arr.dtype == np.float64 and not arr.flags.writeable
     assert np.array_equal(arr, value) and not np.shares_memory(arr, value)
-    with pytest.raises(ParamRange, match=r"^x must be a 1-d array of finite reals, got a "
+    with pytest.raises(ParamRange, match=r"^x must be a 1-d array of finite reals, got an "
                                          r"int64 array of shape \(2, 2\)$"):
         check_array("x", value, 1)
+
+
+@pytest.mark.parametrize("value, got", [
+    ([[1.0], [1.0, 2.0]], "a list"),
+    (np.array([1.0, 2.0], dtype=object), "an object array of shape (2,)"),
+    (np.array([True, False]), "a bool array of shape (2,)"),
+    (np.array([1j, 2j]), "a complex128 array of shape (2,)"),
+], ids=["ragged", "object", "bool", "complex"])
+def test_check_array_names_the_type_with_its_article(value, got):
+    # "an" before a vowel letter, else "a": "a int64 array" and "a object array" before
+    with pytest.raises(ParamRange) as info:
+        check_array("x", value, 2)
+    assert str(info.value) == f"x must be a 2-d array of finite reals, got {got}"
 
 
 @pytest.mark.parametrize("seed", [True, (1, 2.9), "12", (3, np.False_), 7.0], ids=repr)
@@ -294,7 +313,7 @@ def test_accepted_seeds_keep_their_words():
 def test_kind_must_be_an_activation(kind):
     # anything but Activation.EXP used to give the cosh map
     m = SymMatrix(np.diag([0.05, 0.05]))
-    calls = (lambda: entrywise_activation(m, kind), lambda: attention_matrix(m, kind),
+    calls = (lambda: attention_matrix(m, kind),
              lambda: perturbation_chain_check(m.values, m.values, np.ones(2), 0.05, 0.05, kind))
     for call in calls:
         with pytest.raises(ParamRange, match="kind must be an Activation"):

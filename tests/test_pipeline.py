@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import json
+import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +115,15 @@ class TestDpAttention:
                             (report.released, report.attention_released)):
             assert np.array_equal(att, attention.attention_matrix(matrix, params.kind))
 
+    def test_the_arrays_are_read_only(self):
+        # the report is frozen, and so are its arrays: the Gram matrix's own values, the
+        # release and both attention maps
+        report = dp_attention(fast_dataset(), 1e-8, fast_params())
+        for arr in (report.gram_matrix, report.released, report.attention_base,
+                    report.attention_released):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0.0
+
     def test_certified_end_to_end(self):
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params())
         assert report.certified
@@ -187,7 +199,7 @@ class TestDpAttention:
     def test_singular_estimate_flagged(self):
         # k < n, both in the report, is what makes the release singular
         report = dp_attention(fast_dataset(), beta=1e-8, params=fast_params(k=1))
-        assert report.params.k < report.gram_matrix.dim
+        assert report.params.k < len(report.gram_matrix)
         assert np.linalg.matrix_rank(report.released) == report.params.k
         assert not report.loewner_eps_event
         assert not report.certified
@@ -312,7 +324,7 @@ class TestDpAttention:
             monkeypatch.setattr(module, "perturbation_chain_check", counted)
         report = dp_attention(fast_dataset(), 1e-8, fast_params())
         assert len(calls) == 1
-        assert calls[0][0] is report.gram_matrix.values and calls[0][1] is report.released
+        assert calls[0][0] is report.gram_matrix and calls[0][1] is report.released
 
     def test_shared_dataset_matches_fresh_datasets(self):
         # the kept factor changes no byte of any report
@@ -353,7 +365,7 @@ class TestDpAttention:
                         whitened = gaussian_sampling_mechanism(data.gram_matrix, k,
                                                                seed).whitened
                         checked = perturbation_chain_check(
-                            report.gram_matrix.values, report.released,
+                            report.gram_matrix, report.released,
                             np.linalg.eigvalsh(whitened), 0.05, 0.1, kind)
                         assert checked.stages == report.chain
                         assert checked.attention_base.tobytes() == \
@@ -446,6 +458,18 @@ class TestVerifyNeighborPrivacy:
         assert report.empirical_rate == exceed / 1000
         assert report.wilson_upper == wilson_upper(exceed, 1000)
 
+    def test_a_draw_at_eps_is_not_counted(self, monkeypatch):
+        # the rate counts the draws strictly above eps: one draw equal to eps is not
+        # counted, the next double above it is
+        eps = 0.05
+        draws = np.zeros(1000)
+        draws[:2] = eps, math.nextafter(eps, math.inf)
+        monkeypatch.setattr(pipeline, "privacy_loss_samples", lambda loss, trials, seed: draws)
+        pair = make_neighbor(fast_dataset(), beta=1e-8, index=1, seed=4)
+        report = verify_neighbor_privacy(pair, eps=eps, delta=0.01, k=50, trials=1000, seed=0)
+        assert report.empirical_rate == 1 / 1000
+        assert report.wilson_upper == wilson_upper(1, 1000)
+
     @pytest.mark.parametrize("k, trials", [(2.5, 1000), (True, 1000), (50.0, 1000),
                                            (50, 1000.5), (50, 1000.0)])
     def test_k_and_trials_must_be_integers(self, k, trials):
@@ -471,7 +495,7 @@ PUBLIC_NAMES = {
     "MechanismOutput", "NeighborPair", "NeighborPrivacyReport", "NotPsd", "Overflow",
     "ParamRange", "PrivacyLoss", "RequirementCheck",
     "SensitivityBound", "SingularMatrix", "SymMatrix",
-    "attention_matrix", "dp_attention", "dp_certificate", "entrywise_activation",
+    "attention_matrix", "dp_attention", "dp_certificate",
     "gaussian_sampling_mechanism", "generate_good_dataset",
     "make_neighbor", "neighbor_loss",
     "privacy_loss_samples", "required_samples",
@@ -486,6 +510,17 @@ def test_public_names_are_pinned():
     exported = {name for name, value in vars(dpattn).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a module's underscore names are its own: another module calls its public ones
+    imported = [(path.name, alias.name)
+                for path in sorted(Path(dpattn.__file__).parent.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.level > 0 or (node.module or "").split(".")[0] == "dpattn")
+                for alias in node.names if alias.name.startswith("_")]
+    assert imported == []
 
 
 def test_array_dataclasses_compare_by_identity():

@@ -162,6 +162,11 @@ class TestChiSquares:
     def test_zero_df_gives_zeros(self):
         assert np.all(chi_squares(0, (5, 2), generator((4, 2))) == 0.0)
 
+    def test_zero_in_a_df_array_is_accepted(self):
+        # df >= 0 holds at 0: the array path accepts it and draws an exact zero there
+        out = chi_squares(np.array([0.0, 3.0]), (2,), generator((1,)))
+        assert out[0] == 0.0 and out[1] > 0.0
+
     def test_negative_df_rejected(self):
         with pytest.raises(ParamRange):
             chi_squares(-1, (2,), generator((1,)))
